@@ -1,5 +1,6 @@
 //! F4 — rollover-path ablation: the combinatorial replay vs the dense/sparse
-//! matrix-product path for the old-phase structures (DESIGN.md §2.3).
+//! matrix-product path for the old-phase structures (see the `fmm` module's
+//! "Where fast matrix multiplication enters" in `fourcycle-core`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fourcycle_core::{FmmConfig, FmmEngine, QRel, ThreePathEngine};

@@ -1,4 +1,4 @@
-//! F1 — wall-clock update-time scaling of the engines (see DESIGN.md §4).
+//! F1 — wall-clock update-time scaling of the engines.
 //!
 //! Each benchmark replays a fixed fully dynamic layered stream through a
 //! fresh counter; the reported time divided by the number of updates is the

@@ -1,4 +1,4 @@
-//! Regenerates the experiment tables T1–T5 defined in `DESIGN.md` §4.
+//! Regenerates the experiment tables T1–T5.
 //!
 //! ```text
 //! cargo run -p fourcycle-bench --release --bin experiments            # all tables

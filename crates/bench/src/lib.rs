@@ -1,8 +1,8 @@
 //! Shared harness code for the experiment tables (`experiments` binary) and
 //! the Criterion benchmarks in `benches/`.
 //!
-//! The experiment index (ids T1–T5, F1–F6) is defined in `DESIGN.md` §4 and
-//! the measured results are recorded in `EXPERIMENTS.md`.
+//! The tables T1–T5 are described in the `experiments` binary's docs, and
+//! each benchmark F1–F10 in its own file under `benches/`.
 
 pub mod chaos;
 pub mod harness;

@@ -23,8 +23,8 @@
 //! This crate reproduces all of that: [`model`] provides pluggable
 //! `ω` / `ω(a,b,c)` models, [`solver`] maximises `ε` (resp. `ε1`) under the
 //! constraint system, and [`verify`] re-runs every Appendix B check.
-//! Experiments T1–T3 (see `DESIGN.md`) are generated directly from these
-//! functions.
+//! Experiments T1–T3 (the `experiments` binary of `fourcycle-bench`) are
+//! generated directly from these functions.
 
 pub mod model;
 pub mod params;

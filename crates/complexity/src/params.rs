@@ -200,7 +200,7 @@ mod tests {
     fn warmup_square_reduction_model_rejects_paper_eps1() {
         // With only the blocking reduction for rectangular products the
         // paper's ε1 (which relies on sharper rectangular bounds) violates
-        // Eq 5 — this is exactly the gap DESIGN.md documents.
+        // Eq 5 — the gap the `model` module docs describe.
         let w = WarmupParams {
             eps: PAPER_EPS_CURRENT,
             eps1: crate::PAPER_EPS1_CURRENT,

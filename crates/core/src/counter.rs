@@ -238,20 +238,6 @@ impl LayeredCycleCounter {
         self.try_apply(update).ok()
     }
 
-    /// Convenience: applies updates one at a time, returning the final
-    /// count. Ill-formed updates are skipped.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `apply_batch` (same skip semantics, batched engine path) \
-                or `try_apply` per update for real errors"
-    )]
-    pub fn apply_all(&mut self, updates: impl IntoIterator<Item = LayeredUpdate>) -> i64 {
-        for u in updates {
-            let _ = self.apply(u);
-        }
-        self.count
-    }
-
     /// Applies a batch of updates through the engines' batch entry points,
     /// returning the final count. Ill-formed updates are skipped (use
     /// [`try_apply_batch`](Self::try_apply_batch) for atomic all-or-nothing

@@ -19,10 +19,12 @@
 //!   edge event, add the number of pattern completions formed with the other
 //!   currently-present edges.*
 //! * the phase machinery in this module — event logs for the current and
-//!   previous phase, rollover (replaying the events that leave the "new"
-//!   window as `−1@new, +1@old`), vertex class transitions (§7: remove the
-//!   vertex's incident edges, flip its class, re-insert them), and era
-//!   rebuilds when `m` drifts by a factor of two.
+//!   previous phase, rollover (re-tagging the events that leave the "new"
+//!   window as `−1@new, +1@old` through the phase-split tables only, see
+//!   [`rules`]), vertex class transitions (§7: remove the vertex's incident
+//!   edges, flip its class, re-insert them, once its degree leaves the
+//!   factor-2 band of its stored class), and era rebuilds when `m` drifts by
+//!   a factor of two.
 //!
 //! # Where fast matrix multiplication enters
 //!
@@ -36,12 +38,23 @@
 //! across a phase (Eq 9). Both paths produce identical tables (differential
 //! tests enforce this); the ablation benchmark compares their cost.
 //!
-//! # Deviations from the paper (documented in DESIGN.md §2.3)
+//! # Deviations from the paper
 //!
-//! * Work that the paper de-amortizes (spreading matrix products and chunk
-//!   folds across a phase, overlapping class bands) is performed eagerly at
-//!   the rollover / transition, so our bounds are amortized rather than
-//!   worst-case; total work per phase is the same.
+//! * Work that the paper de-amortizes (spreading matrix products across a
+//!   phase, building a transitioning vertex's new structures while it sits
+//!   in the overlap band) is performed eagerly at the rollover / transition,
+//!   so our bounds are amortized rather than worst-case; total work per
+//!   phase is the same. A rollover re-tags only the phase-split tables,
+//!   whose contents depend on the old/new split; the other tables would
+//!   receive a `−s@new, +s@old` pair that cancels exactly.
+//! * §7's factor-2 overlap band is used as hysteresis: a vertex keeps its
+//!   stored class `c` while `class(deg) ≤ c ≤ class(2·deg)`. Promotion fires
+//!   at the sharp threshold (so a Tiny vertex never exceeds the Tiny
+//!   degree); demotion waits until the degree falls below half the class's
+//!   lower threshold, so a degree flapping across one threshold costs one
+//!   transition, not one per step. Counts stay exact because every rule and
+//!   query reads stored classes; only the cost bounds use the degrees, and a
+//!   stored class is off by at most a factor of two.
 //! * The `A_old·B_new·C_old` combination, which the paper routes through the
 //!   §3 warm-up subroutine, is maintained here as the `(old, new, old)`
 //!   member of the Eq-15 family (correct, with an extra `m^{3ε}` factor on
@@ -58,7 +71,7 @@ pub mod state;
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
 use crate::pair_counts::PairCounts;
 use fourcycle_graph::{ClassThresholds, UpdateOp, VertexId};
-use fourcycle_matrix::{CompactIndex, DenseMatrix, MulAlgorithm, SparseMatrix};
+use fourcycle_matrix::{CompactIndex, MulAlgorithm, SparseMatrix};
 use rules::Structures;
 use state::{GraphState, Tag};
 
@@ -173,21 +186,20 @@ impl FmmEngine {
             .max(1)
     }
 
-    /// Reclassifies `role`-vertex `w` if its stored class no longer matches
-    /// its degree (§7): remove its incident (tagged, signed) edges, flip the
-    /// class, re-insert them.
+    /// Reclassifies `role`-vertex `w` once its degree leaves the band of its
+    /// stored class ([`GraphState::class_change`], §7): remove its incident
+    /// (tagged, signed) edges, flip the class, re-insert them.
     fn maybe_transition(&mut self, role: state::Role, w: VertexId) {
-        let desired = self.state.desired_class(role, w);
-        if desired == self.state.stored_class(role, w) {
+        let Some(class) = self.state.class_change(role, w) else {
             return;
-        }
+        };
         self.class_transitions += 1;
         let entries = self.state.incident_tagged_entries(role, w);
         for &(rel, tag, l, r, wgt) in &entries {
             self.state.add_edge_weight(rel, tag, l, r, -wgt);
             self.structs.apply(&self.state, rel, tag, l, r, -wgt);
         }
-        self.state.set_stored_class(role, w, desired);
+        self.state.set_stored_class(role, w, class);
         for &(rel, tag, l, r, wgt) in &entries {
             self.structs.apply(&self.state, rel, tag, l, r, wgt);
             self.state.add_edge_weight(rel, tag, l, r, wgt);
@@ -195,14 +207,14 @@ impl FmmEngine {
     }
 
     /// Phase rollover (§5.1): the previous phase's events leave the "new"
-    /// window and are re-accounted as old; the current phase becomes the
-    /// previous one.
+    /// window and are re-tagged as old, which only the phase-split tables
+    /// see ([`Structures::retag`]); the current phase becomes the previous
+    /// one.
     fn rollover(&mut self) {
         let rolled = std::mem::take(&mut self.prev_phase);
         self.structs.skip_pure_old = self.cfg.use_fmm;
         for &(rel, l, r, s) in &rolled {
-            self.structs.apply(&self.state, rel, Tag::New, l, r, -s);
-            self.structs.apply(&self.state, rel, Tag::Old, l, r, s);
+            self.structs.retag(&self.state, rel, l, r, s);
             self.state.retag_new_to_old(rel, l, r, s);
         }
         self.structs.skip_pure_old = false;
@@ -347,12 +359,6 @@ fn product_to_counts(
 ) -> PairCounts {
     sparse_to_counts(&multiply(a, b, dense_limit), rows, cols)
 }
-
-/// Silence the unused-import lint for DenseMatrix when the dense path is
-/// compiled out by the limit logic above (it is used through `to_dense`).
-// lint: dead-code marker keeps the DenseMatrix import live in every cfg
-#[allow(dead_code)]
-fn _dense_marker(_: &DenseMatrix) {}
 
 /// The classification roles of a relation's (left, right) endpoints (§7).
 fn endpoint_roles(rel: QRel) -> (state::Role, state::Role) {

@@ -12,18 +12,32 @@
 //! event (multilinearity), which is what makes the same rules reusable for
 //! live updates, phase rollovers, class transitions and era rebuilds.
 //!
+//! # Tag-free and phase-split tables
+//!
+//! The *tag-free* tables read only the total adjacency, the stored classes
+//! and other tag-free tables, so an event's phase tag never reaches them.
+//! The *phase-split* tables read the old/new multisets. A phase rollover
+//! re-tags each leaving event: `−s@new`, then `+s@old`, with the total
+//! adjacency and the classes unchanged. On a tag-free table the two halves
+//! of one re-tag cancel exactly, because both read the same values: the
+//! total adjacency does not move, and the tables `ts3`/`st3` read (`bc_s`,
+//! `bc_t` on `A` events, `ab_s`, `ab_t` on `C` events) are written by no
+//! event of the same relation. [`Structures::retag`] therefore runs only the
+//! phase-split rules; every other path runs both halves
+//! ([`Structures::apply`]).
+//!
 //! Structure inventory (notation as in the paper; `∗` = any class):
 //!
-//! | Field | Structure | Paper |
-//! |---|---|---|
-//! | `ab_s`, `bc_s` | `A^{∗S}·B^{S∗}`, `B^{∗S}·C^{S∗}` | Eq 12 |
-//! | `ab_t`, `bc_t` | `A^{∗T}·B^{T∗}`, `B^{∗T}·C^{T∗}` | Eq 16 |
-//! | `ab_hd`, `ab_md`, `bc_dh`, `bc_dm` | `A^{HD}·B^{DD}`, `A^{MD}·B^{DD}`, `B^{DD}·C^{DH}`, `B^{DD}·C^{DM}` | Eq 14 |
-//! | `t3_hh`, `t3_mh`, `t3_hm` | `A^{HT}·B^{TT}·C^{TH}`, `A^{MT}·B^{TT}·C^{TH}`, `A^{HT}·B^{TT}·C^{TM}` | Eq 17 |
-//! | `ts3`, `st3` | `A^{HT}·B^{TS}·C^{SH}`, `A^{HS}·B^{ST}·C^{TH}` | Eq 18 |
-//! | `abd_oo`, `abd_no` | `A^{∗D}_{old}·B^{DD}_{old}`, `A^{∗D}_{new}·B^{DD}_{old}` | old-phase product, Eq 13 |
-//! | `ab_hs[p][q]`, `bc_sh[q][r]` | `A^{HS}_p·B^{SS}_q`, `B^{SS}_q·C^{SH}_r` | auxiliaries for Eq 15 (Claim 5.6) |
-//! | `hss3[p][q][r]` | `A^{HS}_p·B^{SS}_q·C^{SH}_r`, all eight phase combinations | Eq 15 + old-phase product + `A_old·B_new·C_old` |
+//! | Field | Structure | Paper | Kind |
+//! |---|---|---|---|
+//! | `ab_s`, `bc_s` | `A^{∗S}·B^{S∗}`, `B^{∗S}·C^{S∗}` | Eq 12 | tag-free |
+//! | `ab_t`, `bc_t` | `A^{∗T}·B^{T∗}`, `B^{∗T}·C^{T∗}` | Eq 16 | tag-free |
+//! | `ab_hd`, `ab_md`, `bc_dh`, `bc_dm` | `A^{HD}·B^{DD}`, `A^{MD}·B^{DD}`, `B^{DD}·C^{DH}`, `B^{DD}·C^{DM}` | Eq 14 | tag-free |
+//! | `t3_hh`, `t3_mh`, `t3_hm` | `A^{HT}·B^{TT}·C^{TH}`, `A^{MT}·B^{TT}·C^{TH}`, `A^{HT}·B^{TT}·C^{TM}` | Eq 17 | tag-free |
+//! | `ts3`, `st3` | `A^{HT}·B^{TS}·C^{SH}`, `A^{HS}·B^{ST}·C^{TH}` | Eq 18 | tag-free |
+//! | `abd_oo`, `abd_no` | `A^{∗D}_{old}·B^{DD}_{old}`, `A^{∗D}_{new}·B^{DD}_{old}` | old-phase product, Eq 13 | phase-split |
+//! | `ab_hs[p][q]`, `bc_sh[q][r]` | `A^{HS}_p·B^{SS}_q`, `B^{SS}_q·C^{SH}_r` | auxiliaries for Eq 15 (Claim 5.6) | phase-split |
+//! | `hss3[p][q][r]` | `A^{HS}_p·B^{SS}_q·C^{SH}_r`, all eight phase combinations | Eq 15 + old-phase product + `A_old·B_new·C_old` | phase-split |
 
 use super::state::{GraphState, Tag};
 use crate::engine::QRel;
@@ -106,9 +120,9 @@ impl Structures {
         }
     }
 
-    /// Applies the maintenance rules for one signed, tagged edge event.
-    /// Does not touch adjacency; the engine owns the ordering of adjacency
-    /// mutation vs rule application.
+    /// Applies every maintenance rule, tag-free and phase-split, for one
+    /// signed, tagged edge event. Does not touch adjacency; the engine owns
+    /// the ordering of adjacency mutation vs rule application.
     pub fn apply(
         &mut self,
         st: &GraphState,
@@ -122,13 +136,43 @@ impl Structures {
             return;
         }
         match rel {
-            QRel::A => self.apply_a(st, tag, l, r, delta),
-            QRel::B => self.apply_b(st, tag, l, r, delta),
-            QRel::C => self.apply_c(st, tag, l, r, delta),
+            QRel::A => self.tag_free_a(st, l, r, delta),
+            QRel::B => self.tag_free_b(st, l, r, delta),
+            QRel::C => self.tag_free_c(st, l, r, delta),
+        }
+        self.phase_split(st, rel, tag, l, r, delta);
+    }
+
+    /// Re-tags one event of weight `s` from the new window to the old one
+    /// (phase rollover, §5.1): `−s@new`, then `+s@old`, through the
+    /// phase-split rules only, since the tag-free tables would see the two
+    /// cancel (module docs). Does not touch adjacency: call it before
+    /// [`GraphState::retag_new_to_old`].
+    pub fn retag(&mut self, st: &GraphState, rel: QRel, l: VertexId, r: VertexId, s: i64) {
+        if s == 0 {
+            return;
+        }
+        self.phase_split(st, rel, Tag::New, l, r, -s);
+        self.phase_split(st, rel, Tag::Old, l, r, s);
+    }
+
+    fn phase_split(
+        &mut self,
+        st: &GraphState,
+        rel: QRel,
+        tag: Tag,
+        l: VertexId,
+        r: VertexId,
+        d: i64,
+    ) {
+        match rel {
+            QRel::A => self.phase_split_a(st, tag, l, r, d),
+            QRel::B => self.phase_split_b(st, tag, l, r, d),
+            QRel::C => self.phase_split_c(st, tag, l, r, d),
         }
     }
 
-    fn apply_a(&mut self, st: &GraphState, tag: Tag, u: VertexId, x: VertexId, d: i64) {
+    fn tag_free_a(&mut self, st: &GraphState, u: VertexId, x: VertexId, d: i64) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cu = st.ep1(u);
@@ -197,6 +241,13 @@ impl Structures {
                 self.st3.add(u, v, d * self.bc_t.get(x, v));
             }
         }
+    }
+
+    fn phase_split_a(&mut self, st: &GraphState, tag: Tag, u: VertexId, x: VertexId, d: i64) {
+        use EndpointClass as E;
+        use MiddleClass as M;
+        let cu = st.ep1(u);
+        let cx = st.mid2(x);
 
         // Old-phase / Eq 13 dense products (Claim 5.4): iterate the Dense L3
         // set and check the old B edge.
@@ -254,7 +305,7 @@ impl Structures {
         }
     }
 
-    fn apply_b(&mut self, st: &GraphState, tag: Tag, x: VertexId, y: VertexId, d: i64) {
+    fn tag_free_b(&mut self, st: &GraphState, x: VertexId, y: VertexId, d: i64) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cx = st.mid2(x);
@@ -288,8 +339,8 @@ impl Structures {
             }
         }
 
+        // Eq 14.
         if cx == M::Dense && cy == M::Dense {
-            // Eq 14.
             for (u, wa) in a_total.neighbors_of_right(x) {
                 self.work += 1;
                 match st.ep1(u) {
@@ -304,20 +355,6 @@ impl Structures {
                     E::High => self.bc_dh.add(x, v, d * wc),
                     E::Medium => self.bc_dm.add(x, v, d * wc),
                     _ => {}
-                }
-            }
-            // Old-phase dense products: a B event only matters when it is
-            // accounted to the old window.
-            if tag == Tag::Old {
-                if !self.skip_pure_old {
-                    for (u, wa) in st.adj(QRel::A, Some(Tag::Old)).neighbors_of_right(x) {
-                        self.work += 1;
-                        self.abd_oo.add(u, y, d * wa);
-                    }
-                }
-                for (u, wa) in st.adj(QRel::A, Some(Tag::New)).neighbors_of_right(x) {
-                    self.work += 1;
-                    self.abd_no.add(u, y, d * wa);
                 }
             }
         }
@@ -366,6 +403,28 @@ impl Structures {
                         self.st3.add(u, v, d * wa * wc);
                     }
                 }
+            }
+        }
+    }
+
+    fn phase_split_b(&mut self, st: &GraphState, tag: Tag, x: VertexId, y: VertexId, d: i64) {
+        use EndpointClass as E;
+        use MiddleClass as M;
+        let cx = st.mid2(x);
+        let cy = st.mid3(y);
+
+        // Old-phase dense products: a B event only matters when it is
+        // accounted to the old window.
+        if cx == M::Dense && cy == M::Dense && tag == Tag::Old {
+            if !self.skip_pure_old {
+                for (u, wa) in st.adj(QRel::A, Some(Tag::Old)).neighbors_of_right(x) {
+                    self.work += 1;
+                    self.abd_oo.add(u, y, d * wa);
+                }
+            }
+            for (u, wa) in st.adj(QRel::A, Some(Tag::New)).neighbors_of_right(x) {
+                self.work += 1;
+                self.abd_no.add(u, y, d * wa);
             }
         }
 
@@ -432,7 +491,7 @@ impl Structures {
         }
     }
 
-    fn apply_c(&mut self, st: &GraphState, tag: Tag, y: VertexId, v: VertexId, d: i64) {
+    fn tag_free_c(&mut self, st: &GraphState, y: VertexId, v: VertexId, d: i64) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cy = st.mid3(y);
@@ -499,9 +558,14 @@ impl Structures {
                 self.st3.add(u, v, d * self.ab_s.get(u, y));
             }
         }
+    }
+
+    fn phase_split_c(&mut self, st: &GraphState, tag: Tag, y: VertexId, v: VertexId, d: i64) {
+        use EndpointClass as E;
+        use MiddleClass as M;
 
         // Eq 15 auxiliaries and triples.
-        if cy == M::Sparse && cv == E::High {
+        if st.mid3(y) == M::Sparse && st.ep4(v) == E::High {
             let r = tag.index();
             for q_tag in Tag::BOTH {
                 let q = q_tag.index();

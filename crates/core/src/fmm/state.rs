@@ -8,11 +8,17 @@
 //!
 //! Vertex classes are *stored* rather than derived on demand: the engine
 //! reclassifies a vertex explicitly (§7) by replaying its incident edges, so
-//! every data-structure rule sees a single consistent classification.
+//! every data-structure rule sees a single consistent classification. A
+//! stored class may lag the degree by up to the factor-2 band of §7
+//! ([`GraphState::class_change`]).
 
 use crate::engine::QRel;
 use fourcycle_graph::{BipartiteAdjacency, ClassThresholds, EndpointClass, MiddleClass, VertexId};
 use std::collections::{HashMap, HashSet};
+
+/// Factor of the §7 overlap band: a vertex keeps its stored class until its
+/// degree falls below `1/CLASS_BAND` of that class's lower threshold.
+const CLASS_BAND: usize = 2;
 
 /// Phase tag of an edge event (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +55,7 @@ pub enum Role {
     Ep4,
 }
 
-/// A unified class code so transitions can compare endpoint and middle
+/// A unified class code so transitions can handle endpoint and middle
 /// classes with one type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassCode {
@@ -181,6 +187,16 @@ impl GraphState {
         self.rels[QRel::C.index()].total.degree_right(v)
     }
 
+    /// The degree that classifies `w` in `role`.
+    fn degree(&self, role: Role, w: VertexId) -> usize {
+        match role {
+            Role::Ep1 => self.deg_l1(w),
+            Role::Mid2 => self.deg_l2(w),
+            Role::Mid3 => self.deg_l3(w),
+            Role::Ep4 => self.deg_l4(w),
+        }
+    }
+
     // ---- stored classes -------------------------------------------------
 
     /// Stored class of an `L1` endpoint (Tiny if never classified).
@@ -213,16 +229,6 @@ impl GraphState {
         self.mid3(y) == MiddleClass::Sparse
     }
 
-    /// The class a vertex *should* have given its current degree.
-    pub fn desired_class(&self, role: Role, w: VertexId) -> ClassCode {
-        match role {
-            Role::Ep1 => ClassCode::Endpoint(self.thresholds.endpoint_class(self.deg_l1(w))),
-            Role::Ep4 => ClassCode::Endpoint(self.thresholds.endpoint_class(self.deg_l4(w))),
-            Role::Mid2 => ClassCode::Middle(self.thresholds.middle_class(self.deg_l2(w))),
-            Role::Mid3 => ClassCode::Middle(self.thresholds.middle_class(self.deg_l3(w))),
-        }
-    }
-
     /// The class a vertex is currently stored under.
     pub fn stored_class(&self, role: Role, w: VertexId) -> ClassCode {
         match role {
@@ -230,6 +236,24 @@ impl GraphState {
             Role::Ep4 => ClassCode::Endpoint(self.ep4(w)),
             Role::Mid2 => ClassCode::Middle(self.mid2(w)),
             Role::Mid3 => ClassCode::Middle(self.mid3(w)),
+        }
+    }
+
+    /// The class `w` must be re-filed under, or `None` while its stored
+    /// class `c` lies in the §7 band `class(deg) ≤ c ≤ class(2·deg)`.
+    /// Promotion thus fires at the sharp threshold, demotion only once the
+    /// degree falls below half the stored class's lower threshold, and
+    /// either way the vertex moves to its sharp class `class(deg)`.
+    pub fn class_change(&self, role: Role, w: VertexId) -> Option<ClassCode> {
+        let deg = self.degree(role, w);
+        let t = &self.thresholds;
+        match self.stored_class(role, w) {
+            ClassCode::Endpoint(c) => {
+                outside_band(c, deg, |d| t.endpoint_class(d)).map(ClassCode::Endpoint)
+            }
+            ClassCode::Middle(c) => {
+                outside_band(c, deg, |d| t.middle_class(d)).map(ClassCode::Middle)
+            }
         }
     }
 
@@ -366,6 +390,13 @@ impl GraphState {
             );
         }
     }
+}
+
+/// `Some(class(deg))` if `stored` lies outside
+/// `[class(deg), class(CLASS_BAND·deg)]`.
+fn outside_band<C: Ord + Copy>(stored: C, deg: usize, class: impl Fn(usize) -> C) -> Option<C> {
+    let sharp = class(deg);
+    (stored < sharp || stored > class(deg.saturating_mul(CLASS_BAND))).then_some(sharp)
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! Every maintenance step and every query case costs `O(m^{2/3})`; classes
 //! are kept consistent by rebuilding a vertex's contributions when its degree
 //! crosses the threshold, and the whole engine rebuilds when `m` drifts by a
-//! factor of two (see DESIGN.md §2.3 for the worst-case vs amortized note).
+//! factor of two, so the bound is amortized, not worst-case (as in the `fmm`
+//! module; see its "Deviations from the paper").
 
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
 use crate::pair_counts::PairCounts;

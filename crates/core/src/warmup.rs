@@ -12,7 +12,7 @@
 //!   (`B_{<i}`), answering the part of a query that goes through the current
 //!   (incomplete) chunk by lazy evaluation over its edge list (§3.3).
 //!
-//! Engineering note (DESIGN.md §2.3): the paper computes a completed chunk's
+//! Engineering note: the paper computes a completed chunk's
 //! contributions *during* the next chunk (spread over its updates, using fast
 //! rectangular matrix multiplication for the `A^{H∗}·B_i·C^{∗H}` and
 //! `A^{L∗}·B_{i,DD}` products) so that the update time is worst-case. We fold

@@ -7,11 +7,13 @@
 
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
 
+use fourcycle_core::fmm::rules::Structures;
+use fourcycle_core::fmm::state::{GraphState, Tag};
 use fourcycle_core::{
-    EngineKind, FmmConfig, FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine, QRel,
-    SimpleEngine, ThreePathEngine, ThresholdEngine,
+    EngineKind, FmmConfig, FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine,
+    PairCounts, QRel, SimpleEngine, ThreePathEngine, ThresholdEngine,
 };
-use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp};
+use fourcycle_graph::{EndpointClass, GraphUpdate, LayeredUpdate, MiddleClass, Rel, UpdateOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -488,4 +490,256 @@ fn threshold_engine_matches_oracle_with_heavy_vertices() {
         0.25,
         0.7,
     );
+}
+
+/// The 13 tables whose rules read only the total adjacency and stored
+/// classes, never a phase tag.
+fn tag_free_tables(s: &Structures) -> [(&'static str, &PairCounts); 13] {
+    [
+        ("ab_s", &s.ab_s),
+        ("bc_s", &s.bc_s),
+        ("ab_t", &s.ab_t),
+        ("bc_t", &s.bc_t),
+        ("ab_hd", &s.ab_hd),
+        ("ab_md", &s.ab_md),
+        ("bc_dh", &s.bc_dh),
+        ("bc_dm", &s.bc_dm),
+        ("t3_hh", &s.t3_hh),
+        ("t3_mh", &s.t3_mh),
+        ("t3_hm", &s.t3_hm),
+        ("ts3", &s.ts3),
+        ("st3", &s.st3),
+    ]
+}
+
+/// The entry-wise sum of a phase-split table over its phase indices.
+fn summed<'a>(tables: impl IntoIterator<Item = &'a PairCounts>) -> PairCounts {
+    let mut out = PairCounts::new();
+    for table in tables {
+        for (a, b, c) in table.iter() {
+            out.add(a, b, c);
+        }
+    }
+    out
+}
+
+/// Recomputes the phase-split tables from their definitions over the
+/// engine's tagged adjacency and stored classes, and checks the maintained
+/// ones against them. A re-tag must keep this true: summed over phases the
+/// tables are the same whether or not events were re-tagged, so only this
+/// catches a re-tag that leaves counts under the wrong phase index.
+fn assert_phase_split_tables_match_definitions(st: &GraphState, s: &Structures, step: usize) {
+    use EndpointClass::High;
+    use MiddleClass::{Dense, Sparse};
+    let mut abd = [PairCounts::new(), PairCounts::new()];
+    let mut ab_hs: [[PairCounts; 2]; 2] = Default::default();
+    let mut bc_sh: [[PairCounts; 2]; 2] = Default::default();
+    let mut hss3: [[[PairCounts; 2]; 2]; 2] = Default::default();
+    for (p, p_tag) in Tag::BOTH.into_iter().enumerate() {
+        for (u, x, wa) in st.adj(QRel::A, Some(p_tag)).iter() {
+            for (q, q_tag) in Tag::BOTH.into_iter().enumerate() {
+                for (y, wb) in st.adj(QRel::B, Some(q_tag)).neighbors_of_left(x) {
+                    let (cx, cy) = (st.mid2(x), st.mid3(y));
+                    if q_tag == Tag::Old && cx == Dense && cy == Dense {
+                        abd[p].add(u, y, wa * wb);
+                    }
+                    if st.ep1(u) == High && cx == Sparse && cy == Sparse {
+                        ab_hs[p][q].add(u, y, wa * wb);
+                    }
+                }
+            }
+        }
+    }
+    for (r, r_tag) in Tag::BOTH.into_iter().enumerate() {
+        let c_r = st.adj(QRel::C, Some(r_tag));
+        for (q, q_tag) in Tag::BOTH.into_iter().enumerate() {
+            for (x, y, wb) in st.adj(QRel::B, Some(q_tag)).iter() {
+                if st.mid2(x) != Sparse || st.mid3(y) != Sparse {
+                    continue;
+                }
+                for (v, wc) in c_r.neighbors_of_left(y) {
+                    if st.ep4(v) == High {
+                        bc_sh[q][r].add(x, v, wb * wc);
+                    }
+                }
+            }
+            for p in 0..2 {
+                for (u, y, c) in ab_hs[p][q].iter() {
+                    for (v, wc) in c_r.neighbors_of_left(y) {
+                        if st.ep4(v) == High {
+                            hss3[p][q][r].add(u, v, c * wc);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let mut pairs = vec![
+        ("abd_oo", &abd[0], &s.abd_oo),
+        ("abd_no", &abd[1], &s.abd_no),
+    ];
+    let ab_hs_pairs = ab_hs.iter().flatten().zip(s.ab_hs.iter().flatten());
+    pairs.extend(ab_hs_pairs.map(|(e, m)| ("ab_hs", e, m)));
+    let bc_sh_pairs = bc_sh.iter().flatten().zip(s.bc_sh.iter().flatten());
+    pairs.extend(bc_sh_pairs.map(|(e, m)| ("bc_sh", e, m)));
+    let hss3_pairs = hss3.iter().flatten().flatten();
+    let hss3_pairs = hss3_pairs.zip(s.hss3.iter().flatten().flatten());
+    pairs.extend(hss3_pairs.map(|(e, m)| ("hss3", e, m)));
+    for (name, expected, maintained) in pairs {
+        assert!(
+            maintained.same_entries(expected),
+            "{name} departs from its definition at step {step}"
+        );
+    }
+}
+
+/// A rollover re-tags events through the phase-split tables only. Twin
+/// engines on the hub-skewed stream, one rolling over every 37 updates and
+/// one never, must hold the same tag-free tables after every update, and the
+/// same phase-split auxiliaries and triples once summed over phases; the
+/// rolling engine's phase-split tables must also match their definitions.
+#[test]
+fn fmm_rollover_changes_only_the_phase_split_of_the_tables() {
+    let mut rolling = FmmEngine::new(FmmConfig {
+        phase_len_override: Some(37),
+        ..Default::default()
+    });
+    let mut unrolled = FmmEngine::new(FmmConfig {
+        phase_len_override: Some(usize::MAX),
+        ..Default::default()
+    });
+    let mut stream = LayeredStream::new(23, (4, 60, 60, 4), 0.25, 0.7);
+    for step in 0..1500 {
+        let (rel, l, r, op) = stream.next();
+        rolling.apply_update(rel, l, r, op);
+        unrolled.apply_update(rel, l, r, op);
+        let (_, a) = rolling.debug_state();
+        let (_, b) = unrolled.debug_state();
+        for ((name, ta), (_, tb)) in tag_free_tables(a).into_iter().zip(tag_free_tables(b)) {
+            assert!(ta.same_entries(tb), "{name} differs at step {step}");
+        }
+        for (name, ta, tb) in [
+            (
+                "ab_hs",
+                summed(a.ab_hs.iter().flatten()),
+                summed(b.ab_hs.iter().flatten()),
+            ),
+            (
+                "bc_sh",
+                summed(a.bc_sh.iter().flatten()),
+                summed(b.bc_sh.iter().flatten()),
+            ),
+            (
+                "hss3",
+                summed(a.hss3.iter().flatten().flatten()),
+                summed(b.hss3.iter().flatten().flatten()),
+            ),
+        ] {
+            assert!(
+                ta.same_entries(&tb),
+                "{name} summed over phases differs at step {step}"
+            );
+        }
+        if step % 5 == 0 || step == 1499 {
+            let (state, structs) = rolling.debug_state();
+            assert_phase_split_tables_match_definitions(state, structs, step);
+        }
+    }
+    assert!(rolling.rollovers() > 0);
+    assert_eq!(unrolled.rollovers(), 0);
+    let (state, _) = rolling.debug_state();
+    assert!(!state.high_l1.is_empty() && !state.high_l4.is_empty());
+    assert!(!state.dense_l2.is_empty() && !state.dense_l3.is_empty());
+}
+
+/// Applies one update to the engine and the oracle and checks every query
+/// from `u`.
+fn apply_and_check(
+    engine: &mut FmmEngine,
+    oracle: &mut NaiveEngine,
+    (rel, l, r, op): (QRel, u32, u32, UpdateOp),
+    u: u32,
+) {
+    engine.apply_update(rel, l, r, op);
+    oracle.apply_update(rel, l, r, op);
+    for v in 0..4u32 {
+        assert_eq!(engine.query(u, v), oracle.query(u, v), "query ({u},{v})");
+    }
+}
+
+/// §7's overlap band as hysteresis: an `L1` vertex whose degree flaps ±1
+/// across the High threshold is promoted once, and demoted once only when
+/// its degree falls below half that threshold.
+#[test]
+fn fmm_class_band_absorbs_a_flapping_degree() {
+    const HUB: u32 = 0;
+    const MIDDLES: u32 = 100;
+    let mut engine = FmmEngine::new(FmmConfig::default());
+    let mut oracle = NaiveEngine::new();
+    // 255 background edges: L2 vertices 100..200 with two B edges each
+    // (they stay Tiny when the hub links to them), every L3 vertex 0..8
+    // linked to every L4 vertex 0..4, and 23 A edges from another L1 vertex.
+    let mut background = Vec::new();
+    for x in 100..100 + MIDDLES {
+        background.push((QRel::B, x, x % 8));
+        background.push((QRel::B, x, (x + 3) % 8));
+    }
+    for y in 0..8u32 {
+        for v in 0..4u32 {
+            background.push((QRel::C, y, v));
+        }
+    }
+    for x in 500..523u32 {
+        background.push((QRel::A, 1, x));
+    }
+    for (rel, l, r) in background {
+        apply_and_check(&mut engine, &mut oracle, (rel, l, r, UpdateOp::Insert), HUB);
+    }
+    let rebuilds = engine.slow_path_stats().era_rebuilds;
+    let high_lo = engine.debug_state().0.thresholds.high_lo;
+    let high_lo = u32::try_from(high_lo).unwrap();
+    assert!(high_lo < MIDDLES, "the hub needs {high_lo} fresh middles");
+    let transitions = |e: &FmmEngine| e.slow_path_stats().class_transitions;
+
+    // Raise the hub to one below the High threshold.
+    for x in 100..100 + high_lo - 1 {
+        apply_and_check(
+            &mut engine,
+            &mut oracle,
+            (QRel::A, HUB, x, UpdateOp::Insert),
+            HUB,
+        );
+    }
+    assert_eq!(engine.debug_state().0.ep1(HUB), EndpointClass::Medium);
+    let before = transitions(&engine);
+
+    // Flap across the threshold: one promotion, then the band holds.
+    let flap = 100 + high_lo - 1;
+    for _ in 0..20 {
+        for op in [UpdateOp::Insert, UpdateOp::Delete] {
+            apply_and_check(&mut engine, &mut oracle, (QRel::A, HUB, flap, op), HUB);
+            assert_eq!(engine.debug_state().0.ep1(HUB), EndpointClass::High);
+        }
+    }
+    assert_eq!(transitions(&engine), before + 1, "only the promotion fires");
+
+    // Drain below half the threshold: exactly one demotion, at the end.
+    let mut degree = high_lo - 1;
+    while 2 * degree >= high_lo {
+        degree -= 1;
+        let x = 100 + degree;
+        apply_and_check(
+            &mut engine,
+            &mut oracle,
+            (QRel::A, HUB, x, UpdateOp::Delete),
+            HUB,
+        );
+    }
+    assert_eq!(
+        transitions(&engine),
+        before + 2,
+        "one demotion on the way down"
+    );
+    assert_ne!(engine.debug_state().0.ep1(HUB), EndpointClass::High);
+    assert_eq!(engine.slow_path_stats().era_rebuilds, rebuilds);
 }

@@ -12,9 +12,12 @@
 //!
 //! The paper gives each class a factor-2 overlap band so that a transitioning
 //! vertex can belong to both classes while its new data structures are being
-//! built (§7). Our implementation instead uses *sharp, disjoint* classes and
-//! rebuilds a vertex's contributions immediately when it crosses a boundary
-//! (see DESIGN.md §2.3); the thresholds themselves are identical.
+//! built (§7). The thresholds here are the sharp boundaries. The FMM engine
+//! uses the band as hysteresis: it promotes a vertex at the sharp threshold
+//! but demotes it only once its degree falls below half the class's lower
+//! threshold, and then rebuilds the vertex's contributions at once rather
+//! than across updates (see the `fmm` module's "Deviations from the paper"
+//! in `fourcycle-core`).
 
 /// Class of an endpoint vertex (layers `L1` and `L4`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -129,7 +132,7 @@ impl ClassThresholds {
 
     /// `true` if the current edge count `m` has drifted far enough from the
     /// scale `m̂` that the engine should rebuild with fresh thresholds
-    /// (the era rule of DESIGN.md §2.3).
+    /// (the era rule: rebuild once `m` leaves `[m̂/2, 2m̂]`).
     pub fn needs_rebuild(&self, current_m: usize) -> bool {
         let current = current_m.max(1);
         current * 2 < self.m_hat || current > self.m_hat * 2

@@ -148,14 +148,6 @@ impl CyclicJoinCountView {
         self.counter.try_apply_batch(updates)
     }
 
-    /// Deprecated alias of [`apply_batch`](Self::apply_batch) from the time
-    /// when `apply_batch` took an `UpdateBatch` and this was the
-    /// slice-based variant.
-    #[deprecated(since = "0.2.0", note = "use `apply_batch` (same signature)")]
-    pub fn apply_batch_slice(&mut self, updates: &[LayeredUpdate]) -> i64 {
-        self.apply_batch(updates)
-    }
-
     /// Recomputes the join count from scratch (for validation / tests).
     pub fn recompute_from_scratch(&self) -> i64 {
         self.counter.graph().count_layered_4cycles_brute_force()
@@ -484,11 +476,6 @@ mod tests {
         assert_eq!(count, sequential.count());
         assert_eq!(batched.recompute_from_scratch(), count);
         assert_eq!(batched.epoch(), sequential.epoch());
-        // The deprecated slice alias forwards to the canonical entry point.
-        #[allow(deprecated)]
-        {
-            assert_eq!(batched.apply_batch_slice(&[]), count);
-        }
     }
 
     #[test]

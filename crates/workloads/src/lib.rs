@@ -1,7 +1,7 @@
 //! Fully dynamic update-stream generators.
 //!
 //! The paper's algorithms are defined for *arbitrary* fully dynamic streams;
-//! the experiments in this workspace (DESIGN.md §4) evaluate them on the
+//! the experiments in this workspace (`fourcycle-bench`) evaluate them on the
 //! workload families motivated by the paper's introduction:
 //!
 //! * [`layered`] — streams over 4-layered graphs (the Theorem 2 setting and
