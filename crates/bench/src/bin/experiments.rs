@@ -9,6 +9,9 @@
 //! Appendix B constraint checks); T4 measures the per-update work scaling of
 //! the implemented engines; T5 cross-validates every engine, the §8
 //! reduction and the IVM view on randomized streams.
+//!
+//! Exits nonzero on an unknown or missing table name, on a `VIOLATED` T3
+//! constraint and on a `FAIL`ed T5 check.
 
 use fourcycle_bench::{fit_log_slope, format_table, run_layered_workload, ScalingPoint};
 use fourcycle_complexity::verify::Regime;
@@ -22,30 +25,50 @@ use fourcycle_ivm::CyclicJoinCountView;
 use fourcycle_workloads::{
     GeneralStreamConfig, GeneralStreamKind, LayeredStreamConfig, LayeredStreamKind,
 };
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let table = args
-        .iter()
-        .position(|a| a == "--table")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.to_lowercase());
+const USAGE: &str = "usage: experiments [--table t1|t2|t3|t4|t5]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let table = match args.as_slice() {
+        [] => None,
+        [flag, name] if flag == "--table" => Some(name.to_lowercase()),
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(t) = &table {
+        if !["t1", "t2", "t3", "t4", "t5"].contains(&t.as_str()) {
+            eprintln!("unknown table {t:?}; {USAGE}");
+            return ExitCode::FAILURE;
+        }
+    }
     let run = |name: &str| table.as_deref().is_none_or(|t| t == name);
 
+    let mut held = true;
     if run("t1") {
         table_t1();
     }
     if run("t2") {
         table_t2();
     }
-    if run("t3") {
-        table_t3();
+    if run("t3") && !table_t3() {
+        eprintln!("T3: an Appendix B constraint is VIOLATED");
+        held = false;
     }
     if run("t4") {
         table_t4();
     }
-    if run("t5") {
-        table_t5();
+    if run("t5") && !table_t5() {
+        eprintln!("T5: a correctness check FAILed");
+        held = false;
+    }
+    if held {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -135,9 +158,11 @@ fn table_t2() {
     println!("T3 verifies the paper's own values against its quoted ω(·,·,·) numbers.\n");
 }
 
-/// T3 — Appendix B constraint verification.
-fn table_t3() {
+/// T3 — Appendix B constraint verification. Returns whether every
+/// constraint holds.
+fn table_t3() -> bool {
     println!("== T3: Appendix B constraint verification ==\n");
+    let mut held = true;
     for (label, checks) in [
         (
             "main algorithm, current best ω",
@@ -154,6 +179,7 @@ fn table_t3() {
         ),
     ] {
         println!("-- {label}");
+        held &= checks.iter().all(|c| c.satisfied);
         let rows: Vec<Vec<String>> = checks
             .iter()
             .map(|c| {
@@ -174,6 +200,7 @@ fn table_t3() {
             format_table(&["constraint", "lhs", "rhs", "status"], &rows)
         );
     }
+    held
 }
 
 /// T4 — per-update work scaling of the implemented engines.
@@ -240,8 +267,9 @@ fn table_t4() {
     println!("(the ε ≈ 0.01–0.04 gap between threshold and fmm is certified by T1, not by measurement).\n");
 }
 
-/// T5 — correctness / equivalence matrix.
-fn table_t5() {
+/// T5 — correctness / equivalence matrix. Returns whether every check
+/// passes.
+fn table_t5() -> bool {
     println!("== T5: correctness and equivalence checks ==\n");
     let mut rows = Vec::new();
 
@@ -328,4 +356,5 @@ fn table_t5() {
     ]);
 
     println!("{}", format_table(&["check", "values", "status"], &rows));
+    rows.iter().all(|row| row[2] == "PASS")
 }

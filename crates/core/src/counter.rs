@@ -514,8 +514,11 @@ impl FourCycleCounter {
             |u| self.graph.has_edge(u.u, u.v),
         )?;
         for update in updates {
+            #[expect(
+                clippy::expect_used,
+                reason = "the whole batch was validated just above"
+            )]
             self.try_apply(*update)
-                // lint: allow(no-panic) whole batch pre-validated just above
                 .expect("batch was validated up front");
         }
         Ok(self.count)

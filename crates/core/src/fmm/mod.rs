@@ -418,25 +418,17 @@ impl ThreePathEngine for FmmEngine {
         // amortization the paper's phase structure (§5.1) is built around.
         let events = fourcycle_graph::coalesce_updates(updates);
         let (role_l, role_r) = endpoint_roles(rel);
-        let mut touched: Vec<(u8, VertexId)> = Vec::with_capacity(events.len() * 2);
+        let mut touched: Vec<(state::Role, VertexId)> = Vec::with_capacity(events.len() * 2);
         for &(l, r, s) in &events {
             self.structs.apply(&self.state, rel, Tag::New, l, r, s);
             self.state.add_edge_weight(rel, Tag::New, l, r, s);
             self.cur_phase.push((rel, l, r, s));
-            // lint: allow(no-as-cast) Role is a fieldless enum, discriminants 0..=3
-            touched.push((role_l as u8, l));
-            // lint: allow(no-as-cast) Role is a fieldless enum, discriminants 0..=3
-            touched.push((role_r as u8, r));
+            touched.push((role_l, l));
+            touched.push((role_r, r));
         }
         touched.sort_unstable();
         touched.dedup();
         for (role, w) in touched {
-            let role = [
-                state::Role::Ep1,
-                state::Role::Mid2,
-                state::Role::Mid3,
-                state::Role::Ep4,
-            ][usize::from(role)];
             self.maybe_transition(role, w);
         }
 

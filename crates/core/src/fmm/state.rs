@@ -43,7 +43,7 @@ impl Tag {
 }
 
 /// Which classification a vertex is being handled under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Role {
     /// `L1` endpoint (classified by degree in `A`).
     Ep1,
@@ -292,7 +292,10 @@ impl GraphState {
                     self.dense_l3.remove(&w);
                 }
             }
-            // lint: allow(no-panic) callers pair each Role with its own class code
+            #[expect(
+                clippy::panic,
+                reason = "callers pair each Role with its own class code"
+            )]
             _ => panic!("class code does not match vertex role"),
         }
     }

@@ -21,11 +21,12 @@
 
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
 use crate::pair_counts::PairCounts;
+use fourcycle_graph::classes::ceil_pow;
 use fourcycle_graph::{coalesce_updates, BipartiteAdjacency, UpdateOp, VertexId};
 use std::collections::HashSet;
 
 /// Which layer a vertex is being (re)classified in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Role {
     L1,
     L2,
@@ -284,14 +285,11 @@ impl ThresholdEngine {
     }
 
     /// Full rebuild with fresh thresholds (the era rule).
-    // lint: m^(2/3) threshold is ceil()ed f64 math, clamped to >= 1
-    #[allow(clippy::cast_possible_truncation)]
     fn rebuild(&mut self) {
         self.era_rebuilds += 1;
         let m = self.total_edges().max(1);
         self.m_hat = m;
-        // lint: allow(no-as-cast) m^(2/3) threshold is f64 math by definition
-        self.threshold = ((m as f64).powf(2.0 / 3.0).ceil() as usize).max(1);
+        self.threshold = ceil_pow(m, 2.0 / 3.0).max(1);
 
         // Collect every current edge, empty the engine, then re-insert with
         // the final classes pre-computed (no transitions fire during the
@@ -405,8 +403,7 @@ impl ThreePathEngine for ThresholdEngine {
             touched.push((role_l, l));
             touched.push((role_r, r));
         }
-        // lint: allow(no-as-cast) Role is a fieldless enum, discriminants 0..=3
-        touched.sort_unstable_by_key(|&(role, v)| (role as u8, v));
+        touched.sort_unstable();
         touched.dedup();
         for (role, v) in touched {
             self.check_transition(role, v);

@@ -28,6 +28,7 @@
 
 use crate::engine::{QRel, ThreePathEngine};
 use crate::pair_counts::PairCounts;
+use fourcycle_graph::classes::ceil_pow;
 use fourcycle_graph::{BipartiteAdjacency, UpdateOp, VertexId};
 use std::collections::HashMap;
 
@@ -82,8 +83,6 @@ impl WarmupEngine {
     /// `m_hint` is the edge-count scale used for the thresholds (the paper's
     /// `m`; when the engine is used as a subroutine this is the full graph's
     /// edge count). `eps1`/`eps2` are the §3.4 parameters.
-    // lint: degree-band cutoffs are ceil()ed f64 powers of m, clamped below
-    #[allow(clippy::cast_possible_truncation)]
     pub fn new(
         a_edges: impl IntoIterator<Item = (VertexId, VertexId)>,
         c_edges: impl IntoIterator<Item = (VertexId, VertexId)>,
@@ -99,16 +98,11 @@ impl WarmupEngine {
         for (y, v) in c_edges {
             c.add(y, v, 1);
         }
-        // lint: allow(no-as-cast) degree-band cutoffs are m^x f64 math (§4)
-        let m = (m_hint.max(1)) as f64;
-        // lint: allow(no-as-cast) band floor, clamped to >= 1 below
-        let medium_lo = (m.powf(1.0 / 3.0 + eps1).ceil() as usize).max(1);
-        // lint: allow(no-as-cast) band floor, clamped below
-        let high_lo = (m.powf(2.0 / 3.0 - eps1).ceil() as usize).max(medium_lo + 1);
-        // lint: allow(no-as-cast) chunk length, clamped below
-        let chunk_len = (m.powf(2.0 / 3.0 - eps1).ceil() as usize).max(4);
-        // lint: allow(no-as-cast) dense cutoff, clamped below
-        let dense_threshold = (m.powf(1.0 / 3.0 - eps2).ceil() as usize).max(1);
+        let m = m_hint.max(1);
+        let medium_lo = ceil_pow(m, 1.0 / 3.0 + eps1).max(1);
+        let high_lo = ceil_pow(m, 2.0 / 3.0 - eps1).max(medium_lo + 1);
+        let chunk_len = ceil_pow(m, 2.0 / 3.0 - eps1).max(4);
+        let dense_threshold = ceil_pow(m, 1.0 / 3.0 - eps2).max(1);
         Self {
             a,
             c,

@@ -5,7 +5,13 @@
 //!
 //! Seeds are fixed so failures are reproducible.
 
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::as_conversions,
+    reason = "test code may unwrap, panic and cast"
+)]
 
 use fourcycle_core::fmm::rules::Structures;
 use fourcycle_core::fmm::state::{GraphState, Tag};

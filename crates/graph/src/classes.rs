@@ -43,6 +43,18 @@ pub enum MiddleClass {
     Dense,
 }
 
+/// `⌈m^x⌉`, the form of every degree cutoff and phase length in the paper
+/// (§4, Eq 11, §5.1). The single place the engines turn `f64` powers of the
+/// edge count back into sizes; callers clamp the result to their floors.
+#[expect(
+    clippy::as_conversions,
+    reason = "m^x cutoffs are f64 math by definition; m < 2^53 converts exactly \
+              and the ceil()ed power saturates into usize"
+)]
+pub fn ceil_pow(m: usize, x: f64) -> usize {
+    (m as f64).powf(x).ceil() as usize
+}
+
 /// Concrete degree thresholds for a fixed edge-count scale `m̂` and parameter
 /// `ε` (plus the phase length `m̂^{1−δ}` of §5.1).
 ///
@@ -77,24 +89,17 @@ impl ClassThresholds {
     }
 
     /// Computes thresholds with an explicit `δ`.
-    // lint: band cutoffs are ceil()ed f64 powers of m, clamped to sane floors
-    #[allow(clippy::cast_possible_truncation)]
     pub fn with_delta(m_hat: usize, eps: f64, delta: f64) -> Self {
         assert!(
             (0.0..=1.0 / 6.0).contains(&eps),
             "ε must lie in [0, 1/6] (Eq 11)"
         );
         assert!((0.0..1.0).contains(&delta), "δ must lie in [0, 1)");
-        // lint: allow(no-as-cast) class cutoffs are m^x f64 math (Eq 11)
-        let m = (m_hat.max(1)) as f64;
-        // lint: allow(no-as-cast) band floor from f64 math
-        let tiny = m.powf(1.0 / 3.0 - 2.0 * eps).ceil() as usize;
-        // lint: allow(no-as-cast) band floor, clamped below
-        let medium_lo = (m.powf(1.0 / 3.0 + eps).ceil() as usize).max(tiny + 1);
-        // lint: allow(no-as-cast) band floor, clamped below
-        let high_lo = (m.powf(2.0 / 3.0 - eps).ceil() as usize).max(medium_lo + 1);
-        // lint: allow(no-as-cast) phase length, clamped below
-        let phase_len = (m.powf(1.0 - delta).ceil() as usize).max(4);
+        let m = m_hat.max(1);
+        let tiny = ceil_pow(m, 1.0 / 3.0 - 2.0 * eps);
+        let medium_lo = ceil_pow(m, 1.0 / 3.0 + eps).max(tiny + 1);
+        let high_lo = ceil_pow(m, 2.0 / 3.0 - eps).max(medium_lo + 1);
+        let phase_len = ceil_pow(m, 1.0 - delta).max(4);
         Self {
             m_hat: m_hat.max(1),
             eps,

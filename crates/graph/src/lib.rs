@@ -20,9 +20,16 @@
 //! phase-tagged, signed edge multisets used internally by the main algorithm
 //! (§5.1) live in `fourcycle-core`, layered on top of these types.
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 pub mod adjacency;
 pub mod classes;

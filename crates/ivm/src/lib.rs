@@ -16,9 +16,16 @@
 //! * [`BinaryJoinCountView`] — the two-relation warm-up of Fig. 1
 //!   (`|A ⋈ B|`, i.e. the number of 2-paths), maintained directly.
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 use fourcycle_core::{
     BatchError, EngineConfig, EngineKind, LayeredCycleCounter, Snapshot, UpdateError,

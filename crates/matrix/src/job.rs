@@ -102,11 +102,14 @@ impl MatMulJob {
     }
 
     /// Fraction of `(i, k)` pairs processed, in `[0, 1]`.
+    #[expect(
+        clippy::as_conversions,
+        reason = "progress ratio; f64 rounding is fine"
+    )]
     pub fn progress(&self) -> f64 {
         if self.total_steps == 0 {
             1.0
         } else {
-            // lint: allow(no-as-cast) progress ratio; f64 rounding is fine
             self.cursor as f64 / self.total_steps as f64
         }
     }

@@ -27,9 +27,16 @@
 //! signed number of 2-paths from `i` to `j`, which is the quantity every data
 //! structure in the paper stores.
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 pub mod compact;
 pub mod dense;

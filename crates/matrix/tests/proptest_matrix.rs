@@ -6,7 +6,13 @@
 //! aggregation of §3.3 sound), and the incremental job computes the same
 //! product as the direct call.
 
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::as_conversions,
+    reason = "test code may unwrap, panic and cast"
+)]
 
 use fourcycle_matrix::{DenseMatrix, MatMulJob, MulAlgorithm, SparseMatrix};
 use proptest::prelude::*;

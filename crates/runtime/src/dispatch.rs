@@ -47,6 +47,12 @@
 //! With `RuntimeConfig::shard_parallelism(1)` (the default) no pool
 //! threads exist and segments run inline on the dispatcher — the serial
 //! fast path, byte-for-byte the old behavior.
+//!
+//! The dispatch loop serves every session on its shard, so one blocked
+//! iteration stalls them all (ADR-006). Its functions therefore carry
+//! `#[deny(clippy::disallowed_methods)]`, which rejects the blocking calls
+//! listed in this crate's `clippy.toml` (`Mutex::lock`, `thread::sleep`,
+//! fsync, `read_line`).
 
 use crate::stats::{self, ShardMetrics};
 use crate::Job;
@@ -106,6 +112,7 @@ fn nanos_between(earlier: Instant, later: Instant) -> u64 {
 /// when journaling, pre-recovered — by `try_start`), drains its mailbox in
 /// groups until every runtime handle sender is gone, then syncs the
 /// journal and exits.
+#[deny(clippy::disallowed_methods)]
 pub(crate) fn shard_worker(
     rx: Receiver<Job>,
     metrics: Arc<ShardMetrics>,
@@ -197,6 +204,7 @@ fn is_registry(request: &Request) -> bool {
 /// Executes one drained group: barriers serially, segments on the pool,
 /// journal in slot order, then the group-commit barrier (if configured)
 /// before any held reply is released.
+#[deny(clippy::disallowed_methods)]
 fn process_group(
     service: &mut CycleCountService,
     pool: &mut SessionPool,
@@ -342,6 +350,7 @@ fn process_group(
 /// and a journal failure after a successful apply surfaces as the
 /// command's outcome while its effect stands. Returns the outcome and
 /// whether the slot was journaled into the open group.
+#[deny(clippy::disallowed_methods)]
 fn execute_slot(
     service: &mut CycleCountService,
     request: &Request,
@@ -376,6 +385,7 @@ fn execute_slot(
 /// Delivers a range of finished slots, recording the reply stage (and a
 /// zero fsync-wait sample — immediate mode has no commit barrier) for
 /// each. The group-commit path times its own reply loop instead.
+#[deny(clippy::disallowed_methods)]
 fn deliver_timed(
     metrics: &ShardMetrics,
     requests: &[Request],
@@ -400,6 +410,7 @@ fn deliver_timed(
 /// slots into per-session run queues, fans the runs out over the pool
 /// (serially when there is nothing to overlap), reattaches every session,
 /// then journals the applied mutations in slot order.
+#[deny(clippy::disallowed_methods)]
 fn run_segment(
     service: &mut CycleCountService,
     pool: &mut SessionPool,
@@ -412,9 +423,12 @@ fn run_segment(
     // Per-session run queues, arrival order preserved within each session.
     let mut runs: Vec<(GraphId, Vec<usize>)> = Vec::new();
     for slot in range.clone() {
+        #[expect(
+            clippy::expect_used,
+            reason = "run_segment is only fed session commands"
+        )]
         let id = requests[slot]
             .graph_id()
-            // lint: allow(no-panic) run_segment is only fed session commands
             .expect("segment commands are session-scoped");
         match runs.iter_mut().find(|(rid, _)| *rid == id) {
             Some((_, slots)) => slots.push(slot),
@@ -481,8 +495,8 @@ fn run_segment(
     }
     let journal_started = tel.map(|t| {
         let now = Instant::now();
+        #[expect(clippy::expect_used, reason = "apply_started is Some whenever tel is")]
         t.hist(Stage::Apply).record_each(
-            // lint: allow(no-panic) apply_started is Some whenever tel is
             nanos_between(apply_started.expect("set with tel"), now),
             seg_len,
         );
@@ -509,6 +523,7 @@ fn run_segment(
 
 /// Counts one finished slot into the metrics and sends its reply.
 /// Idempotent per slot (the reply sender is taken).
+#[deny(clippy::disallowed_methods)]
 fn deliver(
     metrics: &ShardMetrics,
     requests: &[Request],
@@ -519,9 +534,12 @@ fn deliver(
     let Some(reply) = replies[slot].take() else {
         return;
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "execute_slot/run_segment fill every slot"
+    )]
     let outcome = outcomes[slot]
         .take()
-        // lint: allow(no-panic) execute_slot/run_segment fill every slot
         .expect("every slot is processed before delivery");
     metrics.commands.fetch_add(1, Ordering::Relaxed);
     // `updates_applied` counts what actually landed in service state.
@@ -603,6 +621,10 @@ impl SessionPool {
             shutdown: AtomicBool::new(false),
         });
         let (results_tx, results_rx) = mpsc::channel();
+        #[expect(
+            clippy::expect_used,
+            reason = "the pool is built at startup, before serving"
+        )]
         let handles = (0..helpers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -610,7 +632,6 @@ impl SessionPool {
                 thread::Builder::new()
                     .name(format!("fourcycle-shard-{shard}-w{}", i + 1))
                     .spawn(move || helper_loop(&shared, &results))
-                    // lint: allow(no-panic) pool built at startup, before serving
                     .expect("spawn shard pool helper")
             })
             .collect();
@@ -651,7 +672,10 @@ impl SessionPool {
             }
         }
         while done.len() < total {
-            // lint: allow(no-panic) a dead helper already poisoned the segment
+            #[expect(
+                clippy::expect_used,
+                reason = "a dead helper already poisoned the segment"
+            )]
             done.push(self.results_rx.recv().expect("pool helper died"));
         }
         done

@@ -94,9 +94,16 @@
 //! assert_eq!(report.totals.updates_applied, 4);
 //! ```
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 mod dispatch;
 pub mod error;
@@ -306,7 +313,10 @@ impl Ticket {
             let outcome = self.rx.recv().map_err(|_| RuntimeError::ShardUnavailable)?;
             match outcome.map_err(RuntimeError::Service)? {
                 Response::Graphs { ids: shard_ids } => ids.extend(shard_ids),
-                // lint: allow(no-panic) shard workers answer Graphs for Graphs
+                #[expect(
+                    clippy::unreachable,
+                    reason = "shard workers answer ListGraphs with Graphs"
+                )]
                 other => unreachable!("fan-out commands only list graphs, got {other:?}"),
             }
         }
@@ -390,8 +400,11 @@ impl ShardedRuntime {
     /// ([`RuntimeConfig::journal_dir`]) this is [`Self::try_start`] +
     /// `expect` — a runtime that cannot open its durability tier refuses
     /// to start rather than silently serving memory-only.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience over try_start"
+    )]
     pub fn start(config: RuntimeConfig) -> Self {
-        // lint: allow(no-panic) documented panicking convenience over try_start
         Self::try_start(config).expect("failed to start sharded runtime")
     }
 
@@ -458,6 +471,10 @@ impl ShardedRuntime {
             });
             let parallelism = config.parallelism;
             let worker_telemetry = telemetry.clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "workers spawn at startup, before serving"
+            )]
             workers.push(
                 thread::Builder::new()
                     .name(format!("fourcycle-shard-{shard}"))
@@ -472,7 +489,6 @@ impl ShardedRuntime {
                             worker_telemetry,
                         )
                     })
-                    // lint: allow(no-panic) workers spawn at startup, before serving
                     .expect("spawn shard worker"),
             );
             mailboxes.push(tx);
@@ -504,11 +520,12 @@ impl ShardedRuntime {
 
     /// The shard a graph lives on: `hash(id) mod shards`, stable for the
     /// lifetime of the runtime.
-    // lint: the remainder is < the shard count, which is a usize
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::as_conversions,
+        reason = "the remainder is < the shard count, which is a usize"
+    )]
     pub fn shard_of(&self, id: GraphId) -> usize {
         let shards = u64::try_from(self.mailboxes.len()).unwrap_or(u64::MAX);
-        // lint: allow(no-as-cast) remainder < shard count, fits usize
         (splitmix64(id.0) % shards) as usize
     }
 

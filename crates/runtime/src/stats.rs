@@ -116,12 +116,15 @@ impl RuntimeStats {
     /// Fraction of the worker's accounted time spent executing commands,
     /// in `[0, 1]` (0 when nothing has been accounted yet; saturating at
     /// the top of the `u64` range rather than overflowing).
+    #[expect(
+        clippy::as_conversions,
+        reason = "utilization ratio; f64 rounding is fine"
+    )]
     pub fn utilization(&self) -> f64 {
         let total = self.busy_nanos.saturating_add(self.idle_nanos);
         if total == 0 {
             0.0
         } else {
-            // lint: allow(no-as-cast) utilization ratio; f64 rounding is fine
             self.busy_nanos as f64 / total as f64
         }
     }

@@ -89,9 +89,16 @@
 //! assert_eq!(report.totals.commands, 2);
 //! ```
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 pub mod client;
 pub mod wire;
@@ -266,8 +273,11 @@ impl Server {
         })
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "shared is Some until shutdown() consumes self"
+    )]
     fn shared(&self) -> &Shared {
-        // lint: allow(no-panic) shared is Some until shutdown() consumes self
         self.shared.as_ref().expect("server not shut down")
     }
 
@@ -326,7 +336,10 @@ impl Server {
     /// returns the final report.
     pub fn shutdown(mut self) -> RuntimeReport {
         self.stop();
-        // lint: allow(no-panic) shutdown() takes self; shared is still Some
+        #[expect(
+            clippy::expect_used,
+            reason = "shutdown() takes self, so shared is still Some"
+        )]
         let shared = self.shared.take().expect("server shut down twice");
         match Arc::try_unwrap(shared) {
             // All threads joined, so ours is the last reference and the

@@ -109,8 +109,8 @@ impl WireError {
     /// command may succeed once the transient condition clears.
     ///
     /// Deliberately an exhaustive match (no `_` arm): adding a variant
-    /// must force an explicit retry classification here, and the lint's
-    /// `wire-contract` rule checks that every variant appears.
+    /// must force an explicit retry classification here, and
+    /// `tests/wire_contract.rs` pins it with the variant's code.
     pub fn retryable(&self) -> bool {
         match self {
             WireError::Busy => true,

@@ -3,7 +3,13 @@
 //! ordering under pipelining, backpressure (`busy`) convergence, the
 //! `stats` document, and graceful shutdown semantics.
 
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::as_conversions,
+    reason = "test code may unwrap, panic and cast"
+)]
 
 use fourcycle_core::EngineKind;
 use fourcycle_graph::{LayeredUpdate, Rel};

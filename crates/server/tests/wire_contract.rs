@@ -2,17 +2,31 @@
 //!
 //! `expected_contract` is an exhaustive `match` over [`WireError`]: adding
 //! a variant breaks this file at compile time until the new variant's
-//! `(code, retryable, command_applied)` triple is pinned here, and the
-//! `fourcycle-lint` wire-contract rule (L4) independently checks that
-//! every variant ident appears in this file. Together they make "what does
-//! a client do with this error" a decision that cannot be skipped.
+//! `(code, retryable, command_applied)` triple is pinned here. The
+//! `retryable()` and `command_applied()` matches in `wire.rs` have no `_`
+//! arm either, and `codes_agree_across_code_fn_grammar_and_exemplars` reads
+//! `wire.rs` itself so that a new code also reaches the module's
+//! `err <code>` grammar and this file's exemplar list. Together they make
+//! "what does a client do with this error" a decision that cannot be
+//! skipped.
 
-#![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::as_conversions,
+    reason = "test code may unwrap, panic and cast"
+)]
 
 use fourcycle_core::UpdateError;
 use fourcycle_server::WireError;
 use fourcycle_service::{GraphId, WorkloadMode};
+use std::collections::BTreeSet;
 use std::io;
+
+/// The source of `WireError`, read for its `code()` match and its
+/// `//! err <code>` grammar lines.
+const WIRE_RS: &str = include_str!("../src/wire.rs");
 
 /// The pinned `(wire code, retryable, command_applied)` triple for every
 /// variant. Exhaustive on purpose — no `_` arm, ever.
@@ -74,13 +88,50 @@ fn every_variant_is_pinned_and_classified() {
         );
         codes.push(code);
     }
-    // The exemplar list must cover every variant exactly once; a stale
-    // list would silently stop exercising a variant.
-    let mut unique = codes.clone();
-    unique.sort_unstable();
-    unique.dedup();
+    // No code has two exemplars.
+    let unique: BTreeSet<_> = codes.iter().collect();
     assert_eq!(unique.len(), codes.len(), "duplicate exemplar codes");
-    assert_eq!(codes.len(), 11, "exemplar list out of date with WireError");
+}
+
+/// The string literals returned by `WireError::code()` in `wire.rs`.
+fn code_fn_codes() -> BTreeSet<&'static str> {
+    let body = WIRE_RS
+        .split_once("pub fn code(&self)")
+        .and_then(|(_, rest)| rest.split_once("\n    }\n"))
+        .map(|(body, _)| body)
+        .expect("wire.rs defines `pub fn code(&self)`");
+    body.lines()
+        .filter_map(|line| line.split_once("=> \""))
+        .map(|(_, rest)| rest.split('"').next().unwrap())
+        .collect()
+}
+
+/// The codes documented by the `//! err <code> ...` grammar lines.
+fn grammar_codes() -> BTreeSet<&'static str> {
+    WIRE_RS
+        .lines()
+        .filter_map(|line| line.strip_prefix("//! err "))
+        .map(|rest| rest.split_whitespace().next().unwrap())
+        .collect()
+}
+
+#[test]
+fn codes_agree_across_code_fn_grammar_and_exemplars() {
+    let code_fn = code_fn_codes();
+    assert!(
+        !code_fn.is_empty(),
+        "no codes parsed from WireError::code()"
+    );
+    assert_eq!(
+        grammar_codes(),
+        code_fn,
+        "the `//! err <code>` grammar in wire.rs and WireError::code() disagree"
+    );
+    let exemplified: BTreeSet<_> = exemplars().iter().map(WireError::code).collect();
+    assert_eq!(
+        exemplified, code_fn,
+        "the exemplar list and WireError::code() disagree"
+    );
 }
 
 #[test]

@@ -59,9 +59,16 @@
 //! assert_eq!(service.snapshot(bob).unwrap().epoch, 0); // isolated
 //! ```
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 pub mod command;
 pub mod journal;
@@ -433,8 +440,11 @@ impl Session {
                 id,
                 snapshot: self.snapshot(),
             }),
+            #[expect(
+                clippy::panic,
+                reason = "the runtime routes registry commands upstream"
+            )]
             Request::CreateGraph { .. } | Request::DropGraph { .. } | Request::ListGraphs => {
-                // lint: allow(no-panic) the runtime routes registry commands upstream
                 panic!("registry commands cannot execute on a single session")
             }
         }

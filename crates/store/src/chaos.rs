@@ -134,13 +134,16 @@ struct PlanState {
 
 impl PlanState {
     /// SplitMix64 step — the workspace's standard seeded generator.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u53 -> f64 mantissa mapping is exact"
+    )]
     fn next_unit(&mut self) -> f64 {
         self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        // lint: allow(no-as-cast) u53 -> f64 mantissa mapping is exact
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
 

@@ -135,7 +135,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(format!("expected {:?}", byte as char)))
+            Err(self.err(format!("expected {:?}", char::from(byte))))
         }
     }
 
@@ -157,7 +157,7 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.integer(),
-            Some(other) => Err(self.err(format!("unexpected byte {:?}", other as char))),
+            Some(other) => Err(self.err(format!("unexpected byte {:?}", char::from(other)))),
             None => Err(self.err("unexpected end of input")),
         }
     }

@@ -82,9 +82,16 @@
 //! worker owns `shard-<k>.wal`/`.ckpt`, and a restarted runtime recovers
 //! every shard before serving traffic. See `docs/adr/ADR-005-durable-journal.md`.
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 pub mod chaos;
 pub mod json;

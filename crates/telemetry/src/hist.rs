@@ -31,16 +31,16 @@ const SUB_BUCKETS: u64 = 8;
 /// Maps a value to its bucket index. Values below 16 map exactly
 /// (`bucket_index(v) == v`); larger values land in the sub-bucket of their
 /// octave given by the 3 bits below the leading bit.
-// lint: results are < BUCKETS = 496, which fits every usize width
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::as_conversions,
+    reason = "results are < BUCKETS = 496, which fits every usize width"
+)]
 pub fn bucket_index(value: u64) -> usize {
     if value < 16 {
-        // lint: allow(no-as-cast) value < 16 fits every usize width
         return value as usize;
     }
     let exp = 63 - u64::from(value.leading_zeros()); // >= 4
     let sub = (value >> (exp - 3)) & (SUB_BUCKETS - 1);
-    // lint: allow(no-as-cast) result < BUCKETS = 496, fits every usize width
     (16 + (exp - 4) * SUB_BUCKETS + sub) as usize
 }
 
@@ -76,13 +76,14 @@ pub fn bucket_ceil(index: usize) -> u64 {
 /// harness's `LatencySummary` applies it to exact `f64` samples, and
 /// [`HistogramSnapshot::percentile`] applies it to bucket counts, so both
 /// report the same observed sample on shared fixtures.
-// lint: f64 rank math; >2^53 counts clamp to [1, count] below
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::as_conversions,
+    reason = "f64 rank math; >2^53 counts clamp to [1, count] below"
+)]
 pub fn nearest_rank(count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
     }
-    // lint: allow(no-as-cast) f64 rank math; >2^53 counts clamp to [1, count]
     let rank = (q * count as f64).ceil() as u64;
     rank.clamp(1, count)
 }
@@ -119,14 +120,8 @@ impl Default for Histogram {
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        let buckets: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let buckets: Box<[AtomicU64; BUCKETS]> = buckets
-            .into_boxed_slice()
-            .try_into()
-            // lint: allow(no-panic) Vec of length BUCKETS always converts
-            .unwrap_or_else(|_| unreachable!("fixed-size bucket vector"));
         Self {
-            buckets,
+            buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -134,6 +129,7 @@ impl Histogram {
 
     /// Records one sample. One relaxed increment, one saturating add, one
     /// `fetch_max` — no locks.
+    #[deny(clippy::disallowed_methods)]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         saturating_fetch_add(&self.sum, value);
@@ -144,6 +140,7 @@ impl Histogram {
     /// boundaries measured once per group: every slot still contributes
     /// exactly one sample, keeping stage counts equal to command counts.
     /// No-op when `n` is 0.
+    #[deny(clippy::disallowed_methods)]
     pub fn record_each(&self, total: u64, n: u64) {
         if n == 0 {
             return;

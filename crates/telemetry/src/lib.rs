@@ -22,9 +22,16 @@
 //! branch per request (an `Option` check on submit and one per group in
 //! the shard worker).
 
-// Unit tests keep their unwrap/cast freedoms; the workspace clippy
-// lints target only compiled production code (ADR-010).
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::as_conversions,
+        reason = "unit tests may unwrap, panic and cast"
+    )
+)]
 
 pub mod expose;
 pub mod hist;
@@ -294,6 +301,7 @@ impl Telemetry {
 
     /// Called once per delivered request with its end-to-end latency:
     /// emits a [`EventKind::SlowRequest`] event when over the threshold.
+    #[deny(clippy::disallowed_methods)]
     pub fn note_request_done(&self, shard: u32, total_nanos: u64) {
         let threshold = self.config.slow_request_nanos();
         if total_nanos > threshold {

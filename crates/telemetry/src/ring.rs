@@ -175,6 +175,7 @@ impl EventRing {
     /// Emits an event. Never blocks: if the buffer lock is contended the
     /// event is dropped (and counted); if the ring is full the oldest
     /// event is overwritten. Always assigns a sequence number.
+    #[deny(clippy::disallowed_methods)]
     pub fn emit(&self, shard: u32, kind: EventKind, a: u64, b: u64) {
         let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let event = Event {
