@@ -105,8 +105,8 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
 }
 
 /// One untimed pass per journaled variant: prints fsyncs, commands per
-/// fsync, and WAL bytes per fsync (the durability economics the committed
-/// baseline records as `fsyncs_per_1k_commands`).
+/// fsync, and WAL bytes per fsync (the durability economics `loadgen`
+/// reports as `journal_fsyncs`).
 fn report_fsync_economics(requests: &[Request], arms: &[(&str, FsyncPolicy, Option<usize>)]) {
     eprintln!(
         "journal_overhead: {} commands per pass; durability economics:",

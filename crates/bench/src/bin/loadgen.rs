@@ -1,5 +1,6 @@
 //! Closed-loop load generator against the sharded runtime — sweeps shard
-//! counts and reports aggregate throughput and latency percentiles.
+//! counts and reports aggregate throughput, latency percentiles and the
+//! runtime's per-stage latency breakdown.
 //!
 //! ```text
 //! cargo run -p fourcycle-bench --release --bin loadgen                 # full catalog sweep
@@ -10,12 +11,6 @@
 //!     --shards 1 --parallelism 4 --journal group                      # intra-shard + group commit
 //! cargo run -p fourcycle-bench --release --bin loadgen -- \
 //!     --transport tcp --smoke --shards 1,2                            # real sockets via fourcycle-server
-//! cargo run -p fourcycle-bench --release --bin loadgen -- --baseline --smoke   # regenerate BENCH_pr6.json
-//! cargo run -p fourcycle-bench --release --bin loadgen -- --baseline --smoke \
-//!     --check --baseline-out target/scenario-reports/BENCH_pr6.json   # CI: regen + gate
-//! cargo run -p fourcycle-bench --release --bin loadgen -- --baseline-pr8 --smoke  # regenerate BENCH_pr8.json
-//! cargo run -p fourcycle-bench --release --bin loadgen -- --telemetry --smoke     # per-stage latency tables
-//! cargo run -p fourcycle-bench --release --bin loadgen -- --baseline-pr9 --smoke  # regenerate BENCH_pr9.json
 //! ```
 //!
 //! Each sweep point starts a fresh [`ShardedRuntime`] with that many shard
@@ -30,61 +25,31 @@
 //! loopback port (the tcp path asserts the server's `stats` document
 //! parses and its command total matches what the clients submitted — the
 //! CI `server-smoke` step rides on exactly that assertion).
-//! Prints an aligned table to stdout and writes a JSON report under the
-//! output directory (default `target/scenario-reports/`, created if
-//! absent), with per-shard command/update/stall/utilization breakdowns —
-//! the report the ISSUE's ">1 shard scaling" acceptance is demonstrated
-//! from. Full runs write `loadgen.json`; `--smoke` runs write
-//! `loadgen-smoke.json`, so a CI smoke pass never silently overwrites a
-//! full sweep sitting in the same directory (the file-name scheme is
-//! documented in `docs/SCENARIOS.md`).
 //!
-//! ## The committed perf trajectory (`--baseline` / `--check`)
+//! After each sweep point it prints the runtime's per-stage latency
+//! breakdown (queue wait → dispatch → apply → journal append → fsync wait
+//! → reply) and asserts that every stage histogram holds exactly one
+//! sample per delivered command. It then prints an aligned table to
+//! stdout and writes a JSON report under the output directory (default
+//! `target/scenario-reports/`, created if absent), with per-shard
+//! command/update/stall/utilization breakdowns. Full runs write
+//! `loadgen.json`; `--smoke` runs write `loadgen-smoke.json`, so a CI
+//! smoke pass never silently overwrites a full sweep sitting in the same
+//! directory (the file-name scheme is documented in `docs/SCENARIOS.md`).
 //!
-//! `--baseline` ignores the sweep flags and runs the six canonical arms of
-//! the PR 6 performance baseline (memory-only at 1 / 2 shards / 2 shards ×
-//! 2 workers; journaled at fsync-every-1, group commit, fsync-every-64),
-//! then writes `BENCH_pr6.json` (override: `--baseline-out`) — an
-//! **all-integer** JSON file (rates rounded, latencies in nanoseconds) so
-//! `fourcycle_store::json::Json`, which rejects floats by design, can parse
-//! it. The canonical regeneration command is documented above; the
-//! committed copy at the repo root is the reference CI gates against.
-//!
-//! `--check` compares the freshly measured arms against the committed
-//! reference (`--baseline-ref`, default `BENCH_pr6.json`): missing fields
-//! or arms fail, any arm regressing to less than half the committed
-//! throughput fails, and two structural invariants are enforced on the
-//! fresh numbers — group commit must stay within 2× of fsync-every-64
-//! throughput, and must issue strictly fewer fsyncs than fsync-every-1.
-//!
-//! `--baseline-pr8` does the same for the PR 8 transport baseline: six
-//! arms (in-process vs. TCP at 1 / 2 / 4 shards, memory-only), written to
-//! `BENCH_pr8.json` under the same all-integer convention; its `--check`
-//! additionally enforces that the socket path keeps at least 1/50 of the
-//! in-process throughput at every shard count.
-//!
-//! `--telemetry` starts the runtime with per-stage telemetry enabled and
-//! prints each sweep point's stage-latency breakdown (queue wait →
-//! dispatch → apply → journal append → fsync wait → reply) next to the
-//! usual table. `--baseline-pr9` measures that subsystem's cost: four
-//! arms (telemetry off vs. on at 1 / 2 shards, memory-only) written to
-//! `BENCH_pr9.json`, recording `within_pct` — the worst measured on-vs-off
-//! overhead — at generation time; its `--check` enforces that the
-//! *committed* `within_pct` stays ≤ 5 (the issue's noise budget), that
-//! off arms hold half their committed throughput, and (live) that every
-//! stage histogram's sample count equals the run's command total.
+//! The steady end-to-end and per-layer benchmark is `perfbench/` (see
+//! `BENCHMARK.json`); this binary is the multi-shard smoke and sweep tool.
 //!
 //! [`ShardedRuntime`]: fourcycle_runtime::ShardedRuntime
 
 use fourcycle_bench::{
-    available_cores, render_load_json, render_load_table, LoadConfig, LoadReport, LoadRunner,
-    Transport,
+    available_cores, render_load_json, render_load_table, render_stage_table, LoadConfig,
+    LoadRunner, Transport,
 };
 use fourcycle_core::EngineKind;
-use fourcycle_store::json::Json;
 use fourcycle_store::FsyncPolicy;
 use fourcycle_telemetry::Stage;
-use fourcycle_workloads::{catalog, smoke_catalog, Scenario};
+use fourcycle_workloads::{catalog, smoke_catalog};
 
 fn parse_journal(token: &str) -> Option<FsyncPolicy> {
     match token {
@@ -94,711 +59,6 @@ fn parse_journal(token: &str) -> Option<FsyncPolicy> {
         "group" => Some(FsyncPolicy::group_commit()),
         "shutdown" => Some(FsyncPolicy::OnShutdown),
         other => panic!("unknown --journal {other:?} (none|every1|every64|group|shutdown)"),
-    }
-}
-
-/// The six canonical arms of the committed baseline: the memory-only
-/// scaling story (shards, then intra-shard workers) and the durability
-/// story (fsync-every-1 → group commit → fsync-every-64).
-fn baseline_arms() -> Vec<(&'static str, LoadConfig)> {
-    let base = LoadConfig {
-        shards: 1,
-        parallelism: 1,
-        clients: 4,
-        sessions_per_client: 2,
-        mailbox_depth: 64,
-        engine: EngineKind::Threshold,
-        journal: None,
-        transport: Transport::InProcess,
-        telemetry: false,
-    };
-    vec![
-        ("mem-s1", base),
-        ("mem-s2", LoadConfig { shards: 2, ..base }),
-        (
-            "mem-s2-p2",
-            LoadConfig {
-                shards: 2,
-                parallelism: 2,
-                ..base
-            },
-        ),
-        (
-            "wal-every1",
-            LoadConfig {
-                journal: Some(FsyncPolicy::EveryN(1)),
-                ..base
-            },
-        ),
-        (
-            "wal-group",
-            LoadConfig {
-                parallelism: 2,
-                journal: Some(FsyncPolicy::group_commit()),
-                ..base
-            },
-        ),
-        (
-            "wal-every64",
-            LoadConfig {
-                journal: Some(FsyncPolicy::EveryN(64)),
-                ..base
-            },
-        ),
-    ]
-}
-
-/// Renders the baseline as all-integer JSON (rates rounded to 1 upd/s,
-/// latencies as integer nanoseconds) — integers because the reference is
-/// parsed back by `fourcycle_store::json::Json`, which rejects floats.
-fn render_baseline_json(smoke: bool, seed: u64, arms: &[(&'static str, LoadReport)]) -> String {
-    let ns = |seconds: f64| (seconds * 1e9).round().max(0.0) as u64;
-    let entries: Vec<String> = arms
-        .iter()
-        .map(|(name, r)| {
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"shards\": {}, \"parallelism\": {}, ",
-                    "\"journal\": \"{}\", \"commands\": {}, \"updates\": {}, ",
-                    "\"updates_per_sec\": {}, \"p50_ns\": {}, \"p90_ns\": {}, ",
-                    "\"p99_ns\": {}, \"fsyncs\": {}, \"fsyncs_per_1k_commands\": {}}}"
-                ),
-                name,
-                r.config.shards,
-                r.config.parallelism,
-                r.config.journal_label(),
-                r.runtime.totals.commands,
-                r.updates,
-                r.updates_per_sec.round().max(0.0) as u64,
-                ns(r.latency.p50),
-                ns(r.latency.p90),
-                ns(r.latency.p99),
-                r.runtime.totals.journal_fsyncs,
-                r.fsyncs_per_1k_commands(),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n  \"schema\": \"fourcycle-bench-pr6\",\n  \"version\": 1,\n",
-            "  \"smoke\": {},\n  \"seed\": {},\n  \"cores\": {},\n",
-            "  \"clients\": 4,\n  \"sessions_per_client\": 2,\n",
-            "  \"arms\": [\n{}\n  ]\n}}\n"
-        ),
-        u64::from(smoke),
-        seed,
-        available_cores(),
-        entries.join(",\n"),
-    )
-}
-
-/// Gates fresh baseline arms against the committed reference. Returns the
-/// list of failures (empty = pass).
-fn check_baseline(reference: &str, fresh: &[(&'static str, LoadReport)]) -> Vec<String> {
-    const ARM_FIELDS: [&str; 12] = [
-        "name",
-        "shards",
-        "parallelism",
-        "journal",
-        "commands",
-        "updates",
-        "updates_per_sec",
-        "p50_ns",
-        "p90_ns",
-        "p99_ns",
-        "fsyncs",
-        "fsyncs_per_1k_commands",
-    ];
-    let mut failures = Vec::new();
-    let parsed = match Json::parse(reference) {
-        Ok(parsed) => parsed,
-        Err(e) => return vec![format!("reference does not parse: {e}")],
-    };
-    for field in ["schema", "version", "smoke", "cores", "arms"] {
-        if parsed.get(field).is_none() {
-            failures.push(format!("reference is missing top-level field {field:?}"));
-        }
-    }
-    if let Some(schema) = parsed.get("schema").and_then(Json::as_str) {
-        if schema != "fourcycle-bench-pr6" {
-            failures.push(format!("reference has schema {schema:?}"));
-        }
-    }
-    let arms = parsed
-        .get("arms")
-        .and_then(Json::as_arr)
-        .unwrap_or_default();
-    for arm in arms {
-        for field in ARM_FIELDS {
-            if arm.get(field).is_none() {
-                let name = arm.get("name").and_then(Json::as_str).unwrap_or("?");
-                failures.push(format!("reference arm {name:?} is missing field {field:?}"));
-            }
-        }
-    }
-    for (name, report) in fresh {
-        let Some(reference_arm) = arms
-            .iter()
-            .find(|a| a.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            failures.push(format!("reference has no arm named {name:?}"));
-            continue;
-        };
-        let committed = reference_arm
-            .get("updates_per_sec")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let measured = report.updates_per_sec.round().max(0.0) as u64;
-        // The regression gate: fresh throughput must stay within 2× of the
-        // committed number (CI machines are noisy; a real regression from a
-        // code change is far larger than run-to-run jitter at 2×).
-        if measured * 2 < committed {
-            failures.push(format!(
-                "arm {name:?} regressed: {measured} upd/s vs committed {committed} (>2x)"
-            ));
-        }
-    }
-    let fresh_arm = |name: &str| fresh.iter().find(|(n, _)| *n == name).map(|(_, r)| r);
-    // Catastrophe catch only: the canonical "group commit within 2× of
-    // fsync-every-64" demonstration is the journal_overhead bench, where
-    // grouping is explicit; loadgen's closed-loop clients cap group size
-    // at the client count, so a tight ratio here would flake on small
-    // hosts.
-    if let (Some(group), Some(every64)) = (fresh_arm("wal-group"), fresh_arm("wal-every64")) {
-        let (g, e) = (group.updates_per_sec, every64.updates_per_sec);
-        if g * 3.0 < e {
-            failures.push(format!(
-                "group commit not within 3x of fsync-every-64: {g:.0} vs {e:.0} upd/s"
-            ));
-        }
-    }
-    if let (Some(group), Some(every1)) = (fresh_arm("wal-group"), fresh_arm("wal-every1")) {
-        let (g, e) = (
-            group.runtime.totals.journal_fsyncs,
-            every1.runtime.totals.journal_fsyncs,
-        );
-        if g >= e {
-            failures.push(format!(
-                "group commit must fsync less than fsync-every-1: {g} vs {e}"
-            ));
-        }
-    }
-    failures
-}
-
-/// The six arms of the PR 8 transport baseline: in-process vs. real TCP
-/// sockets at 1 / 2 / 4 shards, memory-only, so the committed file states
-/// the front door's cost (framing, parsing, kernel round-trips) against
-/// the direct-call ceiling at each shard count.
-fn pr8_arms() -> Vec<(&'static str, LoadConfig)> {
-    let base = LoadConfig {
-        shards: 1,
-        parallelism: 1,
-        clients: 4,
-        sessions_per_client: 2,
-        mailbox_depth: 64,
-        engine: EngineKind::Threshold,
-        journal: None,
-        transport: Transport::InProcess,
-        telemetry: false,
-    };
-    let tcp = LoadConfig {
-        transport: Transport::Tcp,
-        ..base
-    };
-    vec![
-        ("inproc-s1", base),
-        ("inproc-s2", LoadConfig { shards: 2, ..base }),
-        ("inproc-s4", LoadConfig { shards: 4, ..base }),
-        ("tcp-s1", tcp),
-        ("tcp-s2", LoadConfig { shards: 2, ..tcp }),
-        ("tcp-s4", LoadConfig { shards: 4, ..tcp }),
-    ]
-}
-
-/// Renders the transport baseline as all-integer JSON (same convention as
-/// [`render_baseline_json`]: rates rounded, latencies in nanoseconds) so
-/// the in-tree float-rejecting JSON reader can parse the committed copy.
-fn render_pr8_json(smoke: bool, seed: u64, arms: &[(&'static str, LoadReport)]) -> String {
-    let ns = |seconds: f64| (seconds * 1e9).round().max(0.0) as u64;
-    let entries: Vec<String> = arms
-        .iter()
-        .map(|(name, r)| {
-            let server = r.server.unwrap_or_default();
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"shards\": {}, \"transport\": \"{}\", ",
-                    "\"commands\": {}, \"updates\": {}, \"updates_per_sec\": {}, ",
-                    "\"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, ",
-                    "\"busy_rejections\": {}, \"bytes_out\": {}}}"
-                ),
-                name,
-                r.config.shards,
-                r.config.transport.label(),
-                r.runtime.totals.commands,
-                r.updates,
-                r.updates_per_sec.round().max(0.0) as u64,
-                ns(r.latency.p50),
-                ns(r.latency.p90),
-                ns(r.latency.p99),
-                server.busy_rejections,
-                server.bytes_out,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n  \"schema\": \"fourcycle-bench-pr8\",\n  \"version\": 1,\n",
-            "  \"smoke\": {},\n  \"seed\": {},\n  \"cores\": {},\n",
-            "  \"clients\": 4,\n  \"sessions_per_client\": 2,\n",
-            "  \"arms\": [\n{}\n  ]\n}}\n"
-        ),
-        u64::from(smoke),
-        seed,
-        available_cores(),
-        entries.join(",\n"),
-    )
-}
-
-/// Gates fresh transport-baseline arms against the committed reference:
-/// every arm present with every field, no arm below half its committed
-/// throughput, and one structural catastrophe bound on the fresh numbers —
-/// the socket path must keep at least 1/50 of the in-process throughput at
-/// the same shard count (the front door costs a constant factor, not
-/// orders of magnitude).
-fn check_pr8(reference: &str, fresh: &[(&'static str, LoadReport)]) -> Vec<String> {
-    const ARM_FIELDS: [&str; 11] = [
-        "name",
-        "shards",
-        "transport",
-        "commands",
-        "updates",
-        "updates_per_sec",
-        "p50_ns",
-        "p90_ns",
-        "p99_ns",
-        "busy_rejections",
-        "bytes_out",
-    ];
-    let mut failures = Vec::new();
-    let parsed = match Json::parse(reference) {
-        Ok(parsed) => parsed,
-        Err(e) => return vec![format!("reference does not parse: {e}")],
-    };
-    if parsed.get("schema").and_then(Json::as_str) != Some("fourcycle-bench-pr8") {
-        failures.push("reference schema is not \"fourcycle-bench-pr8\"".into());
-    }
-    let arms = parsed
-        .get("arms")
-        .and_then(Json::as_arr)
-        .unwrap_or_default();
-    for arm in arms {
-        for field in ARM_FIELDS {
-            if arm.get(field).is_none() {
-                let name = arm.get("name").and_then(Json::as_str).unwrap_or("?");
-                failures.push(format!("reference arm {name:?} is missing field {field:?}"));
-            }
-        }
-    }
-    for (name, report) in fresh {
-        let Some(reference_arm) = arms
-            .iter()
-            .find(|a| a.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            failures.push(format!("reference has no arm named {name:?}"));
-            continue;
-        };
-        let committed = reference_arm
-            .get("updates_per_sec")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let measured = report.updates_per_sec.round().max(0.0) as u64;
-        if measured * 2 < committed {
-            failures.push(format!(
-                "arm {name:?} regressed: {measured} upd/s vs committed {committed} (>2x)"
-            ));
-        }
-    }
-    let fresh_arm = |name: &str| fresh.iter().find(|(n, _)| *n == name).map(|(_, r)| r);
-    for shards in ["1", "2", "4"] {
-        if let (Some(tcp), Some(inproc)) = (
-            fresh_arm(&format!("tcp-s{shards}")),
-            fresh_arm(&format!("inproc-s{shards}")),
-        ) {
-            let (t, i) = (tcp.updates_per_sec, inproc.updates_per_sec);
-            if t * 50.0 < i {
-                failures.push(format!(
-                    "tcp-s{shards} below 1/50 of inproc-s{shards}: {t:.0} vs {i:.0} upd/s"
-                ));
-            }
-        }
-    }
-    failures
-}
-
-/// The four arms of the PR 9 telemetry baseline: telemetry off vs. on at
-/// 1 / 2 shards, memory-only in-process (the same shape as the PR 8
-/// `inproc-s1`/`inproc-s2` arms), so the committed file states what the
-/// telemetry subsystem costs — and that the *disabled* path costs nothing
-/// beyond one branch per request.
-fn pr9_arms() -> Vec<(&'static str, LoadConfig)> {
-    let off = LoadConfig {
-        shards: 1,
-        parallelism: 1,
-        clients: 4,
-        sessions_per_client: 2,
-        mailbox_depth: 64,
-        engine: EngineKind::Threshold,
-        journal: None,
-        transport: Transport::InProcess,
-        telemetry: false,
-    };
-    let on = LoadConfig {
-        telemetry: true,
-        ..off
-    };
-    vec![
-        ("off-s1", off),
-        ("off-s2", LoadConfig { shards: 2, ..off }),
-        ("on-s1", on),
-        ("on-s2", LoadConfig { shards: 2, ..on }),
-    ]
-}
-
-/// Integer percentage by which `on` falls short of `off` (0 when on is
-/// at least as fast), rounded up — the pessimistic telemetry-overhead
-/// number the committed baseline pins.
-fn overhead_pct(off: f64, on: f64) -> u64 {
-    if on >= off || off <= 0.0 {
-        return 0;
-    }
-    ((off - on) * 100.0 / off).ceil().max(0.0) as u64
-}
-
-/// Renders the telemetry baseline as all-integer JSON (same convention as
-/// [`render_baseline_json`]). `within_pct` is the worst on-vs-off
-/// overhead over the shard counts, measured at generation time — the
-/// committed copy must stay ≤ 5 (the issue's noise budget), which
-/// `--check` enforces on the *committed* number so CI noise can't flake
-/// the gate. `pr8_reference` records the committed PR 8 `inproc-s1`
-/// throughput the off arms are anchored against (0 when unavailable).
-fn render_pr9_json(
-    smoke: bool,
-    seed: u64,
-    arms: &[(&'static str, LoadReport)],
-    within_pct: u64,
-    pr8_reference: u64,
-) -> String {
-    let ns = |seconds: f64| (seconds * 1e9).round().max(0.0) as u64;
-    let entries: Vec<String> = arms
-        .iter()
-        .map(|(name, r)| {
-            let stage_samples = r
-                .telemetry
-                .as_ref()
-                .map_or(0, |t| t.stage_total(Stage::Apply).count());
-            format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"shards\": {}, \"telemetry\": {}, ",
-                    "\"commands\": {}, \"updates\": {}, \"updates_per_sec\": {}, ",
-                    "\"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, ",
-                    "\"stage_samples\": {}}}"
-                ),
-                name,
-                r.config.shards,
-                u64::from(r.config.telemetry),
-                r.runtime.totals.commands,
-                r.updates,
-                r.updates_per_sec.round().max(0.0) as u64,
-                ns(r.latency.p50),
-                ns(r.latency.p90),
-                ns(r.latency.p99),
-                stage_samples,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\n  \"schema\": \"fourcycle-bench-pr9\",\n  \"version\": 1,\n",
-            "  \"smoke\": {},\n  \"seed\": {},\n  \"cores\": {},\n",
-            "  \"clients\": 4,\n  \"sessions_per_client\": 2,\n",
-            "  \"within_pct\": {},\n  \"pr8_reference\": {},\n",
-            "  \"arms\": [\n{}\n  ]\n}}\n"
-        ),
-        u64::from(smoke),
-        seed,
-        available_cores(),
-        within_pct,
-        pr8_reference,
-        entries.join(",\n"),
-    )
-}
-
-/// Gates fresh telemetry-baseline arms against the committed reference:
-/// every arm present with every field, the **committed** `within_pct` no
-/// larger than 5 (the telemetry-disabled noise budget is pinned where it
-/// was measured, not re-rolled on a noisy CI host), no off arm below half
-/// its committed throughput, and — on the fresh numbers — each on arm
-/// keeping at least half of its off twin (catastrophe catch; the real
-/// ≤5% claim lives in the committed file).
-fn check_pr9(reference: &str, fresh: &[(&'static str, LoadReport)]) -> Vec<String> {
-    const ARM_FIELDS: [&str; 10] = [
-        "name",
-        "shards",
-        "telemetry",
-        "commands",
-        "updates",
-        "updates_per_sec",
-        "p50_ns",
-        "p90_ns",
-        "p99_ns",
-        "stage_samples",
-    ];
-    let mut failures = Vec::new();
-    let parsed = match Json::parse(reference) {
-        Ok(parsed) => parsed,
-        Err(e) => return vec![format!("reference does not parse: {e}")],
-    };
-    if parsed.get("schema").and_then(Json::as_str) != Some("fourcycle-bench-pr9") {
-        failures.push("reference schema is not \"fourcycle-bench-pr9\"".into());
-    }
-    match parsed.get("within_pct").and_then(Json::as_u64) {
-        Some(pct) if pct <= 5 => {}
-        Some(pct) => failures.push(format!(
-            "committed telemetry overhead within_pct={pct} exceeds the 5% budget"
-        )),
-        None => failures.push("reference is missing \"within_pct\"".into()),
-    }
-    let arms = parsed
-        .get("arms")
-        .and_then(Json::as_arr)
-        .unwrap_or_default();
-    for arm in arms {
-        for field in ARM_FIELDS {
-            if arm.get(field).is_none() {
-                let name = arm.get("name").and_then(Json::as_str).unwrap_or("?");
-                failures.push(format!("reference arm {name:?} is missing field {field:?}"));
-            }
-        }
-    }
-    for (name, report) in fresh {
-        let Some(reference_arm) = arms
-            .iter()
-            .find(|a| a.get("name").and_then(Json::as_str) == Some(name))
-        else {
-            failures.push(format!("reference has no arm named {name:?}"));
-            continue;
-        };
-        let committed = reference_arm
-            .get("updates_per_sec")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let measured = report.updates_per_sec.round().max(0.0) as u64;
-        if !report.config.telemetry && measured * 2 < committed {
-            failures.push(format!(
-                "arm {name:?} regressed: {measured} upd/s vs committed {committed} (>2x)"
-            ));
-        }
-    }
-    let fresh_arm = |name: &str| fresh.iter().find(|(n, _)| *n == name).map(|(_, r)| r);
-    for shards in ["1", "2"] {
-        if let (Some(on), Some(off)) = (
-            fresh_arm(&format!("on-s{shards}")),
-            fresh_arm(&format!("off-s{shards}")),
-        ) {
-            let (t, o) = (on.updates_per_sec, off.updates_per_sec);
-            if t * 2.0 < o {
-                failures.push(format!(
-                    "on-s{shards} below half of off-s{shards}: {t:.0} vs {o:.0} upd/s"
-                ));
-            }
-        }
-    }
-    failures
-}
-
-fn run_pr9_baseline(
-    scenarios: &[Box<dyn Scenario>],
-    smoke: bool,
-    seed: u64,
-    check: bool,
-    out_path: &str,
-    ref_path: &str,
-) {
-    let arms: Vec<(&'static str, LoadReport)> = pr9_arms()
-        .into_iter()
-        .map(|(name, config)| {
-            let report = LoadRunner::new(config).run(scenarios);
-            eprintln!(
-                "  {name}: {:.0} upd/s, p99 {:.1} µs",
-                report.updates_per_sec,
-                report.latency.p99 * 1e6,
-            );
-            // Live differential: with telemetry on, every stage histogram
-            // holds exactly one sample per delivered command.
-            if let Some(telemetry) = &report.telemetry {
-                for stage in Stage::ALL {
-                    assert_eq!(
-                        telemetry.stage_total(stage).count(),
-                        report.runtime.totals.commands,
-                        "{name}: stage {} samples diverged from the command total",
-                        stage.name()
-                    );
-                }
-                println!("{}", fourcycle_bench::render_stage_table(telemetry));
-            }
-            (name, report)
-        })
-        .collect();
-    let reports: Vec<LoadReport> = arms.iter().map(|(_, r)| r.clone()).collect();
-    println!("{}", render_load_table(&reports));
-
-    let arm = |name: &str| arms.iter().find(|(n, _)| *n == name).map(|(_, r)| r);
-    let within_pct = ["1", "2"]
-        .iter()
-        .filter_map(|s| {
-            Some(overhead_pct(
-                arm(&format!("off-s{s}"))?.updates_per_sec,
-                arm(&format!("on-s{s}"))?.updates_per_sec,
-            ))
-        })
-        .max()
-        .unwrap_or(0);
-    // Anchor against the committed PR 8 transport baseline when present:
-    // the off arms are the same configuration as its inproc arms.
-    let pr8_reference = std::fs::read_to_string("BENCH_pr8.json")
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|json| {
-            json.get("arms")?
-                .as_arr()?
-                .iter()
-                .find_map(|a| {
-                    (a.get("name")?.as_str()? == "inproc-s1").then(|| a.get("updates_per_sec"))?
-                })?
-                .as_u64()
-        })
-        .unwrap_or(0);
-    eprintln!("telemetry overhead: within_pct={within_pct} (budget 5)");
-
-    let rendered = render_pr9_json(smoke, seed, &arms, within_pct, pr8_reference);
-    if let Some(parent) = std::path::Path::new(out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    std::fs::write(out_path, &rendered).expect("write pr9 baseline file");
-    eprintln!("baseline: {out_path}");
-
-    if check {
-        let reference = std::fs::read_to_string(ref_path)
-            .unwrap_or_else(|e| panic!("cannot read committed baseline {ref_path}: {e}"));
-        let failures = check_pr9(&reference, &arms);
-        if failures.is_empty() {
-            eprintln!("check: all {} arms within bounds of {ref_path}", arms.len());
-        } else {
-            for failure in &failures {
-                eprintln!("check FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_pr8_baseline(
-    scenarios: &[Box<dyn Scenario>],
-    smoke: bool,
-    seed: u64,
-    check: bool,
-    out_path: &str,
-    ref_path: &str,
-) {
-    let arms: Vec<(&'static str, LoadReport)> = pr8_arms()
-        .into_iter()
-        .map(|(name, config)| {
-            let report = LoadRunner::new(config).run(scenarios);
-            eprintln!(
-                "  {name}: {:.0} upd/s, p99 {:.1} µs, {} busy rejections",
-                report.updates_per_sec,
-                report.latency.p99 * 1e6,
-                report.server.map_or(0, |s| s.busy_rejections),
-            );
-            (name, report)
-        })
-        .collect();
-    let reports: Vec<LoadReport> = arms.iter().map(|(_, r)| r.clone()).collect();
-    println!("{}", render_load_table(&reports));
-
-    let rendered = render_pr8_json(smoke, seed, &arms);
-    if let Some(parent) = std::path::Path::new(out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    std::fs::write(out_path, &rendered).expect("write pr8 baseline file");
-    eprintln!("baseline: {out_path}");
-
-    if check {
-        let reference = std::fs::read_to_string(ref_path)
-            .unwrap_or_else(|e| panic!("cannot read committed baseline {ref_path}: {e}"));
-        let failures = check_pr8(&reference, &arms);
-        if failures.is_empty() {
-            eprintln!("check: all {} arms within bounds of {ref_path}", arms.len());
-        } else {
-            for failure in &failures {
-                eprintln!("check FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_baseline(
-    scenarios: &[Box<dyn Scenario>],
-    smoke: bool,
-    seed: u64,
-    check: bool,
-    out_path: &str,
-    ref_path: &str,
-) {
-    let arms: Vec<(&'static str, LoadReport)> = baseline_arms()
-        .into_iter()
-        .map(|(name, config)| {
-            let report = LoadRunner::new(config).run(scenarios);
-            eprintln!(
-                "  {name}: {:.0} upd/s, p99 {:.1} µs, {} fsyncs ({}/1k commands)",
-                report.updates_per_sec,
-                report.latency.p99 * 1e6,
-                report.runtime.totals.journal_fsyncs,
-                report.fsyncs_per_1k_commands(),
-            );
-            (name, report)
-        })
-        .collect();
-    let reports: Vec<LoadReport> = arms.iter().map(|(_, r)| r.clone()).collect();
-    println!("{}", render_load_table(&reports));
-
-    let rendered = render_baseline_json(smoke, seed, &arms);
-    if let Some(parent) = std::path::Path::new(out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    std::fs::write(out_path, &rendered).expect("write baseline file");
-    eprintln!("baseline: {out_path}");
-
-    if check {
-        let reference = std::fs::read_to_string(ref_path)
-            .unwrap_or_else(|e| panic!("cannot read committed baseline {ref_path}: {e}"));
-        let failures = check_baseline(&reference, &arms);
-        if failures.is_empty() {
-            eprintln!("check: all {} arms within bounds of {ref_path}", arms.len());
-        } else {
-            for failure in &failures {
-                eprintln!("check FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
     }
 }
 
@@ -847,7 +107,6 @@ fn main() {
         Some("tcp") => Transport::Tcp,
         Some(other) => panic!("unknown --transport {other:?} (inproc|tcp)"),
     };
-    let telemetry = flag("--telemetry");
     let out_dir = value("--out-dir").unwrap_or_else(|| "target/scenario-reports".into());
 
     let scenarios = if smoke {
@@ -875,46 +134,6 @@ fn main() {
         );
     }
 
-    if flag("--baseline") {
-        let out_path = value("--baseline-out").unwrap_or_else(|| "BENCH_pr6.json".into());
-        let ref_path = value("--baseline-ref").unwrap_or_else(|| "BENCH_pr6.json".into());
-        run_baseline(
-            &scenarios,
-            smoke,
-            seed,
-            flag("--check"),
-            &out_path,
-            &ref_path,
-        );
-        return;
-    }
-    if flag("--baseline-pr8") {
-        let out_path = value("--baseline-out").unwrap_or_else(|| "BENCH_pr8.json".into());
-        let ref_path = value("--baseline-ref").unwrap_or_else(|| "BENCH_pr8.json".into());
-        run_pr8_baseline(
-            &scenarios,
-            smoke,
-            seed,
-            flag("--check"),
-            &out_path,
-            &ref_path,
-        );
-        return;
-    }
-    if flag("--baseline-pr9") {
-        let out_path = value("--baseline-out").unwrap_or_else(|| "BENCH_pr9.json".into());
-        let ref_path = value("--baseline-ref").unwrap_or_else(|| "BENCH_pr9.json".into());
-        run_pr9_baseline(
-            &scenarios,
-            smoke,
-            seed,
-            flag("--check"),
-            &out_path,
-            &ref_path,
-        );
-        return;
-    }
-
     let reports: Vec<_> = shard_counts
         .iter()
         .map(|&shards| {
@@ -927,7 +146,6 @@ fn main() {
                 engine,
                 journal,
                 transport,
-                telemetry,
             };
             let report = LoadRunner::new(config).run(&scenarios);
             eprintln!(
@@ -936,21 +154,18 @@ fn main() {
                 report.latency.p99 * 1e6,
                 report.runtime.totals.queue_full_stalls,
             );
-            if let Some(telemetry) = &report.telemetry {
-                // Same stage-accounting differential the --baseline-pr9
-                // generator pins: every delivered command contributed
-                // exactly one sample to every stage histogram.
-                for stage in Stage::ALL {
-                    assert_eq!(
-                        telemetry.stage_total(stage).count(),
-                        report.runtime.totals.commands,
-                        "stage {} sample count must equal delivered commands",
-                        stage.name()
-                    );
-                }
-                println!("{} shard(s) stage breakdown:", shards);
-                println!("{}", fourcycle_bench::render_stage_table(telemetry));
+            // The stage-accounting differential: every delivered command
+            // contributed exactly one sample to every stage histogram.
+            for stage in Stage::ALL {
+                assert_eq!(
+                    report.telemetry.stage_total(stage).count(),
+                    report.runtime.totals.commands,
+                    "stage {} sample count must equal delivered commands",
+                    stage.name()
+                );
             }
+            println!("{shards} shard(s) stage breakdown:");
+            println!("{}", render_stage_table(&report.telemetry));
             report
         })
         .collect();

@@ -11,7 +11,8 @@
 //! One run produces a [`LoadReport`]: aggregate throughput (updates and
 //! requests per second), merged per-request latency percentiles
 //! (p50/p90/p99/max via [`LatencySummary`]), the runtime's own per-shard
-//! [`RuntimeStats`](fourcycle_runtime::RuntimeStats) report, and every
+//! [`RuntimeStats`](fourcycle_runtime::RuntimeStats) report, its final
+//! [`TelemetrySnapshot`] (per-stage latency histograms), and every
 //! session's final epoch-stamped
 //! [`Snapshot`] — which the differential tests (and
 //! [`replay_single_threaded`]) compare against a plain single-threaded
@@ -29,7 +30,7 @@ use fourcycle_runtime::{RuntimeConfig, RuntimeReport, ShardedRuntime};
 use fourcycle_server::{Client, ClientError, Server, ServerConfig, ServerStats, WireError};
 use fourcycle_service::{CycleCountService, GraphId, Request, Response, SessionSpec, WorkloadMode};
 use fourcycle_store::{FsyncPolicy, JournalConfig};
-use fourcycle_telemetry::{Stage, TelemetryConfig, TelemetrySnapshot};
+use fourcycle_telemetry::{Stage, TelemetrySnapshot};
 use fourcycle_workloads::{total_updates, Scenario};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -51,7 +52,7 @@ pub enum Transport {
 
 impl Transport {
     /// Short label for reports (`"inproc"` / `"tcp"` — the vocabulary
-    /// `loadgen --transport` accepts and `BENCH_pr8.json` records).
+    /// `loadgen --transport` accepts and its JSON report records).
     pub fn label(&self) -> &'static str {
         match self {
             Transport::InProcess => "inproc",
@@ -81,10 +82,6 @@ pub struct LoadConfig {
     pub journal: Option<FsyncPolicy>,
     /// How clients reach the runtime (in-process calls or real sockets).
     pub transport: Transport,
-    /// Start the runtime with per-stage telemetry enabled and attach the
-    /// final [`TelemetrySnapshot`] to the report. Off by default: the
-    /// baseline arms measure the one-branch-per-request disabled path.
-    pub telemetry: bool,
 }
 
 impl Default for LoadConfig {
@@ -98,7 +95,6 @@ impl Default for LoadConfig {
             engine: EngineKind::Threshold,
             journal: None,
             transport: Transport::InProcess,
-            telemetry: false,
         }
     }
 }
@@ -111,7 +107,7 @@ impl LoadConfig {
 
     /// Short label for the journal arm of this config (`"none"`,
     /// `"every1"`, `"every64"`, `"group"`, `"shutdown"` — the vocabulary
-    /// `loadgen --journal` accepts and `BENCH_pr6.json` records).
+    /// `loadgen --journal` accepts and its JSON report records).
     pub fn journal_label(&self) -> String {
         match self.journal {
             None => "none".into(),
@@ -162,24 +158,10 @@ pub struct LoadReport {
     /// The server's front-door counters — `Some` only for
     /// [`Transport::Tcp`] runs.
     pub server: Option<ServerStats>,
-    /// Final telemetry snapshot — `Some` only when
-    /// [`LoadConfig::telemetry`] was on.
-    pub telemetry: Option<TelemetrySnapshot>,
+    /// The runtime's final telemetry snapshot.
+    pub telemetry: TelemetrySnapshot,
     /// Final state of every session.
     pub sessions: Vec<SessionOutcome>,
-}
-
-impl LoadReport {
-    /// Journal fsyncs per 1000 commands, rounded to the nearest integer
-    /// (0 for memory-only runs) — the durability-cost axis of the
-    /// committed baseline.
-    pub fn fsyncs_per_1k_commands(&self) -> u64 {
-        let commands = self.runtime.totals.commands;
-        if commands == 0 {
-            return 0;
-        }
-        (self.runtime.totals.journal_fsyncs * 1000 + commands / 2) / commands
-    }
 }
 
 /// Drives closed-loop scenario traffic through a [`ShardedRuntime`].
@@ -297,12 +279,7 @@ impl LoadRunner {
             .shards(cfg.shards)
             .shard_parallelism(cfg.parallelism)
             .mailbox_depth(cfg.mailbox_depth)
-            .spec(spec)
-            .telemetry(if cfg.telemetry {
-                TelemetryConfig::enabled()
-            } else {
-                TelemetryConfig::disabled()
-            });
+            .spec(spec);
         // Journaled runs get a throwaway directory: the measurement is the
         // fsync policy's cost, not the recovered state, so the directory is
         // fresh per run and removed afterwards.
@@ -322,7 +299,7 @@ impl LoadRunner {
         let runtime = ShardedRuntime::start(runtime_config);
         // The handle must be cloned out now: the TCP arm moves the runtime
         // into the server, and the snapshot is read after shutdown.
-        let telemetry_handle = runtime.telemetry().cloned();
+        let telemetry = runtime.telemetry().clone();
 
         // Pre-generate every session's stream (not timed).
         let mut plans: Vec<Vec<SessionPlan>> = (0..cfg.clients)
@@ -456,14 +433,14 @@ impl LoadRunner {
             cores: available_cores(),
             runtime: report,
             server,
-            telemetry: telemetry_handle.map(|t| t.snapshot()),
+            telemetry: telemetry.snapshot(),
             sessions,
         }
     }
 }
 
 /// Hardware threads of the host, `0` when the OS refuses to say (the
-/// report records it so a committed baseline states what it ran on).
+/// report records it so a result states what it ran on).
 pub fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(0, |n| n.get())
 }
@@ -589,8 +566,8 @@ pub fn render_load_table(reports: &[LoadReport]) -> String {
 }
 
 /// Renders a telemetry snapshot's per-stage latency breakdown (merged
-/// over shards) as an aligned text table — the `loadgen --telemetry`
-/// output. All figures are nanoseconds from the log-scale histograms
+/// over shards) as an aligned text table, printed after every `loadgen`
+/// sweep point. All figures are nanoseconds from the log-scale histograms
 /// (bucket floors, ≤12.5% relative error).
 pub fn render_stage_table(snapshot: &TelemetrySnapshot) -> String {
     let rows: Vec<Vec<String>> = Stage::ALL
@@ -698,10 +675,10 @@ mod tests {
 
     /// Journaled + parallel load runs keep the same accounting invariants
     /// as memory-only ones, fsync far less than once per command under
-    /// group commit, and report the host's core count. With telemetry on,
-    /// every stage histogram's sample count equals the command total —
-    /// the differential that proves no request skips a stage, on the
-    /// hardest path (group commit + intra-shard parallelism).
+    /// group commit, and report the host's core count. Every stage
+    /// histogram's sample count equals the command total — the
+    /// differential that proves no request skips a stage, on the hardest
+    /// path (group commit + intra-shard parallelism).
     #[test]
     fn journaled_group_commit_run_accounts_fsyncs() {
         let scenarios = smoke_catalog(29);
@@ -714,7 +691,6 @@ mod tests {
             engine: EngineKind::Simple,
             journal: Some(FsyncPolicy::group_commit()),
             transport: Transport::InProcess,
-            telemetry: true,
         };
         assert_eq!(config.journal_label(), "group");
         let report = LoadRunner::new(config).run(&scenarios);
@@ -728,9 +704,8 @@ mod tests {
             "{:?}",
             report.runtime.totals
         );
-        assert!(report.fsyncs_per_1k_commands() <= 1000);
         assert_eq!(report.cores, available_cores());
-        let telemetry = report.telemetry.expect("telemetry was enabled");
+        let telemetry = &report.telemetry;
         for stage in Stage::ALL {
             assert_eq!(
                 telemetry.stage_total(stage).count(),
@@ -741,23 +716,7 @@ mod tests {
         }
         // Group commits actually fired and were captured as ring events.
         assert!(telemetry.events_emitted > 0);
-        let table = render_stage_table(&telemetry);
+        let table = render_stage_table(telemetry);
         assert!(table.contains("fsync_wait") && table.contains("p99(ns)"));
-    }
-
-    /// A telemetry-off run reports no snapshot at all — the disabled arm
-    /// the committed baseline measures.
-    #[test]
-    fn telemetry_off_reports_no_snapshot() {
-        let scenarios = smoke_catalog(5);
-        let report = LoadRunner::new(LoadConfig {
-            shards: 1,
-            clients: 1,
-            sessions_per_client: 1,
-            engine: EngineKind::Simple,
-            ..LoadConfig::default()
-        })
-        .run(&scenarios[..1]);
-        assert!(report.telemetry.is_none());
     }
 }

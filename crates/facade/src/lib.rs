@@ -62,7 +62,7 @@
 //! | [`store`] | durable per-shard write-ahead journal, checkpoints, crash recovery |
 //! | [`runtime`] | sharded thread-per-shard executor: concurrent service traffic, backpressure, stats |
 //! | [`server`] | TCP front door: the command text format over sockets, blocking wire client, stats |
-//! | [`telemetry`] | per-stage latency histograms, counters/gauges, bounded event ring, exposition |
+//! | [`telemetry`] | per-stage latency histograms, bounded event ring, exposition |
 
 pub use fourcycle_complexity as complexity;
 pub use fourcycle_core as core;

@@ -101,6 +101,11 @@ impl GroupTelemetry<'_> {
     fn hist(&self, stage: Stage) -> &Histogram {
         self.tel.stage(self.shard, stage)
     }
+
+    /// The shard index as an event's `shard` field.
+    fn shard_id(&self) -> u32 {
+        u32::try_from(self.shard).unwrap_or(u32::MAX)
+    }
 }
 
 /// Clamped nanoseconds between two `Instant`s (0 if out of order).
@@ -120,12 +125,13 @@ pub(crate) fn shard_worker(
     shard: usize,
     parallelism: usize,
     group_commit: Option<GroupCommitKnobs>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
 ) {
     let mut pool = SessionPool::new(parallelism.saturating_sub(1), shard);
-    let tel_scope = telemetry
-        .as_deref()
-        .map(|tel| GroupTelemetry { tel, shard });
+    let tel = GroupTelemetry {
+        tel: &telemetry,
+        shard,
+    };
     let mut idle_since = Instant::now();
     while let Ok(first) = rx.recv() {
         // Interval accounting is deliberately paranoid: durations come
@@ -172,7 +178,7 @@ pub(crate) fn shard_worker(
             group,
             &metrics,
             group_commit.is_some(),
-            tel_scope.as_ref(),
+            &tel,
         );
         metrics.groups.fetch_add(1, Ordering::Relaxed);
         metrics
@@ -211,7 +217,7 @@ fn process_group(
     group: Vec<Job>,
     metrics: &ShardMetrics,
     hold_for_commit: bool,
-    tel: Option<&GroupTelemetry>,
+    tel: &GroupTelemetry,
 ) {
     let n = group.len();
     let mut replies = Vec::with_capacity(n);
@@ -224,25 +230,20 @@ fn process_group(
     }
     // Queue wait is exact per job (submit stamped it); the group-assembly
     // boundary doubles as the dispatch-stage start.
-    let dispatch_started = tel.map(|t| {
-        let now = Instant::now();
-        let hist = t.hist(Stage::QueueWait);
-        for at in &enqueued {
-            hist.record(at.map_or(0, |at| nanos_between(at, now)));
-        }
-        now
-    });
+    let dispatch_started = Instant::now();
+    let queue_wait = tel.hist(Stage::QueueWait);
+    for &at in &enqueued {
+        queue_wait.record(nanos_between(at, dispatch_started));
+    }
     let mut outcomes: Vec<Option<Result<Response, ServiceError>>> =
         std::iter::repeat_with(|| None).take(n).collect();
     // Slots journaled into the current group. If the group's fsync fails,
     // exactly these replies are rewritten to `ServiceError::Journal` —
     // their commands applied but are not durable.
     let mut journaled: Vec<usize> = Vec::new();
-    if let (Some(t), Some(started)) = (tel, dispatch_started) {
-        let n = u64::try_from(n).unwrap_or(u64::MAX);
-        t.hist(Stage::Dispatch)
-            .record_each(nanos_between(started, Instant::now()), n);
-    }
+    let slots = u64::try_from(n).unwrap_or(u64::MAX);
+    tel.hist(Stage::Dispatch)
+        .record_each(nanos_between(dispatch_started, Instant::now()), slots);
 
     let mut start = 0;
     while start < n {
@@ -297,54 +298,42 @@ fn process_group(
         // journaled above. Only now may replies leave the shard — a client
         // that sees a response holds a durable command, exactly as under
         // fsync-every-1.
-        let fsync_started = tel.map(|_| Instant::now());
+        let fsync_started = Instant::now();
         let committed = service.journal_commit_group();
-        if let (Some(t), Some(started)) = (tel, fsync_started) {
-            let fsync_nanos = nanos_between(started, Instant::now());
-            let n = u64::try_from(n).unwrap_or(u64::MAX);
-            t.hist(Stage::FsyncWait).record_each(fsync_nanos, n);
-            if let Ok(covered) = &committed {
-                if *covered > 0 {
-                    t.tel.ring().emit(
-                        u32::try_from(t.shard).unwrap_or(u32::MAX),
-                        EventKind::GroupCommit,
-                        *covered,
-                        fsync_nanos,
-                    );
+        let fsync_nanos = nanos_between(fsync_started, Instant::now());
+        tel.hist(Stage::FsyncWait).record_each(fsync_nanos, slots);
+        match committed {
+            Ok(covered) if covered > 0 => {
+                tel.tel
+                    .ring()
+                    .emit(tel.shard_id(), EventKind::GroupCommit, covered, fsync_nanos);
+            }
+            Ok(_) => {}
+            Err(e) => {
+                for &slot in &journaled {
+                    outcomes[slot] = Some(Err(e));
                 }
             }
         }
-        if let Err(e) = committed {
-            for &slot in &journaled {
-                outcomes[slot] = Some(Err(e));
-            }
-        }
-        let reply_started = tel.map(|_| Instant::now());
+        let reply_started = Instant::now();
         for slot in 0..n {
             deliver(metrics, &requests, &mut replies, &mut outcomes, slot);
         }
-        if let (Some(t), Some(started)) = (tel, reply_started) {
-            let n = u64::try_from(n).unwrap_or(u64::MAX);
-            t.hist(Stage::Reply)
-                .record_each(nanos_between(started, Instant::now()), n);
-        }
+        tel.hist(Stage::Reply)
+            .record_each(nanos_between(reply_started, Instant::now()), slots);
     }
     // End-to-end latency check (slow-request events), one clock read for
     // the whole group. Fan-out sub-commands check per shard.
-    if let Some(t) = tel {
-        let now = Instant::now();
-        for at in enqueued.into_iter().flatten() {
-            t.tel.note_request_done(
-                u32::try_from(t.shard).unwrap_or(u32::MAX),
-                nanos_between(at, now),
-            );
-        }
+    let now = Instant::now();
+    for at in enqueued {
+        tel.tel
+            .note_request_done(tel.shard_id(), nanos_between(at, now));
     }
 }
 
-/// Executes one barrier or serial-segment slot. With telemetry, the apply
-/// and journal-append halves are timed separately through the service's
-/// split path ([`CycleCountService::execute_unjournaled`] +
+/// Executes one barrier or serial-segment slot. The apply and
+/// journal-append halves are timed separately through the service's split
+/// path ([`CycleCountService::execute_unjournaled`] +
 /// [`CycleCountService::journal_record_applied`]), which is semantically
 /// identical to plain `execute` — same order, same checkpoint handling,
 /// and a journal failure after a successful apply surfaces as the
@@ -354,32 +343,23 @@ fn process_group(
 fn execute_slot(
     service: &mut CycleCountService,
     request: &Request,
-    tel: Option<&GroupTelemetry>,
+    tel: &GroupTelemetry,
 ) -> (Result<Response, ServiceError>, bool) {
-    match tel {
-        None => {
-            let outcome = service.execute(request);
-            let journaled = outcome.is_ok() && request.is_mutation();
-            (outcome, journaled)
-        }
-        Some(t) => {
-            let apply_started = Instant::now();
-            let mut outcome = service.execute_unjournaled(request);
-            let journal_started = Instant::now();
-            t.hist(Stage::Apply)
-                .record(nanos_between(apply_started, journal_started));
-            let mut journaled = false;
-            if outcome.is_ok() && request.is_mutation() {
-                match service.journal_record_applied(request) {
-                    Ok(()) => journaled = true,
-                    Err(e) => outcome = Err(e),
-                }
-            }
-            t.hist(Stage::JournalAppend)
-                .record(nanos_between(journal_started, Instant::now()));
-            (outcome, journaled)
+    let apply_started = Instant::now();
+    let mut outcome = service.execute_unjournaled(request);
+    let journal_started = Instant::now();
+    tel.hist(Stage::Apply)
+        .record(nanos_between(apply_started, journal_started));
+    let mut journaled = false;
+    if outcome.is_ok() && request.is_mutation() {
+        match service.journal_record_applied(request) {
+            Ok(()) => journaled = true,
+            Err(e) => outcome = Err(e),
         }
     }
+    tel.hist(Stage::JournalAppend)
+        .record(nanos_between(journal_started, Instant::now()));
+    (outcome, journaled)
 }
 
 /// Delivers a range of finished slots, recording the reply stage (and a
@@ -392,18 +372,16 @@ fn deliver_timed(
     replies: &mut [Option<mpsc::Sender<Result<Response, ServiceError>>>],
     outcomes: &mut [Option<Result<Response, ServiceError>>],
     range: Range<usize>,
-    tel: Option<&GroupTelemetry>,
+    tel: &GroupTelemetry,
 ) {
-    let started = tel.map(|_| Instant::now());
+    let started = Instant::now();
     let len = u64::try_from(range.len()).unwrap_or(u64::MAX);
     for slot in range {
         deliver(metrics, requests, replies, outcomes, slot);
     }
-    if let (Some(t), Some(started)) = (tel, started) {
-        t.hist(Stage::FsyncWait).record_each(0, len);
-        t.hist(Stage::Reply)
-            .record_each(nanos_between(started, Instant::now()), len);
-    }
+    tel.hist(Stage::FsyncWait).record_each(0, len);
+    tel.hist(Stage::Reply)
+        .record_each(nanos_between(started, Instant::now()), len);
 }
 
 /// Executes one segment (consecutive session-scoped slots): groups the
@@ -418,7 +396,7 @@ fn run_segment(
     range: Range<usize>,
     outcomes: &mut [Option<Result<Response, ServiceError>>],
     journaled: &mut Vec<usize>,
-    tel: Option<&GroupTelemetry>,
+    tel: &GroupTelemetry,
 ) {
     // Per-session run queues, arrival order preserved within each session.
     let mut runs: Vec<(GraphId, Vec<usize>)> = Vec::new();
@@ -453,7 +431,7 @@ fn run_segment(
     // the journal phase are group-granular; their durations are smeared
     // across the segment's slots to keep the one-sample-per-slot invariant.
     let seg_len = u64::try_from(range.len()).unwrap_or(u64::MAX);
-    let apply_started = tel.map(|_| Instant::now());
+    let apply_started = Instant::now();
 
     // Detach every addressed session and ship it, with its commands, to
     // the pool. Ids without a session run inline for the exact
@@ -493,15 +471,9 @@ fn run_segment(
             outcomes[slot] = Some(outcome);
         }
     }
-    let journal_started = tel.map(|t| {
-        let now = Instant::now();
-        #[expect(clippy::expect_used, reason = "apply_started is Some whenever tel is")]
-        t.hist(Stage::Apply).record_each(
-            nanos_between(apply_started.expect("set with tel"), now),
-            seg_len,
-        );
-        now
-    });
+    let journal_started = Instant::now();
+    tel.hist(Stage::Apply)
+        .record_each(nanos_between(apply_started, journal_started), seg_len);
     // Journal the applied mutations in slot order — the WAL preserves each
     // session's command order, which is all replay needs (sessions are
     // independent). Runs only after every session is reattached, so a due
@@ -515,10 +487,8 @@ fn run_segment(
             }
         }
     }
-    if let (Some(t), Some(started)) = (tel, journal_started) {
-        t.hist(Stage::JournalAppend)
-            .record_each(nanos_between(started, Instant::now()), seg_len);
-    }
+    tel.hist(Stage::JournalAppend)
+        .record_each(nanos_between(journal_started, Instant::now()), seg_len);
 }
 
 /// Counts one finished slot into the metrics and sends its reply.

@@ -56,7 +56,9 @@
 //!   applied updates, rejections, stalls, busy/idle time); [`ShardedRuntime
 //!   ::report`] aggregates them runtime-wide at any moment, and
 //!   [`ShardedRuntime::shutdown`] returns the final report after draining
-//!   every mailbox and joining every worker.
+//!   every mailbox and joining every worker. [`ShardedRuntime::telemetry`]
+//!   times every command's six stages and collects slow-request, group
+//!   commit and journal events (`fourcycle-telemetry`, ADR-009).
 //!
 //! See `docs/adr/ADR-004-sharded-runtime.md` for why thread-per-shard with
 //! bounded mailboxes was chosen over a shared-lock service.
@@ -153,7 +155,7 @@ impl Default for RuntimeConfig {
             parallelism: 1,
             default_spec: SessionSpec::default(),
             journal: None,
-            telemetry: TelemetryConfig::disabled(),
+            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -241,11 +243,9 @@ impl RuntimeConfig {
         self.journal.as_ref()
     }
 
-    /// Enables (or reconfigures) telemetry: per-shard stage-latency
-    /// histograms and the structured event ring (see
-    /// `fourcycle-telemetry`). Disabled by default; when disabled the
-    /// runtime allocates no telemetry state and the hot path pays one
-    /// branch per request.
+    /// Tunes telemetry: the slow-request threshold and the event ring's
+    /// capacity. Every runtime keeps per-shard stage-latency histograms
+    /// and the structured event ring (see `fourcycle-telemetry`).
     pub fn telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = config;
         self
@@ -277,10 +277,9 @@ impl RuntimeConfig {
 pub(crate) struct Job {
     pub(crate) request: Request,
     pub(crate) reply: mpsc::Sender<Result<Response, ServiceError>>,
-    /// Submission time, stamped only when telemetry is enabled (the one
-    /// branch the disabled path pays per request); the shard worker turns
-    /// it into the queue-wait stage sample.
-    pub(crate) enqueued_at: Option<Instant>,
+    /// Submission time; the shard worker turns it into the queue-wait
+    /// stage sample.
+    pub(crate) enqueued_at: Instant,
 }
 
 /// A pending reply: returned by [`ShardedRuntime::submit`], redeemed with
@@ -389,7 +388,7 @@ pub struct ShardedRuntime {
     mailboxes: Vec<SyncSender<Job>>,
     metrics: Vec<Arc<ShardMetrics>>,
     workers: Vec<JoinHandle<()>>,
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Arc<Telemetry>,
 }
 
 impl ShardedRuntime {
@@ -420,24 +419,15 @@ impl ShardedRuntime {
     /// mode and engine — restarting with a different topology is an error,
     /// not a silent re-route.
     pub fn try_start(config: RuntimeConfig) -> Result<Self, RuntimeError> {
-        let telemetry = config
-            .telemetry
-            .is_enabled()
-            .then(|| Arc::new(Telemetry::new(config.telemetry, config.shards)));
+        let telemetry = Arc::new(Telemetry::new(config.telemetry, config.shards));
         let store = match &config.journal {
-            Some(journal) => {
-                // The journal layer emits recovery/checkpoint/chaos events
-                // into the same ring the shard workers use.
-                let mut journal = journal.clone();
-                if let Some(tel) = &telemetry {
-                    journal = journal.events(tel.ring().clone());
-                }
-                Some(JournalStore::open(
-                    journal,
-                    config.shards,
-                    config.default_spec,
-                )?)
-            }
+            // The journal layer emits recovery/checkpoint/chaos events
+            // into the same ring the shard workers use.
+            Some(journal) => Some(JournalStore::open(
+                journal.clone().events(telemetry.ring().clone()),
+                config.shards,
+                config.default_spec,
+            )?),
             None => None,
         };
         let mut mailboxes = Vec::with_capacity(config.shards);
@@ -550,7 +540,7 @@ impl ShardedRuntime {
     /// shard.
     pub fn submit(&self, request: Request) -> Ticket {
         let (reply, rx) = mpsc::channel();
-        let enqueued_at = self.telemetry.as_ref().map(|_| Instant::now());
+        let enqueued_at = Instant::now();
         match request.graph_id() {
             Some(id) => {
                 let shard = self.shard_of(id);
@@ -603,7 +593,7 @@ impl ShardedRuntime {
         };
         let shard = self.shard_of(id);
         let (reply, rx) = mpsc::channel();
-        let enqueued_at = self.telemetry.as_ref().map(|_| Instant::now());
+        let enqueued_at = Instant::now();
         match self.mailboxes[shard].try_send(Job {
             request,
             reply,
@@ -638,12 +628,12 @@ impl ShardedRuntime {
         RuntimeReport::from_shards(self.metrics.iter().map(|m| m.snapshot()).collect())
     }
 
-    /// The live telemetry registry, when telemetry is enabled
-    /// ([`RuntimeConfig::telemetry`]). Clone the `Arc` to keep observing
-    /// (snapshots, ring drains) while the runtime serves traffic — or
-    /// after handing the runtime to a server front door.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    /// The live telemetry: stage histograms and the event ring. Clone the
+    /// `Arc` to keep observing (snapshots, ring drains) while the runtime
+    /// serves traffic — or after handing the runtime to a server front
+    /// door.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// Graceful shutdown: closes every mailbox, lets each worker drain the
@@ -1243,10 +1233,10 @@ mod tests {
         assert_eq!(report.totals.rejected, 0);
     }
 
-    /// The stage-accounting differential: with telemetry on, every stage
-    /// histogram holds exactly one sample per delivered command — per
-    /// shard, not just in total — including the `ListGraphs` fan-out
-    /// (one sub-command per shard, each counted in `commands`).
+    /// The stage-accounting differential: every stage histogram holds
+    /// exactly one sample per delivered command — per shard, not just in
+    /// total — including the `ListGraphs` fan-out (one sub-command per
+    /// shard, each counted in `commands`).
     #[test]
     fn telemetry_stage_counts_match_commands_per_shard() {
         use fourcycle_telemetry::Stage;
@@ -1254,10 +1244,9 @@ mod tests {
             RuntimeConfig::new()
                 .shards(3)
                 .engine(EngineKind::Simple)
-                .mailbox_depth(8)
-                .telemetry(TelemetryConfig::enabled()),
+                .mailbox_depth(8),
         );
-        let telemetry = runtime.telemetry().cloned().expect("telemetry enabled");
+        let telemetry = runtime.telemetry().clone();
         for raw in 0..9u64 {
             let id = GraphId(raw);
             runtime
@@ -1302,10 +1291,10 @@ mod tests {
                 .engine(EngineKind::Simple)
                 .mailbox_depth(4)
                 .telemetry(
-                    TelemetryConfig::enabled().slow_request_threshold(std::time::Duration::ZERO),
+                    TelemetryConfig::default().slow_request_threshold(std::time::Duration::ZERO),
                 ),
         );
-        let telemetry = runtime.telemetry().cloned().expect("telemetry enabled");
+        let telemetry = runtime.telemetry().clone();
         let id = GraphId(5);
         runtime
             .call(Request::CreateGraph { id, spec: None })
@@ -1342,12 +1331,12 @@ mod tests {
                 .engine(EngineKind::Simple)
                 .mailbox_depth(8)
                 .telemetry(
-                    TelemetryConfig::enabled()
+                    TelemetryConfig::default()
                         .slow_request_threshold(std::time::Duration::ZERO)
                         .ring_capacity(16),
                 ),
         );
-        let telemetry = runtime.telemetry().cloned().expect("telemetry enabled");
+        let telemetry = runtime.telemetry().clone();
         let stop = std::sync::atomic::AtomicBool::new(false);
         let mut drained = 0usize;
         thread::scope(|scope| {
@@ -1398,12 +1387,40 @@ mod tests {
         assert!(drained > 0, "drainer never observed an event");
     }
 
-    /// A disabled-telemetry runtime exposes no handle at all — the whole
-    /// subsystem reduces to one branch per request.
+    /// The runtime wires its event ring into the journal store: a
+    /// journaled runtime restarted on its directory reports the recovery
+    /// in `telemetry().ring()`, with the replayed WAL line count.
     #[test]
-    fn disabled_telemetry_has_no_handle() {
-        let runtime = ShardedRuntime::start(RuntimeConfig::new().shards(1));
-        assert!(runtime.telemetry().is_none());
+    fn journaled_restart_reports_recovery_phase_event() {
+        use fourcycle_telemetry::{ring::recovery_phase, EventKind};
+        let dir = std::env::temp_dir().join("fourcycle-runtime-recovery-event-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || RuntimeConfig::new().shards(1).journal_dir(&dir);
+        let runtime = ShardedRuntime::try_start(config()).unwrap();
+        let id = GraphId(3);
+        runtime
+            .call(Request::CreateGraph { id, spec: None })
+            .unwrap();
+        runtime
+            .call(Request::ApplyLayeredBatch {
+                id,
+                updates: square(0),
+            })
+            .unwrap();
         runtime.shutdown();
+
+        let revived = ShardedRuntime::try_start(config()).unwrap();
+        let recoveries: Vec<_> = revived
+            .telemetry()
+            .ring()
+            .drain()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::RecoveryPhase)
+            .map(|e| (e.shard, e.a, e.b))
+            .collect();
+        // No checkpoint was written, so both journaled commands replay.
+        assert_eq!(recoveries, vec![(0, recovery_phase::FULL_REPLAY, 2)]);
+        revived.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

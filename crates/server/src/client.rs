@@ -167,7 +167,8 @@ impl Client {
     }
 
     /// Fetches the server's `metrics` exposition as Prometheus-style
-    /// text. With telemetry disabled the body is a single `#` comment.
+    /// text: the per-stage latency histograms and the event ring's
+    /// counters.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         self.framed_body("metrics", "metrics")
     }

@@ -52,14 +52,13 @@
 //!   all-integer JSON document — server counters (connections, commands,
 //!   busy rejections, bytes in/out) plus the full
 //!   [`RuntimeReport`] — parseable by the in-tree `fourcycle_store::json`
-//!   reader. When the runtime was started with telemetry enabled
-//!   (`RuntimeConfig::telemetry`), three more commands expose the live
-//!   telemetry subsystem: `metrics` (Prometheus-style text exposition of
-//!   the per-stage latency histograms and named counters), `metrics json`
-//!   (the same snapshot as all-integer JSON with nearest-rank
-//!   percentiles), and `events` (drains the bounded structured event ring
-//!   — slow requests, group commits, checkpoints, recovery phases, chaos
-//!   faults, connection lifecycle). Connection accept/close are themselves
+//!   reader. Three more commands expose the runtime's live telemetry:
+//!   `metrics` (Prometheus-style text exposition of the per-stage latency
+//!   histograms and the event ring's counters), `metrics json` (the same
+//!   snapshot as all-integer JSON with nearest-rank percentiles), and
+//!   `events` (drains the bounded structured event ring — slow requests,
+//!   group commits, checkpoints, recovery phases, chaos faults,
+//!   connection lifecycle). Connection accept/close are themselves
 //!   emitted into the ring as `conn_open` / `conn_close` events.
 //! * **Graceful shutdown.** [`Server::shutdown`] stops accepting, shuts
 //!   the read half of every live connection (in-flight commands still get
@@ -605,39 +604,38 @@ fn frame(tag: &str, body: &str) -> String {
 }
 
 /// Builds the framed `metrics` response: a Prometheus-style text
-/// exposition of the telemetry snapshot, or a one-line comment when the
-/// runtime was started without telemetry.
+/// exposition of the telemetry snapshot.
 fn render_metrics_text(shared: &Shared) -> String {
-    match shared.runtime.telemetry() {
-        Some(tel) => frame("metrics", &tel.snapshot().render_prometheus()),
-        None => frame("metrics", "# telemetry disabled"),
-    }
+    frame(
+        "metrics",
+        &shared.runtime.telemetry().snapshot().render_prometheus(),
+    )
 }
 
 /// Builds the framed `metrics json` response: the same snapshot as an
 /// all-integer JSON document (counts, sums, nearest-rank percentiles).
 fn render_metrics_json(shared: &Shared) -> String {
-    match shared.runtime.telemetry() {
-        Some(tel) => frame("metrics", &tel.snapshot().render_json()),
-        None => frame("metrics", "{\"enabled\": 0}"),
-    }
+    frame(
+        "metrics",
+        &shared.runtime.telemetry().snapshot().render_json(),
+    )
 }
 
 /// Builds the framed `events` response, **draining** the event ring:
 /// each buffered event renders as one all-integer JSON object. Draining
 /// never blocks shard workers (they drop rather than wait on contention).
 fn render_events(shared: &Shared) -> String {
-    match shared.runtime.telemetry() {
-        Some(tel) => frame("events", &expose::render_events_json(&tel.ring().drain())),
-        None => frame("events", "{\"events\": []}"),
-    }
+    let events = shared.runtime.telemetry().ring().drain();
+    frame("events", &expose::render_events_json(&events))
 }
 
-/// Emits a connection-lifecycle event when telemetry is on.
+/// Emits a connection-lifecycle event into the runtime's ring.
 fn note_conn_event(shared: &Shared, kind: EventKind, id: u64) {
-    if let Some(tel) = shared.runtime.telemetry() {
-        tel.ring().emit(NO_SHARD, kind, id, 0);
-    }
+    shared
+        .runtime
+        .telemetry()
+        .ring()
+        .emit(NO_SHARD, kind, id, 0);
 }
 
 /// Renders server counters plus a [`RuntimeReport`] as an **all-integer**

@@ -16,7 +16,7 @@ use fourcycle_graph::{LayeredUpdate, Rel};
 use fourcycle_runtime::{RuntimeConfig, ShardedRuntime};
 use fourcycle_server::{Client, ClientError, Server, ServerConfig, WireError};
 use fourcycle_service::{GraphId, Request, Response};
-use fourcycle_telemetry::{expose, Stage, TelemetryConfig, NO_SHARD};
+use fourcycle_telemetry::{expose, Stage, NO_SHARD};
 
 fn square(base: u32) -> Vec<LayeredUpdate> {
     vec![
@@ -325,23 +325,13 @@ fn stats_per_shard_objects_pin_the_full_counter_shape() {
     server.shutdown();
 }
 
-fn start_telemetry_server(shards: usize) -> Server {
-    let runtime = ShardedRuntime::start(
-        RuntimeConfig::new()
-            .shards(shards)
-            .engine(EngineKind::Simple)
-            .telemetry(TelemetryConfig::enabled()),
-    );
-    Server::start(ServerConfig::new(), runtime).unwrap()
-}
-
-/// ISSUE 9 tentpole, wire side: after real traffic the `metrics`
-/// command returns a well-formed Prometheus exposition whose per-stage
-/// histogram counts equal the runtime's `commands` counter, and
-/// `metrics json` returns the same snapshot as all-integer JSON.
+/// After real traffic the `metrics` command returns a well-formed
+/// Prometheus exposition whose per-stage histogram counts equal the
+/// runtime's `commands` counter, and `metrics json` returns the same
+/// snapshot as all-integer JSON.
 #[test]
 fn metrics_exposition_matches_command_counts() {
-    let server = start_telemetry_server(2);
+    let server = start_server(2);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = GraphId(1);
     client
@@ -389,12 +379,12 @@ fn metrics_exposition_matches_command_counts() {
     server.shutdown();
 }
 
-/// ISSUE 9 tentpole, event-ring wire side: connection lifecycle lands in
-/// the ring as `conn_open`/`conn_close` events (shard = NO_SHARD, a =
-/// connection id) and `events` drains them without disturbing service.
+/// Connection lifecycle lands in the ring as `conn_open`/`conn_close`
+/// events (shard = NO_SHARD, a = connection id) and `events` drains them
+/// without disturbing service.
 #[test]
 fn events_command_drains_connection_lifecycle() {
-    let server = start_telemetry_server(1);
+    let server = start_server(1);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = GraphId(1);
     client
@@ -435,20 +425,6 @@ fn events_command_drains_connection_lifecycle() {
     let again = client.events().unwrap();
     let again = again.get("events").unwrap().as_arr().unwrap().len();
     assert!(again <= 1, "at most a stats/metrics follow-up, got {again}");
-    server.shutdown();
-}
-
-/// With telemetry disabled (the default), the observability commands
-/// still answer — with documented placeholder bodies, not errors.
-#[test]
-fn disabled_telemetry_serves_placeholder_documents() {
-    let server = start_server(1);
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(client.metrics_text().unwrap(), "# telemetry disabled");
-    let metrics = client.metrics().unwrap();
-    assert_eq!(metrics.get("enabled").unwrap().as_u64(), Some(0));
-    let events = client.events().unwrap();
-    assert_eq!(events.get("events").unwrap().as_arr().unwrap().len(), 0);
     server.shutdown();
 }
 

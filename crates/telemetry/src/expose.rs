@@ -4,15 +4,15 @@
 //!
 //! - **Prometheus-style text** ([`render_prometheus`]): `# HELP`/`# TYPE`
 //!   comments, one cumulative-histogram series per (stage, shard) with
-//!   `le` labels at occupied bucket boundaries plus `+Inf`, and plain
-//!   counters/gauges. Every sample value is an integer.
+//!   `le` labels at occupied bucket boundaries plus `+Inf`, then the event
+//!   ring's statistics. Every sample value is an integer.
 //! - **All-integer JSON** ([`render_json`], [`render_events_json`]): the
 //!   workspace's machine-diffing dialect — no floats, parseable by the
 //!   in-tree `fourcycle_store::json` reader.
 //!
-//! [`validate_prometheus`] is a lightweight checker used by tests and the
-//! CI telemetry-smoke step: it verifies line shapes, label syntax, and
-//! that each histogram series is cumulative with a matching `_count`.
+//! [`validate_prometheus`] is a lightweight checker used by tests: it
+//! verifies line shapes, label syntax, and that each histogram series is
+//! cumulative with a matching `_count`.
 
 use crate::hist::{bucket_ceil, BUCKETS};
 use crate::ring::Event;
@@ -75,32 +75,12 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
         "fourcycle_events_buffered {}\n",
         snapshot.events_buffered
     ));
-    if !snapshot.counters.is_empty() {
-        out.push_str("# HELP fourcycle_counter_total Named registry counters\n");
-        out.push_str("# TYPE fourcycle_counter_total counter\n");
-        for (name, value) in &snapshot.counters {
-            out.push_str(&format!(
-                "fourcycle_counter_total{{name=\"{}\"}} {value}\n",
-                sanitize_label(name)
-            ));
-        }
-    }
-    if !snapshot.gauges.is_empty() {
-        out.push_str("# HELP fourcycle_gauge Named registry gauges\n");
-        out.push_str("# TYPE fourcycle_gauge gauge\n");
-        for (name, value) in &snapshot.gauges {
-            out.push_str(&format!(
-                "fourcycle_gauge{{name=\"{}\"}} {value}\n",
-                sanitize_label(name)
-            ));
-        }
-    }
     out
 }
 
 /// Renders the all-integer JSON document: one object per (shard, stage)
-/// with count/sum/max/mean and nearest-rank p50/p90/p99, plus counters,
-/// gauges, and ring statistics.
+/// with count/sum/max/mean and nearest-rank p50/p90/p99, plus ring
+/// statistics.
 pub fn render_json(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::from("{\n  \"stages\": [\n");
     let mut first = true;
@@ -126,19 +106,6 @@ pub fn render_json(snapshot: &TelemetrySnapshot) -> String {
         }
     }
     out.push_str("\n  ],\n");
-    for (key, entries) in [
-        ("counters", &snapshot.counters),
-        ("gauges", &snapshot.gauges),
-    ] {
-        out.push_str(&format!("  \"{key}\": {{"));
-        for (i, (name, value)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {value}", sanitize_label(name)));
-        }
-        out.push_str("},\n");
-    }
     out.push_str(&format!(
         "  \"events\": {{\"emitted\": {}, \"dropped\": {}, \"buffered\": {}}}\n}}",
         snapshot.events_emitted, snapshot.events_dropped, snapshot.events_buffered
@@ -167,20 +134,6 @@ pub fn render_events_json(events: &[Event]) -> String {
     }
     out.push_str("\n  ]\n}");
     out
-}
-
-/// Keeps label values inside the safe `[a-z A-Z 0-9 _]` alphabet so the
-/// exposition never needs escaping.
-fn sanitize_label(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Validates a Prometheus-style exposition: every line is a comment or a
@@ -262,13 +215,11 @@ mod tests {
     use crate::{Telemetry, TelemetryConfig};
 
     fn sample_snapshot() -> TelemetrySnapshot {
-        let tel = Telemetry::new(TelemetryConfig::enabled(), 2);
+        let tel = Telemetry::new(TelemetryConfig::default(), 2);
         for v in [3u64, 100, 5_000, 250_000] {
             tel.stage(0, Stage::Apply).record(v);
         }
         tel.stage(1, Stage::QueueWait).record_each(1_000, 4);
-        tel.registry().counter("loadgen_requests").add(8);
-        tel.registry().gauge("mailbox_depth").set(64);
         tel.ring().emit(0, EventKind::GroupCommit, 4, 900);
         tel.snapshot()
     }
@@ -284,8 +235,6 @@ mod tests {
         assert!(text
             .contains("fourcycle_stage_latency_nanos_count{stage=\"queue_wait\",shard=\"1\"} 4"));
         assert!(text.contains("le=\"+Inf\"} 4"));
-        assert!(text.contains("fourcycle_counter_total{name=\"loadgen_requests\"} 8"));
-        assert!(text.contains("fourcycle_gauge{name=\"mailbox_depth\"} 64"));
         assert!(text.contains("fourcycle_events_emitted_total 1"));
     }
 
@@ -311,14 +260,13 @@ mod tests {
         assert!(!json.contains('.'), "floats leaked into JSON: {json}");
         let rows = json.matches("\"stage\": ").count();
         assert_eq!(rows, 2 * Stage::COUNT);
-        assert!(json.contains("\"loadgen_requests\": 8"));
         assert!(json.contains("\"emitted\": 1"));
     }
 
     /// Drained events render with their kind names and payloads.
     #[test]
     fn events_render_to_json() {
-        let tel = Telemetry::new(TelemetryConfig::enabled(), 1);
+        let tel = Telemetry::new(TelemetryConfig::default(), 1);
         tel.ring().emit(0, EventKind::ChaosFault, 1, 0);
         tel.ring().emit(crate::NO_SHARD, EventKind::ConnOpen, 7, 0);
         let events = tel.ring().drain();

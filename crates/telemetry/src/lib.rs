@@ -1,9 +1,9 @@
-//! Telemetry: per-stage latency histograms, named counters/gauges, and a
-//! bounded structured event ring (design rationale in ADR-009).
+//! Telemetry: per-stage latency histograms and a bounded structured event
+//! ring (design rationale in ADR-009).
 //!
 //! This crate is deliberately dependency-free (std only) and sits below
 //! every other `fourcycle` crate so that the store, runtime, server, and
-//! bench layers can all contribute to one registry:
+//! bench layers can all report into one [`Telemetry`]:
 //!
 //! - [`hist::Histogram`] — fixed-bucket log-linear latency histogram,
 //!   lock-free on the record path, with nearest-rank percentiles shared
@@ -17,10 +17,8 @@
 //! - [`expose`] — Prometheus-style text exposition and the workspace's
 //!   all-integer JSON dialect, both rendered from a [`TelemetrySnapshot`].
 //!
-//! The whole subsystem is gated by [`TelemetryConfig`]: when disabled the
-//! runtime holds no `Telemetry` at all and the hot path pays a single
-//! branch per request (an `Option` check on submit and one per group in
-//! the shard worker).
+//! Every runtime collects telemetry; [`TelemetryConfig`] only tunes the
+//! slow-request threshold and the ring's capacity.
 
 #![cfg_attr(
     test,
@@ -40,9 +38,6 @@ pub mod ring;
 pub use hist::{nearest_rank, Histogram, HistogramSnapshot};
 pub use ring::{Event, EventKind, EventRing, NO_SHARD};
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The stages a request passes through between arriving at a shard
@@ -107,41 +102,24 @@ impl Stage {
     }
 }
 
-/// Whether and how to collect telemetry. `Default` is disabled: the
-/// runtime then allocates nothing and the hot path pays one branch per
-/// request (pinned by the PR 9 bench guard).
+/// How telemetry is tuned. `Default`: a 10 ms slow-request threshold and
+/// 1024 ring slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    enabled: bool,
     slow_request_nanos: u64,
     ring_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-impl TelemetryConfig {
-    /// Telemetry off: no histograms, no ring, one branch per request.
-    pub fn disabled() -> Self {
         Self {
-            enabled: false,
             slow_request_nanos: 10_000_000,
             ring_capacity: 1024,
         }
     }
+}
 
-    /// Telemetry on with defaults: 10 ms slow-request threshold, 1024
-    /// ring slots.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::disabled()
-        }
-    }
-
+impl TelemetryConfig {
     /// Sets the end-to-end latency above which a request emits a
     /// [`EventKind::SlowRequest`] event.
     pub fn slow_request_threshold(mut self, threshold: Duration) -> Self {
@@ -155,11 +133,6 @@ impl TelemetryConfig {
         self
     }
 
-    /// True when telemetry collection is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The slow-request threshold in nanoseconds.
     pub fn slow_request_nanos(&self) -> u64 {
         self.slow_request_nanos
@@ -171,97 +144,18 @@ impl TelemetryConfig {
     }
 }
 
-/// Handle to a named monotonic counter. Cloneable; adds are relaxed and
-/// saturating.
-#[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds `delta`, saturating at `u64::MAX`.
-    pub fn add(&self, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add(delta))
-            });
-    }
-
-    /// Adds 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Handle to a named gauge (set-to-current-value semantics).
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Sets the gauge to `value`.
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Named counters and gauges. Registration takes a lock once per name;
-/// the returned handles update lock-free thereafter, so hot paths should
-/// register up front and keep the handle.
-#[derive(Default, Debug)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-}
-
-impl Registry {
-    /// Returns the counter registered under `name`, creating it at zero on
-    /// first use. The same name always yields the same underlying cell.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        Counter(Arc::clone(map.entry(name.to_string()).or_default()))
-    }
-
-    /// Returns the gauge registered under `name`, creating it at zero on
-    /// first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        Gauge(Arc::clone(map.entry(name.to_string()).or_default()))
-    }
-
-    fn snapshot_of(map: &Mutex<BTreeMap<String, Arc<AtomicU64>>>) -> Vec<(String, u64)> {
-        let map = map.lock().unwrap_or_else(|e| e.into_inner());
-        map.iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect()
-    }
-}
-
-/// The live telemetry registry: per-shard stage histograms, named
-/// counters/gauges, and the event ring. One instance per runtime; layers
-/// share it through an `Arc`.
+/// The live telemetry of one runtime: per-shard stage histograms and the
+/// event ring. Layers share it through an `Arc`.
 #[derive(Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
     /// `stages[shard][stage.index()]`.
     stages: Vec<Vec<Histogram>>,
-    registry: Registry,
     ring: EventRing,
 }
 
 impl Telemetry {
-    /// Creates a registry for `shards` shards under `config`.
+    /// Creates the telemetry for `shards` shards under `config`.
     pub fn new(config: TelemetryConfig, shards: usize) -> Self {
         let stages = (0..shards)
             .map(|_| (0..Stage::COUNT).map(|_| Histogram::new()).collect())
@@ -269,17 +163,16 @@ impl Telemetry {
         Self {
             config,
             stages,
-            registry: Registry::default(),
             ring: EventRing::new(config.events_capacity()),
         }
     }
 
-    /// The configuration this registry was built with.
+    /// The configuration this telemetry was built with.
     pub fn config(&self) -> TelemetryConfig {
         self.config
     }
 
-    /// Number of shards the registry tracks.
+    /// Number of shards tracked.
     pub fn shards(&self) -> usize {
         self.stages.len()
     }
@@ -294,11 +187,6 @@ impl Telemetry {
         &self.ring
     }
 
-    /// The named counter/gauge registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Called once per delivered request with its end-to-end latency:
     /// emits a [`EventKind::SlowRequest`] event when over the threshold.
     #[deny(clippy::disallowed_methods)]
@@ -310,7 +198,7 @@ impl Telemetry {
         }
     }
 
-    /// Copies every histogram, counter, and ring statistic into an
+    /// Copies every histogram and ring statistic into an
     /// immutable [`TelemetrySnapshot`]. Buffered events stay in the ring
     /// (use [`EventRing::drain`] to consume them).
     pub fn snapshot(&self) -> TelemetrySnapshot {
@@ -320,8 +208,6 @@ impl Telemetry {
                 .iter()
                 .map(|stages| stages.iter().map(Histogram::snapshot).collect())
                 .collect(),
-            counters: Registry::snapshot_of(&self.registry.counters),
-            gauges: Registry::snapshot_of(&self.registry.gauges),
             events_emitted: self.ring.emitted(),
             events_dropped: self.ring.dropped(),
             events_buffered: u64::try_from(self.ring.len()).unwrap_or(u64::MAX),
@@ -329,16 +215,12 @@ impl Telemetry {
     }
 }
 
-/// Point-in-time copy of a [`Telemetry`] registry, ready for rendering
+/// Point-in-time copy of a [`Telemetry`], ready for rendering
 /// (see [`expose`]) or cross-shard aggregation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// `shards[shard][stage.index()]` — one histogram per stage per shard.
     pub shards: Vec<Vec<HistogramSnapshot>>,
-    /// Named counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Named gauges, sorted by name.
-    pub gauges: Vec<(String, u64)>,
     /// Total events ever emitted into the ring.
     pub events_emitted: u64,
     /// Events dropped due to writer-side lock contention.
@@ -361,14 +243,6 @@ impl TelemetrySnapshot {
             total.merge(&shard[stage.index()]);
         }
         total
-    }
-
-    /// Value of a named counter, if registered.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
     }
 
     /// Prometheus-style text exposition. See [`expose::render_prometheus`].
@@ -399,45 +273,19 @@ mod tests {
     /// Config defaults and builders round-trip.
     #[test]
     fn config_builders_round_trip() {
-        assert!(!TelemetryConfig::default().is_enabled());
-        let config = TelemetryConfig::enabled()
+        let config = TelemetryConfig::default()
             .slow_request_threshold(Duration::from_micros(250))
             .ring_capacity(16);
-        assert!(config.is_enabled());
         assert_eq!(config.slow_request_nanos(), 250_000);
         assert_eq!(config.events_capacity(), 16);
-        assert_eq!(TelemetryConfig::enabled().slow_request_nanos(), 10_000_000);
-    }
-
-    /// Counters and gauges: same name, same cell; snapshots sorted.
-    #[test]
-    fn registry_handles_share_cells() {
-        let registry = Registry::default();
-        let a = registry.counter("requests");
-        let b = registry.counter("requests");
-        a.add(3);
-        b.inc();
-        assert_eq!(a.get(), 4);
-        let gauge = registry.gauge("depth");
-        gauge.set(7);
-        gauge.set(5);
-        assert_eq!(gauge.get(), 5);
-        let tel = Telemetry::new(TelemetryConfig::enabled(), 1);
-        tel.registry().counter("zzz").inc();
-        tel.registry().counter("aaa").add(2);
-        let snap = tel.snapshot();
-        assert_eq!(
-            snap.counters,
-            vec![("aaa".to_string(), 2), ("zzz".to_string(), 1)]
-        );
-        assert_eq!(snap.counter("aaa"), Some(2));
-        assert_eq!(snap.counter("missing"), None);
+        assert_eq!(TelemetryConfig::default().slow_request_nanos(), 10_000_000);
+        assert_eq!(TelemetryConfig::default().events_capacity(), 1024);
     }
 
     /// Per-shard stage recording aggregates correctly in `stage_total`.
     #[test]
     fn stage_total_merges_across_shards() {
-        let tel = Telemetry::new(TelemetryConfig::enabled(), 3);
+        let tel = Telemetry::new(TelemetryConfig::default(), 3);
         tel.stage(0, Stage::Apply).record(100);
         tel.stage(1, Stage::Apply).record(200);
         tel.stage(2, Stage::Apply).record_each(900, 3);
@@ -454,7 +302,7 @@ mod tests {
     /// Slow-request gate: only latencies over the threshold emit events.
     #[test]
     fn slow_requests_emit_only_over_threshold() {
-        let config = TelemetryConfig::enabled().slow_request_threshold(Duration::from_nanos(1_000));
+        let config = TelemetryConfig::default().slow_request_threshold(Duration::from_nanos(1_000));
         let tel = Telemetry::new(config, 1);
         tel.note_request_done(0, 999);
         tel.note_request_done(0, 1_000);
