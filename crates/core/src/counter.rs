@@ -6,11 +6,13 @@
 //!   run 4 copies of this algorithm"). Every update is routed to the three
 //!   engines that maintain data structures over that relation, and the count
 //!   delta is obtained from the fourth engine's query.
-//! * [`FourCycleCounter`] implements §8: a general edge `{u, v}` is
-//!   replicated (in both orientations) into all four relations; the number of
-//!   new 4-cycles through the edge equals the number of layered 3-paths from
-//!   `u ∈ L1` to `v ∈ L4`, queried while the edge is absent from `A`, `B`,
-//!   `C` (Claim 8.1 — that is what makes the walks simple paths).
+//! * [`FourCycleCounter`] implements §8: a general edge `{u, v}` enters,
+//!   in both orientations, the `A`, `B` and `C` of one engine (the `D`
+//!   rotation; §8 puts the edge in all four relations, so the other three
+//!   rotations would be copies). The number of new 4-cycles through the
+//!   edge equals the number of layered 3-paths from `u ∈ L1` to `v ∈ L4`,
+//!   queried while the edge is absent from `A`, `B`, `C` (Claim 8.1 — that
+//!   is what makes the walks simple paths).
 
 use crate::engine::{EngineConfig, EngineKind, QRel, SlowPathStats, ThreePathEngine};
 use crate::error::{BatchError, UpdateError};
@@ -34,9 +36,11 @@ pub struct Snapshot {
     pub count: i64,
     /// Total number of edges / tuples currently present.
     pub total_edges: usize,
-    /// Total elementary operations performed so far.
+    /// Total elementary operations performed so far. A layered counter
+    /// (and the cyclic join view over one) sums its four rotated engines;
+    /// a general counter reports its one engine.
     pub work: u64,
-    /// Aggregated amortized slow-path counters.
+    /// Amortized slow-path counters, taken over the same engines as `work`.
     pub slow_path: SlowPathStats,
     /// Number of successfully applied updates.
     pub epoch: u64,
@@ -168,8 +172,9 @@ impl LayeredCycleCounter {
     }
 
     /// Number of 3-paths between `u ∈ L1` and `v ∈ L4` through `A`, `B`, `C`
-    /// (the query answered by the `D`-rotation engine). Exposed because the
-    /// §8 general-graph reduction needs exactly this query.
+    /// (the query answered by the `D`-rotation engine). This is the query
+    /// §8 asks per general update; [`FourCycleCounter`] asks it of its one
+    /// engine directly.
     pub fn query_paths_through_abc(&mut self, u: VertexId, v: VertexId) -> i64 {
         self.engines[Rel::D.index()].query(u, v)
     }
@@ -336,11 +341,13 @@ impl LayeredCycleCounter {
 /// Maintains the exact number of 4-cycles of a fully dynamic *general* simple
 /// graph (Theorem 1).
 pub struct FourCycleCounter {
-    layered: LayeredCycleCounter,
+    /// The `D`-rotation engine of §8's layered copy: it holds the graph as
+    /// `A`, `B` and `C`, each in both orientations, and answers Claim 8.1's
+    /// 3-path query.
+    engine: Box<dyn ThreePathEngine>,
     graph: GeneralGraph,
     count: i64,
-    /// Number of successfully applied *general* updates (each fans out into
-    /// eight layered updates underneath; those do not count here).
+    /// Number of successfully applied general updates.
     epoch: u64,
 }
 
@@ -350,11 +357,11 @@ impl FourCycleCounter {
         Self::with_config(kind, &EngineConfig::default())
     }
 
-    /// Creates a counter whose engines are built from a shared
+    /// Creates a counter whose engine is built from the given
     /// configuration.
     pub fn with_config(kind: EngineKind, config: &EngineConfig) -> Self {
         Self {
-            layered: LayeredCycleCounter::with_config(kind, config),
+            engine: kind.build_with(config),
             graph: GeneralGraph::new(),
             count: 0,
             epoch: 0,
@@ -371,14 +378,14 @@ impl FourCycleCounter {
         &self.graph
     }
 
-    /// Total engine work performed so far.
+    /// Total work performed so far by the counter's one engine.
     pub fn work(&self) -> u64 {
-        self.layered.work()
+        self.engine.work()
     }
 
-    /// Aggregated slow-path counters of the underlying layered engines.
+    /// Slow-path counters of the counter's one engine.
     pub fn slow_path_stats(&self) -> SlowPathStats {
-        self.layered.slow_path_stats()
+        self.engine.slow_path_stats()
     }
 
     /// Current total number of edges.
@@ -398,7 +405,8 @@ impl FourCycleCounter {
     }
 
     /// A consistent point-in-time view: count, edge total, work, slow-path
-    /// counters and the epoch they were all taken at.
+    /// counters and the epoch they were all taken at. `work` and
+    /// `slow_path` are the one engine's.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             count: self.count,
@@ -444,9 +452,8 @@ impl FourCycleCounter {
         // Claim 8.1: query while (u, v) is absent from A, B, C — which is the
         // case right now — so the layered 3-path count equals the number of
         // simple 3-paths between u and v in the general graph.
-        let delta = self.layered.query_paths_through_abc(u, v);
-        self.count += delta;
-        self.replicate(u, v, UpdateOp::Insert);
+        self.count += self.engine.query(u, v);
+        self.apply_to_abc(u, v, UpdateOp::Insert);
         self.graph.insert(u, v);
         self.epoch += 1;
         Ok(self.count)
@@ -456,14 +463,10 @@ impl FourCycleCounter {
     /// rejection reason (missing edge, self-loop) with nothing changed.
     pub fn try_delete(&mut self, u: VertexId, v: VertexId) -> Result<i64, UpdateError> {
         self.validate(&GraphUpdate::delete(u, v))?;
-        // §8: delete from A, B, C first so the query sees the graph without
-        // the edge, then account for the removed cycles and clear D.
-        let (buf, len) =
-            Self::replication_updates(&[Rel::A, Rel::B, Rel::C], u, v, UpdateOp::Delete);
-        self.layered.apply_batch(&buf[..len]);
-        let delta = self.layered.query_paths_through_abc(u, v);
-        self.count -= delta;
-        self.apply_both_orientations(Rel::D, u, v, UpdateOp::Delete);
+        // Claim 8.1: delete from A, B, C first, so the query counts the
+        // cycles through the edge in the graph without it.
+        self.apply_to_abc(u, v, UpdateOp::Delete);
+        self.count -= self.engine.query(u, v);
         self.graph.delete(u, v);
         self.epoch += 1;
         Ok(self.count)
@@ -500,7 +503,8 @@ impl FourCycleCounter {
     /// the current graph plus the batch's own earlier updates) and nothing
     /// is applied unless every update is valid. On rejection the
     /// [`BatchError`] attributes the failure to the first offending batch
-    /// index.
+    /// index. On success the result is identical to
+    /// [`apply_batch`](Self::apply_batch).
     pub fn try_apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<i64, BatchError> {
         crate::error::validate_batch(
             updates,
@@ -513,15 +517,7 @@ impl FourCycleCounter {
             },
             |u| self.graph.has_edge(u.u, u.v),
         )?;
-        for update in updates {
-            #[expect(
-                clippy::expect_used,
-                reason = "the whole batch was validated just above"
-            )]
-            self.try_apply(*update)
-                .expect("batch was validated up front");
-        }
-        Ok(self.count)
+        Ok(self.apply_batch(updates))
     }
 
     /// Applies a batch of general-graph updates, returning the final count.
@@ -531,10 +527,9 @@ impl FourCycleCounter {
     ///
     /// The §8 reduction is inherently query-interleaved — Claim 8.1 requires
     /// each edge's 3-path query to run while that edge is absent from `A`,
-    /// `B`, `C`, so each general update pins a query point between its own
-    /// replicated layered updates. The batch entry point therefore processes
-    /// updates in order (the layered counter underneath still batches the
-    /// replicated maintenance between query points).
+    /// `B`, `C`, so each general update pins a query point next to its own
+    /// engine updates. The batch entry point therefore processes updates in
+    /// order, one query and three two-orientation engine batches each.
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> i64 {
         for update in updates {
             let _ = self.apply(*update);
@@ -542,60 +537,11 @@ impl FourCycleCounter {
         self.count
     }
 
-    fn replicate(&mut self, u: VertexId, v: VertexId, op: UpdateOp) {
-        // Insertion order D, C, B, A per §8 (the order only matters for the
-        // interleaving of query and insertion, which `insert` already fixed by
-        // querying first). The eight layered updates go through the layered
-        // counter's batch path so the engines digest them as one run.
-        let (buf, len) = Self::replication_updates(&[Rel::D, Rel::C, Rel::B, Rel::A], u, v, op);
-        self.layered.apply_batch(&buf[..len]);
-    }
-
-    /// Both orientations of `{u, v}` for each of `rels`, in a fixed-size
-    /// buffer (at most 4 relations × 2 orientations) — this sits on the
-    /// per-edge hot path of the §8 reduction, so it must not heap-allocate.
-    fn replication_updates(
-        rels: &[Rel],
-        u: VertexId,
-        v: VertexId,
-        op: UpdateOp,
-    ) -> ([LayeredUpdate; 8], usize) {
-        let mut buf = [LayeredUpdate {
-            op,
-            rel: Rel::A,
-            left: u,
-            right: v,
-        }; 8];
-        let mut len = 0;
-        for &rel in rels {
-            for update in Self::both_orientations(rel, u, v, op) {
-                buf[len] = update;
-                len += 1;
-            }
-        }
-        (buf, len)
-    }
-
-    fn both_orientations(rel: Rel, u: VertexId, v: VertexId, op: UpdateOp) -> [LayeredUpdate; 2] {
-        [
-            LayeredUpdate {
-                op,
-                rel,
-                left: u,
-                right: v,
-            },
-            LayeredUpdate {
-                op,
-                rel,
-                left: v,
-                right: u,
-            },
-        ]
-    }
-
-    fn apply_both_orientations(&mut self, rel: Rel, u: VertexId, v: VertexId, op: UpdateOp) {
-        for update in Self::both_orientations(rel, u, v, op) {
-            let _ = self.layered.apply(update);
+    /// Adds `{u, v}` to (or removes it from) the engine's `A`, `B` and `C`,
+    /// in both orientations since the general edge is undirected.
+    fn apply_to_abc(&mut self, u: VertexId, v: VertexId, op: UpdateOp) {
+        for rel in QRel::ALL {
+            self.engine.apply_batch(rel, &[(u, v, op), (v, u, op)]);
         }
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! The paper runs four copies of its algorithm, one per relation playing the
 //! role of the query matrix `D`; [`crate::LayeredCycleCounter`] does the same
-//! with four rotated engine instances.
+//! with four rotated engine instances. [`crate::FourCycleCounter`] runs one:
+//! in §8's layered copy of a general graph all four relations hold the same
+//! edges, so the four rotations would be identical.
 
 use crate::error::{BatchError, UpdateError};
 use fourcycle_graph::{UpdateOp, VertexId};
@@ -81,8 +83,9 @@ pub struct SlowPathStats {
 }
 
 impl SlowPathStats {
-    /// Accumulates another engine's counters into this one (used by the
-    /// counters, which run four rotated engine instances).
+    /// Accumulates another engine's counters into this one (used by
+    /// [`crate::LayeredCycleCounter`], which runs four rotated engine
+    /// instances).
     pub fn merge(&mut self, other: SlowPathStats) {
         self.era_rebuilds += other.era_rebuilds;
         self.phase_rollovers += other.phase_rollovers;

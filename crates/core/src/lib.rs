@@ -30,7 +30,8 @@
 //!   (Theorem 2) by running four rotated engine instances, one per relation
 //!   playing the role of the query matrix `D`.
 //! * [`FourCycleCounter`] — maintains the 4-cycle count of a *general* graph
-//!   (Theorem 1) through the §8 reduction.
+//!   (Theorem 1) through the §8 reduction, on one engine: the `D` rotation,
+//!   since in §8's layered copy the other three rotations are identical.
 //! * [`TriangleCounter`] — a dynamic triangle-count baseline, included
 //!   because the paper's narrative contrasts the `Θ(m^{1/2})` triangle bound
 //!   with the 4-cycle bounds.

@@ -17,7 +17,7 @@ use fourcycle_core::fmm::rules::Structures;
 use fourcycle_core::fmm::state::{GraphState, Tag};
 use fourcycle_core::{
     EngineKind, FmmConfig, FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine,
-    PairCounts, QRel, SimpleEngine, ThreePathEngine, ThresholdEngine,
+    PairCounts, QRel, SimpleEngine, SlowPathStats, ThreePathEngine, ThresholdEngine,
 };
 use fourcycle_graph::{EndpointClass, GraphUpdate, LayeredUpdate, MiddleClass, Rel, UpdateOp};
 use rand::rngs::SmallRng;
@@ -356,41 +356,104 @@ fn layered_counter_matches_brute_force_for_all_engines() {
     }
 }
 
+/// 4,000 well-formed general updates on 400 vertices. Each deletes a
+/// uniformly random present edge with probability 0.3; otherwise it inserts
+/// an absent edge, each endpoint being one of 4 hubs with probability 0.3.
+fn hub_skewed_general_stream(seed: u64) -> Vec<GraphUpdate> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut updates = Vec::new();
+    while updates.len() < 4_000 {
+        if !edges.is_empty() && rng.gen_bool(0.3) {
+            let (u, v) = edges.swap_remove(rng.gen_range(0..edges.len()));
+            updates.push(GraphUpdate::delete(u, v));
+            continue;
+        }
+        let mut pick = || {
+            let n = if rng.gen_bool(0.3) { 4 } else { 400 };
+            rng.gen_range(0..n)
+        };
+        let (u, v) = (pick(), pick());
+        let key = (u.min(v), u.max(v));
+        if u != v && !edges.contains(&key) {
+            edges.push(key);
+            updates.push(GraphUpdate::insert(u, v));
+        }
+    }
+    updates
+}
+
+/// Runs `updates` through a `FourCycleCounter` and, beside it, a lone
+/// engine given the calls §8 makes: a query before an insert's three
+/// two-orientation batches, and after a delete's. Every `check_every`
+/// updates and at the end, the count must match brute force and the
+/// counter's snapshot must describe exactly the lone engine.
+fn run_general_differential(
+    kind: EngineKind,
+    updates: &[GraphUpdate],
+    check_every: usize,
+) -> SlowPathStats {
+    let (mut counter, mut twin, mut twin_count) = (FourCycleCounter::new(kind), kind.build(), 0);
+    for (i, &update) in updates.iter().enumerate() {
+        counter.apply(update).expect("well-formed update");
+        let GraphUpdate { op, u, v } = update;
+        if op == UpdateOp::Insert {
+            twin_count += twin.query(u, v);
+        }
+        for rel in QRel::ALL {
+            twin.apply_batch(rel, &[(u, v, op), (v, u, op)]);
+        }
+        if op == UpdateOp::Delete {
+            twin_count -= twin.query(u, v);
+        }
+        if (i + 1) % check_every == 0 || i + 1 == updates.len() {
+            let s = counter.snapshot();
+            assert_eq!(
+                (s.count, s.count, s.work, s.slow_path),
+                (
+                    counter.graph().count_4cycles_brute_force(),
+                    twin_count,
+                    twin.work(),
+                    twin.slow_path_stats()
+                ),
+                "engine {} after update {i}: counter vs (brute force, lone engine)",
+                kind.name()
+            );
+        }
+    }
+    counter.slow_path_stats()
+}
+
 #[test]
 fn general_counter_matches_brute_force_for_all_engines() {
-    for kind in [EngineKind::Simple, EngineKind::Threshold, EngineKind::Fmm] {
-        let mut counter = FourCycleCounter::new(kind);
-        let mut rng = SmallRng::seed_from_u64(22);
-        let mut present: HashSet<(u32, u32)> = HashSet::new();
-        for step in 0..260 {
-            let mut u = rng.gen_range(0..12u32);
-            let mut v = rng.gen_range(0..12u32);
-            if u == v {
-                continue;
-            }
-            if u > v {
-                std::mem::swap(&mut u, &mut v);
-            }
-            let update = if present.contains(&(u, v)) && rng.gen_bool(0.35) {
-                present.remove(&(u, v));
-                GraphUpdate::delete(u, v)
-            } else if !present.contains(&(u, v)) {
-                present.insert((u, v));
-                GraphUpdate::insert(u, v)
-            } else {
-                continue;
-            };
-            counter.apply(update).expect("well-formed update");
-            if step % 20 == 0 {
-                assert_eq!(
-                    counter.count(),
-                    counter.graph().count_4cycles_brute_force(),
-                    "engine {} at step {step}",
-                    kind.name()
-                );
-            }
+    // 260 draws on 12 vertices, small enough to check after every update.
+    let mut rng = SmallRng::seed_from_u64(22);
+    let mut present: HashSet<(u32, u32)> = HashSet::new();
+    let mut small = Vec::new();
+    for _ in 0..260 {
+        let (u, v) = (rng.gen_range(0..12u32), rng.gen_range(0..12u32));
+        if u == v {
+            continue;
         }
-        assert_eq!(counter.count(), counter.graph().count_4cycles_brute_force());
+        let (u, v) = (u.min(v), u.max(v));
+        if present.insert((u, v)) {
+            small.push(GraphUpdate::insert(u, v));
+        } else if rng.gen_bool(0.35) {
+            present.remove(&(u, v));
+            small.push(GraphUpdate::delete(u, v));
+        }
+    }
+    // Hubs push vertices across the degree thresholds and deletes swing `m`
+    // back down, so the fmm engines cross every slow path.
+    let hubs = hub_skewed_general_stream(23);
+    for kind in EngineKind::ALL {
+        run_general_differential(kind, &small, 1);
+        let slow = run_general_differential(kind, &hubs, hubs.len() / 10);
+        if matches!(kind, EngineKind::Fmm | EngineKind::FmmDense) {
+            assert!(slow.era_rebuilds > 0, "{} {slow:?}", kind.name());
+            assert!(slow.phase_rollovers > 0, "{} {slow:?}", kind.name());
+            assert!(slow.class_transitions > 0, "{} {slow:?}", kind.name());
+        }
     }
 }
 

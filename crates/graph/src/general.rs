@@ -4,7 +4,9 @@
 //! equivalent to the layered problem by placing a copy of the vertex set in
 //! each layer and replicating every edge into all four relations. This module
 //! provides the general graph itself, brute-force 4-cycle/3-path oracles, and
-//! the replication helper used by `fourcycle-core::general`.
+//! that layered copy ([`GeneralGraph::to_layered`]), which the tests below use
+//! to check Claim 8.1. `fourcycle_core::FourCycleCounter` never builds the
+//! copy: its four rotations are identical, so it keeps one engine of it.
 
 use crate::adjacency::SignedAdjacency;
 use crate::layered::{LayeredGraph, Rel};

@@ -524,8 +524,10 @@ impl Scenario for ThresholdFlapScenario {
 ///   relational bulk loads, which floods the wedge tables of one relation;
 /// * *general bursts* — §8-style replicated churn: an undirected edge
 ///   `{u, v}` enters (or leaves) all four relations in both orientations,
-///   the shape `fourcycle_core::FourCycleCounter` feeds its layered
-///   counter.
+///   the layered copy of a general graph that §8 describes. A layered
+///   counter runs all four rotated engines on it;
+///   `fourcycle_core::FourCycleCounter` keeps only one of those identical
+///   rotations.
 ///
 /// The two shapes use disjoint vertex-id ranges, so their streams stay
 /// independently well-formed.
