@@ -254,7 +254,7 @@ pub enum EngineKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineConfig {
     /// Expected number of distinct vertices per layer (0 = unknown). Used to
-    /// pre-size adjacency interners and rows.
+    /// pre-size adjacency interners and rows; the fmm kinds ignore it.
     pub capacity_hint: usize,
     /// Configuration of the main (§4–§7) engine. `use_fmm` is forced on for
     /// [`EngineKind::FmmDense`] and off for [`EngineKind::Fmm`].

@@ -12,7 +12,9 @@
 //!   deletion of an old edge is a "negative edge" in the new multiset,
 //!   §3.3), plus the stored degree classes of every vertex
 //!   (Tiny/Low/Medium/High for `L1`, `L4` and Tiny/Sparse/Dense for `L2`,
-//!   `L3`, §4 and §6).
+//!   `L3`, §4 and §6). Each relation is one [`tagged::TaggedAdjacency`]
+//!   holding a pair once, as `[old, new]` weights whose sum is the current
+//!   graph, and read through total, old or new views.
 //! * [`rules::Structures`] — every pair-count data structure of Tables 2–3
 //!   (Eq 12–18) plus the phase-split auxiliaries needed to maintain them,
 //!   all driven by a single uniform rule: *given one signed, phase-tagged
@@ -67,6 +69,7 @@
 pub mod query;
 pub mod rules;
 pub mod state;
+pub mod tagged;
 
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
 use crate::pair_counts::PairCounts;

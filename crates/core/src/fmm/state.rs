@@ -1,10 +1,11 @@
 //! Phase-tagged graph state and stored degree classes for the main engine.
 //!
-//! Each of the three relations is kept as three signed adjacency structures:
-//! the *total* (current) graph, the *old* multiset (edges accounted to phases
-//! older than the previous one) and the *new* multiset (events of the
-//! previous and current phase, §5.1). `total = old + new` holds at all times;
-//! individual tagged weights may be negative ("negative edges", §3.3).
+//! Each of the three relations is one [`TaggedAdjacency`]: every pair keeps
+//! an *old* weight (edges accounted to phases older than the previous one)
+//! and a *new* weight (events of the previous and current phase, §5.1), and
+//! its *total* (current-graph) weight is their sum. [`GraphState::adj`]
+//! reads any of the three as a [`TaggedView`]. Tagged weights may be
+//! negative ("negative edges", §3.3).
 //!
 //! Vertex classes are *stored* rather than derived on demand: the engine
 //! reclassifies a vertex explicitly (§7) by replaying its incident edges, so
@@ -12,8 +13,9 @@
 //! stored class may lag the degree by up to the factor-2 band of §7
 //! ([`GraphState::class_change`]).
 
+use super::tagged::{TaggedAdjacency, TaggedView};
 use crate::engine::QRel;
-use fourcycle_graph::{BipartiteAdjacency, ClassThresholds, EndpointClass, MiddleClass, VertexId};
+use fourcycle_graph::{ClassThresholds, EndpointClass, MiddleClass, VertexId};
 use std::collections::{HashMap, HashSet};
 
 /// Factor of the §7 overlap band: a vertex keeps its stored class until its
@@ -65,21 +67,10 @@ pub enum ClassCode {
     Middle(MiddleClass),
 }
 
-/// One relation's phase-tagged adjacency.
-#[derive(Debug, Default)]
-pub struct RelState {
-    /// The current graph (weights 0/1 between transitions).
-    pub total: BipartiteAdjacency,
-    /// Old-phase signed multiset.
-    pub old: BipartiteAdjacency,
-    /// New-window signed multiset (previous + current phase events).
-    pub new: BipartiteAdjacency,
-}
-
 /// The engine's graph state: tagged adjacency, thresholds and stored classes.
 pub struct GraphState {
     /// Relations indexed by [`QRel::index`].
-    pub rels: [RelState; 3],
+    rels: [TaggedAdjacency; 3],
     /// Degree thresholds of the current era.
     pub thresholds: ClassThresholds,
     ep_l1: HashMap<VertexId, EndpointClass>,
@@ -100,11 +91,7 @@ impl GraphState {
     /// Creates an empty state with the given thresholds.
     pub fn new(thresholds: ClassThresholds) -> Self {
         Self {
-            rels: [
-                RelState::default(),
-                RelState::default(),
-                RelState::default(),
-            ],
+            rels: Default::default(),
             thresholds,
             ep_l1: HashMap::new(),
             ep_l4: HashMap::new(),
@@ -117,45 +104,33 @@ impl GraphState {
         }
     }
 
-    /// The requested adjacency: `None` → the total (current) graph,
+    /// The requested weights: `None` → the total (current) graph,
     /// `Some(tag)` → the tagged multiset.
-    pub fn adj(&self, rel: QRel, tag: Option<Tag>) -> &BipartiteAdjacency {
-        let r = &self.rels[rel.index()];
-        match tag {
-            None => &r.total,
-            Some(Tag::Old) => &r.old,
-            Some(Tag::New) => &r.new,
-        }
+    pub fn adj(&self, rel: QRel, tag: Option<Tag>) -> TaggedView<'_> {
+        self.rels[rel.index()].view(tag)
     }
 
-    /// Adds `delta` to the tagged multiset *and* the total graph.
+    /// Adds `delta` to the tagged multiset, and so to the total graph.
     pub fn add_edge_weight(&mut self, rel: QRel, tag: Tag, l: VertexId, r: VertexId, delta: i64) {
-        let rs = &mut self.rels[rel.index()];
-        match tag {
-            Tag::Old => rs.old.add(l, r, delta),
-            Tag::New => rs.new.add(l, r, delta),
-        };
-        rs.total.add(l, r, delta);
+        self.rels[rel.index()].add(tag, l, r, delta);
     }
 
     /// Moves weight `s` of the pair from the new multiset to the old one
     /// (rollover); the total is unchanged.
     pub fn retag_new_to_old(&mut self, rel: QRel, l: VertexId, r: VertexId, s: i64) {
-        let rs = &mut self.rels[rel.index()];
-        rs.new.add(l, r, -s);
-        rs.old.add(l, r, s);
+        self.rels[rel.index()].retag_new_to_old(l, r, s);
     }
 
     /// Total number of edges currently present (the paper's `m`).
     pub fn total_edges(&self) -> usize {
-        self.rels.iter().map(|r| r.total.len()).sum()
+        self.rels.iter().map(|r| r.view(None).len()).sum()
     }
 
     /// Every currently present edge as `(rel, left, right)`.
     pub fn current_edges(&self) -> Vec<(QRel, VertexId, VertexId)> {
         let mut out = Vec::with_capacity(self.total_edges());
         for rel in QRel::ALL {
-            for (l, r, w) in self.rels[rel.index()].total.iter() {
+            for (l, r, w) in self.adj(rel, None).iter() {
                 debug_assert!(w == 1, "current graph must be simple");
                 out.push((rel, l, r));
             }
@@ -167,24 +142,22 @@ impl GraphState {
 
     /// Degree of an `L1` vertex in `A`.
     pub fn deg_l1(&self, u: VertexId) -> usize {
-        self.rels[QRel::A.index()].total.degree_left(u)
+        self.adj(QRel::A, None).degree_left(u)
     }
 
     /// Combined degree of an `L2` vertex in `A` and `B`.
     pub fn deg_l2(&self, x: VertexId) -> usize {
-        self.rels[QRel::A.index()].total.degree_right(x)
-            + self.rels[QRel::B.index()].total.degree_left(x)
+        self.adj(QRel::A, None).degree_right(x) + self.adj(QRel::B, None).degree_left(x)
     }
 
     /// Combined degree of an `L3` vertex in `B` and `C`.
     pub fn deg_l3(&self, y: VertexId) -> usize {
-        self.rels[QRel::B.index()].total.degree_right(y)
-            + self.rels[QRel::C.index()].total.degree_left(y)
+        self.adj(QRel::B, None).degree_right(y) + self.adj(QRel::C, None).degree_left(y)
     }
 
     /// Degree of an `L4` vertex in `C`.
     pub fn deg_l4(&self, v: VertexId) -> usize {
-        self.rels[QRel::C.index()].total.degree_right(v)
+        self.adj(QRel::C, None).degree_right(v)
     }
 
     /// The degree that classifies `w` in `role`.

@@ -25,11 +25,12 @@ use crate::VertexId;
 /// A signed directed adjacency map from left vertices to right vertices.
 ///
 /// Entries with weight `0` are removed eagerly so that `degree` and neighbor
-/// iteration only ever see "real" entries.
+/// iteration only ever see "real" entries, and a row that loses its last
+/// entry frees its allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SignedAdjacency {
-    /// Left-vertex interner; a vertex keeps its slot for the structure's
-    /// lifetime (rows may become empty but are never forgotten).
+    /// Left-vertex interner; a vertex keeps its slot after its row empties,
+    /// until `compact`.
     index: CompactIndex,
     /// `rows[slot]` holds the `(neighbor, weight)` entries of the left
     /// vertex at `slot`, sorted by neighbor id, no zero weights.
@@ -76,6 +77,9 @@ impl SignedAdjacency {
                 self.total_weight_abs += new.abs() - old.abs();
                 if new == 0 {
                     row.remove(pos);
+                    if row.is_empty() {
+                        *row = Vec::new();
+                    }
                     self.entries -= 1;
                 } else {
                     row[pos].1 = new;
@@ -370,6 +374,20 @@ mod tests {
         // Re-population after clear works on the retained slots.
         adj.add(1, 9, 1);
         assert_eq!(adj.degree(1), 1);
+    }
+
+    #[test]
+    fn emptied_rows_free_their_allocation_but_clear_keeps_it() {
+        let mut adj = SignedAdjacency::new();
+        adj.add(1, 2, 1);
+        adj.add(1, 3, 1);
+        adj.add(1, 2, -1);
+        assert!(adj.rows[0].capacity() > 0, "a live row keeps its buffer");
+        adj.add(1, 3, -1);
+        assert_eq!(adj.rows[0].capacity(), 0, "an emptied row is freed");
+        adj.add(1, 4, 1);
+        adj.clear();
+        assert!(adj.rows[0].capacity() > 0, "clear keeps rows for reuse");
     }
 
     #[test]
