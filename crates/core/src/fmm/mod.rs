@@ -4,22 +4,35 @@
 //!
 //! # Architecture
 //!
-//! The engine keeps three layers of state:
+//! The engine keeps its state in four parts, all but the first keyed by
+//! *dense ids*:
 //!
+//! * One vertex interner per layer `L1`–`L4` maps a client id to a dense
+//!   id of that layer, `0..n` in order of first sight (§3.2 restricts each
+//!   relation to its non-zero-degree vertices to reduce the dimension).
+//!   Client ids are translated only at the [`ThreePathEngine`] boundary:
+//!   updates intern them, and `query` and `has_edge` look them up, answer
+//!   0 or `false` for an id the engine has not seen and intern nothing. An
+//!   era rebuild re-interns only the live vertices, so memory tracks the
+//!   live graph. Everything below sees dense ids only, including
+//!   [`FmmEngine::debug_state`].
 //! * [`state::GraphState`] — the three relations `A`, `B`, `C`, each split
 //!   into an *old* and a *new* signed edge multiset (§5.1: `P_new` is the
 //!   current phase plus the previous one, `P_old` everything older; a
 //!   deletion of an old edge is a "negative edge" in the new multiset,
 //!   §3.3), plus the stored degree classes of every vertex
 //!   (Tiny/Low/Medium/High for `L1`, `L4` and Tiny/Sparse/Dense for `L2`,
-//!   `L3`, §4 and §6). Each relation is one [`tagged::TaggedAdjacency`]
-//!   holding a pair once, as `[old, new]` weights whose sum is the current
-//!   graph, and read through total, old or new views.
+//!   `L3`, §4 and §6), one `Vec` per layer indexed by id, and the High and
+//!   Dense members as lists of ids. Each relation is one
+//!   [`tagged::TaggedAdjacency`] holding a pair once, as `[old, new]`
+//!   weights whose sum is the current graph, in rows indexed by id and
+//!   read through total, old or new views.
 //! * [`rules::Structures`] — every pair-count data structure of Tables 2–3
 //!   (Eq 12–18) plus the phase-split auxiliaries needed to maintain them,
-//!   all driven by a single uniform rule: *given one signed, phase-tagged
-//!   edge event, add the number of pattern completions formed with the other
-//!   currently-present edges.*
+//!   each a [`table::PairTable`] whose rows are indexed by the left key's
+//!   id, all driven by a single uniform rule: *given one signed,
+//!   phase-tagged edge event, add the number of pattern completions formed
+//!   with the other currently-present edges.*
 //! * the phase machinery in this module — event logs for the current and
 //!   previous phase, rollover (re-tagging the events that leave the "new"
 //!   window as `−1@new, +1@old` through the phase-split tables only, see
@@ -69,14 +82,15 @@
 pub mod query;
 pub mod rules;
 pub mod state;
+pub mod table;
 pub mod tagged;
 
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
-use crate::pair_counts::PairCounts;
-use fourcycle_graph::{ClassThresholds, UpdateOp, VertexId};
-use fourcycle_matrix::{CompactIndex, MulAlgorithm, SparseMatrix};
+use fourcycle_graph::{ClassThresholds, CompactIndex, EndpointClass, UpdateOp, VertexId};
+use fourcycle_matrix::{MulAlgorithm, SparseMatrix};
 use rules::Structures;
 use state::{GraphState, Tag};
+use table::PairTable;
 
 /// Configuration of the main engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,9 +140,31 @@ impl FmmConfig {
 /// One logged edge event of the current or previous phase.
 type Event = (QRel, VertexId, VertexId, i64);
 
+/// The position of dense id `id` in a `Vec` indexed by id.
+fn slot(id: VertexId) -> usize {
+    usize::try_from(id).unwrap_or(usize::MAX)
+}
+
+/// The dense id at position `i` of an interner or of a `Vec` indexed by id.
+#[expect(
+    clippy::expect_used,
+    reason = "a layer interns distinct u32 ids, so it holds at most 2^32 of them"
+)]
+fn dense_id(i: usize) -> VertexId {
+    VertexId::try_from(i).expect("a layer holds at most 2^32 vertices")
+}
+
+/// The layers (`0` = `L1` … `3` = `L4`) of a relation's left and right
+/// endpoints.
+fn layers(rel: QRel) -> (usize, usize) {
+    (rel.index(), rel.index() + 1)
+}
+
 /// The main engine (§4–§7).
 pub struct FmmEngine {
     cfg: FmmConfig,
+    /// Client id → dense id, per layer `L1`–`L4` (module docs).
+    ids: [CompactIndex; 4],
     state: GraphState,
     structs: Structures,
     /// Events of the previous phase (will leave the "new" window at the next
@@ -149,6 +185,7 @@ impl FmmEngine {
         let thresholds = ClassThresholds::with_delta(1, cfg.eps, cfg.delta);
         Self {
             cfg,
+            ids: Default::default(),
             state: GraphState::new(thresholds),
             structs: Structures::new(),
             prev_phase: Vec::new(),
@@ -176,10 +213,31 @@ impl FmmEngine {
         self.era_rebuilds
     }
 
-    /// Access to the internal state (used by white-box tests).
+    /// Access to the internal state, in dense ids (used by white-box tests).
     #[doc(hidden)]
     pub fn debug_state(&self) -> (&GraphState, &Structures) {
         (&self.state, &self.structs)
+    }
+
+    /// The layer interners, `L1` first: position `i` of layer `k` holds the
+    /// client id of dense id `i` (used by white-box tests).
+    #[doc(hidden)]
+    pub fn layer_ids(&self) -> &[CompactIndex; 4] {
+        &self.ids
+    }
+
+    /// The dense ids of `(left, right)` in `rel`, interning unseen ones.
+    fn intern(&mut self, rel: QRel, left: VertexId, right: VertexId) -> (VertexId, VertexId) {
+        let (l, r) = layers(rel);
+        (
+            dense_id(self.ids[l].insert(left)),
+            dense_id(self.ids[r].insert(right)),
+        )
+    }
+
+    /// The dense id of client id `v` in `layer`, if the engine has seen it.
+    fn lookup(&self, layer: usize, v: VertexId) -> Option<VertexId> {
+        self.ids[layer].index_of(v).map(dense_id)
     }
 
     fn phase_len(&self) -> usize {
@@ -231,8 +289,15 @@ impl FmmEngine {
 
     /// Era rebuild: thresholds are recomputed for the current `m`, every
     /// current edge is re-accounted as old, and the phase clock restarts.
+    /// The layers re-intern only the vertices of current edges.
     fn rebuild_era(&mut self) {
-        let edges = self.state.current_edges();
+        let seen = std::mem::take(&mut self.ids);
+        let mut edges = self.state.current_edges();
+        for (rel, l, r) in &mut edges {
+            let (ll, rl) = layers(*rel);
+            let client = (seen[ll].vertex_at(slot(*l)), seen[rl].vertex_at(slot(*r)));
+            (*l, *r) = self.intern(*rel, client.0, client.1);
+        }
         let m = edges.len().max(1);
         let thresholds = ClassThresholds::with_delta(m, self.cfg.eps, self.cfg.delta);
         let mut state = GraphState::new(thresholds);
@@ -284,7 +349,7 @@ impl FmmEngine {
         let mid_s2 = CompactIndex::from_vertices(
             a_old
                 .iter()
-                .filter(|&(u, x, _)| st.high_l1.contains(&u) && st.is_sparse_l2(x))
+                .filter(|&(u, x, _)| st.ep1(u) == EndpointClass::High && st.is_sparse_l2(x))
                 .map(|(_, x, _)| x)
                 .chain(
                     b_old
@@ -343,9 +408,9 @@ fn multiply(a: &SparseMatrix, b: &SparseMatrix, dense_limit: usize) -> SparseMat
     }
 }
 
-/// Converts a product matrix back into vertex-keyed pair counts.
-fn sparse_to_counts(m: &SparseMatrix, rows: &CompactIndex, cols: &CompactIndex) -> PairCounts {
-    let mut out = PairCounts::new();
+/// Converts a product matrix back into pair counts keyed by dense id.
+fn sparse_to_counts(m: &SparseMatrix, rows: &CompactIndex, cols: &CompactIndex) -> PairTable {
+    let mut out = PairTable::new();
     for (r, c, v) in m.iter() {
         out.add(rows.vertex_at(r), cols.vertex_at(c), v);
     }
@@ -359,7 +424,7 @@ fn product_to_counts(
     rows: &CompactIndex,
     cols: &CompactIndex,
     dense_limit: usize,
-) -> PairCounts {
+) -> PairTable {
     sparse_to_counts(&multiply(a, b, dense_limit), rows, cols)
 }
 
@@ -374,6 +439,7 @@ fn endpoint_roles(rel: QRel) -> (state::Role, state::Role) {
 
 impl ThreePathEngine for FmmEngine {
     fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp) {
+        let (left, right) = self.intern(rel, left, right);
         let s = op.sign();
         self.structs
             .apply(&self.state, rel, Tag::New, left, right, s);
@@ -406,7 +472,11 @@ impl ThreePathEngine for FmmEngine {
         // Membership is answered from the total (untagged) adjacency: an
         // edge deleted in a later phase than its insertion nets to weight 0
         // across the old/new split, exactly as in the current graph.
-        self.state.adj(rel, None).weight(left, right) != 0
+        let (l, r) = layers(rel);
+        match (self.lookup(l, left), self.lookup(r, right)) {
+            (Some(left), Some(right)) => self.state.adj(rel, None).weight(left, right) != 0,
+            _ => false,
+        }
     }
 
     fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]) {
@@ -423,6 +493,7 @@ impl ThreePathEngine for FmmEngine {
         let (role_l, role_r) = endpoint_roles(rel);
         let mut touched: Vec<(state::Role, VertexId)> = Vec::with_capacity(events.len() * 2);
         for &(l, r, s) in &events {
+            let (l, r) = self.intern(rel, l, r);
             self.structs.apply(&self.state, rel, Tag::New, l, r, s);
             self.state.add_edge_weight(rel, Tag::New, l, r, s);
             self.cur_phase.push((rel, l, r, s));
@@ -450,7 +521,11 @@ impl ThreePathEngine for FmmEngine {
     }
 
     fn query(&mut self, u: VertexId, v: VertexId) -> i64 {
-        self.query_impl(u, v)
+        match (self.lookup(0, u), self.lookup(3, v)) {
+            (Some(u), Some(v)) => self.query_impl(u, v),
+            // An unseen endpoint has no edges, so no 3-path.
+            _ => 0,
+        }
     }
 
     fn work(&self) -> u64 {

@@ -1,7 +1,7 @@
 //! The data structures of the main algorithm (Tables 2–3, Eq 12–18) and
 //! their maintenance rules.
 //!
-//! Every structure is a signed [`PairCounts`] table; every rule follows the
+//! Every structure is a signed [`PairTable`]; every rule follows the
 //! same template: *given one signed, phase-tagged edge event, add (sign ×)
 //! the number of pattern completions formed with the other edges currently
 //! present*, where "present" means the relevant tagged multiset and the class
@@ -40,48 +40,48 @@
 //! | `hss3[p][q][r]` | `A^{HS}_p·B^{SS}_q·C^{SH}_r`, all eight phase combinations | Eq 15 + old-phase product + `A_old·B_new·C_old` | phase-split |
 
 use super::state::{GraphState, Tag};
+use super::table::PairTable;
 use crate::engine::QRel;
-use crate::pair_counts::PairCounts;
 use fourcycle_graph::{EndpointClass, MiddleClass, VertexId};
 
 /// All maintained pair-count structures of the main engine.
 pub struct Structures {
     /// `A^{∗S}·B^{S∗}` — wedges through Sparse `L2`, keyed `(u ∈ L1, y ∈ L3)`.
-    pub ab_s: PairCounts,
+    pub ab_s: PairTable,
     /// `B^{∗S}·C^{S∗}` — wedges through Sparse `L3`, keyed `(x ∈ L2, v ∈ L4)`.
-    pub bc_s: PairCounts,
+    pub bc_s: PairTable,
     /// `A^{∗T}·B^{T∗}` — wedges through Tiny `L2`.
-    pub ab_t: PairCounts,
+    pub ab_t: PairTable,
     /// `B^{∗T}·C^{T∗}` — wedges through Tiny `L3`.
-    pub bc_t: PairCounts,
+    pub bc_t: PairTable,
     /// `A^{HD}·B^{DD}` — wedges through Dense `L2` to Dense `L3`, High `L1` rows.
-    pub ab_hd: PairCounts,
+    pub ab_hd: PairTable,
     /// `A^{MD}·B^{DD}` — Medium `L1` rows.
-    pub ab_md: PairCounts,
+    pub ab_md: PairTable,
     /// `B^{DD}·C^{DH}` — Dense wedges to High `L4`.
-    pub bc_dh: PairCounts,
+    pub bc_dh: PairTable,
     /// `B^{DD}·C^{DM}` — Dense wedges to Medium `L4`.
-    pub bc_dm: PairCounts,
+    pub bc_dm: PairTable,
     /// `A^{HT}·B^{TT}·C^{TH}`.
-    pub t3_hh: PairCounts,
+    pub t3_hh: PairTable,
     /// `A^{MT}·B^{TT}·C^{TH}`.
-    pub t3_mh: PairCounts,
+    pub t3_mh: PairTable,
     /// `A^{HT}·B^{TT}·C^{TM}`.
-    pub t3_hm: PairCounts,
+    pub t3_hm: PairTable,
     /// `A^{HT}·B^{TS}·C^{SH}`.
-    pub ts3: PairCounts,
+    pub ts3: PairTable,
     /// `A^{HS}·B^{ST}·C^{TH}`.
-    pub st3: PairCounts,
+    pub st3: PairTable,
     /// `A^{∗D}_{old}·B^{DD}_{old}` — the old-phase dense product (keys `(u, y ∈ D)`).
-    pub abd_oo: PairCounts,
+    pub abd_oo: PairTable,
     /// `A^{∗D}_{new}·B^{DD}_{old}` (Eq 13).
-    pub abd_no: PairCounts,
+    pub abd_no: PairTable,
     /// `A^{HS}_p·B^{SS}_q`, indexed `[p][q]` with 0 = old, 1 = new.
-    pub ab_hs: [[PairCounts; 2]; 2],
+    pub ab_hs: [[PairTable; 2]; 2],
     /// `B^{SS}_q·C^{SH}_r`, indexed `[q][r]`.
-    pub bc_sh: [[PairCounts; 2]; 2],
+    pub bc_sh: [[PairTable; 2]; 2],
     /// `A^{HS}_p·B^{SS}_q·C^{SH}_r`, indexed `[p][q][r]`.
-    pub hss3: [[[PairCounts; 2]; 2]; 2],
+    pub hss3: [[[PairTable; 2]; 2]; 2],
     /// Elementary operations performed by the rules.
     pub work: u64,
     /// When set, updates to `abd_oo` and `hss3[old][old][old]` — the two
@@ -97,21 +97,21 @@ impl Structures {
     /// Creates empty structures.
     pub fn new() -> Self {
         Self {
-            ab_s: PairCounts::new(),
-            bc_s: PairCounts::new(),
-            ab_t: PairCounts::new(),
-            bc_t: PairCounts::new(),
-            ab_hd: PairCounts::new(),
-            ab_md: PairCounts::new(),
-            bc_dh: PairCounts::new(),
-            bc_dm: PairCounts::new(),
-            t3_hh: PairCounts::new(),
-            t3_mh: PairCounts::new(),
-            t3_hm: PairCounts::new(),
-            ts3: PairCounts::new(),
-            st3: PairCounts::new(),
-            abd_oo: PairCounts::new(),
-            abd_no: PairCounts::new(),
+            ab_s: PairTable::new(),
+            bc_s: PairTable::new(),
+            ab_t: PairTable::new(),
+            bc_t: PairTable::new(),
+            ab_hd: PairTable::new(),
+            ab_md: PairTable::new(),
+            bc_dh: PairTable::new(),
+            bc_dm: PairTable::new(),
+            t3_hh: PairTable::new(),
+            t3_mh: PairTable::new(),
+            t3_hm: PairTable::new(),
+            ts3: PairTable::new(),
+            st3: PairTable::new(),
+            abd_oo: PairTable::new(),
+            abd_no: PairTable::new(),
             ab_hs: Default::default(),
             bc_sh: Default::default(),
             hss3: Default::default(),

@@ -12,11 +12,15 @@
 //! every data-structure rule sees a single consistent classification. A
 //! stored class may lag the degree by up to the factor-2 band of §7
 //! ([`GraphState::class_change`]).
+//!
+//! Every vertex here is a dense id of its layer (see the `fmm` module
+//! docs): a layer's stored classes are one `Vec` indexed by id, and its
+//! High or Dense members one list of ids.
 
 use super::tagged::{TaggedAdjacency, TaggedView};
+use super::{dense_id, layers, slot};
 use crate::engine::QRel;
 use fourcycle_graph::{ClassThresholds, EndpointClass, MiddleClass, VertexId};
-use std::collections::{HashMap, HashSet};
 
 /// Factor of the §7 overlap band: a vertex keeps its stored class until its
 /// degree falls below `1/CLASS_BAND` of that class's lower threshold.
@@ -73,18 +77,20 @@ pub struct GraphState {
     rels: [TaggedAdjacency; 3],
     /// Degree thresholds of the current era.
     pub thresholds: ClassThresholds,
-    ep_l1: HashMap<VertexId, EndpointClass>,
-    ep_l4: HashMap<VertexId, EndpointClass>,
-    mid_l2: HashMap<VertexId, MiddleClass>,
-    mid_l3: HashMap<VertexId, MiddleClass>,
-    /// High-degree vertices of `L1` (small set, iterated by rules/queries).
-    pub high_l1: HashSet<VertexId>,
+    /// Stored classes by id; ids past the end are Tiny.
+    ep_l1: Vec<EndpointClass>,
+    ep_l4: Vec<EndpointClass>,
+    mid_l2: Vec<MiddleClass>,
+    mid_l3: Vec<MiddleClass>,
+    /// High-degree vertices of `L1`, each once, in no particular order (a
+    /// small set, iterated by rules/queries).
+    pub high_l1: Vec<VertexId>,
     /// High-degree vertices of `L4`.
-    pub high_l4: HashSet<VertexId>,
+    pub high_l4: Vec<VertexId>,
     /// Dense vertices of `L2`.
-    pub dense_l2: HashSet<VertexId>,
+    pub dense_l2: Vec<VertexId>,
     /// Dense vertices of `L3`.
-    pub dense_l3: HashSet<VertexId>,
+    pub dense_l3: Vec<VertexId>,
 }
 
 impl GraphState {
@@ -93,14 +99,14 @@ impl GraphState {
         Self {
             rels: Default::default(),
             thresholds,
-            ep_l1: HashMap::new(),
-            ep_l4: HashMap::new(),
-            mid_l2: HashMap::new(),
-            mid_l3: HashMap::new(),
-            high_l1: HashSet::new(),
-            high_l4: HashSet::new(),
-            dense_l2: HashSet::new(),
-            dense_l3: HashSet::new(),
+            ep_l1: Vec::new(),
+            ep_l4: Vec::new(),
+            mid_l2: Vec::new(),
+            mid_l3: Vec::new(),
+            high_l1: Vec::new(),
+            high_l4: Vec::new(),
+            dense_l2: Vec::new(),
+            dense_l3: Vec::new(),
         }
     }
 
@@ -174,22 +180,22 @@ impl GraphState {
 
     /// Stored class of an `L1` endpoint (Tiny if never classified).
     pub fn ep1(&self, u: VertexId) -> EndpointClass {
-        self.ep_l1.get(&u).copied().unwrap_or(EndpointClass::Tiny)
+        stored(&self.ep_l1, u)
     }
 
     /// Stored class of an `L4` endpoint.
     pub fn ep4(&self, v: VertexId) -> EndpointClass {
-        self.ep_l4.get(&v).copied().unwrap_or(EndpointClass::Tiny)
+        stored(&self.ep_l4, v)
     }
 
     /// Stored class of an `L2` middle.
     pub fn mid2(&self, x: VertexId) -> MiddleClass {
-        self.mid_l2.get(&x).copied().unwrap_or(MiddleClass::Tiny)
+        stored(&self.mid_l2, x)
     }
 
     /// Stored class of an `L3` middle.
     pub fn mid3(&self, y: VertexId) -> MiddleClass {
-        self.mid_l3.get(&y).copied().unwrap_or(MiddleClass::Tiny)
+        stored(&self.mid_l3, y)
     }
 
     /// `true` if `x ∈ L2` is Sparse (not Tiny, not Dense).
@@ -230,41 +236,13 @@ impl GraphState {
         }
     }
 
-    /// Overwrites a vertex's stored class (and the High/Dense member sets).
+    /// Overwrites a vertex's stored class (and the High/Dense member lists).
     pub fn set_stored_class(&mut self, role: Role, w: VertexId, class: ClassCode) {
         match (role, class) {
-            (Role::Ep1, ClassCode::Endpoint(c)) => {
-                self.ep_l1.insert(w, c);
-                if c == EndpointClass::High {
-                    self.high_l1.insert(w);
-                } else {
-                    self.high_l1.remove(&w);
-                }
-            }
-            (Role::Ep4, ClassCode::Endpoint(c)) => {
-                self.ep_l4.insert(w, c);
-                if c == EndpointClass::High {
-                    self.high_l4.insert(w);
-                } else {
-                    self.high_l4.remove(&w);
-                }
-            }
-            (Role::Mid2, ClassCode::Middle(c)) => {
-                self.mid_l2.insert(w, c);
-                if c == MiddleClass::Dense {
-                    self.dense_l2.insert(w);
-                } else {
-                    self.dense_l2.remove(&w);
-                }
-            }
-            (Role::Mid3, ClassCode::Middle(c)) => {
-                self.mid_l3.insert(w, c);
-                if c == MiddleClass::Dense {
-                    self.dense_l3.insert(w);
-                } else {
-                    self.dense_l3.remove(&w);
-                }
-            }
+            (Role::Ep1, ClassCode::Endpoint(c)) => file(&mut self.ep_l1, &mut self.high_l1, w, c),
+            (Role::Ep4, ClassCode::Endpoint(c)) => file(&mut self.ep_l4, &mut self.high_l4, w, c),
+            (Role::Mid2, ClassCode::Middle(c)) => file(&mut self.mid_l2, &mut self.dense_l2, w, c),
+            (Role::Mid3, ClassCode::Middle(c)) => file(&mut self.mid_l3, &mut self.dense_l3, w, c),
             #[expect(
                 clippy::panic,
                 reason = "callers pair each Role with its own class code"
@@ -317,53 +295,31 @@ impl GraphState {
     /// given edge list (used by the era rebuild, where the final classes are
     /// known before the edges are replayed).
     pub fn preset_classes_from_edges(&mut self, edges: &[(QRel, VertexId, VertexId)]) {
-        let mut d1: HashMap<VertexId, usize> = HashMap::new();
-        let mut d2: HashMap<VertexId, usize> = HashMap::new();
-        let mut d3: HashMap<VertexId, usize> = HashMap::new();
-        let mut d4: HashMap<VertexId, usize> = HashMap::new();
-        for &(rel, l, r) in edges {
-            match rel {
-                QRel::A => {
-                    *d1.entry(l).or_insert(0) += 1;
-                    *d2.entry(r).or_insert(0) += 1;
-                }
-                QRel::B => {
-                    *d2.entry(l).or_insert(0) += 1;
-                    *d3.entry(r).or_insert(0) += 1;
-                }
-                QRel::C => {
-                    *d3.entry(l).or_insert(0) += 1;
-                    *d4.entry(r).or_insert(0) += 1;
-                }
+        // Degrees by layer, `L1` to `L4`, each indexed by id.
+        let mut degrees: [Vec<usize>; 4] = Default::default();
+        let mut count = |layer: usize, w: VertexId| {
+            let d = &mut degrees[layer];
+            let i = slot(w);
+            if i >= d.len() {
+                d.resize(i + 1, 0);
             }
+            d[i] += 1;
+        };
+        for &(rel, l, r) in edges {
+            let (l_layer, r_layer) = layers(rel);
+            count(l_layer, l);
+            count(r_layer, r);
         }
-        for (&u, &d) in &d1 {
-            self.set_stored_class(
-                Role::Ep1,
-                u,
-                ClassCode::Endpoint(self.thresholds.endpoint_class(d)),
-            );
-        }
-        for (&v, &d) in &d4 {
-            self.set_stored_class(
-                Role::Ep4,
-                v,
-                ClassCode::Endpoint(self.thresholds.endpoint_class(d)),
-            );
-        }
-        for (&x, &d) in &d2 {
-            self.set_stored_class(
-                Role::Mid2,
-                x,
-                ClassCode::Middle(self.thresholds.middle_class(d)),
-            );
-        }
-        for (&y, &d) in &d3 {
-            self.set_stored_class(
-                Role::Mid3,
-                y,
-                ClassCode::Middle(self.thresholds.middle_class(d)),
-            );
+        let t = self.thresholds;
+        let roles = [Role::Ep1, Role::Mid2, Role::Mid3, Role::Ep4];
+        for (role, degrees) in roles.into_iter().zip(degrees) {
+            for (i, d) in degrees.into_iter().enumerate().filter(|&(_, d)| d > 0) {
+                let class = match role {
+                    Role::Ep1 | Role::Ep4 => ClassCode::Endpoint(t.endpoint_class(d)),
+                    Role::Mid2 | Role::Mid3 => ClassCode::Middle(t.middle_class(d)),
+                };
+                self.set_stored_class(role, dense_id(i), class);
+            }
         }
     }
 }
@@ -373,6 +329,46 @@ impl GraphState {
 fn outside_band<C: Ord + Copy>(stored: C, deg: usize, class: impl Fn(usize) -> C) -> Option<C> {
     let sharp = class(deg);
     (stored < sharp || stored > class(deg.saturating_mul(CLASS_BAND))).then_some(sharp)
+}
+
+/// A layer's class type.
+trait LayerClass: Copy + PartialEq {
+    /// The class of a vertex never classified.
+    const UNSET: Self;
+    /// The class whose members the layer lists (High or Dense).
+    const LISTED: Self;
+}
+
+impl LayerClass for EndpointClass {
+    const UNSET: Self = EndpointClass::Tiny;
+    const LISTED: Self = EndpointClass::High;
+}
+
+impl LayerClass for MiddleClass {
+    const UNSET: Self = MiddleClass::Tiny;
+    const LISTED: Self = MiddleClass::Dense;
+}
+
+/// The class stored at `w` in `classes`.
+fn stored<C: LayerClass>(classes: &[C], w: VertexId) -> C {
+    classes.get(slot(w)).copied().unwrap_or(C::UNSET)
+}
+
+/// Stores `class` at `w` in `classes`, and keeps `listed` holding exactly
+/// the vertices stored as [`LayerClass::LISTED`].
+fn file<C: LayerClass>(classes: &mut Vec<C>, listed: &mut Vec<VertexId>, w: VertexId, class: C) {
+    let i = slot(w);
+    if i >= classes.len() {
+        classes.resize(i + 1, C::UNSET);
+    }
+    let was = std::mem::replace(&mut classes[i], class);
+    if was != C::LISTED && class == C::LISTED {
+        listed.push(w);
+    } else if was == C::LISTED && class != C::LISTED {
+        if let Some(pos) = listed.iter().position(|&m| m == w) {
+            listed.swap_remove(pos);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 //! A relation is split into an *old* and a *new* signed multiset, and the
 //! current graph is their sum. [`TaggedAdjacency`] keeps each ordered pair
 //! as one entry `(neighbor, [old, new])` in a forward row (by left vertex)
-//! and a backward row (by right vertex), each row sorted by neighbor id:
+//! and a backward row (by right vertex). Vertices are the engine's dense
+//! per-layer ids, so a side is a `Vec` of rows indexed by id, and each row
+//! is sorted by neighbor id:
 //!
 //! * the pair's total is `old + new`;
 //! * an entry whose two weights are both 0 is removed, but one whose total
@@ -18,7 +20,8 @@
 //! at rest its old weight is 0 or 1 and its new weight −1, 0 or 1.
 
 use super::state::Tag;
-use fourcycle_graph::{CompactIndex, VertexId};
+use super::{dense_id, slot};
+use fourcycle_graph::VertexId;
 
 /// A pair's `[old, new]` weights, indexed by [`Tag::index`].
 type Weights = [i32; 2];
@@ -40,16 +43,15 @@ struct Row {
     degree: usize,
 }
 
-/// The rows of one side, keyed through a vertex interner.
+/// The rows of one side, `rows[u]` for dense id `u`.
 #[derive(Debug, Default)]
 struct Side {
-    index: CompactIndex,
     rows: Vec<Row>,
 }
 
 impl Side {
     fn row(&self, u: VertexId) -> Option<&Row> {
-        self.index.index_of(u).map(|slot| &self.rows[slot])
+        self.rows.get(slot(u))
     }
 
     /// Replaces the weights of `(u, v)` by `edit` of them; returns the
@@ -60,11 +62,11 @@ impl Side {
         v: VertexId,
         edit: impl FnOnce(Weights) -> Weights,
     ) -> [Weights; 2] {
-        let slot = self.index.insert(u);
-        if slot == self.rows.len() {
-            self.rows.push(Row::default());
+        let i = slot(u);
+        if i >= self.rows.len() {
+            self.rows.resize_with(i + 1, Row::default);
         }
-        let row = &mut self.rows[slot];
+        let row = &mut self.rows[i];
         let (before, after) = match row.entries.binary_search_by_key(&v, |&(n, _)| n) {
             Ok(pos) => {
                 let before = row.entries[pos].1;
@@ -229,9 +231,9 @@ impl<'a> TaggedView<'a> {
 
     /// All `(left, right, weight)` triples.
     pub fn iter(self) -> impl Iterator<Item = (VertexId, VertexId, i64)> + 'a {
-        let side = &self.adj.forward;
-        side.rows.iter().enumerate().flat_map(move |(slot, row)| {
-            let left = side.index.vertex_at(slot);
+        let rows = &self.adj.forward.rows;
+        rows.iter().enumerate().flat_map(move |(i, row)| {
+            let left = dense_id(i);
             self.nonzero(Some(row))
                 .map(move |(right, w)| (left, right, w))
         })
@@ -239,12 +241,11 @@ impl<'a> TaggedView<'a> {
 
     /// Left vertices with at least one non-zero pair.
     pub fn left_vertices(self) -> impl Iterator<Item = VertexId> + 'a {
-        let side = &self.adj.forward;
-        side.rows
-            .iter()
+        let rows = &self.adj.forward.rows;
+        rows.iter()
             .enumerate()
             .filter(move |&(_, row)| self.nonzero(Some(row)).next().is_some())
-            .map(move |(slot, _)| side.index.vertex_at(slot))
+            .map(|(i, _)| dense_id(i))
     }
 }
 

@@ -7,7 +7,9 @@
 //! of [`SignedAdjacency`] — left vertices interned to dense ids, flat sorted
 //! `Vec` rows, zero entries removed eagerly — so that row iteration (used
 //! heavily by the maintenance rules) is a contiguous scan and the engine hot
-//! paths contain no nested hash maps.
+//! paths contain no nested hash maps. The fmm engine, whose ids are already
+//! dense per layer, indexes its tables by position instead
+//! ([`crate::fmm::table::PairTable`]).
 
 use fourcycle_graph::{SignedAdjacency, VertexId};
 
@@ -40,16 +42,6 @@ impl PairCounts {
         self.table.weight(a, b)
     }
 
-    /// Iterates over the non-zero entries `(b, count)` of row `a`.
-    pub fn row(&self, a: VertexId) -> impl Iterator<Item = (VertexId, i64)> + '_ {
-        self.table.neighbors(a)
-    }
-
-    /// Iterates over all non-zero entries `(a, b, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, VertexId, i64)> + '_ {
-        self.table.iter()
-    }
-
     /// Number of non-zero entries.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -69,16 +61,6 @@ impl PairCounts {
     /// [`SignedAdjacency::compact`]).
     pub fn compact(&mut self) {
         self.table.compact();
-    }
-
-    /// `true` if `self` and `other` hold exactly the same non-zero entries
-    /// (used by the differential tests between incremental maintenance and
-    /// from-scratch recomputation).
-    pub fn same_entries(&self, other: &PairCounts) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        self.iter().all(|(a, b, c)| other.get(a, b) == c)
     }
 }
 
@@ -104,31 +86,6 @@ mod tests {
         let mut pc = PairCounts::new();
         pc.add(5, 6, 0);
         assert!(pc.is_empty());
-    }
-
-    #[test]
-    fn row_iteration() {
-        let mut pc = PairCounts::with_capacity(4);
-        pc.add(1, 10, 2);
-        pc.add(1, 11, -1);
-        pc.add(2, 10, 7);
-        let mut row: Vec<_> = pc.row(1).collect();
-        row.sort_unstable();
-        assert_eq!(row, vec![(10, 2), (11, -1)]);
-        assert_eq!(pc.row(3).count(), 0);
-    }
-
-    #[test]
-    fn same_entries_detects_differences() {
-        let mut a = PairCounts::new();
-        let mut b = PairCounts::new();
-        a.add(1, 2, 1);
-        b.add(1, 2, 1);
-        assert!(a.same_entries(&b));
-        b.add(3, 4, 1);
-        assert!(!a.same_entries(&b));
-        a.add(3, 4, 2);
-        assert!(!a.same_entries(&b));
     }
 
     #[test]

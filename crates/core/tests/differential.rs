@@ -15,11 +15,13 @@
 
 use fourcycle_core::fmm::rules::Structures;
 use fourcycle_core::fmm::state::{GraphState, Tag};
+use fourcycle_core::fmm::table::PairTable;
 use fourcycle_core::{
-    EngineKind, FmmConfig, FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine,
-    PairCounts, QRel, SimpleEngine, SlowPathStats, ThreePathEngine, ThresholdEngine,
+    EngineKind, FmmConfig, FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine, QRel,
+    SimpleEngine, SlowPathStats, ThreePathEngine, ThresholdEngine,
 };
 use fourcycle_graph::{EndpointClass, GraphUpdate, LayeredUpdate, MiddleClass, Rel, UpdateOp};
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -563,7 +565,7 @@ fn threshold_engine_matches_oracle_with_heavy_vertices() {
 
 /// The 13 tables whose rules read only the total adjacency and stored
 /// classes, never a phase tag.
-fn tag_free_tables(s: &Structures) -> [(&'static str, &PairCounts); 13] {
+fn tag_free_tables(s: &Structures) -> [(&'static str, &PairTable); 13] {
     [
         ("ab_s", &s.ab_s),
         ("bc_s", &s.bc_s),
@@ -582,8 +584,8 @@ fn tag_free_tables(s: &Structures) -> [(&'static str, &PairCounts); 13] {
 }
 
 /// The entry-wise sum of a phase-split table over its phase indices.
-fn summed<'a>(tables: impl IntoIterator<Item = &'a PairCounts>) -> PairCounts {
-    let mut out = PairCounts::new();
+fn summed<'a>(tables: impl IntoIterator<Item = &'a PairTable>) -> PairTable {
+    let mut out = PairTable::new();
     for table in tables {
         for (a, b, c) in table.iter() {
             out.add(a, b, c);
@@ -600,10 +602,10 @@ fn summed<'a>(tables: impl IntoIterator<Item = &'a PairCounts>) -> PairCounts {
 fn assert_phase_split_tables_match_definitions(st: &GraphState, s: &Structures, step: usize) {
     use EndpointClass::High;
     use MiddleClass::{Dense, Sparse};
-    let mut abd = [PairCounts::new(), PairCounts::new()];
-    let mut ab_hs: [[PairCounts; 2]; 2] = Default::default();
-    let mut bc_sh: [[PairCounts; 2]; 2] = Default::default();
-    let mut hss3: [[[PairCounts; 2]; 2]; 2] = Default::default();
+    let mut abd = [PairTable::new(), PairTable::new()];
+    let mut ab_hs: [[PairTable; 2]; 2] = Default::default();
+    let mut bc_sh: [[PairTable; 2]; 2] = Default::default();
+    let mut hss3: [[[PairTable; 2]; 2]; 2] = Default::default();
     for (p, p_tag) in Tag::BOTH.into_iter().enumerate() {
         for (u, x, wa) in st.adj(QRel::A, Some(p_tag)).iter() {
             for (q, q_tag) in Tag::BOTH.into_iter().enumerate() {
@@ -721,6 +723,11 @@ fn fmm_rollover_changes_only_the_phase_split_of_the_tables() {
     assert!(!state.dense_l2.is_empty() && !state.dense_l3.is_empty());
 }
 
+/// The dense id the engine gave client vertex `v` of `layer` (0 = `L1`).
+fn dense_id(engine: &FmmEngine, layer: usize, v: u32) -> u32 {
+    engine.layer_ids()[layer].index_of(v).unwrap() as u32
+}
+
 /// Applies one update to the engine and the oracle and checks every query
 /// from `u`.
 fn apply_and_check(
@@ -769,6 +776,7 @@ fn fmm_class_band_absorbs_a_flapping_degree() {
     let high_lo = u32::try_from(high_lo).unwrap();
     assert!(high_lo < MIDDLES, "the hub needs {high_lo} fresh middles");
     let transitions = |e: &FmmEngine| e.slow_path_stats().class_transitions;
+    let hub_class = |e: &FmmEngine| e.debug_state().0.ep1(dense_id(e, 0, HUB));
 
     // Raise the hub to one below the High threshold.
     for x in 100..100 + high_lo - 1 {
@@ -779,7 +787,7 @@ fn fmm_class_band_absorbs_a_flapping_degree() {
             HUB,
         );
     }
-    assert_eq!(engine.debug_state().0.ep1(HUB), EndpointClass::Medium);
+    assert_eq!(hub_class(&engine), EndpointClass::Medium);
     let before = transitions(&engine);
 
     // Flap across the threshold: one promotion, then the band holds.
@@ -787,7 +795,7 @@ fn fmm_class_band_absorbs_a_flapping_degree() {
     for _ in 0..20 {
         for op in [UpdateOp::Insert, UpdateOp::Delete] {
             apply_and_check(&mut engine, &mut oracle, (QRel::A, HUB, flap, op), HUB);
-            assert_eq!(engine.debug_state().0.ep1(HUB), EndpointClass::High);
+            assert_eq!(hub_class(&engine), EndpointClass::High);
         }
     }
     assert_eq!(transitions(&engine), before + 1, "only the promotion fires");
@@ -809,6 +817,173 @@ fn fmm_class_band_absorbs_a_flapping_degree() {
         before + 2,
         "one demotion on the way down"
     );
-    assert_ne!(engine.debug_state().0.ep1(HUB), EndpointClass::High);
+    assert_ne!(hub_class(&engine), EndpointClass::High);
     assert_eq!(engine.slow_path_stats().era_rebuilds, rebuilds);
+}
+
+/// `v ↦ v·ODD ⊕ SALT`: a bijection of `u32` (ODD is odd) mapping 0 to
+/// `u32::MAX` and 3 to 0 (3·ODD = `u32::MAX`), and scattering the order of
+/// the small ids in between.
+fn scramble(v: u32) -> u32 {
+    const ODD: u32 = 0x5555_5555;
+    const SALT: u32 = u32::MAX;
+    v.wrapping_mul(ODD) ^ SALT
+}
+
+/// Vertices of each layer `L1`–`L4` per layer interner.
+fn interned(engine: &FmmEngine) -> [usize; 4] {
+    engine.layer_ids().each_ref().map(|ids| ids.len())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The fmm engines see client ids only through their layer interners. A
+    /// hub-skewed stream, and the same stream with every id scrambled so
+    /// that ids 0 and `u32::MAX` occur, give equal queries, `work()` and
+    /// slow-path counts. Reads naming ids never inserted answer 0 or false
+    /// and intern nothing.
+    #[test]
+    fn fmm_engines_treat_vertex_ids_as_opaque(seed in 0u64..1_000_000, steps in 300usize..700) {
+        const N: u32 = 12;
+        for use_fmm in [false, true] {
+            let cfg = FmmConfig { use_fmm, phase_len_override: Some(17), ..Default::default() };
+            let (mut plain, mut mapped) = (FmmEngine::new(cfg), FmmEngine::new(cfg));
+            let mut stream = LayeredStream::new(seed, (6, N, N, 6), 0.3, 0.5);
+            let mut extremes = HashSet::new();
+            for step in 0..steps {
+                let (rel, l, r, op) = stream.next();
+                let (ml, mr) = (scramble(l), scramble(r));
+                extremes.extend([ml, mr].into_iter().filter(|&w| w == 0 || w == u32::MAX));
+                plain.apply_update(rel, l, r, op);
+                mapped.apply_update(rel, ml, mr, op);
+                if step % 7 == 0 || step + 1 == steps {
+                    for u in 0..6 {
+                        for v in 0..6 {
+                            prop_assert_eq!(
+                                plain.query(u, v),
+                                mapped.query(scramble(u), scramble(v)),
+                                "step {}, query ({}, {})", step, u, v
+                            );
+                        }
+                    }
+                    prop_assert_eq!(plain.work(), mapped.work(), "step {}", step);
+                    prop_assert_eq!(plain.slow_path_stats(), mapped.slow_path_stats());
+                }
+            }
+            prop_assert_eq!(extremes.len(), 2, "the scrambled stream reaches 0 and u32::MAX");
+            let unseen = [N, N + 1, 1_000];
+            assert_unseen_reads_intern_nothing(&mut plain, unseen, 0);
+            assert_unseen_reads_intern_nothing(&mut mapped, unseen.map(scramble), scramble(0));
+        }
+    }
+}
+
+/// Reads naming an `unseen` id beside the `known` one answer 0 or false,
+/// and no layer interner grows.
+fn assert_unseen_reads_intern_nothing(engine: &mut FmmEngine, unseen: [u32; 3], known: u32) {
+    let before = interned(engine);
+    for w in unseen {
+        assert_eq!((engine.query(w, known), engine.query(known, w)), (0, 0));
+        for rel in QRel::ALL {
+            assert!(!engine.has_edge(rel, w, known) && !engine.has_edge(rel, known, w));
+        }
+    }
+    assert_eq!(interned(engine), before, "reads interned an unseen id");
+}
+
+/// Applies a batch of updates to `rel` on the engine and the oracle, `live`
+/// being the edges present after it. Each time the engine rebuilds its
+/// era, every layer interner must hold exactly that layer's live vertices.
+/// Returns whether it rebuilt.
+fn apply_and_check_interners(
+    engine: &mut FmmEngine,
+    oracle: &mut NaiveEngine,
+    live: &[(QRel, u32, u32)],
+    batch: &[(u32, u32, UpdateOp)],
+    rel: QRel,
+) -> bool {
+    let rebuilds = engine.era_rebuilds();
+    engine.apply_batch(rel, batch);
+    oracle.apply_batch(rel, batch);
+    if engine.era_rebuilds() == rebuilds {
+        return false;
+    }
+    for layer in 0..4 {
+        let expected: HashSet<u32> = live
+            .iter()
+            .flat_map(|&(rel, l, r)| [(rel.index(), l), (rel.index() + 1, r)])
+            .filter_map(|(k, w)| (k == layer).then_some(w))
+            .collect();
+        let held: Vec<u32> = engine.layer_ids()[layer].iter().map(|(_, w)| w).collect();
+        assert_eq!(held.len(), expected.len(), "layer L{} interner", layer + 1);
+        assert_eq!(held.into_iter().collect::<HashSet<_>>(), expected);
+    }
+    true
+}
+
+/// Rounds of grow → drain on fresh ids: each round inserts edges on ids no
+/// earlier round used until 150 are live (in batches of 3), then deletes
+/// them one at a time until 10 remain, so `m` crosses factors of two both
+/// ways and the engine rebuilds its era on the way up and down. After every
+/// rebuild each layer interner holds exactly its live vertices (the
+/// survivors of earlier rounds included), and counts match the oracle.
+#[test]
+fn fmm_era_rebuild_reinterns_only_live_vertices() {
+    let mut engine = FmmEngine::new(FmmConfig::default());
+    let mut oracle = NaiveEngine::new();
+    let mut rng = SmallRng::seed_from_u64(27);
+    let mut live: Vec<(QRel, u32, u32)> = Vec::new();
+    let mut checked = 0;
+    let check_counts = |engine: &mut FmmEngine, oracle: &mut NaiveEngine, ids: &[u32]| {
+        for &u in ids {
+            for &v in ids {
+                assert_eq!(engine.query(u, v), oracle.query(u, v), "query ({u}, {v})");
+            }
+        }
+    };
+    for round in 0..6u32 {
+        // Fresh ids; vertex `base` is a hub drawing a third of the endpoints.
+        let base = 1_000 * (round + 1);
+        let pick = |rng: &mut SmallRng| {
+            base + if rng.gen_bool(0.3) {
+                0
+            } else {
+                rng.gen_range(1..16)
+            }
+        };
+        let queried = [base, base + 1, base + 2, 1_000 * round];
+        while live.len() < 150 {
+            let rel = QRel::ALL[rng.gen_range(0..3)];
+            let mut batch = Vec::new();
+            while batch.len() < 3 {
+                let (l, r) = (pick(&mut rng), pick(&mut rng));
+                if !live.contains(&(rel, l, r)) {
+                    live.push((rel, l, r));
+                    batch.push((l, r, UpdateOp::Insert));
+                }
+            }
+            checked += usize::from(apply_and_check_interners(
+                &mut engine,
+                &mut oracle,
+                &live,
+                &batch,
+                rel,
+            ));
+            check_counts(&mut engine, &mut oracle, &queried);
+        }
+        while live.len() > 10 {
+            let (rel, l, r) = live.swap_remove(rng.gen_range(0..live.len()));
+            let batch = [(l, r, UpdateOp::Delete)];
+            checked += usize::from(apply_and_check_interners(
+                &mut engine,
+                &mut oracle,
+                &live,
+                &batch,
+                rel,
+            ));
+            check_counts(&mut engine, &mut oracle, &queried);
+        }
+    }
+    assert!(checked >= 12, "{checked} era rebuilds, want two per round");
 }

@@ -66,11 +66,10 @@ const EDGES: usize = 150;
 const UPDATES: usize = 250;
 
 /// The bound on the session's live heap, in bytes, halfway between two
-/// figures for this stream: 334,900 bytes when each relation's phase split
-/// was three adjacencies (total, old and new, each forward and backward),
-/// and 169,956 bytes with one `[old, new]` entry per pair and rows that free
-/// their allocation once they empty.
-const MAX_SESSION_BYTES: i64 = 252_428;
+/// figures for this stream: 169,956 bytes when every fmm row side, pair
+/// table and class map interned its own vertices, and 138,464 bytes with
+/// one interner per layer and everything else indexed by dense id.
+const MAX_SESSION_BYTES: i64 = 154_210;
 
 /// A layer vertex: one of the hubs with probability `HUB_SHARE`, else
 /// uniform over the rest.
