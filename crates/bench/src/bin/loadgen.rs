@@ -8,7 +8,7 @@
 //! cargo run -p fourcycle-bench --release --bin loadgen -- \
 //!     --shards 1,2,4 --clients 8 --sessions 2 --engine threshold --seed 7
 //! cargo run -p fourcycle-bench --release --bin loadgen -- \
-//!     --shards 1 --parallelism 4 --journal group                      # intra-shard + group commit
+//!     --shards 1 --journal group                                      # group commit
 //! cargo run -p fourcycle-bench --release --bin loadgen -- \
 //!     --transport tcp --smoke --shards 1,2                            # real sockets via fourcycle-server
 //! ```
@@ -17,7 +17,6 @@
 //! workers, spawns `--clients` closed-loop client threads × `--sessions`
 //! graph sessions each, and replays the scenario catalog through the
 //! runtime's blocking call path (see `fourcycle_bench::load_runner`).
-//! `--parallelism` turns on intra-shard session parallelism,
 //! `--journal <none|every1|every64|group|shutdown>` runs against a
 //! journaled store (throwaway temp directory) with that fsync policy, and
 //! `--transport <inproc|tcp>` chooses between direct runtime calls and
@@ -81,9 +80,6 @@ fn main() {
         .split(',')
         .map(|s| s.trim().parse().expect("--shards takes n[,n...]"))
         .collect();
-    let parallelism: usize = value("--parallelism")
-        .map(|s| s.parse().expect("--parallelism takes a usize"))
-        .unwrap_or(1);
     let journal = parse_journal(&value("--journal").unwrap_or_else(|| "none".into()));
     let clients: usize = value("--clients")
         .map(|s| s.parse().expect("--clients takes a usize"))
@@ -117,19 +113,19 @@ fn main() {
     let cores = available_cores();
     eprintln!(
         "loadgen: {} scenarios, {clients} clients × {sessions_per_client} sessions, \
-         engine {}, shard sweep {shard_counts:?} × parallelism {parallelism} \
+         engine {}, shard sweep {shard_counts:?} \
          (seed {seed}, {cores} cores{})",
         scenarios.len(),
         engine.name(),
         if smoke { ", smoke" } else { "" }
     );
-    // Worker threads beyond the hardware can't add throughput — they just
+    // Shard workers beyond the hardware can't add throughput — they just
     // time-slice. Warn (don't refuse: oversubscription is a legitimate
     // thing to *measure*).
-    let peak_workers = shard_counts.iter().copied().max().unwrap_or(1) * parallelism;
-    if cores > 0 && peak_workers > cores {
+    let peak_shards = shard_counts.iter().copied().max().unwrap_or(1);
+    if cores > 0 && peak_shards > cores {
         eprintln!(
-            "loadgen: WARNING: up to {peak_workers} shard workers on {cores} hardware \
+            "loadgen: WARNING: up to {peak_shards} shard workers on {cores} hardware \
              threads — the runtime is oversubscribed and scaling numbers will flatten"
         );
     }
@@ -139,7 +135,6 @@ fn main() {
         .map(|&shards| {
             let config = LoadConfig {
                 shards,
-                parallelism,
                 clients,
                 sessions_per_client,
                 mailbox_depth,

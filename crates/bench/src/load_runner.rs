@@ -66,8 +66,6 @@ impl Transport {
 pub struct LoadConfig {
     /// Shard workers in the runtime under test.
     pub shards: usize,
-    /// Intra-shard session workers per shard (1 = the serial dispatcher).
-    pub parallelism: usize,
     /// Closed-loop client threads.
     pub clients: usize,
     /// Independent graph sessions per client.
@@ -88,7 +86,6 @@ impl Default for LoadConfig {
     fn default() -> Self {
         Self {
             shards: 2,
-            parallelism: 1,
             clients: 4,
             sessions_per_client: 2,
             mailbox_depth: 64,
@@ -277,7 +274,6 @@ impl LoadRunner {
         };
         let mut runtime_config = RuntimeConfig::new()
             .shards(cfg.shards)
-            .shard_parallelism(cfg.parallelism)
             .mailbox_depth(cfg.mailbox_depth)
             .spec(spec);
         // Journaled runs get a throwaway directory: the measurement is the
@@ -493,7 +489,7 @@ pub fn render_load_json(reports: &[LoadReport]) -> String {
                 .collect();
             format!(
                 concat!(
-                    "  {{\"shards\": {}, \"parallelism\": {}, \"cores\": {}, ",
+                    "  {{\"shards\": {}, \"cores\": {}, ",
                     "\"clients\": {}, \"sessions\": {}, ",
                     "\"engine\": \"{}\", \"journal\": \"{}\", ",
                     "\"transport\": \"{}\", ",
@@ -506,7 +502,6 @@ pub fn render_load_json(reports: &[LoadReport]) -> String {
                     "\"per_shard\": [{}]}}"
                 ),
                 r.config.shards,
-                r.config.parallelism,
                 r.cores,
                 r.config.clients,
                 r.config.total_sessions(),
@@ -539,7 +534,6 @@ pub fn render_load_table(reports: &[LoadReport]) -> String {
         .map(|r| {
             vec![
                 r.config.shards.to_string(),
-                r.config.parallelism.to_string(),
                 r.config.journal_label(),
                 r.config.transport.label().to_string(),
                 r.config.clients.to_string(),
@@ -558,8 +552,8 @@ pub fn render_load_table(reports: &[LoadReport]) -> String {
         .collect();
     crate::harness::format_table(
         &[
-            "shards", "par", "journal", "wire", "clients", "sessions", "requests", "updates",
-            "upd/s", "p50(µs)", "p90(µs)", "p99(µs)", "fsyncs", "stalls", "busy",
+            "shards", "journal", "wire", "clients", "sessions", "requests", "updates", "upd/s",
+            "p50(µs)", "p90(µs)", "p99(µs)", "fsyncs", "stalls", "busy",
         ],
         &rows,
     )
@@ -644,7 +638,6 @@ mod tests {
         assert!(json.contains("\"updates_per_sec\""));
         assert!(json.contains("\"per_shard\": ["));
         assert!(json.contains("\"journal\": \"none\""));
-        assert!(json.contains("\"parallelism\": 1"));
         assert_eq!(json.matches("\"shards\"").count(), 1);
     }
 
@@ -673,18 +666,17 @@ mod tests {
         assert!(json.contains("\"transport\": \"tcp\""));
     }
 
-    /// Journaled + parallel load runs keep the same accounting invariants
-    /// as memory-only ones, fsync far less than once per command under
-    /// group commit, and report the host's core count. Every stage
-    /// histogram's sample count equals the command total — the
-    /// differential that proves no request skips a stage, on the hardest
-    /// path (group commit + intra-shard parallelism).
+    /// Journaled load runs keep the same accounting invariants as
+    /// memory-only ones, fsync far less than once per command under group
+    /// commit, and report the host's core count. Every stage histogram's
+    /// sample count equals the command total — the differential that
+    /// proves no request skips a stage, on the path that holds replies
+    /// for the group's fsync.
     #[test]
     fn journaled_group_commit_run_accounts_fsyncs() {
         let scenarios = smoke_catalog(29);
         let config = LoadConfig {
             shards: 1,
-            parallelism: 2,
             clients: 2,
             sessions_per_client: 2,
             mailbox_depth: 16,

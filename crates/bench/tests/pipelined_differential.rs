@@ -1,17 +1,17 @@
-//! Acceptance test of intra-shard session parallelism (ISSUE 6): applying
-//! batched commands for *different* sessions concurrently inside one shard
-//! must be indistinguishable from single-threaded execution, per session.
+//! Acceptance test of the serial shard dispatcher under pipelined
+//! traffic: draining many sessions' commands into one group and running
+//! them in slot order must be indistinguishable from single-threaded
+//! execution, per session.
 //!
-//! For every shard count in 1–4 × every `EngineKind`, a runtime with
-//! `shard_parallelism(3)` and a deliberately small mailbox serves a
-//! *pipelined* multi-session stream — many commands in flight at once, so
-//! shard dispatchers drain real multi-command groups and fan sessions out
-//! over their worker pools — interleaved with reads, an unknown-graph
-//! probe, and a create/drop registry-barrier pair mid-stream. Every
-//! session's final `Snapshot { count, total_edges, epoch }` must equal a
-//! plain single-threaded `CycleCountService` replay of that session's
-//! scenario, and the 1-shard runs pin the hardest case: every session in
-//! the same dispatcher, nothing but the per-session run queues keeping
+//! For every shard count in 1–4 × every `EngineKind`, a runtime with a
+//! deliberately small mailbox serves a *pipelined* multi-session stream —
+//! many commands in flight at once, so shard dispatchers drain real
+//! multi-command groups — interleaved with reads, an unknown-graph probe,
+//! and a create/drop registry pair mid-stream. Every session's final
+//! `Snapshot { count, total_edges, epoch }` must equal a plain
+//! single-threaded `CycleCountService` replay of that session's scenario,
+//! and the 1-shard runs pin the hardest case: every session in the same
+//! dispatcher, nothing but slot order keeping each session's commands in
 //! order.
 
 use fourcycle_bench::replay_single_threaded;
@@ -22,7 +22,7 @@ use fourcycle_service::{GraphId, Request, Response, ServiceError};
 use fourcycle_workloads::smoke_catalog;
 
 #[test]
-fn parallel_intra_shard_application_matches_single_threaded_replay() {
+fn pipelined_application_matches_single_threaded_replay() {
     let scenarios = smoke_catalog(11);
     let streams: Vec<_> = scenarios.iter().map(|s| s.generate()).collect();
     let graphs: Vec<GraphId> = (0..streams.len()).map(|i| GraphId(i as u64 + 1)).collect();
@@ -35,7 +35,6 @@ fn parallel_intra_shard_application_matches_single_threaded_replay() {
             let runtime = ShardedRuntime::start(
                 RuntimeConfig::new()
                     .shards(shards)
-                    .shard_parallelism(3)
                     .engine(kind)
                     .mailbox_depth(8),
             );
@@ -46,8 +45,8 @@ fn parallel_intra_shard_application_matches_single_threaded_replay() {
             let rounds = streams.iter().map(Vec::len).max().unwrap_or(0);
             for round in 0..rounds {
                 // All sessions' round-`round` batches in flight together:
-                // this is the traffic shape the per-session run queues must
-                // keep ordered while different sessions apply in parallel.
+                // drained groups interleave many sessions, and slot order
+                // must keep each session's batches in order.
                 for (&id, stream) in graphs.iter().zip(&streams) {
                     if let Some(batch) = stream.get(round) {
                         pipeline.submit(Request::ApplyLayeredBatch {
@@ -64,9 +63,8 @@ fn parallel_intra_shard_application_matches_single_threaded_replay() {
                 });
                 pipeline.submit(Request::Count { id: unknown });
                 if round == rounds / 2 {
-                    // Registry barrier mid-stream: a scratch session is
-                    // created, mutated, and dropped between parallel
-                    // segments.
+                    // Registry commands mid-stream: a scratch session is
+                    // created, mutated, and dropped among the batches.
                     pipeline.submit(Request::CreateGraph {
                         id: scratch,
                         spec: None,
@@ -95,7 +93,7 @@ fn parallel_intra_shard_application_matches_single_threaded_replay() {
                         assert_eq!(
                             (got.count, got.total_edges, got.epoch),
                             (want.count, want.total_edges, want.epoch),
-                            "{label}, session {id}: parallel application diverged"
+                            "{label}, session {id}: pipelined application diverged"
                         );
                     }
                     other => panic!("{label}: expected snapshot, got {other:?}"),
@@ -109,7 +107,7 @@ fn parallel_intra_shard_application_matches_single_threaded_replay() {
             );
             let report = runtime.shutdown();
             // Pipelined submission must have produced real multi-command
-            // groups — otherwise this test isn't exercising the pool.
+            // groups — otherwise this test isn't exercising group draining.
             assert!(
                 report.totals.groups < report.totals.commands,
                 "{label}: no batching happened ({report:?})"

@@ -17,9 +17,8 @@
 //! edge cases K = 0 (recover an empty journal) and K = total (recover a
 //! complete run) on two of the combinations. The combinations also
 //! alternate (deterministically) between `FsyncPolicy::EveryN(1)` and
-//! group commit, and between serial and parallel (3-worker) shard
-//! dispatchers, so recovery is proven over every journaling protocol the
-//! runtime actually runs.
+//! group commit, so recovery is proven over both journaling protocols the
+//! dispatcher runs: reply per command, and reply after the group's fsync.
 //!
 //! A second test pins the group-commit crash window at the store level:
 //! a shard journal is killed *between* group fsyncs (the un-fsynced WAL
@@ -130,18 +129,17 @@ fn kill_after_k_commands_recovers_to_uninterrupted_replay() {
                 (2, EngineKind::Simple) => total,
                 _ => (splitmix64((shards as u64) << 32 | kind as u64) as usize) % (total + 1),
             };
-            // Alternate journaling protocol and dispatcher shape across
-            // the matrix (deterministically), so both fsync policies and
-            // both serial/parallel dispatchers get recovery coverage.
+            // Alternate the journaling protocol across the matrix
+            // (deterministically), so both fsync policies get recovery
+            // coverage.
             let salt = splitmix64((shards as u64) << 8 | kind as u64);
             let fsync = if salt & 1 == 0 {
                 FsyncPolicy::EveryN(1)
             } else {
                 FsyncPolicy::group_commit()
             };
-            let parallelism = if salt & 2 == 0 { 1 } else { 3 };
             let label = format!(
-                "{} shards ×{parallelism}, {}, {fsync:?}, K={k}/{total}",
+                "{} shards, {}, {fsync:?}, K={k}/{total}",
                 shards,
                 kind.name()
             );
@@ -149,7 +147,6 @@ fn kill_after_k_commands_recovers_to_uninterrupted_replay() {
             let config = || {
                 RuntimeConfig::new()
                     .shards(shards)
-                    .shard_parallelism(parallelism)
                     .engine(kind)
                     .mailbox_depth(8)
                     .journal(JournalConfig::new(&dir).checkpoint_every(7).fsync(fsync))

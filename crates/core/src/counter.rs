@@ -66,7 +66,7 @@ impl LayeredCycleCounter {
     }
 
     /// Creates a counter whose four engines are built from a shared
-    /// configuration (capacity hints, `FmmConfig`).
+    /// configuration (the `FmmConfig`).
     pub fn with_config(kind: EngineKind, config: &EngineConfig) -> Self {
         Self {
             engines: [

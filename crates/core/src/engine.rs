@@ -244,31 +244,14 @@ pub enum EngineKind {
     FmmDense,
 }
 
-/// Shared construction options for [`EngineKind::build_with`].
-///
-/// Previously every `EngineKind::build` call hard-coded an inline
-/// `FmmConfig`; this struct centralizes that choice and adds capacity hints
-/// for the indexed adjacency rows, so callers that know their workload scale
-/// (the counters, the bench harness, a streaming ingestor) can pre-size the
-/// vertex interners instead of growing them update by update.
+/// Shared construction options for [`EngineKind::build_with`]: the one
+/// place the `FmmConfig` of a counter's, view's or session's engines is
+/// chosen.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineConfig {
-    /// Expected number of distinct vertices per layer (0 = unknown). Used to
-    /// pre-size adjacency interners and rows; the fmm kinds ignore it.
-    pub capacity_hint: usize,
     /// Configuration of the main (§4–§7) engine. `use_fmm` is forced on for
     /// [`EngineKind::FmmDense`] and off for [`EngineKind::Fmm`].
     pub fmm: crate::FmmConfig,
-}
-
-impl EngineConfig {
-    /// A configuration carrying only a capacity hint.
-    pub fn with_capacity_hint(capacity_hint: usize) -> Self {
-        Self {
-            capacity_hint,
-            ..Default::default()
-        }
-    }
 }
 
 impl EngineKind {
@@ -288,11 +271,10 @@ impl EngineKind {
 
     /// Builds a fresh engine of this kind from a shared configuration.
     pub fn build_with(self, config: &EngineConfig) -> Box<dyn ThreePathEngine> {
-        let hint = config.capacity_hint;
         match self {
-            EngineKind::Naive => Box::new(crate::NaiveEngine::with_capacity(hint)),
-            EngineKind::Simple => Box::new(crate::SimpleEngine::with_capacity(hint)),
-            EngineKind::Threshold => Box::new(crate::ThresholdEngine::with_capacity(hint)),
+            EngineKind::Naive => Box::new(crate::NaiveEngine::new()),
+            EngineKind::Simple => Box::new(crate::SimpleEngine::new()),
+            EngineKind::Threshold => Box::new(crate::ThresholdEngine::new()),
             EngineKind::Fmm => Box::new(crate::FmmEngine::new(crate::FmmConfig {
                 use_fmm: false,
                 ..config.fmm
@@ -338,7 +320,6 @@ mod tests {
     #[test]
     fn build_with_respects_config() {
         let config = EngineConfig {
-            capacity_hint: 64,
             fmm: crate::FmmConfig {
                 phase_len_override: Some(17),
                 ..Default::default()
@@ -348,7 +329,6 @@ mod tests {
             let engine = kind.build_with(&config);
             assert_eq!(engine.name(), kind.name(), "use_fmm forced per kind");
         }
-        assert_eq!(EngineConfig::with_capacity_hint(9).capacity_hint, 9);
     }
 
     #[test]

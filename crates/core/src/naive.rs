@@ -21,18 +21,6 @@ impl NaiveEngine {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Creates an empty engine sized for roughly `hint` vertices per layer.
-    pub fn with_capacity(hint: usize) -> Self {
-        Self {
-            rels: [
-                BipartiteAdjacency::with_capacity(hint),
-                BipartiteAdjacency::with_capacity(hint),
-                BipartiteAdjacency::with_capacity(hint),
-            ],
-            work: 0,
-        }
-    }
 }
 
 impl ThreePathEngine for NaiveEngine {

@@ -25,13 +25,6 @@ impl PairCounts {
         Self::default()
     }
 
-    /// Creates an empty table sized for roughly `rows` distinct left keys.
-    pub fn with_capacity(rows: usize) -> Self {
-        Self {
-            table: SignedAdjacency::with_capacity(rows),
-        }
-    }
-
     /// Adds `delta` to the entry `(a, b)`.
     pub fn add(&mut self, a: VertexId, b: VertexId, delta: i64) {
         self.table.add(a, b, delta);

@@ -31,17 +31,6 @@ impl SimpleEngine {
         Self::default()
     }
 
-    /// Creates an empty engine sized for roughly `hint` vertices per layer.
-    pub fn with_capacity(hint: usize) -> Self {
-        Self {
-            a: BipartiteAdjacency::with_capacity(hint),
-            b: BipartiteAdjacency::with_capacity(hint),
-            c: BipartiteAdjacency::with_capacity(hint),
-            wedges_bc: PairCounts::with_capacity(hint),
-            work: 0,
-        }
-    }
-
     /// Number of stored wedge entries (exposed for the memory experiments).
     pub fn stored_wedges(&self) -> usize {
         self.wedges_bc.len()

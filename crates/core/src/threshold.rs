@@ -78,15 +78,10 @@ impl Default for ThresholdEngine {
 impl ThresholdEngine {
     /// Creates an empty engine.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty engine sized for roughly `hint` vertices per layer.
-    pub fn with_capacity(hint: usize) -> Self {
         Self {
-            a: BipartiteAdjacency::with_capacity(hint),
-            b: BipartiteAdjacency::with_capacity(hint),
-            c: BipartiteAdjacency::with_capacity(hint),
+            a: BipartiteAdjacency::new(),
+            b: BipartiteAdjacency::new(),
+            c: BipartiteAdjacency::new(),
             heavy_l1: HashSet::new(),
             heavy_l2: HashSet::new(),
             heavy_l3: HashSet::new(),

@@ -18,8 +18,8 @@ use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, CyclicJoinCountView,
 use fourcycle::runtime::{RuntimeConfig, RuntimeReport, RuntimeStats, ShardedRuntime};
 use fourcycle::server::{Client, ClientError, Server, ServerConfig, ServerStats, WireError};
 use fourcycle::service::{
-    CheckpointImage, CycleCountService, DetachedSession, GraphId, JournalSink, ParseError, Request,
-    Response, ServiceBuilder, ServiceError, SessionImage, SessionSpec, WorkloadMode,
+    CheckpointImage, CycleCountService, GraphId, JournalSink, ParseError, Request, Response,
+    ServiceBuilder, ServiceError, SessionImage, SessionSpec, WorkloadMode,
 };
 use fourcycle::store::{FsyncPolicy, JournalConfig, JournalStore, ShardJournal, StoreError};
 
@@ -254,30 +254,7 @@ fn surface() -> Vec<&'static str> {
         CycleCountService::restore_epoch
             as fn(&mut CycleCountService, GraphId, u64) -> Result<(), ServiceError>
     );
-    // --- intra-shard parallelism and group commit (PR 6) -----------------
-    pin_type::<DetachedSession>(&mut n, "service::DetachedSession");
-    pin!(
-        n,
-        "service::DetachedSession::id",
-        DetachedSession::id as fn(&DetachedSession) -> GraphId
-    );
-    pin!(
-        n,
-        "service::DetachedSession::execute",
-        DetachedSession::execute
-            as fn(&mut DetachedSession, &Request) -> Result<Response, ServiceError>
-    );
-    pin!(
-        n,
-        "service::CycleCountService::detach_session",
-        CycleCountService::detach_session
-            as fn(&mut CycleCountService, GraphId) -> Result<DetachedSession, ServiceError>
-    );
-    pin!(
-        n,
-        "service::CycleCountService::reattach_session",
-        CycleCountService::reattach_session as fn(&mut CycleCountService, DetachedSession)
-    );
+    // --- group commit ----------------------------------------------------
     pin!(
         n,
         "service::CycleCountService::journal_record_applied",
@@ -302,13 +279,8 @@ fn surface() -> Vec<&'static str> {
     );
     pin!(
         n,
-        "runtime::RuntimeConfig::shard_parallelism",
-        RuntimeConfig::shard_parallelism as fn(RuntimeConfig, usize) -> RuntimeConfig
-    );
-    pin!(
-        n,
-        "runtime::RuntimeConfig::parallelism",
-        RuntimeConfig::parallelism as fn(&RuntimeConfig) -> usize
+        "runtime::RuntimeConfig::mailbox_depth",
+        RuntimeConfig::mailbox_depth as fn(RuntimeConfig, usize) -> RuntimeConfig
     );
     pin!(
         n,
@@ -574,11 +546,6 @@ fn surface() -> Vec<&'static str> {
         n,
         "ivm::BinaryJoinCountView::new",
         BinaryJoinCountView::new as fn() -> BinaryJoinCountView
-    );
-    pin!(
-        n,
-        "ivm::BinaryJoinCountView::with_config",
-        BinaryJoinCountView::with_config as fn(&EngineConfig) -> BinaryJoinCountView
     );
     pin!(
         n,

@@ -19,9 +19,7 @@ use fourcycle::core::{
 use fourcycle::ivm::{BinaryJoinCountView, CyclicJoinCountView};
 use fourcycle::runtime::{Pipeline, RuntimeConfig, RuntimeError, ShardedRuntime, Ticket};
 use fourcycle::server::{Client, ClientError, Server, WireError};
-use fourcycle::service::{
-    CycleCountService, DetachedSession, JournalSink, Request, Response, ServiceError,
-};
+use fourcycle::service::{CycleCountService, JournalSink, Request, Response, ServiceError};
 use fourcycle::store::{ShardJournal, StoreError};
 
 fn assert_send<T: Send>() {}
@@ -61,8 +59,6 @@ fn the_service_and_runtime_surface_is_send() {
     assert_send::<ShardedRuntime>();
     assert_sync::<ShardedRuntime>();
     assert_send::<Pipeline<'_>>();
-    // Intra-shard parallelism hands detached sessions to pool workers.
-    assert_send::<DetachedSession>();
 }
 
 #[allow(dead_code)]

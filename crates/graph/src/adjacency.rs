@@ -47,17 +47,6 @@ impl SignedAdjacency {
         Self::default()
     }
 
-    /// Creates an empty adjacency with interner/row capacity for roughly
-    /// `rows` distinct left vertices.
-    pub fn with_capacity(rows: usize) -> Self {
-        Self {
-            index: CompactIndex::with_capacity(rows),
-            rows: Vec::with_capacity(rows),
-            entries: 0,
-            total_weight_abs: 0,
-        }
-    }
-
     /// Adds `delta` to the weight of the pair `(u, v)`.
     ///
     /// Returns the new weight.
@@ -216,15 +205,6 @@ impl BipartiteAdjacency {
         Self::default()
     }
 
-    /// Creates an empty bipartite adjacency sized for roughly `rows`
-    /// distinct vertices per side.
-    pub fn with_capacity(rows: usize) -> Self {
-        Self {
-            forward: SignedAdjacency::with_capacity(rows),
-            backward: SignedAdjacency::with_capacity(rows),
-        }
-    }
-
     /// Adds `delta` to the weight of `(left, right)`; returns the new weight.
     pub fn add(&mut self, left: VertexId, right: VertexId, delta: i64) -> i64 {
         self.backward.add(right, left, delta);
@@ -363,7 +343,7 @@ mod tests {
 
     #[test]
     fn clear_retains_capacity_but_no_entries() {
-        let mut adj = SignedAdjacency::with_capacity(4);
+        let mut adj = SignedAdjacency::new();
         adj.add(1, 2, 1);
         adj.add(3, 4, 2);
         adj.clear();
@@ -432,7 +412,7 @@ mod tests {
 
     #[test]
     fn bipartite_clear() {
-        let mut adj = BipartiteAdjacency::with_capacity(8);
+        let mut adj = BipartiteAdjacency::new();
         adj.add(1, 1, 1);
         adj.add(2, 2, 1);
         adj.clear();

@@ -52,8 +52,8 @@ impl CyclicJoinCountView {
         }
     }
 
-    /// Creates an empty view with a shared engine configuration (capacity
-    /// hints for the expected relation sizes, `FmmConfig`).
+    /// Creates an empty view with a shared engine configuration (the
+    /// `FmmConfig`).
     pub fn with_config(kind: EngineKind, config: &EngineConfig) -> Self {
         Self {
             counter: LayeredCycleCounter::with_config(kind, config),
@@ -246,18 +246,6 @@ impl BinaryJoinCountView {
     /// Creates an empty view.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty view from a shared engine configuration — the same
-    /// constructor every other entry point (counters, cyclic view) offers.
-    /// Only the capacity hint applies: the binary join is maintained
-    /// directly, without an engine, so the `FmmConfig` part is unused.
-    pub fn with_config(config: &EngineConfig) -> Self {
-        Self {
-            a_by_l2: fourcycle_graph::SignedAdjacency::with_capacity(config.capacity_hint),
-            b_by_l2: fourcycle_graph::SignedAdjacency::with_capacity(config.capacity_hint),
-            ..Self::default()
-        }
     }
 
     /// Current join size.

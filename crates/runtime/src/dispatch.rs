@@ -1,52 +1,37 @@
-//! The shard dispatcher: mailbox group draining, **intra-shard session
-//! parallelism**, and the journal **group-commit** barrier.
+//! The shard dispatcher: mailbox group draining and the journal
+//! **group-commit** barrier.
 //!
-//! One dispatcher thread per shard replaces the old one-command-at-a-time
-//! worker loop. Per iteration it drains its mailbox into a *group*, splits
-//! the group into phases, and processes them in slot (= arrival) order:
+//! One dispatcher thread per shard. Per iteration it drains its mailbox
+//! into a *group* and runs the group's commands serially, in slot
+//! (= arrival) order:
 //!
 //! ```text
-//!  mailbox ──drain──► group [ c1ᵍ¹ c2ᵍ² c3ᵍ¹ | create g9 | c4ᵍ² … ]
-//!                             └── segment ──┘  └ barrier ┘ └ seg …
-//!                                   │
-//!             per-session run queues│(order within a session preserved)
-//!                 ┌────────────┬────┴───────┐
-//!                 ▼            ▼            ▼
-//!            dispatcher    helper w1    helper w2      (SessionPool)
-//!            runs g1       runs g2      runs g3
-//!                 └──────── join ───────────┘
-//!                            │
-//!              journal in slot order, then (GroupCommit)
-//!              one fsync ──► release the group's replies
+//!  mailbox ──drain──► group [ c1ᵍ¹ c2ᵍ² create g9 c3ᵍ¹ … ]
+//!                               │
+//!               each slot, in order: apply, then journal
+//!                               │
+//!         ┌─────────────────────┴─────────────────────┐
+//!   EveryN / OnShutdown / memory-only            GroupCommit
+//!   reply at once                                one fsync for the group,
+//!                                                then release every reply
 //! ```
 //!
-//! * **Segments vs barriers.** Session-scoped commands (applies, count,
-//!   snapshot) form *segments*; registry commands (create/drop/list) are
-//!   *barriers* executed serially between them — they mutate the session
-//!   registry itself, so nothing may be detached while they run.
-//! * **Session runs.** Within a segment the commands are grouped by
-//!   `GraphId` into per-session run queues. Sessions are independent by
-//!   construction, so different sessions' runs execute concurrently on the
-//!   [`SessionPool`] — each run *detaches* its session
-//!   ([`CycleCountService::detach_session`]), applies its commands in
-//!   order on a pool thread, and is reattached at the join. Per-session
-//!   command order and epoch semantics are therefore exactly those of
-//!   serial execution.
-//! * **Journaling.** Parallel-applied mutations are journaled *after* the
-//!   join, in slot order ([`CycleCountService::journal_record_applied`]):
-//!   the WAL preserves each session's command order, which is all replay
-//!   needs — sessions are independent. Under
-//!   [`FsyncPolicy::GroupCommit`](fourcycle_store::FsyncPolicy) the
-//!   dispatcher then acts as the group's *leader*: one
+//! * **Serial by design.** A session's commands must apply strictly in
+//!   order: each count delta is a query over every earlier update (§8's
+//!   Claim 8.1 pins that query between a general update's engine
+//!   updates). A shard could only overlap *different* sessions, and hash
+//!   sharding already spreads sessions over shard threads.
+//! * **Journaling.** Each slot runs through the service's split path
+//!   ([`CycleCountService::execute_unjournaled`] +
+//!   [`CycleCountService::journal_record_applied`]), which times the apply
+//!   and journal-append stages separately and is otherwise identical to
+//!   `execute`. Under [`FsyncPolicy::GroupCommit`](fourcycle_store::FsyncPolicy)
+//!   the dispatcher then acts as the group's *leader*: one
 //!   [`journal_commit_group`](CycleCountService::journal_commit_group)
 //!   fsync covers every command in the group, and only then are the
 //!   group's replies released — reply ⇒ journaled ⇒ durable, at a fraction
 //!   of the fsync count. A failed barrier poisons exactly the commands
 //!   journaled into the failed group (`ServiceError::Journal`).
-//!
-//! With `RuntimeConfig::shard_parallelism(1)` (the default) no pool
-//! threads exist and segments run inline on the dispatcher — the serial
-//! fast path, byte-for-byte the old behavior.
 //!
 //! The dispatch loop serves every session on its shard, so one blocked
 //! iteration stalls them all (ADR-006). Its functions therefore carry
@@ -56,20 +41,17 @@
 
 use crate::stats::{self, ShardMetrics};
 use crate::Job;
-use fourcycle_service::{CycleCountService, GraphId, Request, Response, ServiceError};
+use fourcycle_service::{CycleCountService, Request, Response, ServiceError};
 use fourcycle_telemetry::{EventKind, Histogram, Stage, Telemetry};
-use std::cmp::Reverse;
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on one drained group when no `GroupCommit` policy bounds
-/// it. Replies are held for at most the life of one group, so the cap
-/// bounds reply latency under a deep mailbox.
+/// it. Under the immediate fsync policies each reply leaves as soon as its
+/// command is journaled, so the cap only stops a mailbox that producers
+/// refill as fast as it drains from growing one group without bound.
 const GROUP_CAP: usize = 256;
 
 /// The dispatcher-side knobs of [`FsyncPolicy::GroupCommit`]
@@ -85,13 +67,12 @@ pub(crate) struct GroupCommitKnobs {
 
 /// Shard-scoped telemetry view threaded through one group's processing.
 ///
-/// Stage accounting invariant: every delivered slot contributes **exactly
-/// one** sample to each of the six stage histograms (zero-valued where a
-/// stage does not apply), so each stage's per-shard sample count equals
-/// the shard's `commands` counter — a differential the tests pin. Exact
-/// per-slot times are recorded where a boundary exists anyway (queue
-/// wait, serial apply/journal); group-granular times are smeared as `n`
-/// samples of `total/n` ([`Histogram::record_each`]).
+/// Stage accounting invariant: every delivered command contributes
+/// **exactly one** sample to each of the six stage histograms (zero-valued
+/// where a stage does not apply), so each stage's per-shard sample count
+/// equals the shard's `commands` counter — a differential the tests pin.
+/// A command's stages are consecutive intervals from its enqueue stamp to
+/// its reply, so they sum to its time in the runtime.
 struct GroupTelemetry<'a> {
     tel: &'a Telemetry,
     shard: usize,
@@ -123,11 +104,9 @@ pub(crate) fn shard_worker(
     metrics: Arc<ShardMetrics>,
     mut service: CycleCountService,
     shard: usize,
-    parallelism: usize,
     group_commit: Option<GroupCommitKnobs>,
     telemetry: Arc<Telemetry>,
 ) {
-    let mut pool = SessionPool::new(parallelism.saturating_sub(1), shard);
     let tel = GroupTelemetry {
         tel: &telemetry,
         shard,
@@ -172,14 +151,7 @@ pub(crate) fn shard_worker(
                 }
             }
         }
-        process_group(
-            &mut service,
-            &mut pool,
-            group,
-            &metrics,
-            group_commit.is_some(),
-            &tel,
-        );
+        process_group(&mut service, group, &metrics, group_commit.is_some(), &tel);
         metrics.groups.fetch_add(1, Ordering::Relaxed);
         metrics
             .journal_fsyncs
@@ -198,154 +170,87 @@ pub(crate) fn shard_worker(
         .store(service.journal_fsyncs(), Ordering::Relaxed);
 }
 
-/// Registry commands mutate the session registry (or address every shard)
-/// and act as serial barriers between parallel segments.
-fn is_registry(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::CreateGraph { .. } | Request::DropGraph { .. } | Request::ListGraphs
-    )
-}
-
-/// Executes one drained group: barriers serially, segments on the pool,
-/// journal in slot order, then the group-commit barrier (if configured)
-/// before any held reply is released.
+/// Executes one drained group serially, in slot order. Under the
+/// immediate policies each reply leaves as soon as its command is
+/// journaled; under group commit the replies wait for the group's one
+/// fsync.
 #[deny(clippy::disallowed_methods)]
 fn process_group(
     service: &mut CycleCountService,
-    pool: &mut SessionPool,
     group: Vec<Job>,
     metrics: &ShardMetrics,
     hold_for_commit: bool,
     tel: &GroupTelemetry,
 ) {
-    let n = group.len();
-    let mut replies = Vec::with_capacity(n);
-    let mut requests = Vec::with_capacity(n);
-    let mut enqueued = Vec::with_capacity(n);
-    for job in group {
-        replies.push(Some(job.reply));
-        enqueued.push(job.enqueued_at);
-        requests.push(job.request);
-    }
-    // Queue wait is exact per job (submit stamped it); the group-assembly
-    // boundary doubles as the dispatch-stage start.
-    let dispatch_started = Instant::now();
+    // Queue wait is exact per job (submit stamped it) and ends where the
+    // group starts.
+    let started = Instant::now();
     let queue_wait = tel.hist(Stage::QueueWait);
-    for &at in &enqueued {
-        queue_wait.record(nanos_between(at, dispatch_started));
+    for job in &group {
+        queue_wait.record(nanos_between(job.enqueued_at, started));
     }
-    let mut outcomes: Vec<Option<Result<Response, ServiceError>>> =
-        std::iter::repeat_with(|| None).take(n).collect();
-    // Slots journaled into the current group. If the group's fsync fails,
-    // exactly these replies are rewritten to `ServiceError::Journal` —
-    // their commands applied but are not durable.
-    let mut journaled: Vec<usize> = Vec::new();
-    let slots = u64::try_from(n).unwrap_or(u64::MAX);
-    tel.hist(Stage::Dispatch)
-        .record_each(nanos_between(dispatch_started, Instant::now()), slots);
 
-    let mut start = 0;
-    while start < n {
-        if is_registry(&requests[start]) {
-            // Barrier: executed (and journaled) inline by the service.
-            let (outcome, journaled_now) = execute_slot(service, &requests[start], tel);
-            if journaled_now {
-                journaled.push(start);
-            }
-            outcomes[start] = Some(outcome);
-            if !hold_for_commit {
-                deliver_timed(
-                    metrics,
-                    &requests,
-                    &mut replies,
-                    &mut outcomes,
-                    start..start + 1,
-                    tel,
-                );
-            }
-            start += 1;
-            continue;
+    if !hold_for_commit {
+        let fsync_wait = tel.hist(Stage::FsyncWait);
+        for job in group {
+            let (outcome, _, ready) = execute_slot(service, &job.request, started, tel);
+            fsync_wait.record(0);
+            deliver(metrics, job, outcome, ready, tel);
         }
-        let mut end = start + 1;
-        while end < n && !is_registry(&requests[end]) {
-            end += 1;
-        }
-        run_segment(
-            service,
-            pool,
-            &mut requests,
-            start..end,
-            &mut outcomes,
-            &mut journaled,
-            tel,
+        return;
+    }
+
+    let mut executed = Vec::with_capacity(group.len());
+    for job in group {
+        let (outcome, journaled, ready) = execute_slot(service, &job.request, started, tel);
+        executed.push((job, outcome, journaled, ready));
+    }
+    // The group's durability barrier: one fsync for every command
+    // journaled above. Only now may replies leave the shard — a client
+    // that sees a response holds a durable command, exactly as under
+    // fsync-every-1.
+    let fsync_started = Instant::now();
+    let committed = service.journal_commit_group();
+    let fsynced = Instant::now();
+    if let Ok(covered @ 1..) = committed {
+        tel.tel.ring().emit(
+            tel.shard_id(),
+            EventKind::GroupCommit,
+            covered,
+            nanos_between(fsync_started, fsynced),
         );
-        if !hold_for_commit {
-            deliver_timed(
-                metrics,
-                &requests,
-                &mut replies,
-                &mut outcomes,
-                start..end,
-                tel,
-            );
-        }
-        start = end;
     }
-
-    if hold_for_commit {
-        // The group's durability barrier: one fsync for every command
-        // journaled above. Only now may replies leave the shard — a client
-        // that sees a response holds a durable command, exactly as under
-        // fsync-every-1.
-        let fsync_started = Instant::now();
-        let committed = service.journal_commit_group();
-        let fsync_nanos = nanos_between(fsync_started, Instant::now());
-        tel.hist(Stage::FsyncWait).record_each(fsync_nanos, slots);
-        match committed {
-            Ok(covered) if covered > 0 => {
-                tel.tel
-                    .ring()
-                    .emit(tel.shard_id(), EventKind::GroupCommit, covered, fsync_nanos);
-            }
-            Ok(_) => {}
-            Err(e) => {
-                for &slot in &journaled {
-                    outcomes[slot] = Some(Err(e));
-                }
-            }
+    let fsync_wait = tel.hist(Stage::FsyncWait);
+    for (job, mut outcome, journaled, ready) in executed {
+        // If the fsync failed, exactly the commands journaled into the
+        // group applied but are not durable.
+        if let (true, Err(e)) = (journaled, committed) {
+            outcome = Err(e);
         }
-        let reply_started = Instant::now();
-        for slot in 0..n {
-            deliver(metrics, &requests, &mut replies, &mut outcomes, slot);
-        }
-        tel.hist(Stage::Reply)
-            .record_each(nanos_between(reply_started, Instant::now()), slots);
-    }
-    // End-to-end latency check (slow-request events), one clock read for
-    // the whole group. Fan-out sub-commands check per shard.
-    let now = Instant::now();
-    for at in enqueued {
-        tel.tel
-            .note_request_done(tel.shard_id(), nanos_between(at, now));
+        fsync_wait.record(nanos_between(ready, fsynced));
+        deliver(metrics, job, outcome, fsynced, tel);
     }
 }
 
-/// Executes one barrier or serial-segment slot. The apply and
-/// journal-append halves are timed separately through the service's split
-/// path ([`CycleCountService::execute_unjournaled`] +
+/// Executes one slot through the service's split path
+/// ([`CycleCountService::execute_unjournaled`] +
 /// [`CycleCountService::journal_record_applied`]), which is semantically
 /// identical to plain `execute` — same order, same checkpoint handling,
 /// and a journal failure after a successful apply surfaces as the
-/// command's outcome while its effect stands. Returns the outcome and
-/// whether the slot was journaled into the open group.
+/// command's outcome while its effect stands. Records the dispatch (wait
+/// behind the group's earlier slots since `group_started`), apply and
+/// journal-append stages. Returns the outcome, whether the slot was
+/// journaled into the open group, and when it finished.
 #[deny(clippy::disallowed_methods)]
 fn execute_slot(
     service: &mut CycleCountService,
     request: &Request,
+    group_started: Instant,
     tel: &GroupTelemetry,
-) -> (Result<Response, ServiceError>, bool) {
+) -> (Result<Response, ServiceError>, bool, Instant) {
     let apply_started = Instant::now();
+    tel.hist(Stage::Dispatch)
+        .record(nanos_between(group_started, apply_started));
     let mut outcome = service.execute_unjournaled(request);
     let journal_started = Instant::now();
     tel.hist(Stage::Apply)
@@ -357,160 +262,23 @@ fn execute_slot(
             Err(e) => outcome = Err(e),
         }
     }
+    let done = Instant::now();
     tel.hist(Stage::JournalAppend)
-        .record(nanos_between(journal_started, Instant::now()));
-    (outcome, journaled)
+        .record(nanos_between(journal_started, done));
+    (outcome, journaled, done)
 }
 
-/// Delivers a range of finished slots, recording the reply stage (and a
-/// zero fsync-wait sample — immediate mode has no commit barrier) for
-/// each. The group-commit path times its own reply loop instead.
-#[deny(clippy::disallowed_methods)]
-fn deliver_timed(
-    metrics: &ShardMetrics,
-    requests: &[Request],
-    replies: &mut [Option<mpsc::Sender<Result<Response, ServiceError>>>],
-    outcomes: &mut [Option<Result<Response, ServiceError>>],
-    range: Range<usize>,
-    tel: &GroupTelemetry,
-) {
-    let started = Instant::now();
-    let len = u64::try_from(range.len()).unwrap_or(u64::MAX);
-    for slot in range {
-        deliver(metrics, requests, replies, outcomes, slot);
-    }
-    tel.hist(Stage::FsyncWait).record_each(0, len);
-    tel.hist(Stage::Reply)
-        .record_each(nanos_between(started, Instant::now()), len);
-}
-
-/// Executes one segment (consecutive session-scoped slots): groups the
-/// slots into per-session run queues, fans the runs out over the pool
-/// (serially when there is nothing to overlap), reattaches every session,
-/// then journals the applied mutations in slot order.
-#[deny(clippy::disallowed_methods)]
-fn run_segment(
-    service: &mut CycleCountService,
-    pool: &mut SessionPool,
-    requests: &mut [Request],
-    range: Range<usize>,
-    outcomes: &mut [Option<Result<Response, ServiceError>>],
-    journaled: &mut Vec<usize>,
-    tel: &GroupTelemetry,
-) {
-    // Per-session run queues, arrival order preserved within each session.
-    let mut runs: Vec<(GraphId, Vec<usize>)> = Vec::new();
-    for slot in range.clone() {
-        #[expect(
-            clippy::expect_used,
-            reason = "run_segment is only fed session commands"
-        )]
-        let id = requests[slot]
-            .graph_id()
-            .expect("segment commands are session-scoped");
-        match runs.iter_mut().find(|(rid, _)| *rid == id) {
-            Some((_, slots)) => slots.push(slot),
-            None => runs.push((id, vec![slot])),
-        }
-    }
-
-    if pool.helpers() == 0 || runs.len() < 2 {
-        // Nothing to overlap: the serial path, with exact per-slot
-        // apply/journal timing through `execute_slot`.
-        for slot in range {
-            let (outcome, journaled_now) = execute_slot(service, &requests[slot], tel);
-            if journaled_now {
-                journaled.push(slot);
-            }
-            outcomes[slot] = Some(outcome);
-        }
-        return;
-    }
-
-    // On the parallel path the apply phase (detach → pool → reattach) and
-    // the journal phase are group-granular; their durations are smeared
-    // across the segment's slots to keep the one-sample-per-slot invariant.
-    let seg_len = u64::try_from(range.len()).unwrap_or(u64::MAX);
-    let apply_started = Instant::now();
-
-    // Detach every addressed session and ship it, with its commands, to
-    // the pool. Ids without a session run inline for the exact
-    // `UnknownGraph` error — they cannot race anything (there is no
-    // session to share, and creates/drops are barriers).
-    let mut dispatched: Vec<SessionRun> = Vec::new();
-    for (id, slots) in runs {
-        match service.detach_session(id) {
-            Ok(session) => {
-                let jobs = slots
-                    .into_iter()
-                    .map(|slot| {
-                        // Move the request out for the pool thread; the
-                        // placeholder is dead weight until the run returns
-                        // it. `ListGraphs` is the only payload-free variant.
-                        (
-                            slot,
-                            std::mem::replace(&mut requests[slot], Request::ListGraphs),
-                        )
-                    })
-                    .collect();
-                dispatched.push(SessionRun { session, jobs });
-            }
-            Err(_) => {
-                for slot in slots {
-                    let outcome = service.execute(&requests[slot]);
-                    debug_assert!(outcome.is_err(), "detach fails only for unknown ids");
-                    outcomes[slot] = Some(outcome);
-                }
-            }
-        }
-    }
-    for done in pool.execute(dispatched) {
-        service.reattach_session(done.session);
-        for (slot, request, outcome) in done.outcomes {
-            requests[slot] = request;
-            outcomes[slot] = Some(outcome);
-        }
-    }
-    let journal_started = Instant::now();
-    tel.hist(Stage::Apply)
-        .record_each(nanos_between(apply_started, journal_started), seg_len);
-    // Journal the applied mutations in slot order — the WAL preserves each
-    // session's command order, which is all replay needs (sessions are
-    // independent). Runs only after every session is reattached, so a due
-    // checkpoint images the complete registry.
-    for slot in range {
-        let applied = matches!(outcomes[slot], Some(Ok(_)));
-        if applied && requests[slot].is_mutation() {
-            match service.journal_record_applied(&requests[slot]) {
-                Ok(()) => journaled.push(slot),
-                Err(e) => outcomes[slot] = Some(Err(e)),
-            }
-        }
-    }
-    tel.hist(Stage::JournalAppend)
-        .record_each(nanos_between(journal_started, Instant::now()), seg_len);
-}
-
-/// Counts one finished slot into the metrics and sends its reply.
-/// Idempotent per slot (the reply sender is taken).
+/// Counts one finished command into the metrics and sends its reply,
+/// recording the reply stage (from `ready`, when the reply could first
+/// leave) and the request's end-to-end latency for slow-request events.
 #[deny(clippy::disallowed_methods)]
 fn deliver(
     metrics: &ShardMetrics,
-    requests: &[Request],
-    replies: &mut [Option<mpsc::Sender<Result<Response, ServiceError>>>],
-    outcomes: &mut [Option<Result<Response, ServiceError>>],
-    slot: usize,
+    job: Job,
+    outcome: Result<Response, ServiceError>,
+    ready: Instant,
+    tel: &GroupTelemetry,
 ) {
-    let Some(reply) = replies[slot].take() else {
-        return;
-    };
-    #[expect(
-        clippy::expect_used,
-        reason = "execute_slot/run_segment fill every slot"
-    )]
-    let outcome = outcomes[slot]
-        .take()
-        .expect("every slot is processed before delivery");
     metrics.commands.fetch_add(1, Ordering::Relaxed);
     // `updates_applied` counts what actually landed in service state.
     // A journal failure is reported to the client as an error, but its
@@ -519,10 +287,10 @@ fn deliver(
     // or the report would diverge from the session epochs during
     // exactly the incidents (disk full) where it matters.
     let applied = match &outcome {
-        Ok(_) => u64::try_from(requests[slot].update_count()).unwrap_or(u64::MAX),
+        Ok(_) => u64::try_from(job.request.update_count()).unwrap_or(u64::MAX),
         Err(ServiceError::Journal(_) | ServiceError::JournalCheckpoint(_)) => {
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            u64::try_from(requests[slot].update_count()).unwrap_or(u64::MAX)
+            u64::try_from(job.request.update_count()).unwrap_or(u64::MAX)
         }
         Err(_) => {
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
@@ -536,148 +304,80 @@ fn deliver(
     }
     // The client may have dropped its ticket (fire-and-forget); a dead
     // reply channel is not an error.
-    let _ = reply.send(outcome);
+    let _ = job.reply.send(outcome);
+    let sent = Instant::now();
+    tel.hist(Stage::Reply).record(nanos_between(ready, sent));
+    // Fan-out sub-commands check per shard.
+    tel.tel
+        .note_request_done(tel.shard_id(), nanos_between(job.enqueued_at, sent));
 }
 
-/// One session's share of a segment: the detached session plus its
-/// commands, in arrival order.
-struct SessionRun {
-    session: fourcycle_service::DetachedSession,
-    jobs: Vec<(usize, Request)>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fourcycle_core::EngineKind;
+    use fourcycle_graph::{LayeredUpdate, Rel};
+    use fourcycle_service::GraphId;
+    use fourcycle_telemetry::TelemetryConfig;
+    use std::sync::mpsc;
 
-/// A finished run: the session (to reattach) and each command's request
-/// and outcome, keyed by group slot.
-struct RunDone {
-    session: fourcycle_service::DetachedSession,
-    outcomes: Vec<(usize, Request, Result<Response, ServiceError>)>,
-}
+    fn job(request: Request) -> (Job, mpsc::Receiver<Result<Response, ServiceError>>) {
+        let (reply, rx) = mpsc::channel();
+        let job = Job {
+            request,
+            reply,
+            enqueued_at: Instant::now(),
+        };
+        (job, rx)
+    }
 
-fn run_one(run: SessionRun) -> RunDone {
-    let SessionRun { mut session, jobs } = run;
-    let outcomes = jobs
-        .into_iter()
-        .map(|(slot, request)| {
-            let outcome = session.execute(&request);
-            (slot, request, outcome)
-        })
-        .collect();
-    RunDone { session, outcomes }
-}
-
-struct PoolShared {
-    queue: Mutex<VecDeque<SessionRun>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-}
-
-/// The per-shard helper pool behind intra-shard parallelism:
-/// `parallelism - 1` persistent threads plus the dispatcher itself. Runs
-/// move by value (each carries its detached session), so no locks guard
-/// session state — the queue mutex only hands out work.
-struct SessionPool {
-    shared: Arc<PoolShared>,
-    results_rx: mpsc::Receiver<RunDone>,
-    /// Keeps the results channel alive independent of helper lifetimes.
-    _results_tx: mpsc::Sender<RunDone>,
-    helpers: Vec<JoinHandle<()>>,
-}
-
-impl SessionPool {
-    fn new(helpers: usize, shard: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let (results_tx, results_rx) = mpsc::channel();
-        #[expect(
-            clippy::expect_used,
-            reason = "the pool is built at startup, before serving"
-        )]
-        let handles = (0..helpers)
+    /// A cheap command drained into one group ahead of an expensive one is
+    /// timed to its own reply, not to the end of the group.
+    #[test]
+    fn slow_requests_are_timed_to_their_own_reply() {
+        let mut service = CycleCountService::builder()
+            .engine(EngineKind::Naive)
+            .build();
+        let (cheap, costly) = (GraphId(1), GraphId(2));
+        service.create_session(cheap).unwrap();
+        service.create_session(costly).unwrap();
+        let updates: Vec<LayeredUpdate> = (0..4_000u32)
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                let results = results_tx.clone();
-                thread::Builder::new()
-                    .name(format!("fourcycle-shard-{shard}-w{}", i + 1))
-                    .spawn(move || helper_loop(&shared, &results))
-                    .expect("spawn shard pool helper")
+                let rel = [Rel::A, Rel::B, Rel::C, Rel::D][(i % 4) as usize];
+                LayeredUpdate::insert(rel, i / 4 % 40, i / 160)
             })
             .collect();
-        Self {
-            shared,
-            results_rx,
-            _results_tx: results_tx,
-            helpers: handles,
-        }
-    }
-
-    fn helpers(&self) -> usize {
-        self.helpers.len()
-    }
-
-    /// Runs every `SessionRun` across the helpers and the calling thread,
-    /// returning when all are done. Largest runs first (better balance
-    /// under per-session skew).
-    fn execute(&mut self, mut runs: Vec<SessionRun>) -> Vec<RunDone> {
-        let total = runs.len();
-        runs.sort_by_key(|run| Reverse(run.jobs.len()));
-        {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.extend(runs);
-        }
-        self.shared.ready.notify_all();
-        let mut done = Vec::with_capacity(total);
-        // The dispatcher is a worker too: it helps until the queue is dry,
-        // then collects what the helpers finished.
-        loop {
-            let run = {
-                let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                queue.pop_front()
-            };
-            match run {
-                Some(run) => done.push(run_one(run)),
-                None => break,
-            }
-        }
-        while done.len() < total {
-            #[expect(
-                clippy::expect_used,
-                reason = "a dead helper already poisoned the segment"
-            )]
-            done.push(self.results_rx.recv().expect("pool helper died"));
-        }
-        done
-    }
-}
-
-impl Drop for SessionPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.ready.notify_all();
-        for helper in self.helpers.drain(..) {
-            let _ = helper.join();
-        }
-    }
-}
-
-fn helper_loop(shared: &PoolShared, results: &mpsc::Sender<RunDone>) {
-    loop {
-        let run = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(run) = queue.pop_front() {
-                    break run;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                queue = shared.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
-            }
+        let telemetry = Telemetry::new(
+            TelemetryConfig::default().slow_request_threshold(Duration::ZERO),
+            1,
+        );
+        let tel = GroupTelemetry {
+            tel: &telemetry,
+            shard: 0,
         };
-        if results.send(run_one(run)).is_err() {
-            return; // dispatcher gone
-        }
+        let (count, count_rx) = job(Request::Count { id: cheap });
+        let (batch, batch_rx) = job(Request::ApplyLayeredBatch {
+            id: costly,
+            updates,
+        });
+        let metrics = ShardMetrics::default();
+        process_group(&mut service, vec![count, batch], &metrics, false, &tel);
+        assert!(count_rx.recv().unwrap().is_ok());
+        assert!(batch_rx.recv().unwrap().is_ok());
+
+        let slow: Vec<u64> = telemetry
+            .ring()
+            .drain()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::SlowRequest)
+            .map(|e| e.a)
+            .collect();
+        let apply_max = telemetry.stage(0, Stage::Apply).snapshot().max;
+        assert_eq!(slow.len(), 2, "{slow:?}");
+        assert!(
+            slow[0] < apply_max / 2,
+            "count: {slow:?} vs apply {apply_max}"
+        );
+        assert!(slow[1] >= apply_max, "batch: {slow:?} vs apply {apply_max}");
     }
 }

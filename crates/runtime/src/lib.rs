@@ -35,13 +35,11 @@
 //!   mailbox_depth`): a submitter that outruns a shard blocks on its
 //!   mailbox instead of growing an unbounded queue, and every such stall is
 //!   counted in [`RuntimeStats::queue_full_stalls`].
-//! * **Intra-shard parallelism.** Each shard's worker is a *dispatcher*:
-//!   it drains its mailbox into a group, partitions the group into
-//!   registry barriers and per-session run queues, and — with
-//!   [`RuntimeConfig::shard_parallelism`] > 1 — applies different
-//!   sessions' runs concurrently on a small per-shard pool (sessions are
-//!   independent by construction; per-session order and epochs are
-//!   unchanged). See the `dispatch` module docs for the data flow.
+//! * **One serial dispatcher per shard.** Each shard's worker drains its
+//!   mailbox into a group and executes the group's commands one by one,
+//!   in arrival order: a session's updates must apply strictly in order,
+//!   and sessions on different shards already run in parallel. See the
+//!   `dispatch` module docs for the data flow.
 //! * **Journal group commit.** Under
 //!   [`FsyncPolicy::GroupCommit`](fourcycle_store::FsyncPolicy) the
 //!   dispatcher journals a whole group, issues **one** fsync for it, and
@@ -135,8 +133,6 @@ use std::time::Instant;
 pub struct RuntimeConfig {
     shards: usize,
     mailbox_depth: usize,
-    /// Worker threads per shard (dispatcher included); 1 = serial.
-    parallelism: usize,
     default_spec: SessionSpec,
     journal: Option<JournalConfig>,
     telemetry: TelemetryConfig,
@@ -152,7 +148,6 @@ impl Default for RuntimeConfig {
         Self {
             shards,
             mailbox_depth: 64,
-            parallelism: 1,
             default_spec: SessionSpec::default(),
             journal: None,
             telemetry: TelemetryConfig::default(),
@@ -178,22 +173,6 @@ impl RuntimeConfig {
     pub fn mailbox_depth(mut self, depth: usize) -> Self {
         self.mailbox_depth = depth.max(1);
         self
-    }
-
-    /// Sets the worker threads *per shard* (clamped to at least 1; the
-    /// default). Sessions within a shard are independent, so a dispatcher
-    /// may apply batched commands for different `GraphId`s concurrently —
-    /// per-session command order and epoch semantics are unchanged (see
-    /// the `dispatch` module). At 1, segments run inline on the shard
-    /// thread and no pool threads are spawned.
-    pub fn shard_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers.max(1);
-        self
-    }
-
-    /// The configured worker threads per shard.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Sets the spec sessions are built from when a `CreateGraph` command
@@ -459,7 +438,6 @@ impl ShardedRuntime {
                 }),
                 _ => None,
             });
-            let parallelism = config.parallelism;
             let worker_telemetry = telemetry.clone();
             #[expect(
                 clippy::expect_used,
@@ -474,7 +452,6 @@ impl ShardedRuntime {
                             worker_cell,
                             service,
                             shard,
-                            parallelism,
                             group_commit,
                             worker_telemetry,
                         )
@@ -1007,82 +984,77 @@ mod tests {
         ));
     }
 
-    /// Intra-shard parallelism end-to-end on one shard: pipelined traffic
-    /// for many sessions (plus mid-stream barriers and unknown-graph
-    /// errors) produces exactly the serial semantics — same snapshots,
-    /// same error attribution, same totals — while segments fan out over
-    /// the per-shard pool.
+    /// The serial dispatcher end-to-end on one shard: pipelined traffic
+    /// for many sessions (plus mid-stream registry commands and
+    /// unknown-graph errors) drains in real multi-command groups and gets,
+    /// response for response, what direct `CycleCountService::execute` of
+    /// the same requests returns.
     #[test]
-    fn intra_shard_parallelism_preserves_serial_semantics() {
-        let parallel = ShardedRuntime::start(
-            RuntimeConfig::new()
-                .shards(1)
-                .shard_parallelism(4)
-                .engine(EngineKind::Threshold)
-                .mailbox_depth(32),
-        );
-        assert_eq!(parallel.config().parallelism(), 4);
-        let serial = ShardedRuntime::start(
+    fn pipelined_runtime_matches_direct_service_execution() {
+        let runtime = ShardedRuntime::start(
             RuntimeConfig::new()
                 .shards(1)
                 .engine(EngineKind::Threshold)
                 .mailbox_depth(32),
         );
         let graphs: Vec<GraphId> = (0..6).map(GraphId).collect();
-        let run = |runtime: &ShardedRuntime| {
-            let mut pipeline = runtime.pipeline();
-            for &id in &graphs {
-                pipeline.submit(Request::CreateGraph { id, spec: None });
-            }
-            // Interleave sessions so drained groups hold runs for many
-            // sessions at once; sprinkle reads, an unknown graph, and a
-            // drop/create barrier pair mid-stream.
-            for round in 0..8u32 {
-                for &id in &graphs {
-                    pipeline.submit(Request::ApplyLayered {
-                        id,
-                        update: LayeredUpdate::insert(Rel::A, round + 1, round + 2),
-                    });
-                }
-                pipeline.submit(Request::Count { id: GraphId(777) }); // unknown
-                if round == 3 {
-                    pipeline.submit(Request::DropGraph { id: graphs[0] });
-                    pipeline.submit(Request::CreateGraph {
-                        id: graphs[0],
-                        spec: None,
-                    });
-                }
-                for &id in &graphs {
-                    pipeline.submit(Request::ApplyLayeredBatch {
-                        id,
-                        updates: square(round),
-                    });
-                }
-            }
-            for &id in &graphs {
-                pipeline.submit(Request::GetSnapshot { id });
-            }
-            pipeline.drain()
-        };
-        let got = run(&parallel);
-        let expected = run(&serial);
-        assert_eq!(got.len(), expected.len());
-        for (slot, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(g, e, "slot {slot} diverged");
+        let mut requests = Vec::new();
+        for &id in &graphs {
+            requests.push(Request::CreateGraph { id, spec: None });
         }
-        let p_report = parallel.shutdown();
-        let s_report = serial.shutdown();
-        assert_eq!(p_report.totals.commands, s_report.totals.commands);
-        assert_eq!(
-            p_report.totals.updates_applied,
-            s_report.totals.updates_applied
-        );
-        assert_eq!(p_report.totals.rejected, s_report.totals.rejected);
+        // Interleave sessions so drained groups hold commands for many
+        // sessions at once; sprinkle reads, an unknown graph, and a
+        // drop/create pair mid-stream.
+        for round in 0..8u32 {
+            for &id in &graphs {
+                requests.push(Request::ApplyLayered {
+                    id,
+                    update: LayeredUpdate::insert(Rel::A, round + 1, round + 2),
+                });
+            }
+            requests.push(Request::Count { id: GraphId(777) }); // unknown
+            if round == 3 {
+                requests.push(Request::DropGraph { id: graphs[0] });
+                requests.push(Request::CreateGraph {
+                    id: graphs[0],
+                    spec: None,
+                });
+            }
+            for &id in &graphs {
+                requests.push(Request::ApplyLayeredBatch {
+                    id,
+                    updates: square(round),
+                });
+            }
+        }
+        for &id in &graphs {
+            requests.push(Request::GetSnapshot { id });
+        }
+
+        let mut pipeline = runtime.pipeline();
+        for request in &requests {
+            pipeline.submit(request.clone());
+        }
+        let got = pipeline.drain();
+        let mut direct = CycleCountService::builder()
+            .engine(EngineKind::Threshold)
+            .build();
+        assert_eq!(got.len(), requests.len());
+        let (mut applied, mut rejected) = (0, 0);
+        for (slot, (request, g)) in requests.iter().zip(&got).enumerate() {
+            let want = direct.execute(request).map_err(RuntimeError::Service);
+            match want {
+                Ok(_) => applied += request.update_count() as u64,
+                Err(_) => rejected += 1,
+            }
+            assert_eq!(g, &want, "slot {slot} diverged");
+        }
+        let report = runtime.shutdown();
+        assert_eq!(report.totals.commands, requests.len() as u64);
+        assert_eq!(report.totals.updates_applied, applied);
+        assert_eq!(report.totals.rejected, rejected);
         // Pipelined traffic on one dispatcher must actually batch.
-        assert!(
-            p_report.totals.groups < p_report.totals.commands,
-            "{p_report:?}"
-        );
+        assert!(report.totals.groups < report.totals.commands, "{report:?}");
     }
 
     /// Group commit end-to-end: replies are only released after the
@@ -1095,7 +1067,6 @@ mod tests {
         let config = || {
             RuntimeConfig::new()
                 .shards(1)
-                .shard_parallelism(2)
                 .engine(EngineKind::Simple)
                 .mailbox_depth(32)
                 .journal(

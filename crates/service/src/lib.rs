@@ -135,7 +135,7 @@ impl WorkloadMode {
 pub struct SessionSpec {
     /// Engine driving the session's counter/view.
     pub kind: EngineKind,
-    /// Shared construction options (capacity hints, `FmmConfig`).
+    /// Shared construction options (the `FmmConfig`).
     pub config: EngineConfig,
     /// Which structure the session owns.
     pub mode: WorkloadMode,
@@ -408,48 +408,6 @@ impl Session {
         }
     }
 
-    /// Executes one *session-scoped* command (applies, count, snapshot)
-    /// against this session alone — the shared body of the service's
-    /// [`apply_request`](CycleCountService::apply_request) and of
-    /// [`DetachedSession::execute`]. Registry commands (create/drop/list)
-    /// address the service, not one session, and panic here; the callers
-    /// route them before ever reaching a session.
-    fn execute_scoped(&mut self, id: GraphId, request: &Request) -> Result<Response, ServiceError> {
-        match request {
-            Request::ApplyLayered { update, .. } => {
-                let count = self.try_apply_layered(id, *update)?;
-                Ok(self.applied(id, count))
-            }
-            Request::ApplyLayeredBatch { updates, .. } => {
-                let count = self.try_apply_layered_batch(id, updates)?;
-                Ok(self.applied(id, count))
-            }
-            Request::ApplyGeneral { update, .. } => {
-                let count = self.try_apply_general(id, *update)?;
-                Ok(self.applied(id, count))
-            }
-            Request::ApplyGeneralBatch { updates, .. } => {
-                let count = self.try_apply_general_batch(id, updates)?;
-                Ok(self.applied(id, count))
-            }
-            Request::Count { .. } => Ok(Response::Count {
-                id,
-                count: self.count(),
-            }),
-            Request::GetSnapshot { .. } => Ok(Response::Snapshot {
-                id,
-                snapshot: self.snapshot(),
-            }),
-            #[expect(
-                clippy::panic,
-                reason = "the runtime routes registry commands upstream"
-            )]
-            Request::CreateGraph { .. } | Request::DropGraph { .. } | Request::ListGraphs => {
-                panic!("registry commands cannot execute on a single session")
-            }
-        }
-    }
-
     /// Commands that recreate this session's current edge set in an empty
     /// service: one spec-carrying create, then insert batches of at most
     /// [`STATE_BATCH_LEN`] updates (bounded batches keep atomic-validation
@@ -483,52 +441,6 @@ impl Session {
             }
         }
         requests
-    }
-}
-
-/// One session temporarily removed from its service so another thread can
-/// apply its commands — the unit of *intra-shard parallelism* in the
-/// sharded runtime.
-///
-/// Sessions are independent by construction (no shared state between
-/// tenants), so a dispatcher may [`detach`](CycleCountService::detach_session)
-/// several sessions, hand each to a worker that executes that session's
-/// commands **in order**, and [`reattach`](CycleCountService::reattach_session)
-/// them afterwards. While detached, the session is invisible to the service
-/// (commands addressing it fail with `UnknownGraph`), which is exactly the
-/// mutual exclusion the scheme needs.
-///
-/// `execute` applies *session-scoped* commands only (applies, count,
-/// snapshot) and never touches a journal — the dispatcher journals the
-/// applied commands itself, in a per-session-order-preserving sequence, via
-/// [`CycleCountService::journal_record_applied`]. Registry commands
-/// (create/drop/list) panic: they address the whole service and must be
-/// routed before detaching.
-pub struct DetachedSession {
-    id: GraphId,
-    session: Session,
-}
-
-impl DetachedSession {
-    /// The detached session's graph id.
-    pub fn id(&self) -> GraphId {
-        self.id
-    }
-
-    /// Executes one session-scoped command against this session, with the
-    /// exact semantics (responses, epoch stamps, atomic batch rejection)
-    /// of [`CycleCountService::execute`] minus journaling.
-    ///
-    /// # Panics
-    ///
-    /// If the request is a registry command or addresses another session.
-    pub fn execute(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        assert_eq!(
-            request.graph_id(),
-            Some(self.id),
-            "request addresses a different session than the detached one"
-        );
-        self.session.execute_scoped(self.id, request)
     }
 }
 
@@ -794,33 +706,13 @@ impl CycleCountService {
         }
     }
 
-    /// Removes a session from the registry and hands it out for
-    /// out-of-band execution (see [`DetachedSession`]). While detached the
-    /// id is unknown to the service; [`reattach_session`](Self::reattach_session)
-    /// puts it back. The caller owns ordering: all of the session's
-    /// commands must flow through the detached handle until reattach.
-    pub fn detach_session(&mut self, id: GraphId) -> Result<DetachedSession, ServiceError> {
-        let session = self
-            .sessions
-            .remove(&id)
-            .ok_or(ServiceError::UnknownGraph(id))?;
-        Ok(DetachedSession { id, session })
-    }
-
-    /// Returns a detached session to the registry.
-    pub fn reattach_session(&mut self, detached: DetachedSession) {
-        let prev = self.sessions.insert(detached.id, detached.session);
-        debug_assert!(prev.is_none(), "reattach over a live session");
-    }
-
-    /// Journals one *already applied* mutating request — the companion of
-    /// [`DetachedSession::execute`], which applies without journaling. The
-    /// dispatcher calls this once per successfully applied mutating
-    /// command, in an order that preserves each session's command order
-    /// (sufficient for replay: sessions are independent). Non-mutating
-    /// requests are a no-op. Serves a due checkpoint, like
-    /// [`execute`](Self::execute) does; call it only with every detached
-    /// session reattached, so the checkpoint image is complete.
+    /// Journals one *already applied* mutating request — the second half
+    /// of the split execute path, after
+    /// [`execute_unjournaled`](Self::execute_unjournaled). The runtime's
+    /// dispatcher calls it right after each successful apply, so the WAL
+    /// holds the commands in execution order. Non-mutating requests are a
+    /// no-op. Serves a due checkpoint, like [`execute`](Self::execute)
+    /// does.
     pub fn journal_record_applied(&mut self, request: &Request) -> Result<(), ServiceError> {
         if !request.is_mutation() {
             return Ok(());
@@ -905,12 +797,34 @@ impl CycleCountService {
                 self.drop_session(*id)?;
                 Ok(Response::Dropped { id: *id })
             }
-            Request::ApplyLayered { id, .. }
-            | Request::ApplyLayeredBatch { id, .. }
-            | Request::ApplyGeneral { id, .. }
-            | Request::ApplyGeneralBatch { id, .. }
-            | Request::Count { id }
-            | Request::GetSnapshot { id } => self.session_mut(*id)?.execute_scoped(*id, request),
+            Request::ApplyLayered { id, update } => {
+                let session = self.session_mut(*id)?;
+                let count = session.try_apply_layered(*id, *update)?;
+                Ok(session.applied(*id, count))
+            }
+            Request::ApplyLayeredBatch { id, updates } => {
+                let session = self.session_mut(*id)?;
+                let count = session.try_apply_layered_batch(*id, updates)?;
+                Ok(session.applied(*id, count))
+            }
+            Request::ApplyGeneral { id, update } => {
+                let session = self.session_mut(*id)?;
+                let count = session.try_apply_general(*id, *update)?;
+                Ok(session.applied(*id, count))
+            }
+            Request::ApplyGeneralBatch { id, updates } => {
+                let session = self.session_mut(*id)?;
+                let count = session.try_apply_general_batch(*id, updates)?;
+                Ok(session.applied(*id, count))
+            }
+            Request::Count { id } => Ok(Response::Count {
+                id: *id,
+                count: self.count(*id)?,
+            }),
+            Request::GetSnapshot { id } => Ok(Response::Snapshot {
+                id: *id,
+                snapshot: self.snapshot(*id)?,
+            }),
             Request::ListGraphs => Ok(Response::Graphs { ids: self.ids() }),
         }
     }
@@ -1169,75 +1083,5 @@ mod tests {
         assert_eq!(responses[4], Response::Graphs { ids: vec![id] });
         assert_eq!(responses[5], Response::Dropped { id });
         assert!(svc.is_empty());
-    }
-
-    /// A detached session applies the same commands with the same
-    /// responses (counts, epoch stamps, mode rejections) as in-registry
-    /// execution, is invisible while out, and is whole again on reattach.
-    #[test]
-    fn detached_execution_matches_in_registry_execution() {
-        let build = || {
-            let mut svc = CycleCountService::builder()
-                .engine(EngineKind::Simple)
-                .build();
-            svc.create_session(GraphId(1)).unwrap();
-            svc.create_session(GraphId(2)).unwrap();
-            svc
-        };
-        let commands = |id: GraphId| {
-            vec![
-                Request::ApplyLayeredBatch {
-                    id,
-                    updates: square(0).to_vec(),
-                },
-                Request::ApplyLayered {
-                    id,
-                    update: LayeredUpdate::insert(Rel::A, 9, 2),
-                },
-                Request::Count { id },
-                Request::GetSnapshot { id },
-                Request::ApplyGeneral {
-                    id,
-                    update: GraphUpdate::insert(1, 2),
-                },
-            ]
-        };
-
-        let mut reference = build();
-        let expected: Vec<_> = commands(GraphId(1))
-            .iter()
-            .map(|r| reference.execute(r))
-            .collect();
-
-        let mut svc = build();
-        let mut detached = svc.detach_session(GraphId(1)).unwrap();
-        // Invisible while out: the id reads as unknown, double-detach fails.
-        assert_eq!(
-            svc.count(GraphId(1)),
-            Err(ServiceError::UnknownGraph(GraphId(1)))
-        );
-        assert!(svc.detach_session(GraphId(1)).is_err());
-        let got: Vec<_> = commands(GraphId(1))
-            .iter()
-            .map(|r| detached.execute(r))
-            .collect();
-        assert_eq!(got, expected);
-        assert_eq!(detached.id(), GraphId(1));
-        svc.reattach_session(detached);
-        assert_eq!(
-            svc.snapshot(GraphId(1)).unwrap(),
-            reference.snapshot(GraphId(1)).unwrap()
-        );
-        // The untouched tenant never noticed.
-        assert_eq!(svc.epoch(GraphId(2)).unwrap(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "registry commands")]
-    fn detached_sessions_reject_registry_commands() {
-        let mut svc = CycleCountService::new();
-        svc.create_session(GraphId(7)).unwrap();
-        let mut detached = svc.detach_session(GraphId(7)).unwrap();
-        let _ = detached.execute(&Request::DropGraph { id: GraphId(7) });
     }
 }

@@ -44,22 +44,26 @@ use std::time::Duration;
 /// mailbox and its reply being sent. Every delivered command contributes
 /// exactly one sample to each stage's histogram (zero-valued where a
 /// stage does not apply), so per-stage counts stay equal to the runtime's
-/// `commands` counter — a cheap cross-check that no sample is lost.
+/// `commands` counter — a cheap cross-check that no sample is lost. A
+/// command's six samples are consecutive intervals, so they sum to its
+/// time from enqueue to reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Time between `submit` enqueueing the job and the shard worker
     /// starting its group (mailbox wait + group-commit hold).
     QueueWait,
-    /// Group assembly and partitioning into barrier/segment slots.
+    /// Wait inside the drained group: from the group's start to this
+    /// command's start, behind the commands ahead of it in the group.
     Dispatch,
     /// Engine apply (the service executing the command, journal excluded).
     Apply,
     /// WAL append (record + policy-driven fsync on the append path).
     JournalAppend,
-    /// Wait for the group-commit fsync (zero unless group commit holds
-    /// replies).
+    /// From the command's WAL append to the group-commit fsync completing
+    /// (zero unless group commit holds replies).
     FsyncWait,
-    /// Delivering the response to the caller's ticket.
+    /// From the reply being ready (journaled; under group commit,
+    /// fsynced) to its delivery on the caller's ticket.
     Reply,
 }
 
