@@ -13,12 +13,20 @@
 //!   edge equals the number of layered 3-paths from `u ∈ L1` to `v ∈ L4`,
 //!   queried while the edge is absent from `A`, `B`, `C` (Claim 8.1 — that
 //!   is what makes the walks simple paths).
+//!
+//! The engines are the only copy of a counter's graph. Membership (the
+//! validation of every update) and edge lists come from the engines'
+//! [`ThreePathEngine::has_edge`] and [`ThreePathEngine::edges`]: a layered
+//! counter asks the rotation that holds the relation as its `A`, a general
+//! counter its engine's `A`. Each counter has one write path: its
+//! `try_apply_batch` validates a batch once and routes it to the engines'
+//! `apply_batch`; `try_apply` is a one-update batch, and the skip-semantics
+//! `apply_batch` falls back to per-update `try_apply` only for a batch that
+//! holds a rejected update.
 
 use crate::engine::{EngineConfig, EngineKind, QRel, SlowPathStats, ThreePathEngine};
 use crate::error::{BatchError, UpdateError};
-use fourcycle_graph::{
-    GeneralGraph, GraphUpdate, LayeredGraph, LayeredUpdate, Rel, UpdateOp, VertexId,
-};
+use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp, VertexId};
 
 /// A consistent point-in-time view of a counter (or view / service
 /// session): the answer, its cost counters, and the epoch it was taken at.
@@ -52,8 +60,9 @@ pub struct LayeredCycleCounter {
     /// `engines[k]` answers queries for updates in relation `Rel::from_index(k)`
     /// and maintains structures over the other three relations.
     engines: [Box<dyn ThreePathEngine>; 4],
-    graph: LayeredGraph,
     count: i64,
+    /// Number of edges currently present, kept by the apply path.
+    edges: usize,
     kind: EngineKind,
     /// Number of successfully applied updates (rejected ones don't count).
     epoch: u64,
@@ -75,8 +84,8 @@ impl LayeredCycleCounter {
                 kind.build_with(config),
                 kind.build_with(config),
             ],
-            graph: LayeredGraph::new(),
             count: 0,
+            edges: 0,
             kind,
             epoch: 0,
         }
@@ -92,14 +101,15 @@ impl LayeredCycleCounter {
         self.count
     }
 
-    /// The maintained layered graph (read-only mirror).
-    pub fn graph(&self) -> &LayeredGraph {
-        &self.graph
+    /// Every edge currently in `rel`, as `(left, right)`, read from the
+    /// rotation that holds `rel` as its `A`.
+    pub fn edges(&self, rel: Rel) -> Vec<(VertexId, VertexId)> {
+        self.engines[Self::holder(rel)].edges(QRel::A)
     }
 
     /// Current total number of edges (the paper's `m`).
     pub fn total_edges(&self) -> usize {
-        self.graph.total_edges()
+        self.edges
     }
 
     /// Total work performed by the four engines.
@@ -141,22 +151,17 @@ impl LayeredCycleCounter {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             count: self.count,
-            total_edges: self.graph.total_edges(),
+            total_edges: self.edges,
             work: self.work(),
             slow_path: self.slow_path_stats(),
             epoch: self.epoch,
         }
     }
 
-    /// Validates one update against the current graph without touching any
-    /// state.
-    fn validate(&self, update: &LayeredUpdate) -> Result<(), UpdateError> {
-        let present = self.graph.has_edge(update.rel, update.left, update.right);
-        match update.op {
-            UpdateOp::Insert if present => Err(UpdateError::DuplicateEdge),
-            UpdateOp::Delete if !present => Err(UpdateError::MissingEdge),
-            _ => Ok(()),
-        }
+    /// The rotation whose `A` is `rel`: it answers `rel`'s membership tests
+    /// and edge list.
+    fn holder(rel: Rel) -> usize {
+        (rel.index() + 3) % 4
     }
 
     /// Within engine `rot` (whose query matrix is `Rel::from_index(rot)`),
@@ -181,7 +186,7 @@ impl LayeredCycleCounter {
 
     /// Applies one layered edge update and returns the new layered 4-cycle
     /// count, or the reason the update was rejected (nothing changes on
-    /// rejection).
+    /// rejection). A one-update [`try_apply_batch`](Self::try_apply_batch).
     ///
     /// ```
     /// use fourcycle_core::{EngineKind, LayeredCycleCounter, UpdateError};
@@ -204,27 +209,8 @@ impl LayeredCycleCounter {
     /// assert_eq!(counter.snapshot().epoch, 4);
     /// ```
     pub fn try_apply(&mut self, update: LayeredUpdate) -> Result<i64, UpdateError> {
-        self.validate(&update)?;
-
-        // The engine whose query matrix is `update.rel` counts the cycles
-        // through the new edge: 3-paths from the edge's right endpoint (its
-        // L1 in that rotation) to its left endpoint (its L4).
-        let k = update.rel.index();
-        let delta = self.engines[k].query(update.right, update.left);
-        self.count += update.op.sign() * delta;
-
-        // The other three engines see the edge as part of their data.
-        for rot in 0..4 {
-            if rot == k {
-                continue;
-            }
-            if let Some(role) = Self::role_in_rotation(rot, update.rel) {
-                self.engines[rot].apply_update(role, update.left, update.right, update.op);
-            }
-        }
-        self.graph.apply(&update);
-        self.epoch += 1;
-        Ok(self.count)
+        self.try_apply_batch(std::slice::from_ref(&update))
+            .map_err(|e| e.error)
     }
 
     /// Infallible wrapper over [`try_apply`](Self::try_apply): returns the
@@ -243,20 +229,13 @@ impl LayeredCycleCounter {
         self.try_apply(update).ok()
     }
 
-    /// Applies a batch of updates through the engines' batch entry points,
-    /// returning the final count. Ill-formed updates are skipped (use
-    /// [`try_apply_batch`](Self::try_apply_batch) for atomic all-or-nothing
-    /// semantics), and the final state and count are identical to sequential
-    /// application.
-    ///
-    /// Count maintenance needs each update's query answered by the engine
-    /// whose query matrix is the update's relation, *after* every earlier
-    /// batch update that engine maintains. The counter therefore buffers
-    /// per-engine sub-batches and flushes an engine lazily, immediately
-    /// before querying it; engines never see an update later than a query
-    /// that depends on it, and between queries they digest whole runs of
-    /// updates at once (coalescing same-pair churn, settling class
-    /// transitions and phase bookkeeping once per run).
+    /// Applies a batch of updates, returning the final count. Ill-formed
+    /// updates are skipped (use [`try_apply_batch`](Self::try_apply_batch)
+    /// for atomic all-or-nothing semantics), and the final state and count
+    /// are identical to sequential application: a batch that validates goes
+    /// through [`try_apply_batch`](Self::try_apply_batch) whole, and one
+    /// holding a rejected update is applied one [`try_apply`](Self::try_apply)
+    /// at a time.
     ///
     /// ```
     /// use fourcycle_core::{EngineKind, LayeredCycleCounter};
@@ -276,6 +255,36 @@ impl LayeredCycleCounter {
     /// assert_eq!(batched.apply_batch(&batch), sequential.count());
     /// ```
     pub fn apply_batch(&mut self, updates: &[LayeredUpdate]) -> i64 {
+        if self.try_apply_batch(updates).is_err() {
+            for update in updates {
+                let _ = self.try_apply(*update);
+            }
+        }
+        self.count
+    }
+
+    /// Atomic batch application: the whole batch is validated once —
+    /// against the current graph *plus the batch's own earlier updates*, so
+    /// insert-then-delete of the same edge within one batch is well-formed —
+    /// and nothing is applied unless every update is valid. On rejection the
+    /// [`BatchError`] attributes the failure to the first offending batch
+    /// index.
+    ///
+    /// Count maintenance needs each update's query answered by the engine
+    /// whose query matrix is the update's relation, *after* every earlier
+    /// batch update that engine maintains. The counter therefore buffers
+    /// per-engine sub-batches and flushes an engine lazily, immediately
+    /// before querying it; engines never see an update later than a query
+    /// that depends on it, and between queries they digest whole runs of
+    /// updates at once (coalescing same-pair churn, settling class
+    /// transitions and phase bookkeeping once per run).
+    pub fn try_apply_batch(&mut self, updates: &[LayeredUpdate]) -> Result<i64, BatchError> {
+        crate::error::validate_batch(
+            updates,
+            |u| Ok(((u.rel, u.left, u.right), u.op)),
+            |u| self.engines[Self::holder(u.rel)].has_edge(QRel::A, u.left, u.right),
+        )?;
+
         /// Per-engine buffers of updates not yet applied, one per role
         /// (`QRel`), each in arrival order. Order *across* roles is
         /// immaterial to an engine's final state; see the maintenance-rule
@@ -293,48 +302,29 @@ impl LayeredCycleCounter {
         };
 
         for update in updates {
-            let valid = match update.op {
-                UpdateOp::Insert => !self.graph.has_edge(update.rel, update.left, update.right),
-                UpdateOp::Delete => self.graph.has_edge(update.rel, update.left, update.right),
-            };
-            if !valid {
-                continue;
-            }
-            self.epoch += 1;
+            // The engine whose query matrix is `update.rel` counts the
+            // cycles through the edge: 3-paths from its right endpoint (its
+            // L1 in that rotation) to its left endpoint (its L4). The other
+            // three engines see the edge as part of their data.
             let k = update.rel.index();
             flush(&mut self.engines[k], &mut pending[k]);
             let delta = self.engines[k].query(update.right, update.left);
             self.count += update.op.sign() * delta;
             for (rot, engine_pending) in pending.iter_mut().enumerate() {
-                if rot == k {
-                    continue;
-                }
                 if let Some(role) = Self::role_in_rotation(rot, update.rel) {
                     engine_pending[role.index()].push((update.left, update.right, update.op));
                 }
             }
-            self.graph.apply(update);
+            match update.op {
+                UpdateOp::Insert => self.edges += 1,
+                UpdateOp::Delete => self.edges -= 1,
+            }
+            self.epoch += 1;
         }
         for (engine, engine_pending) in self.engines.iter_mut().zip(pending.iter_mut()) {
             flush(engine, engine_pending);
         }
-        self.count
-    }
-
-    /// Atomic batch application: the whole batch is validated first —
-    /// against the current graph *plus the batch's own earlier updates*, so
-    /// insert-then-delete of the same edge within one batch is well-formed —
-    /// and nothing is applied unless every update is valid. On rejection the
-    /// [`BatchError`] attributes the failure to the first offending batch
-    /// index. On success the result is identical to
-    /// [`apply_batch`](Self::apply_batch).
-    pub fn try_apply_batch(&mut self, updates: &[LayeredUpdate]) -> Result<i64, BatchError> {
-        crate::error::validate_batch(
-            updates,
-            |u| Ok(((u.rel, u.left, u.right), u.op)),
-            |u| self.graph.has_edge(u.rel, u.left, u.right),
-        )?;
-        Ok(self.apply_batch(updates))
+        Ok(self.count)
     }
 }
 
@@ -345,8 +335,9 @@ pub struct FourCycleCounter {
     /// `A`, `B` and `C`, each in both orientations, and answers Claim 8.1's
     /// 3-path query.
     engine: Box<dyn ThreePathEngine>,
-    graph: GeneralGraph,
     count: i64,
+    /// Number of edges currently present, kept by the apply path.
+    edges: usize,
     /// Number of successfully applied general updates.
     epoch: u64,
 }
@@ -362,8 +353,8 @@ impl FourCycleCounter {
     pub fn with_config(kind: EngineKind, config: &EngineConfig) -> Self {
         Self {
             engine: kind.build_with(config),
-            graph: GeneralGraph::new(),
             count: 0,
+            edges: 0,
             epoch: 0,
         }
     }
@@ -373,9 +364,12 @@ impl FourCycleCounter {
         self.count
     }
 
-    /// The maintained general graph (read-only mirror).
-    pub fn graph(&self) -> &GeneralGraph {
-        &self.graph
+    /// Every edge currently present, each once as `(u, v)` with `u < v`,
+    /// read from the engine's `A`.
+    pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
+        let mut edges = self.engine.edges(QRel::A);
+        edges.retain(|&(u, v)| u < v);
+        edges
     }
 
     /// Total work performed so far by the counter's one engine.
@@ -390,7 +384,7 @@ impl FourCycleCounter {
 
     /// Current total number of edges.
     pub fn total_edges(&self) -> usize {
-        self.graph.edge_count()
+        self.edges
     }
 
     /// Number of general updates successfully applied so far.
@@ -410,24 +404,10 @@ impl FourCycleCounter {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             count: self.count,
-            total_edges: self.graph.edge_count(),
+            total_edges: self.edges,
             work: self.work(),
             slow_path: self.slow_path_stats(),
             epoch: self.epoch,
-        }
-    }
-
-    /// Validates one general update against the current graph without
-    /// touching any state.
-    fn validate(&self, update: &GraphUpdate) -> Result<(), UpdateError> {
-        if update.u == update.v {
-            return Err(UpdateError::SelfLoop);
-        }
-        let present = self.graph.has_edge(update.u, update.v);
-        match update.op {
-            UpdateOp::Insert if present => Err(UpdateError::DuplicateEdge),
-            UpdateOp::Delete if !present => Err(UpdateError::MissingEdge),
-            _ => Ok(()),
         }
     }
 
@@ -448,28 +428,13 @@ impl FourCycleCounter {
     /// assert_eq!(counter.snapshot().epoch, 5);
     /// ```
     pub fn try_insert(&mut self, u: VertexId, v: VertexId) -> Result<i64, UpdateError> {
-        self.validate(&GraphUpdate::insert(u, v))?;
-        // Claim 8.1: query while (u, v) is absent from A, B, C — which is the
-        // case right now — so the layered 3-path count equals the number of
-        // simple 3-paths between u and v in the general graph.
-        self.count += self.engine.query(u, v);
-        self.apply_to_abc(u, v, UpdateOp::Insert);
-        self.graph.insert(u, v);
-        self.epoch += 1;
-        Ok(self.count)
+        self.try_apply(GraphUpdate::insert(u, v))
     }
 
     /// Deletes the edge `{u, v}` and returns the new 4-cycle count, or the
     /// rejection reason (missing edge, self-loop) with nothing changed.
     pub fn try_delete(&mut self, u: VertexId, v: VertexId) -> Result<i64, UpdateError> {
-        self.validate(&GraphUpdate::delete(u, v))?;
-        // Claim 8.1: delete from A, B, C first, so the query counts the
-        // cycles through the edge in the graph without it.
-        self.apply_to_abc(u, v, UpdateOp::Delete);
-        self.count -= self.engine.query(u, v);
-        self.graph.delete(u, v);
-        self.epoch += 1;
-        Ok(self.count)
+        self.try_apply(GraphUpdate::delete(u, v))
     }
 
     /// Infallible wrapper over [`try_insert`](Self::try_insert): returns
@@ -485,12 +450,11 @@ impl FourCycleCounter {
     }
 
     /// Applies a general-graph update; returns the new count or the
-    /// rejection reason with nothing changed.
+    /// rejection reason with nothing changed. A one-update
+    /// [`try_apply_batch`](Self::try_apply_batch).
     pub fn try_apply(&mut self, update: GraphUpdate) -> Result<i64, UpdateError> {
-        match update.op {
-            UpdateOp::Insert => self.try_insert(update.u, update.v),
-            UpdateOp::Delete => self.try_delete(update.u, update.v),
-        }
+        self.try_apply_batch(std::slice::from_ref(&update))
+            .map_err(|e| e.error)
     }
 
     /// Infallible wrapper over [`try_apply`](Self::try_apply): returns
@@ -499,12 +463,17 @@ impl FourCycleCounter {
         self.try_apply(update).ok()
     }
 
-    /// Atomic batch application: the whole batch is validated first (against
+    /// Atomic batch application: the whole batch is validated once (against
     /// the current graph plus the batch's own earlier updates) and nothing
     /// is applied unless every update is valid. On rejection the
     /// [`BatchError`] attributes the failure to the first offending batch
-    /// index. On success the result is identical to
-    /// [`apply_batch`](Self::apply_batch).
+    /// index.
+    ///
+    /// The §8 reduction is inherently query-interleaved — Claim 8.1 requires
+    /// each edge's 3-path query to run while that edge is absent from `A`,
+    /// `B`, `C`, so each general update pins a query point next to its own
+    /// engine updates. The batch is therefore applied in order, one query
+    /// and three two-orientation engine batches per update.
     pub fn try_apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<i64, BatchError> {
         crate::error::validate_batch(
             updates,
@@ -515,24 +484,43 @@ impl FourCycleCounter {
                     Ok((u.canonical(), u.op))
                 }
             },
-            |u| self.graph.has_edge(u.u, u.v),
+            |u| self.engine.has_edge(QRel::A, u.u, u.v),
         )?;
-        Ok(self.apply_batch(updates))
+        for &GraphUpdate { op, u, v } in updates {
+            match op {
+                // Claim 8.1: query while (u, v) is absent from A, B, C, so
+                // the layered 3-path count equals the number of simple
+                // 3-paths between u and v in the general graph.
+                UpdateOp::Insert => {
+                    self.count += self.engine.query(u, v);
+                    self.apply_to_abc(u, v, op);
+                    self.edges += 1;
+                }
+                // Delete from A, B, C first, so the query counts the cycles
+                // through the edge in the graph without it.
+                UpdateOp::Delete => {
+                    self.apply_to_abc(u, v, op);
+                    self.count -= self.engine.query(u, v);
+                    self.edges -= 1;
+                }
+            }
+            self.epoch += 1;
+        }
+        Ok(self.count)
     }
 
     /// Applies a batch of general-graph updates, returning the final count.
     /// Ill-formed updates are skipped (use
     /// [`try_apply_batch`](Self::try_apply_batch) for atomic all-or-nothing
-    /// semantics).
-    ///
-    /// The §8 reduction is inherently query-interleaved — Claim 8.1 requires
-    /// each edge's 3-path query to run while that edge is absent from `A`,
-    /// `B`, `C`, so each general update pins a query point next to its own
-    /// engine updates. The batch entry point therefore processes updates in
-    /// order, one query and three two-orientation engine batches each.
+    /// semantics): a batch that validates goes through
+    /// [`try_apply_batch`](Self::try_apply_batch) whole, and one holding a
+    /// rejected update is applied one [`try_apply`](Self::try_apply) at a
+    /// time.
     pub fn apply_batch(&mut self, updates: &[GraphUpdate]) -> i64 {
-        for update in updates {
-            let _ = self.apply(*update);
+        if self.try_apply_batch(updates).is_err() {
+            for update in updates {
+                let _ = self.try_apply(*update);
+            }
         }
         self.count
     }
@@ -550,11 +538,12 @@ impl FourCycleCounter {
 mod tests {
     use super::*;
     use crate::engine::EngineKind;
-    use fourcycle_graph::LayeredUpdate;
+    use fourcycle_graph::{GeneralGraph, LayeredGraph, LayeredUpdate};
 
     #[test]
     fn layered_counter_matches_brute_force_small_stream() {
         let mut counter = LayeredCycleCounter::new(EngineKind::Simple);
+        let mut reference = LayeredGraph::new();
         let updates = [
             LayeredUpdate::insert(Rel::A, 1, 2),
             LayeredUpdate::insert(Rel::B, 2, 3),
@@ -568,7 +557,16 @@ mod tests {
         ];
         for u in updates {
             let count = counter.apply(u).expect("well-formed update");
-            assert_eq!(count, counter.graph().count_layered_4cycles_brute_force());
+            assert!(reference.apply(&u));
+            assert_eq!(count, reference.count_layered_4cycles_brute_force());
+            assert_eq!(counter.total_edges(), reference.total_edges());
+        }
+        for rel in Rel::ALL {
+            let mut edges = counter.edges(rel);
+            edges.sort_unstable();
+            let mut want: Vec<_> = reference.rel(rel).iter().map(|(l, r, _)| (l, r)).collect();
+            want.sort_unstable();
+            assert_eq!(edges, want, "{rel:?}");
         }
         assert_eq!(counter.kind(), EngineKind::Simple);
         assert!(counter.total_edges() > 0);
@@ -586,36 +584,47 @@ mod tests {
     #[test]
     fn general_counter_counts_k4_and_deletions() {
         let mut counter = FourCycleCounter::new(EngineKind::Naive);
+        let mut reference = GeneralGraph::new();
         // Build K4: 3 four-cycles.
         let vertices = [1u32, 2, 3, 4];
         for i in 0..4 {
             for j in (i + 1)..4 {
                 counter.insert(vertices[i], vertices[j]);
-                assert_eq!(counter.count(), counter.graph().count_4cycles_brute_force());
+                reference.insert(vertices[i], vertices[j]);
+                assert_eq!(counter.count(), reference.count_4cycles_brute_force());
             }
         }
         assert_eq!(counter.count(), 3);
         // Remove one edge: a single 4-cycle remains.
         counter.delete(1, 2);
-        assert_eq!(counter.count(), counter.graph().count_4cycles_brute_force());
+        reference.delete(1, 2);
+        assert_eq!(counter.count(), reference.count_4cycles_brute_force());
         assert_eq!(counter.count(), 1);
         // Duplicate operations are rejected without corrupting the count.
         assert!(counter.insert(1, 3).is_none());
         assert!(counter.delete(1, 2).is_none());
         assert!(counter.insert(5, 5).is_none());
         assert_eq!(counter.count(), 1);
+        let mut edges = counter.edges();
+        edges.sort_unstable();
+        let mut want: Vec<_> = reference.edges().collect();
+        want.sort_unstable();
+        assert_eq!(edges, want);
+        assert_eq!(counter.total_edges(), 5);
     }
 
     #[test]
     fn general_counter_bipartite_complete_graph() {
         // K_{3,3} has C(3,2)^2 = 9 four-cycles.
         let mut counter = FourCycleCounter::new(EngineKind::Simple);
+        let mut reference = GeneralGraph::new();
         for u in [1u32, 2, 3] {
             for v in [10u32, 11, 12] {
                 counter.insert(u, v);
+                reference.insert(u, v);
             }
         }
         assert_eq!(counter.count(), 9);
-        assert_eq!(counter.count(), counter.graph().count_4cycles_brute_force());
+        assert_eq!(counter.count(), reference.count_4cycles_brute_force());
     }
 }

@@ -107,26 +107,25 @@ impl SlowPathStats {
 /// `facade/tests/send_assertions.rs` pin the same property for every
 /// concrete engine, counter, view and the service.
 pub trait ThreePathEngine: Send {
-    /// Applies an edge update to one of the engine's three relations.
-    /// `left` is the endpoint in the relation's lower layer (`L1` for `A`,
-    /// `L2` for `B`, `L3` for `C`), `right` the endpoint in the higher layer.
-    fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp);
-
-    /// Applies a batch of updates to one relation.
+    /// Applies a batch of updates to one relation. `left` is each update's
+    /// endpoint in the relation's lower layer (`L1` for `A`, `L2` for `B`,
+    /// `L3` for `C`), `right` the endpoint in the higher layer.
     ///
-    /// Must leave the engine in a state *query-equivalent* to calling
-    /// [`apply_update`](Self::apply_update) once per entry, in order. The
-    /// default implementation does exactly that; engines override it to
-    /// coalesce same-pair deltas and amortize class-transition / rebuild /
-    /// rollover bookkeeping over the whole batch, matching the phase
-    /// structure of the paper (§5.1). Queries between the updates of a batch
-    /// are not observable — callers needing per-update query interleaving
-    /// (e.g. the counters' count maintenance) must split batches at the
-    /// query points, which is what `LayeredCycleCounter::apply_batch` does.
-    fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]) {
-        for &(left, right, op) in updates {
-            self.apply_update(rel, left, right, op);
-        }
+    /// This is the only way an update enters an engine. It must leave the
+    /// engine in a state *query-equivalent* to applying the entries one at a
+    /// time, in order; engines coalesce same-pair deltas and settle
+    /// class-transition / rebuild / rollover bookkeeping once per batch,
+    /// matching the phase structure of the paper (§5.1). Queries between the
+    /// updates of a batch are not observable — callers needing per-update
+    /// query interleaving (e.g. the counters' count maintenance) must split
+    /// batches at the query points, which is what
+    /// `LayeredCycleCounter::try_apply_batch` does.
+    fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]);
+
+    /// Applies one edge update: a one-entry [`apply_batch`](Self::apply_batch),
+    /// which runs the same rules in the same order as a single update.
+    fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp) {
+        self.apply_batch(rel, &[(left, right, op)]);
     }
 
     /// Whether the engine maintains `rel` at all. Every fully dynamic engine
@@ -138,17 +137,21 @@ pub trait ThreePathEngine: Send {
     }
 
     /// Whether the engine's *current* graph contains the edge
-    /// `(left, right)` of `rel`. This is the membership test backing the
-    /// validated `try_*` entry points; every engine answers it from the
-    /// total (untagged) adjacency it already maintains.
+    /// `(left, right)` of `rel`, answered from the total (untagged)
+    /// adjacency the engine already maintains. The engines are the only
+    /// copy of a counter's graph, so this is the membership test behind
+    /// every validated entry point, here and in both counters.
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool;
+
+    /// Every edge currently in `rel`, as `(left, right)` in client ids. The
+    /// counters build their edge lists (checkpoint images, recomputation
+    /// from scratch) from it.
+    fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)>;
 
     /// Validated single-update entry point: rejects duplicate inserts,
     /// deletes of absent edges and updates to relations the engine does not
-    /// maintain, *without* touching any state. The raw
-    /// [`apply_update`](Self::apply_update) remains the unchecked fast path
-    /// for pre-validated streams (the counters validate against their mirror
-    /// graph before routing).
+    /// maintain, *without* touching any state; a one-entry
+    /// [`try_apply_batch`](Self::try_apply_batch).
     fn try_apply_update(
         &mut self,
         rel: QRel,
@@ -156,17 +159,8 @@ pub trait ThreePathEngine: Send {
         right: VertexId,
         op: UpdateOp,
     ) -> Result<(), UpdateError> {
-        if !self.accepts_updates_to(rel) {
-            return Err(UpdateError::RelationMismatch);
-        }
-        match op {
-            UpdateOp::Insert if self.has_edge(rel, left, right) => Err(UpdateError::DuplicateEdge),
-            UpdateOp::Delete if !self.has_edge(rel, left, right) => Err(UpdateError::MissingEdge),
-            _ => {
-                self.apply_update(rel, left, right, op);
-                Ok(())
-            }
-        }
+        self.try_apply_batch(rel, &[(left, right, op)])
+            .map_err(|e| e.error)
     }
 
     /// Validated, *atomic* batch entry point: the whole batch is checked
@@ -342,7 +336,8 @@ mod tests {
             (1, 2, Insert),
         ];
         let mut batched = crate::NaiveEngine::new();
-        // The trait-default path (per-update fallback) through a dyn object.
+        // The trait's provided `apply_update` (one-entry batches) through a
+        // dyn object.
         let seq: &mut dyn ThreePathEngine = &mut crate::SimpleEngine::new();
         batched.apply_batch(QRel::A, &updates);
         for &(l, r, op) in &updates {
@@ -353,5 +348,9 @@ mod tests {
                 assert_eq!(batched.query(u, v), seq.query(u, v));
             }
         }
+        let mut edges = seq.edges(QRel::A);
+        edges.sort_unstable();
+        assert_eq!(edges, vec![(1, 2), (1, 3), (2, 3)]);
+        assert_eq!(batched.edges(QRel::A).len(), 3);
     }
 }

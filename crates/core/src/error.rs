@@ -108,19 +108,28 @@ where
     KF: FnMut(&U) -> Result<(K, UpdateOp), UpdateError>,
     PF: FnMut(&U) -> bool,
 {
+    // A single update (every `try_apply`) needs no overlay, so no hashing.
+    if let [update] = updates {
+        let (_, op) = key_and_op(update).map_err(|e| BatchError::at(0, e))?;
+        return check(op, present(update)).map_err(|e| BatchError::at(0, e));
+    }
     let mut overlay: HashMap<K, bool> = HashMap::with_capacity(updates.len());
     for (i, update) in updates.iter().enumerate() {
         let (key, op) = key_and_op(update).map_err(|e| BatchError::at(i, e))?;
         let entry = overlay.entry(key).or_insert_with(|| present(update));
-        match op {
-            UpdateOp::Insert if *entry => {
-                return Err(BatchError::at(i, UpdateError::DuplicateEdge))
-            }
-            UpdateOp::Delete if !*entry => return Err(BatchError::at(i, UpdateError::MissingEdge)),
-            _ => *entry = op == UpdateOp::Insert,
-        }
+        check(op, *entry).map_err(|e| BatchError::at(i, e))?;
+        *entry = op == UpdateOp::Insert;
     }
     Ok(())
+}
+
+/// Whether `op` is valid on a key whose edge/tuple is `present`.
+fn check(op: UpdateOp, present: bool) -> Result<(), UpdateError> {
+    match op {
+        UpdateOp::Insert if present => Err(UpdateError::DuplicateEdge),
+        UpdateOp::Delete if !present => Err(UpdateError::MissingEdge),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]

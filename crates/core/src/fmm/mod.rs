@@ -11,8 +11,9 @@
 //!   id of that layer, `0..n` in order of first sight (§3.2 restricts each
 //!   relation to its non-zero-degree vertices to reduce the dimension).
 //!   Client ids are translated only at the [`ThreePathEngine`] boundary:
-//!   updates intern them, and `query` and `has_edge` look them up, answer
-//!   0 or `false` for an id the engine has not seen and intern nothing. An
+//!   updates intern them, `query` and `has_edge` look them up, answer 0 or
+//!   `false` for an id the engine has not seen and intern nothing, and
+//!   `edges` translates dense ids back through the interners. An
 //!   era rebuild re-interns only the live vertices, so memory tracks the
 //!   live graph. Everything below sees dense ids only, including
 //!   [`FmmEngine::debug_state`].
@@ -438,36 +439,6 @@ fn endpoint_roles(rel: QRel) -> (state::Role, state::Role) {
 }
 
 impl ThreePathEngine for FmmEngine {
-    fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp) {
-        let (left, right) = self.intern(rel, left, right);
-        let s = op.sign();
-        self.structs
-            .apply(&self.state, rel, Tag::New, left, right, s);
-        self.state.add_edge_weight(rel, Tag::New, left, right, s);
-        self.cur_phase.push((rel, left, right, s));
-
-        // Reclassify the vertices whose degree just changed (§7).
-        let (role_l, role_r) = endpoint_roles(rel);
-        self.maybe_transition(role_l, left);
-        self.maybe_transition(role_r, right);
-
-        // Era rule: thresholds drifted too far from the current m.
-        if self
-            .state
-            .thresholds
-            .needs_rebuild(self.state.total_edges())
-        {
-            self.rebuild_era();
-            return;
-        }
-
-        // Phase clock (§5.1).
-        self.updates_in_phase += 1;
-        if self.updates_in_phase >= self.phase_len() {
-            self.rollover();
-        }
-    }
-
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool {
         // Membership is answered from the total (untagged) adjacency: an
         // edge deleted in a later phase than its insertion nets to weight 0
@@ -477,6 +448,20 @@ impl ThreePathEngine for FmmEngine {
             (Some(left), Some(right)) => self.state.adj(rel, None).weight(left, right) != 0,
             _ => false,
         }
+    }
+
+    fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)> {
+        let (l, r) = layers(rel);
+        self.state
+            .adj(rel, None)
+            .iter()
+            .map(|(left, right, _)| {
+                (
+                    self.ids[l].vertex_at(slot(left)),
+                    self.ids[r].vertex_at(slot(right)),
+                )
+            })
+            .collect()
     }
 
     fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]) {

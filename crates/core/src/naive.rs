@@ -24,11 +24,6 @@ impl NaiveEngine {
 }
 
 impl ThreePathEngine for NaiveEngine {
-    fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp) {
-        self.work += 1;
-        self.rels[rel.index()].add(left, right, op.sign());
-    }
-
     fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]) {
         // The oracle keeps no derived state, so the whole batch reduces to
         // its net per-pair deltas.
@@ -40,6 +35,13 @@ impl ThreePathEngine for NaiveEngine {
 
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool {
         self.rels[rel.index()].weight(left, right) != 0
+    }
+
+    fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)> {
+        self.rels[rel.index()]
+            .iter()
+            .map(|(l, r, _)| (l, r))
+            .collect()
     }
 
     fn query(&mut self, u: VertexId, v: VertexId) -> i64 {

@@ -36,6 +36,15 @@ impl SimpleEngine {
         self.wedges_bc.len()
     }
 
+    /// The adjacency of `rel`.
+    fn rel(&self, rel: QRel) -> &BipartiteAdjacency {
+        match rel {
+            QRel::A => &self.a,
+            QRel::B => &self.b,
+            QRel::C => &self.c,
+        }
+    }
+
     /// One signed edge event: wedge-table maintenance plus adjacency.
     fn apply_signed(&mut self, rel: QRel, left: VertexId, right: VertexId, s: i64) {
         match rel {
@@ -63,10 +72,6 @@ impl SimpleEngine {
 }
 
 impl ThreePathEngine for SimpleEngine {
-    fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp) {
-        self.apply_signed(rel, left, right, op.sign());
-    }
-
     fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]) {
         // The wedge table is bilinear in (B, C), so net per-pair deltas give
         // the same final table; cancelled pairs skip their O(deg) scans.
@@ -76,12 +81,11 @@ impl ThreePathEngine for SimpleEngine {
     }
 
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool {
-        let adj = match rel {
-            QRel::A => &self.a,
-            QRel::B => &self.b,
-            QRel::C => &self.c,
-        };
-        adj.weight(left, right) != 0
+        self.rel(rel).weight(left, right) != 0
+    }
+
+    fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)> {
+        self.rel(rel).iter().map(|(l, r, _)| (l, r)).collect()
     }
 
     fn query(&mut self, u: VertexId, v: VertexId) -> i64 {

@@ -220,6 +220,15 @@ impl ThresholdEngine {
         }
     }
 
+    /// The adjacency of `rel`.
+    fn rel(&self, rel: QRel) -> &BipartiteAdjacency {
+        match rel {
+            QRel::A => &self.a,
+            QRel::B => &self.b,
+            QRel::C => &self.c,
+        }
+    }
+
     fn adjacency_add(&mut self, rel: QRel, l: VertexId, r: VertexId, s: i64) {
         match rel {
             QRel::A => self.a.add(l, r, s),
@@ -358,24 +367,6 @@ impl ThresholdEngine {
 }
 
 impl ThreePathEngine for ThresholdEngine {
-    fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp) {
-        let s = op.sign();
-        if s > 0 {
-            self.apply_rules(rel, left, right, s);
-            self.adjacency_add(rel, left, right, s);
-        } else {
-            self.adjacency_add(rel, left, right, s);
-            self.apply_rules(rel, left, right, s);
-        }
-        // Reclassify the two endpoints whose degree just changed.
-        let (role_l, role_r) = endpoint_roles(rel);
-        self.check_transition(role_l, left);
-        self.check_transition(role_r, right);
-        if self.needs_rebuild() {
-            self.rebuild();
-        }
-    }
-
     fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]) {
         // Apply the coalesced deltas with transitions deferred: the
         // maintained tables stay consistent with the *stored* classes at
@@ -409,12 +400,11 @@ impl ThreePathEngine for ThresholdEngine {
     }
 
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool {
-        let adj = match rel {
-            QRel::A => &self.a,
-            QRel::B => &self.b,
-            QRel::C => &self.c,
-        };
-        adj.weight(left, right) != 0
+        self.rel(rel).weight(left, right) != 0
+    }
+
+    fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)> {
+        self.rel(rel).iter().map(|(l, r, _)| (l, r)).collect()
     }
 
     fn query(&mut self, u: VertexId, v: VertexId) -> i64 {

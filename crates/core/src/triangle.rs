@@ -32,7 +32,7 @@ impl TriangleCounter {
         self.count
     }
 
-    /// The maintained graph (read-only mirror).
+    /// The maintained graph, the counter's only structure.
     pub fn graph(&self) -> &GeneralGraph {
         &self.graph
     }

@@ -55,7 +55,7 @@ pub struct WarmupEngine {
     /// Signed B-updates of the current (incomplete) chunk.
     current_chunk: Vec<(VertexId, VertexId, i64)>,
     /// Total (chunk-independent) `B` adjacency, maintained solely to answer
-    /// the membership test behind the validated `try_*` entry points.
+    /// `has_edge` and `edges`.
     b_total: BipartiteAdjacency,
     /// `A^{H∗}·B_{<}` — wedges from High `L1` vertices through `L2`.
     ah_b: PairCounts,
@@ -154,6 +154,15 @@ impl WarmupEngine {
         }
     }
 
+    /// The current adjacency of `rel` (`B`'s chunk-independent total).
+    fn rel(&self, rel: QRel) -> &BipartiteAdjacency {
+        match rel {
+            QRel::A => &self.a,
+            QRel::B => &self.b_total,
+            QRel::C => &self.c,
+        }
+    }
+
     /// Folds the just-completed chunk into the `B_{<}` structures (§3.2).
     fn fold_chunk(&mut self) {
         // Per-chunk Dense/Sparse classification of L2/L3 vertices by the
@@ -228,19 +237,6 @@ impl WarmupEngine {
 }
 
 impl ThreePathEngine for WarmupEngine {
-    fn apply_update(&mut self, rel: QRel, left: VertexId, right: VertexId, op: UpdateOp) {
-        assert_eq!(
-            rel,
-            QRel::B,
-            "WarmupEngine assumes A and C are fixed (Assumption 3, §3.1); only B may change"
-        );
-        self.b_total.add(left, right, op.sign());
-        self.current_chunk.push((left, right, op.sign()));
-        if self.current_chunk.len() >= self.chunk_len {
-            self.fold_chunk();
-        }
-    }
-
     fn accepts_updates_to(&self, rel: QRel) -> bool {
         // Assumption 3 (§3.1): `A` and `C` are fixed for the engine's
         // lifetime; only `B` is dynamic.
@@ -248,12 +244,11 @@ impl ThreePathEngine for WarmupEngine {
     }
 
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool {
-        let adj = match rel {
-            QRel::A => &self.a,
-            QRel::B => &self.b_total,
-            QRel::C => &self.c,
-        };
-        adj.weight(left, right) != 0
+        self.rel(rel).weight(left, right) != 0
+    }
+
+    fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)> {
+        self.rel(rel).iter().map(|(l, r, _)| (l, r)).collect()
     }
 
     fn apply_batch(&mut self, rel: QRel, updates: &[(VertexId, VertexId, UpdateOp)]) {

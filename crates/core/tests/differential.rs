@@ -20,7 +20,10 @@ use fourcycle_core::{
     EngineKind, FmmConfig, FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine, QRel,
     SimpleEngine, SlowPathStats, ThreePathEngine, ThresholdEngine,
 };
-use fourcycle_graph::{EndpointClass, GraphUpdate, LayeredUpdate, MiddleClass, Rel, UpdateOp};
+use fourcycle_graph::{
+    EndpointClass, GeneralGraph, GraphUpdate, LayeredGraph, LayeredUpdate, MiddleClass, Rel,
+    UpdateOp,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -325,6 +328,7 @@ fn layered_counter_matches_brute_force_for_all_engines() {
         EngineKind::FmmDense,
     ] {
         let mut counter = LayeredCycleCounter::new(kind);
+        let mut reference = LayeredGraph::new();
         let mut rng = SmallRng::seed_from_u64(21);
         let mut present: HashSet<(Rel, u32, u32)> = HashSet::new();
         for step in 0..500 {
@@ -342,10 +346,11 @@ fn layered_counter_matches_brute_force_for_all_engines() {
                 continue;
             };
             counter.apply(update).expect("well-formed update");
+            reference.apply(&update);
             if step % 25 == 0 {
                 assert_eq!(
                     counter.count(),
-                    counter.graph().count_layered_4cycles_brute_force(),
+                    reference.count_layered_4cycles_brute_force(),
                     "engine {} at step {step}",
                     kind.name()
                 );
@@ -353,7 +358,7 @@ fn layered_counter_matches_brute_force_for_all_engines() {
         }
         assert_eq!(
             counter.count(),
-            counter.graph().count_layered_4cycles_brute_force()
+            reference.count_layered_4cycles_brute_force()
         );
     }
 }
@@ -396,8 +401,10 @@ fn run_general_differential(
     check_every: usize,
 ) -> SlowPathStats {
     let (mut counter, mut twin, mut twin_count) = (FourCycleCounter::new(kind), kind.build(), 0);
+    let mut reference = GeneralGraph::new();
     for (i, &update) in updates.iter().enumerate() {
         counter.apply(update).expect("well-formed update");
+        reference.apply(&update);
         let GraphUpdate { op, u, v } = update;
         if op == UpdateOp::Insert {
             twin_count += twin.query(u, v);
@@ -413,7 +420,7 @@ fn run_general_differential(
             assert_eq!(
                 (s.count, s.count, s.work, s.slow_path),
                 (
-                    counter.graph().count_4cycles_brute_force(),
+                    reference.count_4cycles_brute_force(),
                     twin_count,
                     twin.work(),
                     twin.slow_path_stats()

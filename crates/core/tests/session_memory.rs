@@ -66,10 +66,10 @@ const EDGES: usize = 150;
 const UPDATES: usize = 250;
 
 /// The bound on the session's live heap, in bytes, halfway between two
-/// figures for this stream: 169,956 bytes when every fmm row side, pair
-/// table and class map interned its own vertices, and 138,464 bytes with
-/// one interner per layer and everything else indexed by dense id.
-const MAX_SESSION_BYTES: i64 = 154_210;
+/// figures for this stream: 138,464 bytes when the counter kept a mirror
+/// `LayeredGraph` beside its four engines, and 115,936 bytes with the
+/// engines as the only copy of the graph.
+const MAX_SESSION_BYTES: i64 = 127_200;
 
 /// A layer vertex: one of the hubs with probability `HUB_SHARE`, else
 /// uniform over the rest.

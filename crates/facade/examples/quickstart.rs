@@ -34,7 +34,7 @@ fn main() {
     println!(
         "final: {} four-cycles on {} edges (total engine work: {} operations)",
         counter.count(),
-        counter.graph().edge_count(),
+        counter.total_edges(),
         counter.work()
     );
 }

@@ -13,7 +13,7 @@ use fourcycle::core::{
     BatchError, EngineConfig, EngineKind, FourCycleCounter, LayeredCycleCounter, SlowPathStats,
     Snapshot, ThreePathEngine, UpdateError,
 };
-use fourcycle::graph::{GraphUpdate, LayeredUpdate};
+use fourcycle::graph::{GraphUpdate, LayeredUpdate, Rel};
 use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, CyclicJoinCountView, Relation, Value};
 use fourcycle::runtime::{RuntimeConfig, RuntimeReport, RuntimeStats, ShardedRuntime};
 use fourcycle::server::{Client, ClientError, Server, ServerConfig, ServerStats, WireError};
@@ -380,6 +380,11 @@ fn surface() -> Vec<&'static str> {
     );
     pin!(
         n,
+        "core::LayeredCycleCounter::edges",
+        LayeredCycleCounter::edges as fn(&LayeredCycleCounter, Rel) -> Vec<(u32, u32)>
+    );
+    pin!(
+        n,
         "core::LayeredCycleCounter::total_edges",
         LayeredCycleCounter::total_edges as fn(&LayeredCycleCounter) -> usize
     );
@@ -466,6 +471,11 @@ fn surface() -> Vec<&'static str> {
     );
     pin!(
         n,
+        "core::FourCycleCounter::edges",
+        FourCycleCounter::edges as fn(&FourCycleCounter) -> Vec<(u32, u32)>
+    );
+    pin!(
+        n,
         "core::FourCycleCounter::total_edges",
         FourCycleCounter::total_edges as fn(&FourCycleCounter) -> usize
     );
@@ -531,6 +541,11 @@ fn surface() -> Vec<&'static str> {
         "ivm::CyclicJoinCountView::try_apply_batch",
         CyclicJoinCountView::try_apply_batch
             as fn(&mut CyclicJoinCountView, &[LayeredUpdate]) -> Result<i64, BatchError>
+    );
+    pin!(
+        n,
+        "ivm::CyclicJoinCountView::edges",
+        CyclicJoinCountView::edges as fn(&CyclicJoinCountView, Relation) -> Vec<(Value, Value)>
     );
     pin!(
         n,

@@ -3,15 +3,20 @@
 //! engine level (`try_apply_update`), the counter level (`try_apply` /
 //! `try_insert`) and the view level (`try_insert` / `try_delete`) — plus a
 //! property test that atomic batch rejection attributes the correct batch
-//! index on every level that offers `try_apply_batch`.
+//! index on every level that offers `try_apply_batch`, and a seeded replay
+//! that checks every kind's verdicts, edge lists and edge totals against a
+//! reference graph the test keeps itself.
 
 use fourcycle::core::{
     BatchError, EngineKind, FourCycleCounter, LayeredCycleCounter, QRel, ThreePathEngine,
     UpdateError, WarmupEngine,
 };
-use fourcycle::graph::{GraphUpdate, LayeredGraph, LayeredUpdate, Rel, UpdateOp};
+use fourcycle::graph::{GeneralGraph, GraphUpdate, LayeredGraph, LayeredUpdate, Rel, UpdateOp};
 use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, BinarySide, CyclicJoinCountView};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// Engine level: the same (duplicate, missing) verdicts from every kind.
 #[test]
@@ -177,6 +182,130 @@ fn view_errors_identical_across_every_kind() {
     assert_eq!(binary.try_insert_a(1, 2), Err(UpdateError::DuplicateEdge));
     assert_eq!(binary.try_delete_b(2, 1), Err(UpdateError::MissingEdge));
     assert_eq!(binary.epoch(), 1);
+}
+
+/// The verdict a replay into `present`'s graph gives an update.
+fn verdict(present: bool, op: UpdateOp) -> Result<(), UpdateError> {
+    match op {
+        UpdateOp::Insert if present => Err(UpdateError::DuplicateEdge),
+        UpdateOp::Delete if !present => Err(UpdateError::MissingEdge),
+        _ => Ok(()),
+    }
+}
+
+/// The engines are the only copy of a counter's graph, so on every
+/// `EngineKind` both counters and the join view must give each update the
+/// verdict of a replay into a reference graph the test keeps itself, and
+/// after every step hold its edge set, edge total and 4-cycle count. Of
+/// each stream's 250 seeded updates, 50 to 199 (asserted) are duplicate
+/// inserts, deletes of absent edges or self-loops.
+#[test]
+fn every_kind_matches_a_reference_replay_on_a_noisy_stream() {
+    let mut rng = SmallRng::seed_from_u64(20);
+    let layered: Vec<LayeredUpdate> = (0..250)
+        .map(|_| {
+            let rel = Rel::ALL[rng.gen_range(0..4)];
+            let (l, r) = (rng.gen_range(0..5u32), rng.gen_range(0..5u32));
+            if rng.gen_bool(0.4) {
+                LayeredUpdate::delete(rel, l, r)
+            } else {
+                LayeredUpdate::insert(rel, l, r)
+            }
+        })
+        .collect();
+    let general: Vec<GraphUpdate> = (0..250)
+        .map(|_| {
+            let (u, v) = (rng.gen_range(0..9u32), rng.gen_range(0..9u32));
+            if rng.gen_bool(0.4) {
+                GraphUpdate::delete(u, v)
+            } else {
+                GraphUpdate::insert(u, v)
+            }
+        })
+        .collect();
+    let set = |edges: Vec<(u32, u32)>| edges.into_iter().collect::<BTreeSet<_>>();
+
+    for kind in EngineKind::ALL {
+        let name = kind.name();
+        let mut counter = LayeredCycleCounter::new(kind);
+        let mut view = CyclicJoinCountView::new(kind);
+        let mut reference = LayeredGraph::new();
+        let mut rejected = 0;
+        for (step, &update) in layered.iter().enumerate() {
+            let LayeredUpdate {
+                op,
+                rel,
+                left,
+                right,
+            } = update;
+            let want = verdict(reference.has_edge(rel, left, right), op);
+            rejected += usize::from(want.is_err());
+            assert_eq!(
+                counter.try_apply(update).map(drop),
+                want,
+                "{name} step {step}"
+            );
+            assert_eq!(view.try_apply(update).map(drop), want, "{name} step {step}");
+            reference.apply(&update);
+            for rel in Rel::ALL {
+                let edges = set(reference.rel(rel).iter().map(|(l, r, _)| (l, r)).collect());
+                assert_eq!(set(counter.edges(rel)), edges, "{name} step {step} {rel:?}");
+                assert_eq!(set(view.edges(rel)), edges, "{name} step {step} {rel:?}");
+            }
+            assert_eq!(
+                counter.total_edges(),
+                reference.total_edges(),
+                "{name} step {step}"
+            );
+            assert_eq!(
+                view.total_tuples(),
+                reference.total_edges(),
+                "{name} step {step}"
+            );
+            let count = reference.count_layered_4cycles_brute_force();
+            assert_eq!(
+                (counter.count(), view.count()),
+                (count, count),
+                "{name} step {step}"
+            );
+        }
+        assert!((50..200).contains(&rejected), "{name}: {rejected} rejected");
+
+        let mut counter = FourCycleCounter::new(kind);
+        let mut reference = GeneralGraph::new();
+        let mut rejected = 0;
+        for (step, &update) in general.iter().enumerate() {
+            let GraphUpdate { op, u, v } = update;
+            let want = if u == v {
+                Err(UpdateError::SelfLoop)
+            } else {
+                verdict(reference.has_edge(u, v), op)
+            };
+            rejected += usize::from(want.is_err());
+            assert_eq!(
+                counter.try_apply(update).map(drop),
+                want,
+                "{name} step {step}"
+            );
+            reference.apply(&update);
+            assert_eq!(
+                set(counter.edges()),
+                set(reference.edges().collect()),
+                "{name} step {step}"
+            );
+            assert_eq!(
+                counter.total_edges(),
+                reference.edge_count(),
+                "{name} step {step}"
+            );
+            assert_eq!(
+                counter.count(),
+                reference.count_4cycles_brute_force(),
+                "{name} step {step}"
+            );
+        }
+        assert!((50..200).contains(&rejected), "{name}: {rejected} rejected");
+    }
 }
 
 /// Script of raw (relation, left, right) triples over a small universe;

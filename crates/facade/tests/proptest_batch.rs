@@ -43,6 +43,21 @@ fn toggle_layered(script: &[(u8, u32, u32)]) -> Vec<LayeredUpdate> {
     out
 }
 
+/// The script as raw updates, not toggled: every third triple is a delete
+/// and the rest are inserts, so the stream holds duplicate inserts and
+/// deletes of absent edges.
+fn raw_layered(script: &[(u8, u32, u32)]) -> Vec<LayeredUpdate> {
+    let update = |(i, &(rel_idx, l, r)): (usize, &(u8, u32, u32))| {
+        let rel = Rel::from_index(rel_idx as usize);
+        if i % 3 == 2 {
+            LayeredUpdate::delete(rel, l, r)
+        } else {
+            LayeredUpdate::insert(rel, l, r)
+        }
+    };
+    script.iter().enumerate().map(update).collect()
+}
+
 /// Engine-frame toggle: tracks presence per (rel, l, r) to keep the stream
 /// well-formed for a single engine.
 fn toggle_engine(script: &[(u8, u32, u32)]) -> Vec<(QRel, u32, u32, UpdateOp)> {
@@ -66,34 +81,45 @@ proptest! {
 
     /// Counter level: for every engine kind, batch application over an
     /// arbitrary partition reproduces the sequential count at every batch
-    /// boundary and leaves an identical final state.
+    /// boundary and leaves an identical final state. The toggled stream is
+    /// well-formed; the raw one holds rejected updates, so some of its
+    /// batches take `apply_batch`'s per-update fallback.
     #[test]
     fn counter_batches_match_sequential_for_every_engine_kind(
         script in layered_script(),
         batch_size in 1usize..48,
     ) {
-        let stream = toggle_layered(&script);
-        for kind in EngineKind::ALL {
-            let mut sequential = LayeredCycleCounter::new(kind);
-            let mut batched = LayeredCycleCounter::new(kind);
-            for batch in stream.chunks(batch_size) {
-                let mut seq_count = sequential.count();
-                for update in batch {
-                    seq_count = sequential.apply(*update).unwrap_or(seq_count);
+        for stream in [toggle_layered(&script), raw_layered(&script)] {
+            // The oracle's own graph: `apply` skips ill-formed updates, as
+            // the counters do.
+            let mut reference = LayeredGraph::new();
+            for update in &stream {
+                reference.apply(update);
+            }
+            for kind in EngineKind::ALL {
+                let mut sequential = LayeredCycleCounter::new(kind);
+                let mut batched = LayeredCycleCounter::new(kind);
+                for batch in stream.chunks(batch_size) {
+                    let mut seq_count = sequential.count();
+                    for update in batch {
+                        seq_count = sequential.apply(*update).unwrap_or(seq_count);
+                    }
+                    let batch_count = batched.apply_batch(batch);
+                    prop_assert_eq!(
+                        batch_count, seq_count,
+                        "engine {} diverged at a batch boundary", kind.name()
+                    );
+                    prop_assert_eq!(batched.epoch(), sequential.epoch());
                 }
-                let batch_count = batched.apply_batch(batch);
+                prop_assert_eq!(batched.count(), sequential.count(), "{}", kind.name());
+                prop_assert_eq!(batched.total_edges(), sequential.total_edges());
+                prop_assert_eq!(batched.total_edges(), reference.total_edges());
                 prop_assert_eq!(
-                    batch_count, seq_count,
-                    "engine {} diverged at a batch boundary", kind.name()
+                    batched.count(),
+                    reference.count_layered_4cycles_brute_force(),
+                    "batched count must stay exact for {}", kind.name()
                 );
             }
-            prop_assert_eq!(batched.count(), sequential.count(), "{}", kind.name());
-            prop_assert_eq!(batched.total_edges(), sequential.total_edges());
-            prop_assert_eq!(
-                batched.count(),
-                batched.graph().count_layered_4cycles_brute_force(),
-                "batched count must stay exact for {}", kind.name()
-            );
         }
     }
 
@@ -159,7 +185,7 @@ proptest! {
         let mut batched = FourCycleCounter::new(EngineKind::Fmm);
         let count = batched.apply_batch(&stream);
         prop_assert_eq!(count, sequential.count());
-        prop_assert_eq!(count, batched.graph().count_4cycles_brute_force());
+        prop_assert_eq!(count, graph.count_4cycles_brute_force());
     }
 }
 

@@ -37,8 +37,6 @@ pub struct SignedAdjacency {
     rows: Vec<Vec<(VertexId, i64)>>,
     /// Total number of (pair, weight != 0) entries.
     entries: usize,
-    /// Sum of absolute weights (number of signed edge events still live).
-    total_weight_abs: i64,
 }
 
 impl SignedAdjacency {
@@ -61,9 +59,7 @@ impl SignedAdjacency {
         let row = &mut self.rows[slot];
         match row.binary_search_by_key(&v, |&(n, _)| n) {
             Ok(pos) => {
-                let old = row[pos].1;
-                let new = old + delta;
-                self.total_weight_abs += new.abs() - old.abs();
+                let new = row[pos].1 + delta;
                 if new == 0 {
                     row.remove(pos);
                     if row.is_empty() {
@@ -77,7 +73,6 @@ impl SignedAdjacency {
             }
             Err(pos) => {
                 row.insert(pos, (v, delta));
-                self.total_weight_abs += delta.abs();
                 self.entries += 1;
                 delta
             }
@@ -121,11 +116,6 @@ impl SignedAdjacency {
         self.row(u).map_or(0, |row| row.len())
     }
 
-    /// Sum of absolute weights over all pairs.
-    pub fn total_weight_abs(&self) -> i64 {
-        self.total_weight_abs
-    }
-
     /// Iterates over `(neighbor, weight)` pairs of `u` in neighbor-id order.
     pub fn neighbors(&self, u: VertexId) -> impl Iterator<Item = (VertexId, i64)> + '_ {
         self.row(u).unwrap_or_default().iter().copied()
@@ -157,7 +147,6 @@ impl SignedAdjacency {
             row.clear();
         }
         self.entries = 0;
-        self.total_weight_abs = 0;
     }
 
     /// Drops the interner slots and row allocations of vertices whose rows
@@ -305,11 +294,11 @@ mod tests {
         let mut adj = SignedAdjacency::new();
         adj.add(3, 4, -1);
         assert_eq!(adj.weight(3, 4), -1);
-        assert_eq!(adj.total_weight_abs(), 1);
+        assert_eq!(adj.len(), 1);
         assert!(adj.contains(3, 4));
         adj.add(3, 4, 1);
         assert!(!adj.contains(3, 4));
-        assert_eq!(adj.total_weight_abs(), 0);
+        assert!(adj.is_empty());
     }
 
     #[test]
@@ -349,7 +338,6 @@ mod tests {
         adj.clear();
         assert!(adj.is_empty());
         assert_eq!(adj.weight(1, 2), 0);
-        assert_eq!(adj.total_weight_abs(), 0);
         assert_eq!(adj.left_vertices().count(), 0);
         // Re-population after clear works on the retained slots.
         adj.add(1, 9, 1);

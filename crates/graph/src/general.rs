@@ -37,11 +37,6 @@ impl GeneralGraph {
         self.edges
     }
 
-    /// Number of vertices with at least one incident edge.
-    pub fn active_vertices(&self) -> usize {
-        self.adj.left_vertices().count()
-    }
-
     /// Degree of `v`.
     pub fn degree(&self, v: VertexId) -> usize {
         self.adj.degree(v)

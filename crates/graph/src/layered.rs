@@ -18,44 +18,6 @@ use crate::adjacency::BipartiteAdjacency;
 use crate::update::{LayeredUpdate, UpdateOp};
 use crate::VertexId;
 
-/// One of the four vertex layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Layer {
-    /// First layer (left endpoint of `A`, right endpoint of `D`).
-    L1,
-    /// Second layer.
-    L2,
-    /// Third layer.
-    L3,
-    /// Fourth layer.
-    L4,
-}
-
-impl Layer {
-    /// All four layers in order.
-    pub const ALL: [Layer; 4] = [Layer::L1, Layer::L2, Layer::L3, Layer::L4];
-
-    /// The next layer in cyclic order (`L4 → L1`).
-    pub fn next(self) -> Layer {
-        match self {
-            Layer::L1 => Layer::L2,
-            Layer::L2 => Layer::L3,
-            Layer::L3 => Layer::L4,
-            Layer::L4 => Layer::L1,
-        }
-    }
-
-    /// Index 0..=3 of the layer.
-    pub fn index(self) -> usize {
-        match self {
-            Layer::L1 => 0,
-            Layer::L2 => 1,
-            Layer::L3 => 2,
-            Layer::L4 => 3,
-        }
-    }
-}
-
 /// One of the four relation matrices of a layered graph.
 ///
 /// `Rel::A` connects `L1–L2`, `Rel::B` connects `L2–L3`, `Rel::C` connects
@@ -91,21 +53,6 @@ impl Rel {
     /// Relation with the given index modulo 4.
     pub fn from_index(i: usize) -> Rel {
         Rel::ALL[i % 4]
-    }
-
-    /// The layer holding the "left" endpoints of this relation.
-    pub fn left_layer(self) -> Layer {
-        match self {
-            Rel::A => Layer::L1,
-            Rel::B => Layer::L2,
-            Rel::C => Layer::L3,
-            Rel::D => Layer::L4,
-        }
-    }
-
-    /// The layer holding the "right" endpoints of this relation.
-    pub fn right_layer(self) -> Layer {
-        self.left_layer().next()
     }
 
     /// The next relation in cyclic order (`D → A`).
@@ -264,12 +211,12 @@ mod tests {
 
     #[test]
     fn rel_layer_geometry() {
-        assert_eq!(Rel::A.left_layer(), Layer::L1);
-        assert_eq!(Rel::A.right_layer(), Layer::L2);
-        assert_eq!(Rel::D.left_layer(), Layer::L4);
-        assert_eq!(Rel::D.right_layer(), Layer::L1);
+        assert_eq!(Rel::A.next(), Rel::B);
         assert_eq!(Rel::D.next(), Rel::A);
-        assert_eq!(Layer::L4.next(), Layer::L1);
+        assert_eq!(Rel::from_index(5), Rel::B);
+        for rel in Rel::ALL {
+            assert_eq!(Rel::from_index(rel.index()), rel);
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use adjacency::{BipartiteAdjacency, SignedAdjacency};
 pub use classes::{ClassThresholds, EndpointClass, MiddleClass};
 pub use compact::CompactIndex;
 pub use general::GeneralGraph;
-pub use layered::{Layer, LayeredGraph, Rel};
+pub use layered::{LayeredGraph, Rel};
 pub use update::{coalesce_updates, GraphUpdate, LayeredUpdate, UpdateBatch, UpdateOp};
 
 /// Vertex identifier. Vertices are dense small integers managed by the

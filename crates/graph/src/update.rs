@@ -220,11 +220,15 @@ impl<'a> IntoIterator for &'a UpdateBatch {
 /// This is the shared front-end of every engine's `apply_batch`: because
 /// all maintained structures are (multi)linear in the signed edge multiset,
 /// applying the net delta of a pair once is equivalent to replaying its
-/// updates individually.
+/// updates individually. A one-entry slice (a single update) is returned
+/// as is, without hashing.
 pub fn coalesce_updates(
     updates: &[(VertexId, VertexId, UpdateOp)],
 ) -> Vec<(VertexId, VertexId, i64)> {
     use std::collections::HashMap;
+    if let [(l, r, op)] = *updates {
+        return vec![(l, r, op.sign())];
+    }
     let mut slot: HashMap<(VertexId, VertexId), usize> = HashMap::with_capacity(updates.len());
     let mut out: Vec<(VertexId, VertexId, i64)> = Vec::with_capacity(updates.len());
     for &(l, r, op) in updates {
@@ -298,5 +302,6 @@ mod tests {
         ];
         assert_eq!(coalesce_updates(&updates), vec![(3, 4, 1), (5, 6, -1)]);
         assert!(coalesce_updates(&[]).is_empty());
+        assert_eq!(coalesce_updates(&[(7, 8, Delete)]), vec![(7, 8, -1)]);
     }
 }

@@ -30,7 +30,7 @@
 use fourcycle_core::{
     BatchError, EngineConfig, EngineKind, LayeredCycleCounter, Snapshot, UpdateError,
 };
-use fourcycle_graph::{LayeredUpdate, Rel, UpdateOp, VertexId};
+use fourcycle_graph::{LayeredGraph, LayeredUpdate, Rel, UpdateOp, VertexId};
 
 /// The four relations of the cyclic join, named as in the paper.
 pub type Relation = Rel;
@@ -155,9 +155,16 @@ impl CyclicJoinCountView {
         self.counter.try_apply_batch(updates)
     }
 
-    /// Recomputes the join count from scratch (for validation / tests).
+    /// Recomputes the join count from scratch (for validation / tests), by
+    /// brute force over a layered graph built from [`edges`](Self::edges).
     pub fn recompute_from_scratch(&self) -> i64 {
-        self.counter.graph().count_layered_4cycles_brute_force()
+        let mut graph = LayeredGraph::new();
+        for rel in Rel::ALL {
+            for (left, right) in self.edges(rel) {
+                graph.insert(rel, left, right);
+            }
+        }
+        graph.count_layered_4cycles_brute_force()
     }
 
     /// Total work performed by the underlying engines.
@@ -183,11 +190,10 @@ impl CyclicJoinCountView {
         self.counter.restore_epoch(epoch);
     }
 
-    /// The maintained layered graph holding the four relations (read-only
-    /// mirror; one tuple per edge). Crash recovery dumps the current
-    /// relation contents through this accessor.
-    pub fn graph(&self) -> &fourcycle_graph::LayeredGraph {
-        self.counter.graph()
+    /// Every tuple currently in `rel`, as `(left, right)`. Checkpoint
+    /// images dump the current relation contents through this accessor.
+    pub fn edges(&self, rel: Relation) -> Vec<(Value, Value)> {
+        self.counter.edges(rel)
     }
 
     /// A consistent point-in-time view of the join count, tuple total, cost

@@ -81,7 +81,7 @@ pub use fourcycle_core::{BatchError, EngineConfig, EngineKind, Snapshot, UpdateE
 pub use journal::{CheckpointImage, JournalSink, SessionImage};
 
 use fourcycle_core::{FourCycleCounter, LayeredCycleCounter};
-use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel};
+use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, VertexId};
 use fourcycle_ivm::CyclicJoinCountView;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -419,25 +419,21 @@ impl Session {
         }];
         match &self.state {
             SessionState::Layered(c) => {
-                layered_state_requests(id, c.graph(), &mut requests);
+                layered_state_requests(id, |rel| c.edges(rel), &mut requests)
             }
-            SessionState::Join(v) => {
-                layered_state_requests(id, v.graph(), &mut requests);
-            }
+            SessionState::Join(v) => layered_state_requests(id, |rel| v.edges(rel), &mut requests),
             SessionState::General(c) => {
-                let mut updates: Vec<GraphUpdate> = Vec::new();
-                for (u, v) in c.graph().edges() {
-                    updates.push(GraphUpdate::insert(u, v));
-                    if updates.len() == STATE_BATCH_LEN {
-                        requests.push(Request::ApplyGeneralBatch {
-                            id,
-                            updates: std::mem::take(&mut updates),
-                        });
+                let updates: Vec<GraphUpdate> = c
+                    .edges()
+                    .into_iter()
+                    .map(|(u, v)| GraphUpdate::insert(u, v))
+                    .collect();
+                requests.extend(updates.chunks(STATE_BATCH_LEN).map(|chunk| {
+                    Request::ApplyGeneralBatch {
+                        id,
+                        updates: chunk.to_vec(),
                     }
-                }
-                if !updates.is_empty() {
-                    requests.push(Request::ApplyGeneralBatch { id, updates });
-                }
+                }));
             }
         }
         requests
@@ -447,27 +443,29 @@ impl Session {
 /// Maximum updates per state-reconstruction batch in a checkpoint image.
 const STATE_BATCH_LEN: usize = 1024;
 
+/// Appends insert batches recreating a layered session whose relation
+/// `rel` holds `edges(rel)`.
 fn layered_state_requests(
     id: GraphId,
-    graph: &fourcycle_graph::LayeredGraph,
+    edges: impl Fn(Rel) -> Vec<(VertexId, VertexId)>,
     requests: &mut Vec<Request>,
 ) {
-    let mut updates: Vec<LayeredUpdate> = Vec::new();
-    for rel in [Rel::A, Rel::B, Rel::C, Rel::D] {
-        for (left, right, weight) in graph.rel(rel).iter() {
-            debug_assert_eq!(weight, 1, "layered edges are set-like");
-            updates.push(LayeredUpdate::insert(rel, left, right));
-            if updates.len() == STATE_BATCH_LEN {
-                requests.push(Request::ApplyLayeredBatch {
-                    id,
-                    updates: std::mem::take(&mut updates),
-                });
-            }
-        }
-    }
-    if !updates.is_empty() {
-        requests.push(Request::ApplyLayeredBatch { id, updates });
-    }
+    let updates: Vec<LayeredUpdate> = Rel::ALL
+        .into_iter()
+        .flat_map(|rel| {
+            edges(rel)
+                .into_iter()
+                .map(move |(left, right)| LayeredUpdate::insert(rel, left, right))
+        })
+        .collect();
+    requests.extend(
+        updates
+            .chunks(STATE_BATCH_LEN)
+            .map(|chunk| Request::ApplyLayeredBatch {
+                id,
+                updates: chunk.to_vec(),
+            }),
+    );
 }
 
 /// A multi-tenant registry of independent cycle-counting sessions — the

@@ -219,7 +219,9 @@ mod tests {
         for v in [3u64, 100, 5_000, 250_000] {
             tel.stage(0, Stage::Apply).record(v);
         }
-        tel.stage(1, Stage::QueueWait).record_each(1_000, 4);
+        for _ in 0..4 {
+            tel.stage(1, Stage::QueueWait).record(250);
+        }
         tel.ring().emit(0, EventKind::GroupCommit, 4, 900);
         tel.snapshot()
     }

@@ -136,21 +136,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records `n` samples of `total / n` each — the smear used for stage
-    /// boundaries measured once per group: every slot still contributes
-    /// exactly one sample, keeping stage counts equal to command counts.
-    /// No-op when `n` is 0.
-    #[deny(clippy::disallowed_methods)]
-    pub fn record_each(&self, total: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let each = total / n;
-        self.buckets[bucket_index(each)].fetch_add(n, Ordering::Relaxed);
-        saturating_fetch_add(&self.sum, each.saturating_mul(n));
-        self.max.fetch_max(each, Ordering::Relaxed);
-    }
-
     /// Copies the counters into an immutable snapshot for merging and
     /// percentile queries.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -382,22 +367,6 @@ mod tests {
         assert_eq!(nearest_rank(100, 0.99), 99);
         assert_eq!(nearest_rank(100, 1.0), 100);
         assert_eq!(nearest_rank(100, 0.0), 1);
-    }
-
-    /// `record_each` smears a group total into n equal samples: count rises
-    /// by n, every sample is total/n.
-    #[test]
-    fn record_each_keeps_counts_equal_to_slots() {
-        let hist = Histogram::new();
-        hist.record_each(1_000, 4);
-        hist.record_each(0, 3);
-        hist.record_each(50, 0); // no-op
-        let snap = hist.snapshot();
-        assert_eq!(snap.count(), 7);
-        assert_eq!(snap.sum, 1_000);
-        assert_eq!(snap.max, 250);
-        assert_eq!(snap.buckets[bucket_index(250)], 4);
-        assert_eq!(snap.buckets[0], 3);
     }
 
     /// Percentiles walk cumulative bucket counts correctly across a known

@@ -292,7 +292,9 @@ mod tests {
         let tel = Telemetry::new(TelemetryConfig::default(), 3);
         tel.stage(0, Stage::Apply).record(100);
         tel.stage(1, Stage::Apply).record(200);
-        tel.stage(2, Stage::Apply).record_each(900, 3);
+        for _ in 0..3 {
+            tel.stage(2, Stage::Apply).record(300);
+        }
         tel.stage(1, Stage::QueueWait).record(5);
         let snap = tel.snapshot();
         assert_eq!(snap.stage(0, Stage::Apply).count(), 1);
