@@ -65,7 +65,7 @@ fn the_service_and_runtime_surface_is_send() {
 fn the_network_front_door_is_send() {
     // The server handle outlives the thread that started it (an operator
     // thread may own it while signal handling happens elsewhere), and its
-    // shared state is referenced from accept/reader/writer threads.
+    // shared state is referenced from the accept and connection threads.
     assert_send::<Server>();
     assert_sync::<Server>();
     // One client per thread is the concurrency model: Send moves a

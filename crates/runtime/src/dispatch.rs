@@ -302,14 +302,17 @@ fn deliver(
             .updates_applied
             .fetch_add(applied, Ordering::Relaxed);
     }
+    // Recorded before the send, which publishes them: a caller holding its
+    // reply may read the telemetry at once and must find every sample of
+    // its command there.
+    let sending = Instant::now();
+    tel.hist(Stage::Reply).record(nanos_between(ready, sending));
+    // Fan-out sub-commands check per shard.
+    tel.tel
+        .note_request_done(tel.shard_id(), nanos_between(job.enqueued_at, sending));
     // The client may have dropped its ticket (fire-and-forget); a dead
     // reply channel is not an error.
     let _ = job.reply.send(outcome);
-    let sent = Instant::now();
-    tel.hist(Stage::Reply).record(nanos_between(ready, sent));
-    // Fan-out sub-commands check per shard.
-    tel.tel
-        .note_request_done(tel.shard_id(), nanos_between(job.enqueued_at, sent));
 }
 
 #[cfg(test)]

@@ -14,34 +14,34 @@
 //! ```text
 //!   client sockets          fourcycle-server                fourcycle-runtime
 //!  ┌──────────────┐   accept   ┌───────────────────┐
-//!  │ TCP conn 1   │──────────► │ reader thread 1   │ try_submit()  ┌─────────┐
+//!  │ TCP conn 1   │──────────► │ conn thread 1     │ try_submit()  ┌─────────┐
 //!  │  "layered…\n"│            │  parse_request    │─────────────► │ shard 0 │
 //!  └──────────────┘            │  full? err busy   │   Ticket      │ shard 1 │
-//!  ┌──────────────┐            ├───────────────────┤               │   …     │
-//!  │ TCP conn 2   │──────────► │ bounded pending   │               └─────────┘
-//!  └──────────────┘            │ queue (per conn)  │                    │
-//!                              ├───────────────────┤   Ticket::wait     │
-//!         responses ◄──────────│ writer thread 1   │◄───────────────────┘
-//!         "ok applied g1 1 4"  │  render_response  │
-//!                              └───────────────────┘
+//!                              │  ≤ 128 owed       │               │   …     │
+//!                              │                   │               └─────────┘
+//!                              │                   │   Ticket::wait     │
+//!         responses ◄──────────│  render_response  │◄───────────────────┘
+//!         "ok applied g1 1 4"  └───────────────────┘
+//!                         (TCP conn 2 ──► conn thread 2, …)
 //! ```
 //!
-//! * **One reader + one writer thread per connection.** The reader frames
-//!   newline-delimited commands, parses them, and *fires* them at the
-//!   runtime with the non-blocking
-//!   [`try_submit`](ShardedRuntime::try_submit); the resulting
-//!   [`Ticket`]s flow through a bounded per-connection queue to the
-//!   writer, which waits each ticket and streams framed responses back
-//!   **in submission order**. Because commands from every connection meet
-//!   only in the runtime's shard mailboxes, one slow client never blocks
-//!   another — and pipelined commands from one client overlap across
-//!   shards while their responses stay ordered.
+//! * **One thread per connection.** The thread frames newline-delimited
+//!   commands, parses them, and *fires* every complete line already in
+//!   its read buffer at the runtime with the non-blocking
+//!   [`try_submit`](ShardedRuntime::try_submit). It then waits each
+//!   resulting [`Ticket`] in turn, writes the framed responses back **in
+//!   submission order**, flushes once and reads again; it never blocks on
+//!   a read while it owes a reply. Because commands from every connection
+//!   meet only in the runtime's shard mailboxes, one slow client never
+//!   blocks another — and pipelined commands from one client overlap
+//!   across shards while their responses stay ordered.
 //! * **Backpressure, not buffering.** A full shard mailbox surfaces as a
 //!   documented `err busy` response (counted in both the server's
 //!   `busy_rejections` and the runtime's `queue_full_stalls`) instead of
-//!   the server queueing unboundedly; the per-connection pending queue is
-//!   bounded too ([`ServerConfig::pipeline_depth`]), so a client that
-//!   pipelines faster than it reads is eventually paused by TCP itself.
+//!   the server queueing unboundedly. A connection owes at most 128
+//!   replies before its thread stops reading to answer them, so a client
+//!   that pipelines faster than it reads is eventually paused by TCP
+//!   itself.
 //! * **Framing.** Requests are one line each; responses use the
 //!   length-declared `ok` / `ok+<n>` / `err <code>` framing defined in
 //!   `fourcycle_service::command` (see its module docs) — a client reads
@@ -110,27 +110,28 @@ use fourcycle_service::{parse_request, render_response};
 use fourcycle_telemetry::{expose, EventKind, NO_SHARD};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
+
+/// Most replies one connection may owe before its thread stops reading to
+/// answer them. This bounds server memory per connection; shard-level
+/// backpressure is separate (`err busy`).
+const MAX_OWED: usize = 128;
 
 /// Configuration of a [`Server`], builder-style.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     addr: String,
-    pipeline_depth: usize,
     max_line_bytes: usize,
 }
 
 impl Default for ServerConfig {
-    /// Loopback on an ephemeral port (`127.0.0.1:0`), pipeline depth 128,
-    /// 1 MiB line limit.
+    /// Loopback on an ephemeral port (`127.0.0.1:0`), 1 MiB line limit.
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            pipeline_depth: 128,
             max_line_bytes: 1 << 20,
         }
     }
@@ -149,15 +150,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the bounded per-connection pending-reply queue depth (clamped
-    /// to at least 1): how many commands one connection may have in flight
-    /// before its reader pauses. This bounds server-side memory per
-    /// connection; shard-level backpressure is separate (`err busy`).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
     /// Sets the maximum accepted command line length in bytes (clamped to
     /// at least 64). A longer line is answered with `err parse ...` and
     /// the connection is closed — the server cannot resynchronize inside
@@ -165,11 +157,6 @@ impl ServerConfig {
     pub fn max_line_bytes(mut self, bytes: usize) -> Self {
         self.max_line_bytes = bytes.max(64);
         self
-    }
-
-    /// The configured listen address.
-    pub fn listen_addr(&self) -> &str {
-        &self.addr
     }
 }
 
@@ -182,7 +169,9 @@ pub struct ServerStats {
     /// Connections currently open.
     pub open_connections: u64,
     /// Service commands accepted from the wire and submitted to the
-    /// runtime (busy-rejected lines and the `stats` command excluded).
+    /// runtime. Lines rejected as `busy` or by the parser are not counted,
+    /// nor are `stats`, `metrics`, `metrics json` and `events`, which the
+    /// server answers itself.
     pub commands: u64,
     /// Commands refused with `err busy` because the target shard's
     /// mailbox was full.
@@ -222,14 +211,15 @@ struct Shared {
     runtime: ShardedRuntime,
     counters: ServerCounters,
     shutting_down: AtomicBool,
-    /// Read-half clones of live connections, so shutdown can unblock
-    /// parked readers without waiting for client EOFs.
+    /// Clones of live connections, so shutdown can shut their read halves
+    /// and unblock threads parked on a read without waiting for client
+    /// EOFs.
     conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// One reply owed to a connection, in submission order: either an
-/// in-flight runtime ticket or an immediately-rendered line (parse
-/// errors, `busy`, `stats`).
+/// in-flight runtime ticket or a line rendered when its command was read
+/// (parse errors, `busy`, `stats`, `metrics`, `events`).
 enum Pending {
     Ticket(Ticket),
     Line(String),
@@ -310,9 +300,9 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // Shut the read half of every live connection: parked readers
-        // return 0, submit no further commands, and wind down — while
-        // replies already owed still flow out the write half.
+        // Shut the read half of every live connection: a thread parked on
+        // its read sees EOF, writes every reply it still owes out of the
+        // write half, and winds down.
         let conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
         for stream in conns.values() {
             let _ = stream.shutdown(Shutdown::Read);
@@ -425,58 +415,33 @@ fn accept_loop(
     }
 }
 
-/// Runs one connection to completion: spawns the writer, then reads and
-/// routes commands until EOF / shutdown / overflow, then joins the writer
-/// and deregisters.
+/// Serves one connection on its own thread until EOF, `shutdown(Read)`,
+/// an oversize line, a read error or a failed write, then deregisters it.
+///
+/// Every complete command line already buffered is submitted before any
+/// reply is awaited, so a pipelined burst overlaps across shards. Every
+/// accepted line owes exactly one [`Pending`] reply; blank lines and `#`
+/// comments owe none (scripts pipe through verbatim).
 fn serve_connection(shared: Arc<Shared>, stream: TcpStream, id: u64) {
-    let depth = shared.config.pipeline_depth;
-    let (tx, rx) = mpsc::sync_channel::<Pending>(depth);
-    let writer = match stream.try_clone() {
-        Ok(write_half) => {
-            let writer_shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("fourcycle-conn-{id}-writer"))
-                .spawn(move || write_loop(&writer_shared, write_half, rx))
-                .ok()
-        }
-        Err(_) => None,
-    };
-    if writer.is_some() {
-        read_loop(&shared, stream, &tx);
-    }
-    // Closing our sender ends the writer once it has drained every reply
-    // still owed (the bounded queue plus in-flight tickets).
-    drop(tx);
-    if let Some(writer) = writer {
-        let _ = writer.join();
-    }
-    shared
-        .conns
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&id);
-    note_conn_event(&shared, EventKind::ConnClose, id);
-    shared
-        .counters
-        .open_connections
-        .fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Frames and routes commands until the stream ends. Every accepted line
-/// enqueues exactly one [`Pending`] reply; blank lines and `#` comments
-/// enqueue nothing (scripts pipe through verbatim).
-fn read_loop(shared: &Shared, stream: TcpStream, tx: &SyncSender<Pending>) {
     let max = shared.config.max_line_bytes;
-    let mut reader = BufReader::new(stream);
+    // The +1 sentinel byte distinguishes "exactly max bytes plus the
+    // newline" (fine) from "still no newline after max bytes" (fatal:
+    // resynchronization inside an unterminated line is impossible).
+    let limit = u64::try_from(max).unwrap_or(u64::MAX).saturating_add(1);
+    let mut reader = BufReader::new(&stream);
+    let mut writer = BufWriter::new(&stream);
+    let mut owed: Vec<Pending> = Vec::new();
     let mut buf: Vec<u8> = Vec::with_capacity(256);
     loop {
+        // A read with no complete line buffered may block, and a client
+        // waiting for its replies sends nothing more: answer first.
+        let answer_now =
+            !owed.is_empty() && (owed.len() >= MAX_OWED || !reader.buffer().contains(&b'\n'));
+        if answer_now && answer(&shared, &mut writer, &mut owed).is_err() {
+            break; // unwritable: the client closed its read half
+        }
         buf.clear();
-        // The +1 sentinel byte distinguishes "exactly max bytes plus the
-        // newline" (fine) from "still no newline after max bytes" (fatal:
-        // resynchronization inside an unterminated line is impossible).
-        let limit = u64::try_from(max).unwrap_or(u64::MAX).saturating_add(1);
-        let mut limited = (&mut reader).take(limit);
-        match limited.read_until(b'\n', &mut buf) {
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
             Ok(0) => break, // EOF, or shutdown(Read)
             Ok(n) => {
                 shared
@@ -487,7 +452,7 @@ fn read_loop(shared: &Shared, stream: TcpStream, tx: &SyncSender<Pending>) {
                     let oversize = WireError::Parse(format!(
                         "line exceeds the {max}-byte limit; closing connection"
                     ));
-                    let _ = tx.send(Pending::Line(oversize.render()));
+                    owed.push(Pending::Line(oversize.render()));
                     break;
                 }
             }
@@ -503,27 +468,35 @@ fn read_loop(shared: &Shared, stream: TcpStream, tx: &SyncSender<Pending>) {
                     continue;
                 }
                 match line {
-                    "stats" => Pending::Line(render_stats(shared)),
-                    "metrics" => Pending::Line(render_metrics_text(shared)),
-                    "metrics json" => Pending::Line(render_metrics_json(shared)),
-                    "events" => Pending::Line(render_events(shared)),
-                    _ => route_command(shared, line),
+                    "stats" => Pending::Line(render_stats(&shared)),
+                    "metrics" => Pending::Line(render_metrics_text(&shared)),
+                    "metrics json" => Pending::Line(render_metrics_json(&shared)),
+                    "events" => Pending::Line(render_events(&shared)),
+                    _ => route_command(&shared, line),
                 }
             }
             Err(_) => Pending::Line(WireError::Parse("invalid utf-8".to_string()).render()),
         };
-        // Blocks when `pipeline_depth` replies are already owed: the
-        // per-connection bound that turns a non-reading pipeliner into
-        // TCP backpressure instead of unbounded server memory.
-        if tx.send(pending).is_err() {
-            break; // writer is gone (client closed its read half)
-        }
+        owed.push(pending);
     }
+    // Graceful shutdown and a half-closing client still get every reply
+    // owed; after a failed write nothing is owed any more.
+    let _ = answer(&shared, &mut writer, &mut owed);
+    shared
+        .conns
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .remove(&id);
+    note_conn_event(&shared, EventKind::ConnClose, id);
+    shared
+        .counters
+        .open_connections
+        .fetch_sub(1, Ordering::Relaxed);
 }
 
 /// Parses one command line and fires it at the runtime without blocking:
 /// a full shard mailbox becomes `err busy` for this client instead of a
-/// parked reader thread.
+/// parked connection thread.
 fn route_command(shared: &Shared, line: &str) -> Pending {
     match parse_request(line) {
         Err(e) => Pending::Line(WireError::Parse(e.message).render()),
@@ -543,51 +516,30 @@ fn route_command(shared: &Shared, line: &str) -> Pending {
     }
 }
 
-/// Streams replies back in submission order, flushing whenever the
-/// pending queue momentarily drains (batching syscalls under pipelining
-/// without ever withholding a quiescent client's reply).
-fn write_loop(shared: &Shared, stream: TcpStream, rx: Receiver<Pending>) {
-    let mut writer = BufWriter::new(stream);
-    'serve: while let Ok(pending) = rx.recv() {
-        if !write_reply(shared, &mut writer, pending) {
-            break;
-        }
-        loop {
-            match rx.try_recv() {
-                Ok(next) => {
-                    if !write_reply(shared, &mut writer, next) {
-                        break 'serve;
-                    }
-                }
-                Err(TryRecvError::Empty) => {
-                    let _ = writer.flush();
-                    break;
-                }
-                Err(TryRecvError::Disconnected) => break 'serve,
-            }
-        }
+/// Writes every owed reply in submission order, waiting each ticket in
+/// turn, then flushes once. On an error the connection is unwritable and
+/// the replies not yet written are dropped.
+fn answer(
+    shared: &Shared,
+    writer: &mut BufWriter<&TcpStream>,
+    owed: &mut Vec<Pending>,
+) -> io::Result<()> {
+    for pending in owed.drain(..) {
+        let text = match pending {
+            Pending::Line(line) => line,
+            Pending::Ticket(ticket) => match ticket.wait() {
+                Ok(response) => render_response(&response),
+                Err(e) => WireError::from(&e).render(),
+            },
+        };
+        let sent = u64::try_from(text.len())
+            .unwrap_or(u64::MAX)
+            .saturating_add(1);
+        shared.counters.bytes_out.fetch_add(sent, Ordering::Relaxed);
+        writer.write_all(text.as_bytes())?;
+        writer.write_all(b"\n")?;
     }
-    let _ = writer.flush();
-}
-
-/// Renders and writes one reply (waiting its ticket first if needed);
-/// `false` when the connection is unwritable.
-fn write_reply(shared: &Shared, writer: &mut BufWriter<TcpStream>, pending: Pending) -> bool {
-    let text = match pending {
-        Pending::Line(line) => line,
-        Pending::Ticket(ticket) => match ticket.wait() {
-            Ok(response) => render_response(&response),
-            Err(e) => WireError::from(&e).render(),
-        },
-    };
-    let sent = u64::try_from(text.len())
-        .unwrap_or(u64::MAX)
-        .saturating_add(1);
-    shared.counters.bytes_out.fetch_add(sent, Ordering::Relaxed);
-    writer
-        .write_all(text.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .is_ok()
+    writer.flush()
 }
 
 /// Builds the framed `stats` response: `ok+<n> stats` followed by the
@@ -684,12 +636,4 @@ pub fn render_stats_json(server: &ServerStats, report: &RuntimeReport) -> String
         shard_object(&report.totals)
     ));
     out
-}
-
-/// Resolves `addr` like [`Client::connect`] does — a tiny convenience for
-/// binaries taking `host:port` strings.
-pub fn resolve_addr(addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing"))
 }

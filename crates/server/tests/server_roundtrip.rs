@@ -1,7 +1,8 @@
 //! End-to-end wire tests: a real listener on a loopback port, driven by
 //! the real [`Client`] — every response and error shape, per-connection
 //! ordering under pipelining, backpressure (`busy`) convergence, the
-//! `stats` document, and graceful shutdown semantics.
+//! `stats` document, and graceful shutdown semantics. A raw socket drives
+//! what the client cannot: a half-close after a long pipeline.
 
 #![allow(
     clippy::unwrap_used,
@@ -17,6 +18,8 @@ use fourcycle_runtime::{RuntimeConfig, ShardedRuntime};
 use fourcycle_server::{Client, ClientError, Server, ServerConfig, WireError};
 use fourcycle_service::{GraphId, Request, Response};
 use fourcycle_telemetry::{expose, Stage, NO_SHARD};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 
 fn square(base: u32) -> Vec<LayeredUpdate> {
     vec![
@@ -472,4 +475,32 @@ fn oversized_lines_close_only_the_offending_connection() {
         Response::Created { id }
     );
     server.shutdown();
+}
+
+/// A pipeline well past the 128 replies one connection may owe, then a
+/// half-close: every command is still answered, in order, before the
+/// server closes. The mailbox holds more than one connection can owe, so
+/// no reply can be `busy`.
+#[test]
+fn half_close_after_a_long_pipeline_answers_every_command_in_order() {
+    let runtime = ShardedRuntime::start(
+        RuntimeConfig::new()
+            .shards(1)
+            .engine(EngineKind::Simple)
+            .mailbox_depth(256),
+    );
+    let server = Server::start(ServerConfig::new(), runtime).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let script: String = (0..300).map(|i| format!("create g{i}\n")).collect();
+    stream.write_all(script.as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut replies = BufReader::new(stream).lines();
+    for i in 0..300 {
+        assert_eq!(replies.next().unwrap().unwrap(), format!("ok created g{i}"));
+    }
+    assert!(
+        replies.next().is_none(),
+        "the server closes after the last reply"
+    );
+    assert_eq!(server.shutdown().totals.commands, 300);
 }
