@@ -1,4 +1,5 @@
-//! Measurement helpers shared by the experiment tables and the benches.
+//! Measurement helpers shared by the experiment tables and the scenario
+//! reports.
 
 use fourcycle_core::{EngineKind, LayeredCycleCounter};
 use fourcycle_graph::LayeredUpdate;
@@ -51,40 +52,6 @@ pub fn run_layered_workload(kind: EngineKind, stream: &[LayeredUpdate]) -> Workl
     }
 }
 
-/// Replays a layered update stream through the counter's batch pipeline in
-/// batches of `batch_size`, recording work and time. The final count equals
-/// [`run_layered_workload`]'s (batching is semantics-preserving);
-/// `max_work_per_update` reports the maximum counted work over a *batch*
-/// divided by its size, the batched analogue of the worst-case update.
-pub fn run_layered_workload_batched(
-    kind: EngineKind,
-    stream: &[LayeredUpdate],
-    batch_size: usize,
-) -> WorkloadRun {
-    let batch_size = batch_size.max(1);
-    let mut counter = LayeredCycleCounter::new(kind);
-    let mut max_work_per_update = 0u64;
-    let mut last_work = 0u64;
-    let start = Instant::now();
-    for batch in stream.chunks(batch_size) {
-        counter.apply_batch(batch);
-        let w = counter.work();
-        max_work_per_update = max_work_per_update.max((w - last_work) / batch.len() as u64);
-        last_work = w;
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    WorkloadRun {
-        engine: kind.name(),
-        updates: stream.len(),
-        final_edges: counter.total_edges(),
-        final_count: counter.count(),
-        total_work: counter.work(),
-        seconds,
-        work_per_update: counter.work() as f64 / stream.len().max(1) as f64,
-        max_work_per_update,
-    }
-}
-
 /// One point of a scaling experiment: stream size vs per-update cost.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingPoint {
@@ -95,7 +62,7 @@ pub struct ScalingPoint {
 }
 
 /// Least-squares slope of `log(cost)` against `log(m)` — the empirical
-/// exponent reported by experiment T4/F1.
+/// exponent reported by experiment T4.
 pub fn fit_log_slope(points: &[ScalingPoint]) -> f64 {
     let pts: Vec<(f64, f64)> = points
         .iter()
@@ -111,19 +78,6 @@ pub fn fit_log_slope(points: &[ScalingPoint]) -> f64 {
     let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
     let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
-}
-
-/// Formats a `WorkloadRun` as one row of the scaling table.
-pub fn scaling_row(run: &WorkloadRun) -> String {
-    format!(
-        "{:<18} {:>9} {:>9} {:>12.1} {:>14} {:>10.3}",
-        run.engine,
-        run.updates,
-        run.final_edges,
-        run.work_per_update,
-        run.max_work_per_update,
-        run.seconds,
-    )
 }
 
 /// Renders a simple aligned text table.
@@ -176,28 +130,6 @@ mod tests {
         assert_eq!(simple.final_edges, fmm.final_edges);
         assert!(fmm.total_work > 0);
         assert!(fmm.max_work_per_update >= fmm.work_per_update as u64);
-    }
-
-    #[test]
-    fn batched_workload_reproduces_sequential_counts() {
-        let stream = LayeredStreamConfig {
-            layer_size: 16,
-            updates: 400,
-            ..Default::default()
-        }
-        .generate();
-        for kind in [EngineKind::Simple, EngineKind::Threshold, EngineKind::Fmm] {
-            let sequential = run_layered_workload(kind, &stream);
-            for batch_size in [1, 64, 4096] {
-                let batched = run_layered_workload_batched(kind, &stream, batch_size);
-                assert_eq!(
-                    batched.final_count, sequential.final_count,
-                    "{kind:?}/{batch_size}"
-                );
-                assert_eq!(batched.final_edges, sequential.final_edges);
-                assert_eq!(batched.updates, stream.len());
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Shared harness code for the experiment tables (`experiments` binary) and
-//! the Criterion benchmarks in `benches/`.
+//! Shared harness code for the experiment tables (`experiments` binary), the
+//! scenario, load, recovery and chaos binaries, and their tests.
 //!
-//! The tables T1–T5 are described in the `experiments` binary's docs, and
-//! each benchmark F1–F10 in its own file under `benches/`.
+//! The tables T1–T5 are described in the `experiments` binary's docs. The
+//! steady end-to-end and per-layer benchmark is `perfbench/`, a package of
+//! its own outside this workspace.
 
 pub mod chaos;
 pub mod harness;
@@ -10,10 +11,7 @@ pub mod load_runner;
 pub mod scenario_runner;
 
 pub use chaos::{render_chaos_table, run_chaos, CaseReport, ChaosOptions};
-pub use harness::{
-    fit_log_slope, format_table, run_layered_workload, run_layered_workload_batched, scaling_row,
-    ScalingPoint, WorkloadRun,
-};
+pub use harness::{fit_log_slope, format_table, run_layered_workload, ScalingPoint, WorkloadRun};
 pub use load_runner::{
     available_cores, render_load_json, render_load_table, render_stage_table,
     replay_single_threaded, LoadConfig, LoadReport, LoadRunner, SessionOutcome, Transport,

@@ -20,8 +20,7 @@
 //! execution changes nothing but the clock.
 //!
 //! The `loadgen` binary sweeps shard counts and writes the JSON report
-//! (`render_load_json`) under `target/scenario-reports/`; the `loadgen`
-//! Criterion bench keeps the closed-loop path on the regression radar.
+//! (`render_load_json`) under `target/scenario-reports/`.
 
 use crate::scenario_runner::LatencySummary;
 use fourcycle_core::{EngineKind, Snapshot};

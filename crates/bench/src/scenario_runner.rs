@@ -13,7 +13,7 @@
 //! rebuilds or phase rollovers can be *proven* to have triggered them.
 //! Driving the replay through the service exercises the canonical
 //! application API end-to-end (commands, atomic batches, snapshots) on
-//! every benchmark run.
+//! every scenario run.
 //!
 //! Reports render three ways: an aligned text table (via
 //! [`crate::format_table`]), JSON ([`render_json`]) and CSV

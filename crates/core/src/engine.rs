@@ -128,14 +128,6 @@ pub trait ThreePathEngine: Send {
         self.apply_batch(rel, &[(left, right, op)]);
     }
 
-    /// Whether the engine maintains `rel` at all. Every fully dynamic engine
-    /// accepts all three relations (the default); the §3 warm-up engine fixes
-    /// `A` and `C` and only accepts `B`.
-    fn accepts_updates_to(&self, rel: QRel) -> bool {
-        let _ = rel;
-        true
-    }
-
     /// Whether the engine's *current* graph contains the edge
     /// `(left, right)` of `rel`, answered from the total (untagged)
     /// adjacency the engine already maintains. The engines are the only
@@ -148,9 +140,8 @@ pub trait ThreePathEngine: Send {
     /// from scratch) from it.
     fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)>;
 
-    /// Validated single-update entry point: rejects duplicate inserts,
-    /// deletes of absent edges and updates to relations the engine does not
-    /// maintain, *without* touching any state; a one-entry
+    /// Validated single-update entry point: rejects duplicate inserts and
+    /// deletes of absent edges *without* touching any state; a one-entry
     /// [`try_apply_batch`](Self::try_apply_batch).
     fn try_apply_update(
         &mut self,
@@ -175,9 +166,6 @@ pub trait ThreePathEngine: Send {
         rel: QRel,
         updates: &[(VertexId, VertexId, UpdateOp)],
     ) -> Result<(), BatchError> {
-        if !self.accepts_updates_to(rel) {
-            return Err(BatchError::at(0, UpdateError::RelationMismatch));
-        }
         crate::error::validate_batch(
             updates,
             |&(l, r, op)| Ok(((l, r), op)),
@@ -193,7 +181,7 @@ pub trait ThreePathEngine: Send {
 
     /// Total number of elementary operations performed so far (inner-loop
     /// iterations of maintenance and queries). Used by the scaling
-    /// experiments (T4/F1) as a machine-independent cost measure.
+    /// experiment (T4) as a machine-independent cost measure.
     fn work(&self) -> u64;
 
     /// How often the engine's amortized slow paths (era rebuilds, phase

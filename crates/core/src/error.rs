@@ -29,11 +29,6 @@ pub enum UpdateError {
     /// A self-loop `{u, u}` in a general simple graph (layered relations
     /// connect distinct layers, so equal endpoint ids are legal there).
     SelfLoop,
-    /// The update targets a relation the structure does not maintain (for
-    /// example any relation other than `B` on the §3 warm-up engine, whose
-    /// `A` and `C` are fixed, or a layered command sent to a general-graph
-    /// service session).
-    RelationMismatch,
 }
 
 impl fmt::Display for UpdateError {
@@ -42,12 +37,6 @@ impl fmt::Display for UpdateError {
             UpdateError::DuplicateEdge => write!(f, "insert of an edge that is already present"),
             UpdateError::MissingEdge => write!(f, "delete of an edge that is not present"),
             UpdateError::SelfLoop => write!(f, "self-loop in a general simple graph"),
-            UpdateError::RelationMismatch => {
-                write!(
-                    f,
-                    "update targets a relation this structure does not maintain"
-                )
-            }
         }
     }
 }
@@ -186,7 +175,7 @@ mod tests {
             UpdateError::SelfLoop.to_string().contains("Self-loop")
                 || UpdateError::SelfLoop.to_string().contains("self-loop")
         );
-        let batch = BatchError::at(7, UpdateError::RelationMismatch);
+        let batch = BatchError::at(7, UpdateError::MissingEdge);
         assert_eq!(batch.index, 7);
         assert!(batch.to_string().contains("#7"));
         use std::error::Error;

@@ -52,7 +52,8 @@
 //! products over the class-restricted old submatrices
 //! ([`FmmConfig::use_fmm`]), which is exactly the product the paper schedules
 //! across a phase (Eq 9). Both paths produce identical tables (differential
-//! tests enforce this); the ablation benchmark compares their cost.
+//! tests enforce this); perfbench's traced `engine.fmm` and `engine.fmm-dense`
+//! arms compare their cost.
 //!
 //! # Deviations from the paper
 //!
@@ -74,8 +75,11 @@
 //! * The `A_old·B_new·C_old` combination, which the paper routes through the
 //!   §3 warm-up subroutine, is maintained here as the `(old, new, old)`
 //!   member of the Eq-15 family (correct, with an extra `m^{3ε}` factor on
-//!   `B`-updates); the standalone [`crate::WarmupEngine`] implements §3 in
-//!   full.
+//!   `B`-updates). That member is the only implementation of §3 in the
+//!   workspace; `core/tests/differential.rs`'s
+//!   `fmm_rollover_changes_only_the_phase_split_of_the_tables` checks it
+//!   (`hss3[old][new][old]`) against its definition throughout a stream with
+//!   frequent rollovers.
 //! * Low–low queries resolve dense–dense middles from the `C` side only, so
 //!   the symmetric half of Eq 13 (`B^{DD}_{old}·C^{D∗}_{new}`) is not
 //!   stored.
@@ -107,8 +111,8 @@ pub struct FmmConfig {
     /// Use the dense/sparse matrix-product path to rebuild the pure-old
     /// structures at each phase rollover instead of the uniform replay.
     pub use_fmm: bool,
-    /// Optional hard override of the phase length (used by tests and the
-    /// rollover benchmarks to force frequent rollovers).
+    /// Optional hard override of the phase length (used by tests to force
+    /// frequent rollovers).
     pub phase_len_override: Option<usize>,
 }
 

@@ -21,7 +21,6 @@
 //! | [`NaiveEngine`] | — | `O(m)` | enumeration; test oracle |
 //! | [`SimpleEngine`] | Appendix A | `O(n)` | all-pairs wedge counts |
 //! | [`ThresholdEngine`] | §1 ("previous work", HHH22-style) | `O(m^{2/3})` | one heavy/light threshold |
-//! | [`WarmupEngine`] | §3 | `O(m^{2/3−ε1})` | `A`, `C` fixed; chunked `B` |
 //! | [`FmmEngine`] | §4–§7 | `O(m^{2/3−ε})` | phases + degree classes + old-phase matrix products |
 //!
 //! # Counters
@@ -63,7 +62,6 @@ pub mod pair_counts;
 pub mod simple;
 pub mod threshold;
 pub mod triangle;
-pub mod warmup;
 
 pub use counter::{FourCycleCounter, LayeredCycleCounter, Snapshot};
 pub use engine::{EngineConfig, EngineKind, QRel, SlowPathStats, ThreePathEngine};
@@ -74,4 +72,3 @@ pub use pair_counts::PairCounts;
 pub use simple::SimpleEngine;
 pub use threshold::ThresholdEngine;
 pub use triangle::TriangleCounter;
-pub use warmup::WarmupEngine;

@@ -55,7 +55,7 @@
 //! | [`graph`] | dynamic layered / general graphs, update types, degree classes |
 //! | [`matrix`] | dense/sparse integer matrices, Strassen, incremental products |
 //! | [`complexity`] | ω / ω(a,b,c) models, the paper's parameter solver, Appendix B checks |
-//! | [`core`] | the counting engines (Appendix A, HHH22-style, §3 warm-up, §4–§7 main) and counters |
+//! | [`core`] | the counting engines (Appendix A, HHH22-style, §4–§7 main) and counters |
 //! | [`workloads`] | fully dynamic stream generators and the trace format |
 //! | [`ivm`] | cyclic-join count view maintenance (the database framing of §1) |
 //! | [`service`] | multi-tenant `CycleCountService`: sessions, commands, typed errors, snapshots |

@@ -8,8 +8,7 @@
 //! reference graph the test keeps itself.
 
 use fourcycle::core::{
-    BatchError, EngineKind, FourCycleCounter, LayeredCycleCounter, QRel, ThreePathEngine,
-    UpdateError, WarmupEngine,
+    BatchError, EngineKind, FourCycleCounter, LayeredCycleCounter, QRel, UpdateError,
 };
 use fourcycle::graph::{GeneralGraph, GraphUpdate, LayeredGraph, LayeredUpdate, Rel, UpdateOp};
 use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, BinarySide, CyclicJoinCountView};
@@ -55,33 +54,6 @@ fn engine_errors_identical_across_every_kind() {
             "{name}"
         );
     }
-}
-
-/// The §3 warm-up engine rejects updates to its fixed relations with
-/// RelationMismatch instead of panicking.
-#[test]
-fn warmup_engine_rejects_fixed_relations() {
-    let mut engine = WarmupEngine::new([(1, 2)], [(3, 4)], 16, 0.05, 0.05);
-    assert_eq!(
-        engine.try_apply_update(QRel::A, 9, 9, UpdateOp::Insert),
-        Err(UpdateError::RelationMismatch)
-    );
-    assert_eq!(
-        engine.try_apply_update(QRel::C, 9, 9, UpdateOp::Insert),
-        Err(UpdateError::RelationMismatch)
-    );
-    assert_eq!(
-        engine.try_apply_batch(QRel::A, &[(9, 9, UpdateOp::Insert)]),
-        Err(BatchError::at(0, UpdateError::RelationMismatch))
-    );
-    assert_eq!(
-        engine.try_apply_update(QRel::B, 2, 3, UpdateOp::Insert),
-        Ok(())
-    );
-    assert_eq!(
-        engine.try_apply_update(QRel::B, 2, 3, UpdateOp::Insert),
-        Err(UpdateError::DuplicateEdge)
-    );
 }
 
 /// Counter level (layered): identical verdicts for every kind, and rejected

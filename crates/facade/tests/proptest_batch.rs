@@ -4,9 +4,7 @@
 //! every `EngineKind`, at the engine level (query grids) and the counter
 //! level (counts at every batch boundary).
 
-use fourcycle::core::{
-    EngineKind, FourCycleCounter, LayeredCycleCounter, QRel, ThreePathEngine, WarmupEngine,
-};
+use fourcycle::core::{EngineKind, FourCycleCounter, LayeredCycleCounter, QRel};
 use fourcycle::graph::{GraphUpdate, LayeredGraph, LayeredUpdate, Rel, UpdateOp};
 use proptest::prelude::*;
 
@@ -186,48 +184,5 @@ proptest! {
         let count = batched.apply_batch(&stream);
         prop_assert_eq!(count, sequential.count());
         prop_assert_eq!(count, graph.count_4cycles_brute_force());
-    }
-}
-
-/// The §3 warm-up engine (not an `EngineKind`, fixed A/C) also honors batch
-/// semantics for its `B`-only streams.
-#[test]
-fn warmup_engine_batches_are_query_equivalent() {
-    let a_edges: Vec<(u32, u32)> = (0..12u32).map(|x| (x % 4, x)).collect();
-    let c_edges: Vec<(u32, u32)> = (0..12u32).map(|y| (y, 100 + y % 4)).collect();
-    let m_hint = a_edges.len() + c_edges.len();
-    let mut sequential = WarmupEngine::new(
-        a_edges.clone(),
-        c_edges.clone(),
-        m_hint,
-        1.0 / 24.0,
-        5.0 / 24.0,
-    );
-    let mut batched = WarmupEngine::new(a_edges, c_edges, m_hint, 1.0 / 24.0, 5.0 / 24.0);
-
-    // A deterministic toggle stream over B, applied in batches of 13.
-    let script: Vec<(u8, u32, u32)> = (0..260u32)
-        .map(|i| (1u8, (i * 7 + i / 9) % 12, (i * 5 + 3) % 12))
-        .collect();
-    let stream: Vec<(QRel, u32, u32, UpdateOp)> = toggle_engine(&script)
-        .into_iter()
-        .map(|(_, l, r, op)| (QRel::B, l, r, op))
-        .collect();
-    for chunk in stream.chunks(13) {
-        for &(rel, l, r, op) in chunk {
-            sequential.apply_update(rel, l, r, op);
-        }
-        let sub: Vec<(u32, u32, UpdateOp)> =
-            chunk.iter().map(|&(_, l, r, op)| (l, r, op)).collect();
-        batched.apply_batch(QRel::B, &sub);
-    }
-    for u in 0..4u32 {
-        for v in 100..104u32 {
-            assert_eq!(
-                batched.query(u, v),
-                sequential.query(u, v),
-                "query ({u}, {v})"
-            );
-        }
     }
 }

@@ -14,7 +14,6 @@
 
 use fourcycle::core::{
     FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine, SimpleEngine, ThresholdEngine,
-    WarmupEngine,
 };
 use fourcycle::ivm::{BinaryJoinCountView, CyclicJoinCountView};
 use fourcycle::runtime::{Pipeline, RuntimeConfig, RuntimeError, ShardedRuntime, Ticket};
@@ -32,7 +31,6 @@ fn every_engine_is_send() {
     assert_send::<SimpleEngine>();
     assert_send::<ThresholdEngine>();
     assert_send::<FmmEngine>();
-    assert_send::<WarmupEngine>();
 }
 
 #[allow(dead_code)]

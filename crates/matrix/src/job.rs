@@ -10,9 +10,9 @@
 //! multiply–accumulate operations per [`MatMulJob::advance`] call, and hands
 //! out the finished product once complete.
 //!
-//! The production engine (`fourcycle-core::fmm`) can either run the job
-//! eagerly at the rollover (amortized accounting) or pump it per update
-//! (worst-case accounting); benchmarks compare the two (experiment F3).
+//! The production engine (`fourcycle-core::fmm`) computes its old-phase
+//! products eagerly at the rollover (amortized accounting) and does not use
+//! this job; pumping it per update would give the worst-case accounting.
 
 use crate::dense::DenseMatrix;
 

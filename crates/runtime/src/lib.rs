@@ -33,8 +33,9 @@
 //!   ([`Request::ListGraphs`]) fan out to all shards and merge.
 //! * **Backpressure.** Mailboxes are *bounded* (`RuntimeConfig::
 //!   mailbox_depth`): a submitter that outruns a shard blocks on its
-//!   mailbox instead of growing an unbounded queue, and every such stall is
-//!   counted in [`RuntimeStats::queue_full_stalls`].
+//!   mailbox instead of growing an unbounded queue, or with
+//!   [`ShardedRuntime::try_submit`] gets its request back as `Busy`; both
+//!   are counted in [`RuntimeStats::queue_full_stalls`].
 //! * **One serial dispatcher per shard.** Each shard's worker drains its
 //!   mailbox into a group and executes the group's commands one by one,
 //!   in arrival order: a session's updates must apply strictly in order,

@@ -20,8 +20,9 @@ pub(crate) struct ShardMetrics {
     pub updates_applied: AtomicU64,
     /// Commands the service rejected with a `ServiceError`.
     pub rejected: AtomicU64,
-    /// Submissions that found the shard's bounded mailbox full and had to
-    /// block (the backpressure signal; counted on the producer side).
+    /// Submissions that found the shard's bounded mailbox full (the
+    /// backpressure signal; counted on the producer side): a blocking
+    /// `submit` that waited, or a `try_submit` handed back as `Busy`.
     pub queue_full_stalls: AtomicU64,
     /// Groups the shard dispatcher drained from its mailbox (each group is
     /// one batch of commands processed — and, under group commit, fsynced —
@@ -77,7 +78,9 @@ pub struct RuntimeStats {
     /// Commands that returned a `ServiceError`. With the single exception
     /// of journal failures (see `updates_applied`), state is unchanged.
     pub rejected: u64,
-    /// Submissions that found the bounded mailbox full and blocked.
+    /// Submissions that found the bounded mailbox full: blocking submits
+    /// that waited, plus `try_submit` calls handed back as `Busy` (every
+    /// server `busy` reply is one).
     pub queue_full_stalls: u64,
     /// Mailbox groups the dispatcher processed (the crate-private
     /// `ShardMetrics::groups` counter); `commands / groups` is the

@@ -370,35 +370,36 @@ fn accept_loop(
             .counters
             .open_connections
             .fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
+        note_conn_event(&shared, EventKind::ConnOpen, id);
+        let handle = stream.try_clone().ok().and_then(|clone| {
             shared
                 .conns
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .insert(id, clone);
-        }
-        note_conn_event(&shared, EventKind::ConnOpen, id);
-        let conn_shared = Arc::clone(&shared);
-        let handle = match thread::Builder::new()
-            .name(format!("fourcycle-conn-{id}"))
-            .spawn(move || serve_connection(conn_shared, stream, id))
-        {
-            Ok(handle) => handle,
-            // Thread exhaustion sheds this one connection (dropping the
-            // stream closes it cleanly) instead of killing the acceptor.
-            Err(_) => {
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&id);
-                shared
-                    .counters
-                    .open_connections
-                    .fetch_sub(1, Ordering::Relaxed);
-                note_conn_event(&shared, EventKind::ConnClose, id);
-                continue;
-            }
+            let conn_shared = Arc::clone(&shared);
+            thread::Builder::new()
+                .name(format!("fourcycle-conn-{id}"))
+                .spawn(move || serve_connection(conn_shared, stream, id))
+                .ok()
+        });
+        // Descriptor or thread exhaustion sheds this one connection
+        // (dropping the stream closes it cleanly) instead of killing the
+        // acceptor. `stop` reaches a connection only through its registered
+        // clone, so an unregistered one would block it until its client
+        // hung up.
+        let Some(handle) = handle else {
+            shared
+                .conns
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .remove(&id);
+            shared
+                .counters
+                .open_connections
+                .fetch_sub(1, Ordering::Relaxed);
+            note_conn_event(&shared, EventKind::ConnClose, id);
+            continue;
         };
         let mut guard = handles.lock().unwrap_or_else(|e| e.into_inner());
         // Reap finished connections so a long-lived server doesn't grow

@@ -14,7 +14,7 @@
 //! err graph-exists g7
 //! err mode-mismatch g7 layered
 //! err update <verdict>                 # duplicate-edge | missing-edge
-//!                                      # | self-loop | relation-mismatch
+//!                                      # | self-loop
 //! err batch <index> <verdict>
 //! err journal <io-kind>                # APPLIED but not journaled — never
 //!                                      # re-submit (double-apply hazard)
@@ -299,15 +299,13 @@ fn verdict_token(e: UpdateError) -> &'static str {
         UpdateError::DuplicateEdge => "duplicate-edge",
         UpdateError::MissingEdge => "missing-edge",
         UpdateError::SelfLoop => "self-loop",
-        UpdateError::RelationMismatch => "relation-mismatch",
     }
 }
 
-const ALL_VERDICTS: [UpdateError; 4] = [
+const ALL_VERDICTS: [UpdateError; 3] = [
     UpdateError::DuplicateEdge,
     UpdateError::MissingEdge,
     UpdateError::SelfLoop,
-    UpdateError::RelationMismatch,
 ];
 
 fn parse_verdict(token: &str) -> Result<UpdateError, ParseError> {

@@ -206,8 +206,7 @@ pub enum ServiceError {
     /// A session with this id already exists.
     GraphAlreadyExists(GraphId),
     /// The command's update family does not match the session's mode (e.g.
-    /// a general-graph update sent to a layered session) — the service-level
-    /// face of [`UpdateError::RelationMismatch`].
+    /// a general-graph update sent to a layered session).
     ModeMismatch {
         /// The addressed session.
         id: GraphId,

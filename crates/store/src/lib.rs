@@ -2116,7 +2116,8 @@ mod tests {
 
     /// Group commit's whole point: N commands, one fsync — and the barrier
     /// reports exactly how many commands it covered. `EveryN(1)` pays one
-    /// fsync per command and its barrier has nothing left to do.
+    /// fsync per command and its barrier has nothing left to do; `EveryN(3)`
+    /// and `OnShutdown` leave a tail that only an explicit sync covers.
     #[test]
     fn group_commit_batches_fsyncs_behind_one_barrier() {
         let dir = test_dir("group-commit");
@@ -2148,6 +2149,25 @@ mod tests {
         run_history(&mut every1, &commands);
         assert_eq!(every1.journal_fsyncs(), commands.len() as u64);
         assert_eq!(every1.journal_commit_group().unwrap(), 0);
+
+        // Every-3 fsyncs after records 3 and 6, on-shutdown never; neither
+        // has a group for the barrier, and a sync pays one more fsync.
+        for (name, policy, after_run) in [
+            ("every3", FsyncPolicy::EveryN(3), 2),
+            ("on-shutdown", FsyncPolicy::OnShutdown, 0),
+        ] {
+            let dir = test_dir(&format!("group-commit-{name}"));
+            let config = JournalConfig::new(&dir).fsync(policy);
+            let store = JournalStore::open(config, 1, spec(EngineKind::Simple)).unwrap();
+            let mut journaled = store.open_shard(0).unwrap();
+            run_history(&mut journaled, &commands);
+            assert_eq!(journaled.journal_fsyncs(), after_run, "{name}");
+            assert_eq!(journaled.journal_commit_group().unwrap(), 0, "{name}");
+            journaled.sync_journal().unwrap();
+            assert_eq!(journaled.journal_fsyncs(), after_run + 1, "{name}");
+            drop(journaled);
+            fs::remove_dir_all(&dir).unwrap();
+        }
 
         // The committed group recovers in full.
         let recovered = store.recover_shard(0).unwrap();

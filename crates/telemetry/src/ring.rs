@@ -34,8 +34,9 @@ pub mod recovery_phase {
     pub const CHECKPOINT_TAIL: u64 = 0;
     /// No usable checkpoint: the full WAL was replayed from scratch.
     pub const FULL_REPLAY: u64 = 1;
-    /// The WAL was behind its checkpoint (crash between checkpoint fsync
-    /// and WAL truncation); the checkpoint alone is authoritative.
+    /// The WAL was behind its checkpoint (a WAL tail lost before an fsync
+    /// under `OnShutdown`, then an OS crash; checkpointing never truncates
+    /// the WAL); the checkpoint alone is authoritative.
     pub const WAL_BEHIND_CHECKPOINT: u64 = 2;
     /// A torn final WAL line was truncated away before resuming appends.
     pub const TORN_TAIL_TRUNCATED: u64 = 3;

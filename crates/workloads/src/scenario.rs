@@ -1008,8 +1008,7 @@ impl Scenario for HubCollapseScenario {
 
 /// The full built-in scenario catalog at default (moderate) sizes, every
 /// component seeded from `seed`. This is what the `scenarios` experiment
-/// binary and the `scenarios` Criterion bench replay; `docs/SCENARIOS.md`
-/// documents each entry.
+/// binary replays; `docs/SCENARIOS.md` documents each entry.
 pub fn catalog(seed: u64) -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(ZipfScenario {
@@ -1049,7 +1048,7 @@ pub fn catalog(seed: u64) -> Vec<Box<dyn Scenario>> {
 
 /// A scaled-down catalog (hundreds of updates per scenario) small enough to
 /// replay through *every* engine kind — including the quadratic reference
-/// engines — in tests and smoke benches.
+/// engines — in tests and examples.
 pub fn smoke_catalog(seed: u64) -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(ZipfScenario {
