@@ -6,25 +6,28 @@
 //!   run 4 copies of this algorithm"). Every update is routed to the three
 //!   engines that maintain data structures over that relation, and the count
 //!   delta is obtained from the fourth engine's query.
-//! * [`FourCycleCounter`] implements §8: a general edge `{u, v}` enters,
-//!   in both orientations, the `A`, `B` and `C` of one engine (the `D`
+//! * [`FourCycleCounter`] implements §8 on one [`GeneralEngine`] (the `D`
 //!   rotation; §8 puts the edge in all four relations, so the other three
-//!   rotations would be copies). The number of new 4-cycles through the
-//!   edge equals the number of layered 3-paths from `u ∈ L1` to `v ∈ L4`,
-//!   queried while the edge is absent from `A`, `B`, `C` (Claim 8.1 — that
-//!   is what makes the walks simple paths).
+//!   rotations would be copies). A general edge `{u, v}` stands for itself,
+//!   in both orientations, in that engine's `A`, `B` and `C`: the fmm kinds
+//!   store it once, in a [`crate::SymmetricFmmEngine`], and the other kinds
+//!   receive it as three two-orientation batches. The number of new
+//!   4-cycles through the edge equals the number of layered 3-paths from
+//!   `u ∈ L1` to `v ∈ L4`, queried while the edge is absent from `A`, `B`,
+//!   `C` (Claim 8.1 — that is what makes the walks simple paths).
 //!
 //! The engines are the only copy of a counter's graph. Membership (the
 //! validation of every update) and edge lists come from the engines'
-//! [`ThreePathEngine::has_edge`] and [`ThreePathEngine::edges`]: a layered
-//! counter asks the rotation that holds the relation as its `A`, a general
-//! counter its engine's `A`. Each counter has one write path: its
-//! `try_apply_batch` validates a batch once and routes it to the engines'
-//! `apply_batch`; `try_apply` is a one-update batch, and the skip-semantics
-//! `apply_batch` falls back to per-update `try_apply` only for a batch that
-//! holds a rejected update.
+//! `has_edge` and `edges`: a layered counter asks the rotation that holds
+//! the relation as its `A`, a general counter its one engine. Each counter
+//! has one write path: its `try_apply_batch` validates a batch once and
+//! routes it to the engines; `try_apply` is a one-update batch, and the
+//! skip-semantics `apply_batch` falls back to per-update `try_apply` only
+//! for a batch that holds a rejected update.
 
-use crate::engine::{EngineConfig, EngineKind, QRel, SlowPathStats, ThreePathEngine};
+use crate::engine::{
+    EngineConfig, EngineKind, GeneralEngine, QRel, SlowPathStats, ThreePathEngine,
+};
 use crate::error::{BatchError, UpdateError};
 use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp, VertexId};
 
@@ -334,7 +337,7 @@ pub struct FourCycleCounter {
     /// The `D`-rotation engine of §8's layered copy: it holds the graph as
     /// `A`, `B` and `C`, each in both orientations, and answers Claim 8.1's
     /// 3-path query.
-    engine: Box<dyn ThreePathEngine>,
+    engine: GeneralEngine,
     count: i64,
     /// Number of edges currently present, kept by the apply path.
     edges: usize,
@@ -352,11 +355,17 @@ impl FourCycleCounter {
     /// configuration.
     pub fn with_config(kind: EngineKind, config: &EngineConfig) -> Self {
         Self {
-            engine: kind.build_with(config),
+            engine: GeneralEngine::build(kind, config),
             count: 0,
             edges: 0,
             epoch: 0,
         }
+    }
+
+    /// The counter's one engine (for white-box tests).
+    #[doc(hidden)]
+    pub fn engine(&self) -> &GeneralEngine {
+        &self.engine
     }
 
     /// Current number of 4-cycles.
@@ -365,11 +374,9 @@ impl FourCycleCounter {
     }
 
     /// Every edge currently present, each once as `(u, v)` with `u < v`,
-    /// read from the engine's `A`.
+    /// read from the engine.
     pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
-        let mut edges = self.engine.edges(QRel::A);
-        edges.retain(|&(u, v)| u < v);
-        edges
+        self.engine.edges()
     }
 
     /// Total work performed so far by the counter's one engine.
@@ -472,8 +479,8 @@ impl FourCycleCounter {
     /// The §8 reduction is inherently query-interleaved — Claim 8.1 requires
     /// each edge's 3-path query to run while that edge is absent from `A`,
     /// `B`, `C`, so each general update pins a query point next to its own
-    /// engine updates. The batch is therefore applied in order, one query
-    /// and three two-orientation engine batches per update.
+    /// engine update. The batch is therefore applied in order, one query
+    /// and one [`GeneralEngine::update`] per update.
     pub fn try_apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<i64, BatchError> {
         crate::error::validate_batch(
             updates,
@@ -484,7 +491,7 @@ impl FourCycleCounter {
                     Ok((u.canonical(), u.op))
                 }
             },
-            |u| self.engine.has_edge(QRel::A, u.u, u.v),
+            |u| self.engine.has_edge(u.u, u.v),
         )?;
         for &GraphUpdate { op, u, v } in updates {
             match op {
@@ -493,13 +500,13 @@ impl FourCycleCounter {
                 // 3-paths between u and v in the general graph.
                 UpdateOp::Insert => {
                     self.count += self.engine.query(u, v);
-                    self.apply_to_abc(u, v, op);
+                    self.engine.update(u, v, op);
                     self.edges += 1;
                 }
                 // Delete from A, B, C first, so the query counts the cycles
                 // through the edge in the graph without it.
                 UpdateOp::Delete => {
-                    self.apply_to_abc(u, v, op);
+                    self.engine.update(u, v, op);
                     self.count -= self.engine.query(u, v);
                     self.edges -= 1;
                 }
@@ -523,14 +530,6 @@ impl FourCycleCounter {
             }
         }
         self.count
-    }
-
-    /// Adds `{u, v}` to (or removes it from) the engine's `A`, `B` and `C`,
-    /// in both orientations since the general edge is undirected.
-    fn apply_to_abc(&mut self, u: VertexId, v: VertexId, op: UpdateOp) {
-        for rel in QRel::ALL {
-            self.engine.apply_batch(rel, &[(u, v, op), (v, u, op)]);
-        }
     }
 }
 

@@ -10,9 +10,12 @@
 //!
 //! The paper runs four copies of its algorithm, one per relation playing the
 //! role of the query matrix `D`; [`crate::LayeredCycleCounter`] does the same
-//! with four rotated engine instances. [`crate::FourCycleCounter`] runs one:
-//! in §8's layered copy of a general graph all four relations hold the same
-//! edges, so the four rotations would be identical.
+//! with four rotated engine instances. [`crate::FourCycleCounter`] runs one
+//! [`GeneralEngine`]: in §8's layered copy of a general graph all four
+//! relations hold the same edges, so the four rotations would be identical.
+//! The same symmetry holds inside that engine, where `A = B = C`: the fmm
+//! kinds store the relation once ([`crate::SymmetricFmmEngine`]), and the
+//! other kinds receive it as three relation copies.
 
 use crate::error::{BatchError, UpdateError};
 use fourcycle_graph::{UpdateOp, VertexId};
@@ -257,14 +260,18 @@ impl EngineKind {
             EngineKind::Naive => Box::new(crate::NaiveEngine::new()),
             EngineKind::Simple => Box::new(crate::SimpleEngine::new()),
             EngineKind::Threshold => Box::new(crate::ThresholdEngine::new()),
-            EngineKind::Fmm => Box::new(crate::FmmEngine::new(crate::FmmConfig {
-                use_fmm: false,
-                ..config.fmm
-            })),
-            EngineKind::FmmDense => Box::new(crate::FmmEngine::new(crate::FmmConfig {
-                use_fmm: true,
-                ..config.fmm
-            })),
+            EngineKind::Fmm | EngineKind::FmmDense => {
+                Box::new(crate::FmmEngine::new(self.fmm_config(config)))
+            }
+        }
+    }
+
+    /// The main engine's configuration for this kind: `use_fmm` on for
+    /// [`EngineKind::FmmDense`] only.
+    fn fmm_config(self, config: &EngineConfig) -> crate::FmmConfig {
+        crate::FmmConfig {
+            use_fmm: self == EngineKind::FmmDense,
+            ..config.fmm
         }
     }
 
@@ -276,6 +283,111 @@ impl EngineKind {
             EngineKind::Threshold => "threshold-m23",
             EngineKind::Fmm => "fmm-main",
             EngineKind::FmmDense => "fmm-main-dense",
+        }
+    }
+}
+
+/// The engine of a general session (§8): it holds the general graph as
+/// `A`, `B` and `C`, each in both orientations, and answers Claim 8.1's
+/// 3-path query. It takes general updates only.
+///
+/// ```
+/// use fourcycle_core::{EngineConfig, EngineKind, GeneralEngine};
+/// use fourcycle_graph::UpdateOp;
+///
+/// for kind in EngineKind::ALL {
+///     let mut engine = GeneralEngine::build(kind, &EngineConfig::default());
+///     for (u, v) in [(1, 2), (2, 3), (3, 4)] {
+///         engine.update(u, v, UpdateOp::Insert);
+///     }
+///     assert_eq!(engine.query(1, 4), 1, "{}", engine.name()); // 1–2–3–4
+///     assert_eq!(engine.edges().len(), 3);
+///     assert!(engine.has_edge(3, 2));
+/// }
+/// ```
+pub enum GeneralEngine {
+    /// A per-relation engine, given each general update as three
+    /// two-orientation [`ThreePathEngine::apply_batch`] calls, `A` first.
+    Relations(Box<dyn ThreePathEngine>),
+    /// The main engine over one symmetric adjacency.
+    Symmetric(Box<crate::SymmetricFmmEngine>),
+}
+
+impl GeneralEngine {
+    /// The engine a general session of `kind` runs: the symmetric engine
+    /// for the two fmm kinds, the kind's own engine otherwise.
+    pub fn build(kind: EngineKind, config: &EngineConfig) -> Self {
+        match kind {
+            EngineKind::Fmm | EngineKind::FmmDense => Self::Symmetric(Box::new(
+                crate::SymmetricFmmEngine::new(kind.fmm_config(config)),
+            )),
+            _ => Self::Relations(kind.build_with(config)),
+        }
+    }
+
+    /// Inserts or deletes the general edge `{u, v}`. The caller keeps the
+    /// stream well-formed.
+    pub fn update(&mut self, u: VertexId, v: VertexId, op: UpdateOp) {
+        match self {
+            Self::Relations(engine) => {
+                for rel in QRel::ALL {
+                    engine.apply_batch(rel, &[(u, v, op), (v, u, op)]);
+                }
+            }
+            Self::Symmetric(engine) => engine.update(u, v, op),
+        }
+    }
+
+    /// The number of layered 3-paths from `u ∈ L1` to `v ∈ L4`: the
+    /// general graph's 3-walks from `u` to `v`.
+    pub fn query(&mut self, u: VertexId, v: VertexId) -> i64 {
+        match self {
+            Self::Relations(engine) => engine.query(u, v),
+            Self::Symmetric(engine) => engine.query(u, v),
+        }
+    }
+
+    /// Whether the current graph holds the edge `{u, v}`.
+    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+        match self {
+            Self::Relations(engine) => engine.has_edge(QRel::A, u, v),
+            Self::Symmetric(engine) => engine.has_edge(u, v),
+        }
+    }
+
+    /// Every current edge, once, as `(u, v)` with `u < v`.
+    pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
+        match self {
+            Self::Relations(engine) => {
+                let mut edges = engine.edges(QRel::A);
+                edges.retain(|&(u, v)| u < v);
+                edges
+            }
+            Self::Symmetric(engine) => engine.edges(),
+        }
+    }
+
+    /// Elementary operations performed so far.
+    pub fn work(&self) -> u64 {
+        match self {
+            Self::Relations(engine) => engine.work(),
+            Self::Symmetric(engine) => engine.work(),
+        }
+    }
+
+    /// The slow paths taken so far.
+    pub fn slow_path_stats(&self) -> SlowPathStats {
+        match self {
+            Self::Relations(engine) => engine.slow_path_stats(),
+            Self::Symmetric(engine) => engine.slow_path_stats(),
+        }
+    }
+
+    /// Short, stable engine name for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Relations(engine) => engine.name(),
+            Self::Symmetric(engine) => engine.name(),
         }
     }
 }

@@ -42,6 +42,31 @@
 //!   factor-2 band of its stored class), and era rebuilds when `m` drifts by
 //!   a factor of two.
 //!
+//! ## General sessions: `A = B = C`, stored once
+//!
+//! §8 gives a general graph's engine every edge `{u, v}` as `A`, `B` and
+//! `C`, each in both orientations. [`SymmetricFmmEngine`] runs the same
+//! engine over one copy of that relation:
+//!
+//! * one interner for all four layers, and one symmetric
+//!   [`tagged::TaggedAdjacency`] holding `{u, v}` as `(u, v)` and `(v, u)`,
+//!   read as `A`, `B` and `C` alike;
+//! * one endpoint class (`L1` = `L4`) and one middle class (`L2` = `L3`) per
+//!   vertex, one High list and one Dense list ([`state::GraphState`]);
+//! * only the A·B-side and self-symmetric tables: each B·C-side table is a
+//!   transpose of an A·B-side one and is read as such ([`rules`]).
+//!
+//! A general update is one [`rules::Structures::pair`] change: the rules of
+//! its `A` copies, then of its `B` copies, then of its `C` copies, as a
+//! three-relation engine would run them, minus every write to an aliased
+//! table. A class transition removes and re-inserts each of the vertex's
+//! pairs the same way, an era rebuild inserts every pair, and a rollover
+//! re-tags each logged pair. `m`, and so every threshold and the phase
+//! length, counts six layered edges per general edge, as three relations
+//! would; the phase clock advances six per general update, and the era and
+//! phase checks run once, after the whole update. All copies of a pair thus
+//! carry one tag, and the transposes hold by construction.
+//!
 //! # Where fast matrix multiplication enters
 //!
 //! At a phase rollover the structures that depend *only* on old-phase edges
@@ -83,6 +108,11 @@
 //! * Low–low queries resolve dense–dense middles from the `C` side only, so
 //!   the symmetric half of Eq 13 (`B^{DD}_{old}·C^{D∗}_{new}`) is not
 //!   stored.
+//! * A general session's engine keeps one interner, one adjacency and the
+//!   A·B-side tables where §8's layered copy has three relations and both
+//!   sides; its rollovers and era rebuilds happen only between general
+//!   updates, never between the relation copies of one update (module
+//!   docs, "General sessions").
 
 pub mod query;
 pub mod rules;
@@ -93,8 +123,8 @@ pub mod tagged;
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
 use fourcycle_graph::{ClassThresholds, CompactIndex, EndpointClass, UpdateOp, VertexId};
 use fourcycle_matrix::{MulAlgorithm, SparseMatrix};
-use rules::Structures;
-use state::{GraphState, Tag};
+use rules::{Rules, Structures};
+use state::{GraphState, Role, Tag};
 use table::PairTable;
 
 /// Configuration of the main engine.
@@ -142,7 +172,8 @@ impl FmmConfig {
     }
 }
 
-/// One logged edge event of the current or previous phase.
+/// One logged edge event of the current or previous phase. A symmetric
+/// engine logs each general pair once, as its `A` copy.
 type Event = (QRel, VertexId, VertexId, i64);
 
 /// The position of dense id `id` in a `Vec` indexed by id.
@@ -188,11 +219,25 @@ impl FmmEngine {
     /// Creates an empty engine.
     pub fn new(cfg: FmmConfig) -> Self {
         let thresholds = ClassThresholds::with_delta(1, cfg.eps, cfg.delta);
+        Self::with_parts(cfg, GraphState::new(thresholds), Structures::new())
+    }
+
+    /// An empty engine over a symmetric state, for [`SymmetricFmmEngine`].
+    fn symmetric(cfg: FmmConfig) -> Self {
+        let thresholds = ClassThresholds::with_delta(1, cfg.eps, cfg.delta);
+        Self::with_parts(
+            cfg,
+            GraphState::symmetric(thresholds),
+            Structures::symmetric(),
+        )
+    }
+
+    fn with_parts(cfg: FmmConfig, state: GraphState, structs: Structures) -> Self {
         Self {
             cfg,
             ids: Default::default(),
-            state: GraphState::new(thresholds),
-            structs: Structures::new(),
+            state,
+            structs,
             prev_phase: Vec::new(),
             cur_phase: Vec::new(),
             updates_in_phase: 0,
@@ -231,9 +276,20 @@ impl FmmEngine {
         &self.ids
     }
 
+    /// The interner of `layer`: its own, or in a symmetric engine the one
+    /// interner of all four layers (`L1`'s).
+    fn layer(&self, layer: usize) -> usize {
+        if self.state.is_symmetric() {
+            0
+        } else {
+            layer
+        }
+    }
+
     /// The dense ids of `(left, right)` in `rel`, interning unseen ones.
     fn intern(&mut self, rel: QRel, left: VertexId, right: VertexId) -> (VertexId, VertexId) {
         let (l, r) = layers(rel);
+        let (l, r) = (self.layer(l), self.layer(r));
         (
             dense_id(self.ids[l].insert(left)),
             dense_id(self.ids[r].insert(right)),
@@ -242,7 +298,7 @@ impl FmmEngine {
 
     /// The dense id of client id `v` in `layer`, if the engine has seen it.
     fn lookup(&self, layer: usize, v: VertexId) -> Option<VertexId> {
-        self.ids[layer].index_of(v).map(dense_id)
+        self.ids[self.layer(layer)].index_of(v).map(dense_id)
     }
 
     fn phase_len(&self) -> usize {
@@ -255,7 +311,7 @@ impl FmmEngine {
     /// Reclassifies `role`-vertex `w` once its degree leaves the band of its
     /// stored class ([`GraphState::class_change`], §7): remove its incident
     /// (tagged, signed) edges, flip the class, re-insert them.
-    fn maybe_transition(&mut self, role: state::Role, w: VertexId) {
+    fn maybe_transition(&mut self, role: Role, w: VertexId) {
         let Some(class) = self.state.class_change(role, w) else {
             return;
         };
@@ -272,6 +328,66 @@ impl FmmEngine {
         }
     }
 
+    /// [`maybe_transition`](Self::maybe_transition) for a symmetric
+    /// engine, whose vertex has one endpoint and one middle class: if
+    /// either leaves its band, remove `w`'s pairs, re-file both, re-insert
+    /// them, each pair as one [`Structures::pair`] change.
+    fn maybe_transition_pair(&mut self, w: VertexId) {
+        let changes: Vec<_> = [Role::Ep1, Role::Mid2]
+            .into_iter()
+            .filter_map(|role| Some((role, self.state.class_change(role, w)?)))
+            .collect();
+        if changes.is_empty() {
+            return;
+        }
+        self.class_transitions += u64::try_from(changes.len()).unwrap_or(u64::MAX);
+        let entries = self.state.incident_tagged_entries(Role::Ep1, w);
+        for &(_, tag, l, r, wgt) in &entries {
+            let change = [(tag, -wgt)];
+            self.structs
+                .pair(&mut self.state, [l, r], &change, Rules::All);
+        }
+        for (role, class) in changes {
+            self.state.set_stored_class(role, w, class);
+        }
+        for &(_, tag, l, r, wgt) in &entries {
+            let change = [(tag, wgt)];
+            self.structs
+                .pair(&mut self.state, [l, r], &change, Rules::All);
+        }
+    }
+
+    /// §8's update of the general edge `{u, v}` in a symmetric engine: one
+    /// [`Structures::pair`] change, one log entry, the class checks of both
+    /// endpoints, and the era and phase checks after the whole update, with
+    /// the phase clock advancing by the six layered copies.
+    fn update_pair(&mut self, u: VertexId, v: VertexId, op: UpdateOp) {
+        let (a, b) = self.intern(QRel::A, u, v);
+        let d = op.sign();
+        self.structs
+            .pair(&mut self.state, [a, b], &[(Tag::New, d)], Rules::All);
+        self.cur_phase.push((QRel::A, a, b, d));
+        self.maybe_transition_pair(a);
+        self.maybe_transition_pair(b);
+        self.settle_clocks(state::LAYERED_COPIES);
+    }
+
+    /// The era and phase checks after `ticks` layered events.
+    fn settle_clocks(&mut self, ticks: usize) {
+        if self
+            .state
+            .thresholds
+            .needs_rebuild(self.state.total_edges())
+        {
+            self.rebuild_era();
+            return;
+        }
+        self.updates_in_phase += ticks;
+        if self.updates_in_phase >= self.phase_len() {
+            self.rollover();
+        }
+    }
+
     /// Phase rollover (§5.1): the previous phase's events leave the "new"
     /// window and are re-tagged as old, which only the phase-split tables
     /// see ([`Structures::retag`]); the current phase becomes the previous
@@ -280,8 +396,14 @@ impl FmmEngine {
         let rolled = std::mem::take(&mut self.prev_phase);
         self.structs.skip_pure_old = self.cfg.use_fmm;
         for &(rel, l, r, s) in &rolled {
-            self.structs.retag(&self.state, rel, l, r, s);
-            self.state.retag_new_to_old(rel, l, r, s);
+            if self.state.is_symmetric() {
+                let retag = [(Tag::New, -s), (Tag::Old, s)];
+                self.structs
+                    .pair(&mut self.state, [l, r], &retag, Rules::PhaseSplit);
+            } else {
+                self.structs.retag(&self.state, rel, l, r, s);
+                self.state.retag_new_to_old(rel, l, r, s);
+            }
         }
         self.structs.skip_pure_old = false;
         if self.cfg.use_fmm {
@@ -296,23 +418,29 @@ impl FmmEngine {
     /// current edge is re-accounted as old, and the phase clock restarts.
     /// The layers re-intern only the vertices of current edges.
     fn rebuild_era(&mut self) {
+        let m = self.state.total_edges().max(1);
         let seen = std::mem::take(&mut self.ids);
         let mut edges = self.state.current_edges();
         for (rel, l, r) in &mut edges {
             let (ll, rl) = layers(*rel);
-            let client = (seen[ll].vertex_at(slot(*l)), seen[rl].vertex_at(slot(*r)));
+            let client = (
+                seen[self.layer(ll)].vertex_at(slot(*l)),
+                seen[self.layer(rl)].vertex_at(slot(*r)),
+            );
             (*l, *r) = self.intern(*rel, client.0, client.1);
         }
-        let m = edges.len().max(1);
         let thresholds = ClassThresholds::with_delta(m, self.cfg.eps, self.cfg.delta);
-        let mut state = GraphState::new(thresholds);
+        let mut state = self.state.fresh(thresholds);
         state.preset_classes_from_edges(&edges);
-        let mut structs = Structures::new();
-        structs.work = self.structs.work;
+        let mut structs = self.structs.fresh();
         structs.skip_pure_old = self.cfg.use_fmm;
         for &(rel, l, r) in &edges {
-            structs.apply(&state, rel, Tag::Old, l, r, 1);
-            state.add_edge_weight(rel, Tag::Old, l, r, 1);
+            if state.is_symmetric() {
+                structs.pair(&mut state, [l, r], &[(Tag::Old, 1)], Rules::All);
+            } else {
+                structs.apply(&state, rel, Tag::Old, l, r, 1);
+                state.add_edge_weight(rel, Tag::Old, l, r, 1);
+            }
         }
         structs.skip_pure_old = false;
         self.state = state;
@@ -341,8 +469,8 @@ impl FmmEngine {
         let c_old = st.adj(QRel::C, Some(Tag::Old));
 
         let rows_l1 = CompactIndex::from_vertices(a_old.left_vertices());
-        let mid_d2 = CompactIndex::from_vertices(st.dense_l2.iter().copied());
-        let cols_d3 = CompactIndex::from_vertices(st.dense_l3.iter().copied());
+        let mid_d2 = CompactIndex::from_vertices(st.dense_l2().iter().copied());
+        let cols_d3 = CompactIndex::from_vertices(st.dense_l3().iter().copied());
         let a_mat = build_sparse(&rows_l1, &mid_d2, a_old.iter());
         let b_dd = build_sparse(&mid_d2, &cols_d3, b_old.iter());
         self.structs.abd_oo = product_to_counts(&a_mat, &b_dd, &rows_l1, &cols_d3, DENSE_LIMIT);
@@ -350,7 +478,7 @@ impl FmmEngine {
         // A^{HS}_old · B^{SS}_old (intermediate for the triple product; the
         // aux table itself stays incrementally maintained because the
         // mixed-phase rules read it during the rollover replay).
-        let rows_h1 = CompactIndex::from_vertices(st.high_l1.iter().copied());
+        let rows_h1 = CompactIndex::from_vertices(st.high_l1().iter().copied());
         let mid_s2 = CompactIndex::from_vertices(
             a_old
                 .iter()
@@ -378,7 +506,7 @@ impl FmmEngine {
         let a_hs = build_sparse(&rows_h1, &mid_s2, a_old.iter());
         let b_ss = build_sparse(&mid_s2, &cols_s3, b_old.iter());
         let ab_hs_mat = multiply(&a_hs, &b_ss, DENSE_LIMIT);
-        let cols_h4 = CompactIndex::from_vertices(st.high_l4.iter().copied());
+        let cols_h4 = CompactIndex::from_vertices(st.high_l4().iter().copied());
         let c_sh = build_sparse(&cols_s3, &cols_h4, c_old.iter());
 
         // A^{HS}_old · B^{SS}_old · C^{SH}_old  (keys: (u ∈ High L1, v ∈ High L4)).
@@ -434,11 +562,11 @@ fn product_to_counts(
 }
 
 /// The classification roles of a relation's (left, right) endpoints (§7).
-fn endpoint_roles(rel: QRel) -> (state::Role, state::Role) {
+fn endpoint_roles(rel: QRel) -> (Role, Role) {
     match rel {
-        QRel::A => (state::Role::Ep1, state::Role::Mid2),
-        QRel::B => (state::Role::Mid2, state::Role::Mid3),
-        QRel::C => (state::Role::Mid3, state::Role::Ep4),
+        QRel::A => (Role::Ep1, Role::Mid2),
+        QRel::B => (Role::Mid2, Role::Mid3),
+        QRel::C => (Role::Mid3, Role::Ep4),
     }
 }
 
@@ -456,15 +584,11 @@ impl ThreePathEngine for FmmEngine {
 
     fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)> {
         let (l, r) = layers(rel);
+        let (l, r) = (&self.ids[self.layer(l)], &self.ids[self.layer(r)]);
         self.state
             .adj(rel, None)
             .iter()
-            .map(|(left, right, _)| {
-                (
-                    self.ids[l].vertex_at(slot(left)),
-                    self.ids[r].vertex_at(slot(right)),
-                )
-            })
+            .map(|(left, right, _)| (l.vertex_at(slot(left)), r.vertex_at(slot(right))))
             .collect()
     }
 
@@ -480,7 +604,7 @@ impl ThreePathEngine for FmmEngine {
         // amortization the paper's phase structure (§5.1) is built around.
         let events = fourcycle_graph::coalesce_updates(updates);
         let (role_l, role_r) = endpoint_roles(rel);
-        let mut touched: Vec<(state::Role, VertexId)> = Vec::with_capacity(events.len() * 2);
+        let mut touched: Vec<(Role, VertexId)> = Vec::with_capacity(events.len() * 2);
         for &(l, r, s) in &events {
             let (l, r) = self.intern(rel, l, r);
             self.structs.apply(&self.state, rel, Tag::New, l, r, s);
@@ -494,19 +618,7 @@ impl ThreePathEngine for FmmEngine {
         for (role, w) in touched {
             self.maybe_transition(role, w);
         }
-
-        if self
-            .state
-            .thresholds
-            .needs_rebuild(self.state.total_edges())
-        {
-            self.rebuild_era();
-            return;
-        }
-        self.updates_in_phase += events.len();
-        if self.updates_in_phase >= self.phase_len() {
-            self.rollover();
-        }
+        self.settle_clocks(events.len());
     }
 
     fn query(&mut self, u: VertexId, v: VertexId) -> i64 {
@@ -535,5 +647,74 @@ impl ThreePathEngine for FmmEngine {
         } else {
             "fmm-main"
         }
+    }
+}
+
+/// The main engine over §8's layered copy of a general graph, where
+/// `A = B = C`: one interner for all four layers, one symmetric phase-tagged
+/// adjacency holding each general edge as `(u, v)` and `(v, u)`, one
+/// endpoint and one middle class per vertex, and only the A·B-side tables
+/// (module docs, "General sessions"). It takes general updates only, so no
+/// caller can hand it a per-relation one; [`crate::GeneralEngine`] runs it
+/// for the fmm kinds.
+pub struct SymmetricFmmEngine(FmmEngine);
+
+impl SymmetricFmmEngine {
+    /// Creates an empty engine.
+    pub fn new(cfg: FmmConfig) -> Self {
+        Self(FmmEngine::symmetric(cfg))
+    }
+
+    /// Inserts or deletes the general edge `{u, v}` in `A`, `B` and `C`, in
+    /// both orientations. The caller keeps the stream well-formed.
+    pub fn update(&mut self, u: VertexId, v: VertexId, op: UpdateOp) {
+        self.0.update_pair(u, v, op);
+    }
+
+    /// The number of 3-walks `u – x – y – v` in the current graph, §8's
+    /// query.
+    pub fn query(&mut self, u: VertexId, v: VertexId) -> i64 {
+        self.0.query(u, v)
+    }
+
+    /// Whether the current graph holds the edge `{u, v}`.
+    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+        self.0.has_edge(QRel::A, u, v)
+    }
+
+    /// Every current edge, once, as `(u, v)` with `u < v`.
+    pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
+        let mut edges = self.0.edges(QRel::A);
+        edges.retain(|&(u, v)| u < v);
+        edges
+    }
+
+    /// Elementary operations performed so far.
+    pub fn work(&self) -> u64 {
+        self.0.work()
+    }
+
+    /// The slow paths taken so far; a class transition counts each class
+    /// re-filed, endpoint or middle.
+    pub fn slow_path_stats(&self) -> SlowPathStats {
+        self.0.slow_path_stats()
+    }
+
+    /// The engine's name, as [`FmmEngine`]'s.
+    pub fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    /// Access to the internal state, in dense ids (used by white-box tests).
+    #[doc(hidden)]
+    pub fn debug_state(&self) -> (&GraphState, &Structures) {
+        self.0.debug_state()
+    }
+
+    /// The one interner: position `i` holds the client id of dense id `i`
+    /// (used by white-box tests).
+    #[doc(hidden)]
+    pub fn ids(&self) -> &CompactIndex {
+        &self.0.ids[0]
     }
 }

@@ -18,7 +18,9 @@
 //!   new `B`-edges (Cases 1–4 of Claim 5.9).
 //!
 //! Every branch adds each path exactly once; the differential tests against
-//! the enumeration oracle cover all endpoint-class combinations.
+//! the enumeration oracle cover all endpoint-class combinations. B·C-side
+//! tables are read through [`Structures`](super::rules::Structures)' `*_at` methods, so a symmetric
+//! engine answers from their A·B-side twins.
 
 use super::state::Tag;
 use super::FmmEngine;
@@ -58,7 +60,7 @@ impl FmmEngine {
                     // Case TM / TH: u's neighborhood is tiny; split by the
                     // class of the L3 middle.
                     for (x, wa) in a_total.neighbors_of_left(u) {
-                        for &y in &st.dense_l3 {
+                        for &y in st.dense_l3() {
                             work += 1;
                             let wb = b_total.weight(x, y);
                             if wb != 0 {
@@ -66,12 +68,12 @@ impl FmmEngine {
                             }
                         }
                         work += 2;
-                        total += wa * (s.bc_s.get(x, v) + s.bc_t.get(x, v));
+                        total += wa * (s.bc_s_at(x, v) + s.bc_t_at(x, v));
                     }
                 } else {
                     // Mirror: v is Tiny, u is Medium/High.
                     for (y, wc) in c_total.neighbors_of_right(v) {
-                        for &x in &st.dense_l2 {
+                        for &x in st.dense_l2() {
                             work += 1;
                             let wb = b_total.weight(x, y);
                             if wb != 0 {
@@ -90,37 +92,37 @@ impl FmmEngine {
             match (eu, ev) {
                 (E::High, E::High) => {
                     work += 3;
-                    total += s.t3_hh.get(u, v) + s.ts3.get(u, v) + s.st3.get(u, v);
-                    for &y in &st.dense_l3 {
+                    total += s.t3_hh.get(u, v) + s.ts3.get(u, v) + s.st3_at(u, v);
+                    for &y in st.dense_l3() {
                         work += 1;
                         let wc = c_total.weight(y, v);
                         if wc != 0 {
                             total += wc * s.ab_t.get(u, y); // (Tiny, Dense)
                         }
                     }
-                    for &x in &st.dense_l2 {
+                    for &x in st.dense_l2() {
                         work += 1;
                         let wa = a_total.weight(u, x);
                         if wa != 0 {
-                            total += wa * s.bc_t.get(x, v); // (Dense, Tiny)
+                            total += wa * s.bc_t_at(x, v); // (Dense, Tiny)
                         }
                     }
                 }
                 (E::High, E::Medium) => {
                     work += 1;
-                    total += s.t3_hm.get(u, v);
-                    for &y in &st.dense_l3 {
+                    total += s.t3_hm_at(u, v);
+                    for &y in st.dense_l3() {
                         work += 1;
                         let wc = c_total.weight(y, v);
                         if wc != 0 {
                             total += wc * s.ab_t.get(u, y);
                         }
                     }
-                    for &x in &st.dense_l2 {
+                    for &x in st.dense_l2() {
                         work += 1;
                         let wa = a_total.weight(u, x);
                         if wa != 0 {
-                            total += wa * s.bc_t.get(x, v);
+                            total += wa * s.bc_t_at(x, v);
                         }
                     }
                     for (y, wc) in c_total.neighbors_of_right(v) {
@@ -135,25 +137,25 @@ impl FmmEngine {
                 (E::Medium, E::High) => {
                     work += 1;
                     total += s.t3_mh.get(u, v);
-                    for &y in &st.dense_l3 {
+                    for &y in st.dense_l3() {
                         work += 1;
                         let wc = c_total.weight(y, v);
                         if wc != 0 {
                             total += wc * s.ab_t.get(u, y);
                         }
                     }
-                    for &x in &st.dense_l2 {
+                    for &x in st.dense_l2() {
                         work += 1;
                         let wa = a_total.weight(u, x);
                         if wa != 0 {
-                            total += wa * s.bc_t.get(x, v);
+                            total += wa * s.bc_t_at(x, v);
                         }
                     }
                     for (x, wa) in a_total.neighbors_of_left(u) {
                         work += 1;
                         match st.mid2(x) {
-                            M::Sparse => total += wa * s.bc_t.get(x, v), // (S, T)
-                            M::Tiny => total += wa * s.bc_s.get(x, v),   // (T, S)
+                            M::Sparse => total += wa * s.bc_t_at(x, v), // (S, T)
+                            M::Tiny => total += wa * s.bc_s_at(x, v),   // (T, S)
                             M::Dense => {}
                         }
                     }
@@ -182,7 +184,7 @@ impl FmmEngine {
                             }
                         } else {
                             work += 1;
-                            total += wa * s.bc_t.get(x, v); // (non-Tiny, Tiny)
+                            total += wa * s.bc_t_at(x, v); // (non-Tiny, Tiny)
                         }
                     }
                 }
@@ -191,7 +193,7 @@ impl FmmEngine {
                     // be walked within the budget.
                     for (x, wa) in a_total.neighbors_of_left(u) {
                         work += 1;
-                        total += wa * s.bc_t.get(x, v); // (·, Tiny)
+                        total += wa * s.bc_t_at(x, v); // (·, Tiny)
                     }
                     for (y, wc) in c_total.neighbors_of_right(v) {
                         work += 1;
@@ -207,7 +209,7 @@ impl FmmEngine {
             let v_hm = ev == E::High || ev == E::Medium;
             if u_hm && v_hm {
                 // Dense–Dense, Dense–Sparse, Sparse–Dense via the Dense sets.
-                for &y in &st.dense_l3 {
+                for &y in st.dense_l3() {
                     work += 1;
                     let wc = c_total.weight(y, v);
                     if wc != 0 {
@@ -219,11 +221,11 @@ impl FmmEngine {
                         total += wc * (dd + s.ab_s.get(u, y)); // (D,D) + (S,D)
                     }
                 }
-                for &x in &st.dense_l2 {
+                for &x in st.dense_l2() {
                     work += 1;
                     let wa = a_total.weight(u, x);
                     if wa != 0 {
-                        total += wa * s.bc_s.get(x, v); // (D,S)
+                        total += wa * s.bc_s_at(x, v); // (D,S)
                     }
                 }
                 // Sparse–Sparse.
@@ -231,7 +233,7 @@ impl FmmEngine {
                     for (x, wa) in a_total.neighbors_of_left(u) {
                         work += 1;
                         if st.mid2(x) == M::Sparse {
-                            total += wa * s.bc_s.get(x, v);
+                            total += wa * s.bc_s_at(x, v);
                         }
                     }
                 } else if ev == E::Medium {
@@ -249,7 +251,7 @@ impl FmmEngine {
                         for q in 0..2 {
                             for r in 0..2 {
                                 work += 1;
-                                total += s.hss3[p][q][r].get(u, v);
+                                total += s.hss3_at([p, q, r], u, v);
                             }
                         }
                     }
@@ -271,11 +273,11 @@ impl FmmEngine {
                         M::Tiny => {}
                     }
                 }
-                for &x in &st.dense_l2 {
+                for &x in st.dense_l2() {
                     work += 1;
                     let wa = a_total.weight(u, x);
                     if wa != 0 {
-                        total += wa * s.bc_s.get(x, v); // (D,S)
+                        total += wa * s.bc_s_at(x, v); // (D,S)
                     }
                 }
             } else if v_hm {
@@ -285,17 +287,17 @@ impl FmmEngine {
                     match st.mid2(x) {
                         M::Dense => {
                             let dd = if ev == E::High {
-                                s.bc_dh.get(x, v)
+                                s.bc_dh_at(x, v)
                             } else {
-                                s.bc_dm.get(x, v)
+                                s.bc_dm_at(x, v)
                             };
-                            total += wa * (dd + s.bc_s.get(x, v)); // (D,D) + (D,S)
+                            total += wa * (dd + s.bc_s_at(x, v)); // (D,D) + (D,S)
                         }
-                        M::Sparse => total += wa * s.bc_s.get(x, v), // (S,S)
+                        M::Sparse => total += wa * s.bc_s_at(x, v), // (S,S)
                         M::Tiny => {}
                     }
                 }
-                for &y in &st.dense_l3 {
+                for &y in st.dense_l3() {
                     work += 1;
                     let wc = c_total.weight(y, v);
                     if wc != 0 {
@@ -313,7 +315,7 @@ impl FmmEngine {
                 for (x, wa) in a_total.neighbors_of_left(u) {
                     work += 1;
                     if st.mid2(x) == M::Dense {
-                        total += wa * s.bc_s.get(x, v); // (D,S)
+                        total += wa * s.bc_s_at(x, v); // (D,S)
                     }
                 }
                 // Dense–Dense by the phase of the B-edge:

@@ -26,6 +26,27 @@
 //! phase-split rules; every other path runs both halves
 //! ([`Structures::apply`]).
 //!
+//! # Symmetric structures
+//!
+//! In §8's layered copy of a general graph `A = B = C`, and every B·C-side
+//! table is the transpose of an A·B-side one. A symmetric engine
+//! ([`Structures::symmetric`]) stores only the A·B side and the
+//! self-symmetric tables, and reads the rest through the `*_at` methods:
+//!
+//! * `bc_s` is `ab_s` and `bc_t` is `ab_t`;
+//! * `bc_dh` is `ab_hdᵀ`, `bc_dm` is `ab_mdᵀ`, `t3_hm` is `t3_mhᵀ` and
+//!   `st3` is `ts3ᵀ`;
+//! * `bc_sh[q][r]` is `ab_hs[r][q]ᵀ`, and `hss3[p][q][r]` for `p > r` is
+//!   `hss3[r][q][p]ᵀ`.
+//!
+//! Its rules skip every write to an aliased table. [`Structures::pair`]
+//! takes one change of a general pair `{a, b}` through the rules of its six
+//! layered copies in the order a three-relation engine would see them
+//! (`A`, then `B`, then `C`), writing the one adjacency between the `A` and
+//! `B` events, so that `A` events read the graph without the change and
+//! `C` events with it. A `B` event must see the change in `A` but not in
+//! `C`: its reads of `C` hide the pair's own entry `(y, x)`.
+//!
 //! Structure inventory (notation as in the paper; `∗` = any class):
 //!
 //! | Field | Structure | Paper | Kind |
@@ -41,8 +62,19 @@
 
 use super::state::{GraphState, Tag};
 use super::table::PairTable;
+use super::tagged::{pick_delta, Delta};
 use crate::engine::QRel;
 use fourcycle_graph::{EndpointClass, MiddleClass, VertexId};
+
+/// The rules an event runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rules {
+    /// Every rule: a live update, a class transition or an era rebuild.
+    All,
+    /// Only the phase-split rules: one half of a rollover's re-tag (module
+    /// docs).
+    PhaseSplit,
+}
 
 /// All maintained pair-count structures of the main engine.
 pub struct Structures {
@@ -91,6 +123,26 @@ pub struct Structures {
     /// old–old auxiliaries (`ab_hs[0][0]`, `bc_sh[0][0]`) are *not* skipped
     /// because the mixed-phase triple rules read them mid-replay.
     pub skip_pure_old: bool,
+    /// Stores only the A·B side and reads the rest as transposes (module
+    /// docs).
+    symmetric: bool,
+}
+
+/// Takes `hidden` off neighbor `x`'s weight in `row`, a row of `C` read in
+/// neighbor order, so a symmetric `B` event does not see its own pair.
+fn hide_entry(row: &mut Vec<(VertexId, i64)>, x: VertexId, hidden: i64) {
+    if hidden == 0 {
+        return;
+    }
+    match row.binary_search_by_key(&x, |&(n, _)| n) {
+        Ok(pos) => {
+            row[pos].1 -= hidden;
+            if row[pos].1 == 0 {
+                row.remove(pos);
+            }
+        }
+        Err(pos) => row.insert(pos, (x, -hidden)),
+    }
 }
 
 impl Structures {
@@ -117,7 +169,94 @@ impl Structures {
             hss3: Default::default(),
             work: 0,
             skip_pure_old: false,
+            symmetric: false,
         }
+    }
+
+    /// Creates empty structures for a symmetric engine, which leaves every
+    /// aliased table empty (module docs).
+    pub fn symmetric() -> Self {
+        Self {
+            symmetric: true,
+            ..Self::new()
+        }
+    }
+
+    /// Empty structures of the same kind, carrying over the work count.
+    pub fn fresh(&self) -> Self {
+        Self {
+            work: self.work,
+            symmetric: self.symmetric,
+            ..Self::new()
+        }
+    }
+
+    /// `B^{∗S}·C^{S∗}` at `(x, v)`.
+    pub fn bc_s_at(&self, x: VertexId, v: VertexId) -> i64 {
+        if self.symmetric {
+            self.ab_s.get(x, v)
+        } else {
+            self.bc_s.get(x, v)
+        }
+    }
+
+    /// `B^{∗T}·C^{T∗}` at `(x, v)`.
+    pub fn bc_t_at(&self, x: VertexId, v: VertexId) -> i64 {
+        if self.symmetric {
+            self.ab_t.get(x, v)
+        } else {
+            self.bc_t.get(x, v)
+        }
+    }
+
+    /// `B^{DD}·C^{DH}` at `(x, v)`.
+    pub fn bc_dh_at(&self, x: VertexId, v: VertexId) -> i64 {
+        if self.symmetric {
+            self.ab_hd.get(v, x)
+        } else {
+            self.bc_dh.get(x, v)
+        }
+    }
+
+    /// `B^{DD}·C^{DM}` at `(x, v)`.
+    pub fn bc_dm_at(&self, x: VertexId, v: VertexId) -> i64 {
+        if self.symmetric {
+            self.ab_md.get(v, x)
+        } else {
+            self.bc_dm.get(x, v)
+        }
+    }
+
+    /// `A^{HT}·B^{TT}·C^{TM}` at `(u, v)`.
+    pub fn t3_hm_at(&self, u: VertexId, v: VertexId) -> i64 {
+        if self.symmetric {
+            self.t3_mh.get(v, u)
+        } else {
+            self.t3_hm.get(u, v)
+        }
+    }
+
+    /// `A^{HS}·B^{ST}·C^{TH}` at `(u, v)`.
+    pub fn st3_at(&self, u: VertexId, v: VertexId) -> i64 {
+        if self.symmetric {
+            self.ts3.get(v, u)
+        } else {
+            self.st3.get(u, v)
+        }
+    }
+
+    /// `A^{HS}_p·B^{SS}_q·C^{SH}_r` at `(u, v)`.
+    pub fn hss3_at(&self, [p, q, r]: [usize; 3], u: VertexId, v: VertexId) -> i64 {
+        if self.symmetric && p > r {
+            self.hss3[r][q][p].get(v, u)
+        } else {
+            self.hss3[p][q][r].get(u, v)
+        }
+    }
+
+    /// `true` if a symmetric engine stores `hss3[p][q][r]` itself.
+    fn stores_hss3(&self, p: usize, r: usize) -> bool {
+        !self.symmetric || p <= r
     }
 
     /// Applies every maintenance rule, tag-free and phase-split, for one
@@ -132,15 +271,7 @@ impl Structures {
         r: VertexId,
         delta: i64,
     ) {
-        if delta == 0 {
-            return;
-        }
-        match rel {
-            QRel::A => self.tag_free_a(st, l, r, delta),
-            QRel::B => self.tag_free_b(st, l, r, delta),
-            QRel::C => self.tag_free_c(st, l, r, delta),
-        }
-        self.phase_split(st, rel, tag, l, r, delta);
+        self.event(st, rel, [l, r], (tag, delta), Rules::All, [0; 2]);
     }
 
     /// Re-tags one event of weight `s` from the new window to the old one
@@ -149,105 +280,220 @@ impl Structures {
     /// cancel (module docs). Does not touch adjacency: call it before
     /// [`GraphState::retag_new_to_old`].
     pub fn retag(&mut self, st: &GraphState, rel: QRel, l: VertexId, r: VertexId, s: i64) {
-        if s == 0 {
-            return;
+        for half in [(Tag::New, -s), (Tag::Old, s)] {
+            self.event(st, rel, [l, r], half, Rules::PhaseSplit, [0; 2]);
         }
-        self.phase_split(st, rel, Tag::New, l, r, -s);
-        self.phase_split(st, rel, Tag::Old, l, r, s);
     }
 
-    fn phase_split(
+    /// Takes one change of the general pair `{a, b}` of a symmetric engine
+    /// through the rules of its six layered copies, and writes it to the
+    /// one adjacency between the `A` and `B` events (module docs). `events`
+    /// are the change's non-zero `(tag, weight)` parts: one for a live
+    /// update, a class transition or an era rebuild, `−s@new, +s@old` for a
+    /// re-tag.
+    pub fn pair(
+        &mut self,
+        st: &mut GraphState,
+        [a, b]: [VertexId; 2],
+        events: &[(Tag, i64)],
+        rules: Rules,
+    ) {
+        let both = [[a, b], [b, a]];
+        let mut delta: Delta = [0; 2];
+        for &(tag, d) in events {
+            delta[tag.index()] += d;
+        }
+        // The `A` rules that read a B·C-side table read its A·B-side twin,
+        // which the other `A` rules and the `B` rules write: they run first.
+        for &(tag, d) in events {
+            for [u, x] in both {
+                self.a_from_bc(st, tag, u, x, d, rules);
+            }
+        }
+        for &(tag, d) in events {
+            for [u, x] in both {
+                self.a_rest(st, tag, u, x, d, rules);
+            }
+        }
+        st.add_pair_delta(a, b, delta);
+        for &event in events {
+            for pair in both {
+                self.event(st, QRel::B, pair, event, rules, delta);
+            }
+        }
+        for &event in events {
+            for pair in both {
+                self.event(st, QRel::C, pair, event, rules, [0; 2]);
+            }
+        }
+    }
+
+    /// One event's rules. A `B` event's reads of `C` take `hide` off the
+    /// entry `(y, x)` ([`pair`](Self::pair)).
+    fn event(
         &mut self,
         st: &GraphState,
         rel: QRel,
-        tag: Tag,
-        l: VertexId,
-        r: VertexId,
-        d: i64,
+        [l, r]: [VertexId; 2],
+        (tag, d): (Tag, i64),
+        rules: Rules,
+        hide: Delta,
     ) {
+        if d == 0 {
+            return;
+        }
         match rel {
-            QRel::A => self.phase_split_a(st, tag, l, r, d),
-            QRel::B => self.phase_split_b(st, tag, l, r, d),
-            QRel::C => self.phase_split_c(st, tag, l, r, d),
+            QRel::A => {
+                self.a_from_bc(st, tag, l, r, d, rules);
+                self.a_rest(st, tag, l, r, d, rules);
+            }
+            QRel::B => {
+                if rules == Rules::All {
+                    self.tag_free_b(st, l, r, d, hide);
+                }
+                self.phase_split_b(st, tag, l, r, d, hide);
+            }
+            QRel::C => {
+                if rules == Rules::All {
+                    self.tag_free_c(st, l, r, d);
+                }
+                self.phase_split_c(st, tag, l, r, d);
+            }
         }
     }
 
-    fn tag_free_a(&mut self, st: &GraphState, u: VertexId, x: VertexId, d: i64) {
+    /// The `A` rules that read B·C-side tables: Eq 18 and the Eq 15
+    /// triples.
+    fn a_from_bc(
+        &mut self,
+        st: &GraphState,
+        tag: Tag,
+        u: VertexId,
+        x: VertexId,
+        d: i64,
+        rules: Rules,
+    ) {
         use EndpointClass as E;
         use MiddleClass as M;
-        let cu = st.ep1(u);
+        if st.ep1(u) != E::High {
+            return;
+        }
         let cx = st.mid2(x);
-        let b_total = st.adj(QRel::B, None);
-        let c_total = st.adj(QRel::C, None);
-
-        // Eq 12 / Eq 16: wedges through Sparse / Tiny L2.
-        if cx == M::Sparse {
-            for (y, wb) in b_total.neighbors_of_left(x) {
-                self.work += 1;
-                self.ab_s.add(u, y, d * wb);
-            }
-        }
-        if cx == M::Tiny {
-            for (y, wb) in b_total.neighbors_of_left(x) {
-                self.work += 1;
-                self.ab_t.add(u, y, d * wb);
-            }
-        }
-
-        // Eq 14: dense wedges for High/Medium rows.
-        if cx == M::Dense && (cu == E::High || cu == E::Medium) {
-            for (y, wb) in b_total.neighbors_of_left(x) {
-                self.work += 1;
-                if st.mid3(y) == M::Dense {
-                    if cu == E::High {
-                        self.ab_hd.add(u, y, d * wb);
-                    } else {
-                        self.ab_md.add(u, y, d * wb);
-                    }
-                }
-            }
-        }
-
-        // Eq 17: tiny–tiny triples (direct enumeration — x is Tiny, so both
-        // loops are over tiny-degree vertices).
-        if cx == M::Tiny && (cu == E::High || cu == E::Medium) {
-            for (y, wb) in b_total.neighbors_of_left(x) {
-                if st.mid3(y) != M::Tiny {
-                    continue;
-                }
-                for (v, wc) in c_total.neighbors_of_left(y) {
-                    self.work += 1;
-                    match (cu, st.ep4(v)) {
-                        (E::High, E::High) => self.t3_hh.add(u, v, d * wb * wc),
-                        (E::Medium, E::High) => self.t3_mh.add(u, v, d * wb * wc),
-                        (E::High, E::Medium) => self.t3_hm.add(u, v, d * wb * wc),
-                        _ => {}
-                    }
-                }
-            }
-        }
 
         // Eq 18 (Claim 6.5): iterate the High L4 set and use the stored
         // wedge tables for the completion counts.
-        if cu == E::High && cx == M::Tiny {
-            for &v in &st.high_l4 {
+        if rules == Rules::All && cx == M::Tiny {
+            for &v in st.high_l4() {
                 self.work += 1;
-                self.ts3.add(u, v, d * self.bc_s.get(x, v));
+                let bc = self.bc_s_at(x, v);
+                self.ts3.add(u, v, d * bc);
             }
         }
-        if cu == E::High && cx == M::Sparse {
-            for &v in &st.high_l4 {
+        if rules == Rules::All && cx == M::Sparse && !self.symmetric {
+            for &v in st.high_l4() {
                 self.work += 1;
                 self.st3.add(u, v, d * self.bc_t.get(x, v));
             }
         }
+
+        // Eq 15 triples (Claim 5.6).
+        if cx == M::Sparse {
+            let p = tag.index();
+            for q in 0..2 {
+                for r in 0..2 {
+                    if (self.skip_pure_old && p == 0 && q == 0 && r == 0) || !self.stores_hss3(p, r)
+                    {
+                        continue;
+                    }
+                    if self.symmetric {
+                        // Row `x` of `bc_sh[q][r]` is column `x` of `ab_hs[r][q]`.
+                        for &v in st.high_l4() {
+                            self.work += 1;
+                            let cnt = self.ab_hs[r][q].get(v, x);
+                            if cnt != 0 {
+                                self.hss3[p][q][r].add(u, v, d * cnt);
+                            }
+                        }
+                    } else {
+                        let updates: Vec<(VertexId, i64)> = self.bc_sh[q][r].row(x).collect();
+                        for (v, cnt) in updates {
+                            self.work += 1;
+                            self.hss3[p][q][r].add(u, v, d * cnt);
+                        }
+                    }
+                }
+            }
+        }
     }
 
-    fn phase_split_a(&mut self, st: &GraphState, tag: Tag, u: VertexId, x: VertexId, d: i64) {
+    /// The other `A` rules.
+    fn a_rest(
+        &mut self,
+        st: &GraphState,
+        tag: Tag,
+        u: VertexId,
+        x: VertexId,
+        d: i64,
+        rules: Rules,
+    ) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cu = st.ep1(u);
         let cx = st.mid2(x);
+
+        if rules == Rules::All {
+            let b_total = st.adj(QRel::B, None);
+            let c_total = st.adj(QRel::C, None);
+
+            // Eq 12 / Eq 16: wedges through Sparse / Tiny L2.
+            if cx == M::Sparse {
+                for (y, wb) in b_total.neighbors_of_left(x) {
+                    self.work += 1;
+                    self.ab_s.add(u, y, d * wb);
+                }
+            }
+            if cx == M::Tiny {
+                for (y, wb) in b_total.neighbors_of_left(x) {
+                    self.work += 1;
+                    self.ab_t.add(u, y, d * wb);
+                }
+            }
+
+            // Eq 14: dense wedges for High/Medium rows.
+            if cx == M::Dense && (cu == E::High || cu == E::Medium) {
+                for (y, wb) in b_total.neighbors_of_left(x) {
+                    self.work += 1;
+                    if st.mid3(y) == M::Dense {
+                        if cu == E::High {
+                            self.ab_hd.add(u, y, d * wb);
+                        } else {
+                            self.ab_md.add(u, y, d * wb);
+                        }
+                    }
+                }
+            }
+
+            // Eq 17: tiny–tiny triples (direct enumeration — x is Tiny, so
+            // both loops are over tiny-degree vertices).
+            if cx == M::Tiny && (cu == E::High || cu == E::Medium) {
+                for (y, wb) in b_total.neighbors_of_left(x) {
+                    if st.mid3(y) != M::Tiny {
+                        continue;
+                    }
+                    for (v, wc) in c_total.neighbors_of_left(y) {
+                        self.work += 1;
+                        match (cu, st.ep4(v)) {
+                            (E::High, E::High) => self.t3_hh.add(u, v, d * wb * wc),
+                            (E::Medium, E::High) => self.t3_mh.add(u, v, d * wb * wc),
+                            (E::High, E::Medium) if !self.symmetric => {
+                                self.t3_hm.add(u, v, d * wb * wc)
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
 
         // Old-phase / Eq 13 dense products (Claim 5.4): iterate the Dense L3
         // set and check the old B edge.
@@ -256,7 +502,7 @@ impl Structures {
             match tag {
                 Tag::Old => {
                     if !self.skip_pure_old {
-                        for &y in &st.dense_l3 {
+                        for &y in st.dense_l3() {
                             self.work += 1;
                             let wb = b_old.weight(x, y);
                             if wb != 0 {
@@ -266,7 +512,7 @@ impl Structures {
                     }
                 }
                 Tag::New => {
-                    for &y in &st.dense_l3 {
+                    for &y in st.dense_l3() {
                         self.work += 1;
                         let wb = b_old.weight(x, y);
                         if wb != 0 {
@@ -277,7 +523,7 @@ impl Structures {
             }
         }
 
-        // Eq 15 auxiliaries and triples (Claim 5.6).
+        // Eq 15 auxiliaries (Claim 5.6).
         if cu == E::High && cx == M::Sparse {
             let p = tag.index();
             for q_tag in Tag::BOTH {
@@ -290,28 +536,18 @@ impl Structures {
                     }
                 }
             }
-            for q in 0..2 {
-                for r in 0..2 {
-                    if self.skip_pure_old && p == 0 && q == 0 && r == 0 {
-                        continue;
-                    }
-                    let updates: Vec<(VertexId, i64)> = self.bc_sh[q][r].row(x).collect();
-                    for (v, cnt) in updates {
-                        self.work += 1;
-                        self.hss3[p][q][r].add(u, v, d * cnt);
-                    }
-                }
-            }
         }
     }
 
-    fn tag_free_b(&mut self, st: &GraphState, x: VertexId, y: VertexId, d: i64) {
+    fn tag_free_b(&mut self, st: &GraphState, x: VertexId, y: VertexId, d: i64, hide: Delta) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cx = st.mid2(x);
         let cy = st.mid3(y);
         let a_total = st.adj(QRel::A, None);
         let c_total = st.adj(QRel::C, None);
+        // The total weight of `(y, x)` this event must not see in `C`.
+        let hidden = pick_delta(None, hide);
 
         // Eq 12 / Eq 16.
         if cx == M::Sparse {
@@ -326,13 +562,13 @@ impl Structures {
                 self.ab_t.add(u, y, d * wa);
             }
         }
-        if cy == M::Sparse {
+        if cy == M::Sparse && !self.symmetric {
             for (v, wc) in c_total.neighbors_of_left(y) {
                 self.work += 1;
                 self.bc_s.add(x, v, d * wc);
             }
         }
-        if cy == M::Tiny {
+        if cy == M::Tiny && !self.symmetric {
             for (v, wc) in c_total.neighbors_of_left(y) {
                 self.work += 1;
                 self.bc_t.add(x, v, d * wc);
@@ -349,12 +585,14 @@ impl Structures {
                     _ => {}
                 }
             }
-            for (v, wc) in c_total.neighbors_of_left(y) {
-                self.work += 1;
-                match st.ep4(v) {
-                    E::High => self.bc_dh.add(x, v, d * wc),
-                    E::Medium => self.bc_dm.add(x, v, d * wc),
-                    _ => {}
+            if !self.symmetric {
+                for (v, wc) in c_total.neighbors_of_left(y) {
+                    self.work += 1;
+                    match st.ep4(v) {
+                        E::High => self.bc_dh.add(x, v, d * wc),
+                        E::Medium => self.bc_dm.add(x, v, d * wc),
+                        _ => {}
+                    }
                 }
             }
         }
@@ -362,14 +600,17 @@ impl Structures {
         // Eq 17: tiny–tiny triples.
         if cx == M::Tiny && cy == M::Tiny {
             let us: Vec<(VertexId, i64)> = a_total.neighbors_of_right(x).collect();
-            let vs: Vec<(VertexId, i64)> = c_total.neighbors_of_left(y).collect();
+            let mut vs: Vec<(VertexId, i64)> = c_total.neighbors_of_left(y).collect();
+            hide_entry(&mut vs, x, hidden);
             for &(u, wa) in &us {
                 for &(v, wc) in &vs {
                     self.work += 1;
                     match (st.ep1(u), st.ep4(v)) {
                         (E::High, E::High) => self.t3_hh.add(u, v, d * wa * wc),
                         (E::Medium, E::High) => self.t3_mh.add(u, v, d * wa * wc),
-                        (E::High, E::Medium) => self.t3_hm.add(u, v, d * wa * wc),
+                        (E::High, E::Medium) if !self.symmetric => {
+                            self.t3_hm.add(u, v, d * wa * wc)
+                        }
                         _ => {}
                     }
                 }
@@ -382,21 +623,21 @@ impl Structures {
                 if st.ep1(u) != E::High {
                     continue;
                 }
-                for &v in &st.high_l4 {
+                for &v in st.high_l4() {
                     self.work += 1;
-                    let wc = c_total.weight(y, v);
+                    let wc = c_total.weight(y, v) - if v == x { hidden } else { 0 };
                     if wc != 0 {
                         self.ts3.add(u, v, d * wa * wc);
                     }
                 }
             }
         }
-        if cx == M::Sparse && cy == M::Tiny {
+        if cx == M::Sparse && cy == M::Tiny && !self.symmetric {
             for (v, wc) in c_total.neighbors_of_left(y) {
                 if st.ep4(v) != E::High {
                     continue;
                 }
-                for &u in &st.high_l1 {
+                for &u in st.high_l1() {
                     self.work += 1;
                     let wa = a_total.weight(u, x);
                     if wa != 0 {
@@ -407,7 +648,15 @@ impl Structures {
         }
     }
 
-    fn phase_split_b(&mut self, st: &GraphState, tag: Tag, x: VertexId, y: VertexId, d: i64) {
+    fn phase_split_b(
+        &mut self,
+        st: &GraphState,
+        tag: Tag,
+        x: VertexId,
+        y: VertexId,
+        d: i64,
+        hide: Delta,
+    ) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cx = st.mid2(x);
@@ -440,12 +689,14 @@ impl Structures {
                     }
                 }
             }
-            for r_tag in Tag::BOTH {
-                let r = r_tag.index();
-                for (v, wc) in st.adj(QRel::C, Some(r_tag)).neighbors_of_left(y) {
-                    self.work += 1;
-                    if st.ep4(v) == E::High {
-                        self.bc_sh[q][r].add(x, v, d * wc);
+            if !self.symmetric {
+                for r_tag in Tag::BOTH {
+                    let r = r_tag.index();
+                    for (v, wc) in st.adj(QRel::C, Some(r_tag)).neighbors_of_left(y) {
+                        self.work += 1;
+                        if st.ep4(v) == E::High {
+                            self.bc_sh[q][r].add(x, v, d * wc);
+                        }
                     }
                 }
             }
@@ -456,7 +707,7 @@ impl Structures {
             for p_tag in Tag::BOTH {
                 let a_p = st.adj(QRel::A, Some(p_tag));
                 us[p_tag.index()] = st
-                    .high_l1
+                    .high_l1()
                     .iter()
                     .filter_map(|&u| {
                         let w = a_p.weight(u, x);
@@ -464,20 +715,22 @@ impl Structures {
                     })
                     .collect();
                 let c_p = st.adj(QRel::C, Some(p_tag));
+                let hidden = pick_delta(Some(p_tag), hide);
                 vs[p_tag.index()] = st
-                    .high_l4
+                    .high_l4()
                     .iter()
                     .filter_map(|&v| {
-                        let w = c_p.weight(y, v);
+                        let w = c_p.weight(y, v) - if v == x { hidden } else { 0 };
                         (w != 0).then_some((v, w))
                     })
                     .collect();
             }
-            let high = u64::try_from(st.high_l1.len() + st.high_l4.len()).unwrap_or(u64::MAX);
+            let high = u64::try_from(st.high_l1().len() + st.high_l4().len()).unwrap_or(u64::MAX);
             self.work += 2 * high;
             for (p, us_p) in us.iter().enumerate() {
                 for (r, vs_r) in vs.iter().enumerate() {
-                    if self.skip_pure_old && p == 0 && q == 0 && r == 0 {
+                    if (self.skip_pure_old && p == 0 && q == 0 && r == 0) || !self.stores_hss3(p, r)
+                    {
                         continue;
                     }
                     for &(u, wa) in us_p {
@@ -499,36 +752,39 @@ impl Structures {
         let a_total = st.adj(QRel::A, None);
         let b_total = st.adj(QRel::B, None);
 
-        // Eq 12 / Eq 16.
-        if cy == M::Sparse {
-            for (x, wb) in b_total.neighbors_of_right(y) {
-                self.work += 1;
-                self.bc_s.add(x, v, d * wb);
+        if !self.symmetric {
+            // Eq 12 / Eq 16.
+            if cy == M::Sparse {
+                for (x, wb) in b_total.neighbors_of_right(y) {
+                    self.work += 1;
+                    self.bc_s.add(x, v, d * wb);
+                }
             }
-        }
-        if cy == M::Tiny {
-            for (x, wb) in b_total.neighbors_of_right(y) {
-                self.work += 1;
-                self.bc_t.add(x, v, d * wb);
+            if cy == M::Tiny {
+                for (x, wb) in b_total.neighbors_of_right(y) {
+                    self.work += 1;
+                    self.bc_t.add(x, v, d * wb);
+                }
             }
-        }
 
-        // Eq 14.
-        if cy == M::Dense && (cv == E::High || cv == E::Medium) {
-            for (x, wb) in b_total.neighbors_of_right(y) {
-                self.work += 1;
-                if st.mid2(x) == M::Dense {
-                    if cv == E::High {
-                        self.bc_dh.add(x, v, d * wb);
-                    } else {
-                        self.bc_dm.add(x, v, d * wb);
+            // Eq 14.
+            if cy == M::Dense && (cv == E::High || cv == E::Medium) {
+                for (x, wb) in b_total.neighbors_of_right(y) {
+                    self.work += 1;
+                    if st.mid2(x) == M::Dense {
+                        if cv == E::High {
+                            self.bc_dh.add(x, v, d * wb);
+                        } else {
+                            self.bc_dm.add(x, v, d * wb);
+                        }
                     }
                 }
             }
         }
 
-        // Eq 17: direct enumeration through the tiny middles.
-        if cy == M::Tiny && (cv == E::High || cv == E::Medium) {
+        // Eq 17: direct enumeration through the tiny middles. A Medium `v`
+        // only feeds `t3_hm`, which a symmetric engine does not store.
+        if cy == M::Tiny && (cv == E::High || (cv == E::Medium && !self.symmetric)) {
             for (x, wb) in b_total.neighbors_of_right(y) {
                 if st.mid2(x) != M::Tiny {
                     continue;
@@ -547,13 +803,13 @@ impl Structures {
 
         // Eq 18.
         if cy == M::Sparse && cv == E::High {
-            for &u in &st.high_l1 {
+            for &u in st.high_l1() {
                 self.work += 1;
                 self.ts3.add(u, v, d * self.ab_t.get(u, y));
             }
         }
-        if cy == M::Tiny && cv == E::High {
-            for &u in &st.high_l1 {
+        if cy == M::Tiny && cv == E::High && !self.symmetric {
+            for &u in st.high_l1() {
                 self.work += 1;
                 self.st3.add(u, v, d * self.ab_s.get(u, y));
             }
@@ -567,21 +823,24 @@ impl Structures {
         // Eq 15 auxiliaries and triples.
         if st.mid3(y) == M::Sparse && st.ep4(v) == E::High {
             let r = tag.index();
-            for q_tag in Tag::BOTH {
-                let q = q_tag.index();
-                for (x, wb) in st.adj(QRel::B, Some(q_tag)).neighbors_of_right(y) {
-                    self.work += 1;
-                    if st.mid2(x) == M::Sparse {
-                        self.bc_sh[q][r].add(x, v, d * wb);
+            if !self.symmetric {
+                for q_tag in Tag::BOTH {
+                    let q = q_tag.index();
+                    for (x, wb) in st.adj(QRel::B, Some(q_tag)).neighbors_of_right(y) {
+                        self.work += 1;
+                        if st.mid2(x) == M::Sparse {
+                            self.bc_sh[q][r].add(x, v, d * wb);
+                        }
                     }
                 }
             }
             for p in 0..2 {
                 for q in 0..2 {
-                    if self.skip_pure_old && p == 0 && q == 0 && r == 0 {
+                    if (self.skip_pure_old && p == 0 && q == 0 && r == 0) || !self.stores_hss3(p, r)
+                    {
                         continue;
                     }
-                    for &u in &st.high_l1 {
+                    for &u in st.high_l1() {
                         self.work += 1;
                         let cnt = self.ab_hs[p][q].get(u, y);
                         if cnt != 0 {

@@ -16,8 +16,14 @@
 //! Every vertex here is a dense id of its layer (see the `fmm` module
 //! docs): a layer's stored classes are one `Vec` indexed by id, and its
 //! High or Dense members one list of ids.
+//!
+//! A *symmetric* state ([`GraphState::symmetric`]) holds §8's layered copy
+//! of a general graph, where `A = B = C` and the four layers are one vertex
+//! set: one symmetric adjacency serves all three relations, and one
+//! endpoint class (`L1` = `L4`) and one middle class (`L2` = `L3`) per
+//! vertex, with one High list and one Dense list, serve all four layers.
 
-use super::tagged::{TaggedAdjacency, TaggedView};
+use super::tagged::{Delta, TaggedAdjacency, TaggedView};
 use super::{dense_id, layers, slot};
 use crate::engine::QRel;
 use fourcycle_graph::{ClassThresholds, EndpointClass, MiddleClass, VertexId};
@@ -71,26 +77,29 @@ pub enum ClassCode {
     Middle(MiddleClass),
 }
 
+/// The layered edges one general edge stands for in a symmetric state: §8
+/// puts `{u, v}` in `A`, `B` and `C`, in both orientations.
+pub const LAYERED_COPIES: usize = 6;
+
 /// The engine's graph state: tagged adjacency, thresholds and stored classes.
 pub struct GraphState {
-    /// Relations indexed by [`QRel::index`].
+    /// Relations indexed by [`QRel::index`]; a symmetric state uses only
+    /// the first, for all three.
     rels: [TaggedAdjacency; 3],
+    symmetric: bool,
     /// Degree thresholds of the current era.
     pub thresholds: ClassThresholds,
-    /// Stored classes by id; ids past the end are Tiny.
-    ep_l1: Vec<EndpointClass>,
-    ep_l4: Vec<EndpointClass>,
-    mid_l2: Vec<MiddleClass>,
-    mid_l3: Vec<MiddleClass>,
-    /// High-degree vertices of `L1`, each once, in no particular order (a
-    /// small set, iterated by rules/queries).
-    pub high_l1: Vec<VertexId>,
-    /// High-degree vertices of `L4`.
-    pub high_l4: Vec<VertexId>,
-    /// Dense vertices of `L2`.
-    pub dense_l2: Vec<VertexId>,
-    /// Dense vertices of `L3`.
-    pub dense_l3: Vec<VertexId>,
+    /// Stored endpoint classes by id, `[L1, L4]`; ids past the end are
+    /// Tiny. Like the other per-side fields, a symmetric state uses only
+    /// the first.
+    ep: [Vec<EndpointClass>; 2],
+    /// Stored middle classes by id, `[L2, L3]`.
+    mid: [Vec<MiddleClass>; 2],
+    /// High-degree vertices, `[L1, L4]`, each once, in no particular order
+    /// (a small set, iterated by rules/queries).
+    high: [Vec<VertexId>; 2],
+    /// Dense vertices, `[L2, L3]`.
+    dense: [Vec<VertexId>; 2],
 }
 
 impl GraphState {
@@ -98,47 +107,105 @@ impl GraphState {
     pub fn new(thresholds: ClassThresholds) -> Self {
         Self {
             rels: Default::default(),
+            symmetric: false,
             thresholds,
-            ep_l1: Vec::new(),
-            ep_l4: Vec::new(),
-            mid_l2: Vec::new(),
-            mid_l3: Vec::new(),
-            high_l1: Vec::new(),
-            high_l4: Vec::new(),
-            dense_l2: Vec::new(),
-            dense_l3: Vec::new(),
+            ep: Default::default(),
+            mid: Default::default(),
+            high: Default::default(),
+            dense: Default::default(),
+        }
+    }
+
+    /// Creates an empty symmetric state (module docs).
+    pub fn symmetric(thresholds: ClassThresholds) -> Self {
+        let mut state = Self::new(thresholds);
+        state.rels[0] = TaggedAdjacency::symmetric();
+        state.symmetric = true;
+        state
+    }
+
+    /// An empty state of the same kind, with new thresholds.
+    pub fn fresh(&self, thresholds: ClassThresholds) -> Self {
+        if self.symmetric {
+            Self::symmetric(thresholds)
+        } else {
+            Self::new(thresholds)
+        }
+    }
+
+    /// `true` for a symmetric state.
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
+    }
+
+    /// Index of the `L3`/`L4` side in the per-side fields: 1, or 0 in a
+    /// symmetric state.
+    fn far(&self) -> usize {
+        usize::from(!self.symmetric)
+    }
+
+    fn rel_slot(&self, rel: QRel) -> usize {
+        if self.symmetric {
+            0
+        } else {
+            rel.index()
         }
     }
 
     /// The requested weights: `None` → the total (current) graph,
     /// `Some(tag)` → the tagged multiset.
     pub fn adj(&self, rel: QRel, tag: Option<Tag>) -> TaggedView<'_> {
-        self.rels[rel.index()].view(tag)
+        self.rels[self.rel_slot(rel)].view(tag)
     }
 
-    /// Adds `delta` to the tagged multiset, and so to the total graph.
+    /// Adds `delta` to the tagged multiset, and so to the total graph. In a
+    /// symmetric state this writes the pair in both orientations, and so in
+    /// all three relations.
     pub fn add_edge_weight(&mut self, rel: QRel, tag: Tag, l: VertexId, r: VertexId, delta: i64) {
-        self.rels[rel.index()].add(tag, l, r, delta);
+        let slot = self.rel_slot(rel);
+        self.rels[slot].add(tag, l, r, delta);
+    }
+
+    /// Adds `delta` to the `[old, new]` weights of the pair `{a, b}` of a
+    /// symmetric state.
+    pub fn add_pair_delta(&mut self, a: VertexId, b: VertexId, delta: Delta) {
+        debug_assert!(self.symmetric, "pairs are a symmetric state's");
+        self.rels[0].add_delta(a, b, delta);
     }
 
     /// Moves weight `s` of the pair from the new multiset to the old one
     /// (rollover); the total is unchanged.
     pub fn retag_new_to_old(&mut self, rel: QRel, l: VertexId, r: VertexId, s: i64) {
-        self.rels[rel.index()].retag_new_to_old(l, r, s);
+        let slot = self.rel_slot(rel);
+        self.rels[slot].retag_new_to_old(l, r, s);
     }
 
-    /// Total number of edges currently present (the paper's `m`).
+    /// Total number of edges currently present (the paper's `m`). A
+    /// symmetric state counts each general edge as its six layered copies.
     pub fn total_edges(&self) -> usize {
-        self.rels.iter().map(|r| r.view(None).len()).sum()
+        if self.symmetric {
+            LAYERED_COPIES * self.rels[0].view(None).len()
+        } else {
+            self.rels.iter().map(|r| r.view(None).len()).sum()
+        }
     }
 
-    /// Every currently present edge as `(rel, left, right)`.
+    /// Every currently present edge as `(rel, left, right)`. A symmetric
+    /// state lists each general edge `{a, b}` once, as `(A, a, b)` with
+    /// `a < b`.
     pub fn current_edges(&self) -> Vec<(QRel, VertexId, VertexId)> {
+        let rels: &[QRel] = if self.symmetric {
+            &[QRel::A]
+        } else {
+            &QRel::ALL
+        };
         let mut out = Vec::with_capacity(self.total_edges());
-        for rel in QRel::ALL {
+        for &rel in rels {
             for (l, r, w) in self.adj(rel, None).iter() {
                 debug_assert!(w == 1, "current graph must be simple");
-                out.push((rel, l, r));
+                if !self.symmetric || l < r {
+                    out.push((rel, l, r));
+                }
             }
         }
         out
@@ -180,22 +247,42 @@ impl GraphState {
 
     /// Stored class of an `L1` endpoint (Tiny if never classified).
     pub fn ep1(&self, u: VertexId) -> EndpointClass {
-        stored(&self.ep_l1, u)
+        stored(&self.ep[0], u)
     }
 
     /// Stored class of an `L4` endpoint.
     pub fn ep4(&self, v: VertexId) -> EndpointClass {
-        stored(&self.ep_l4, v)
+        stored(&self.ep[self.far()], v)
     }
 
     /// Stored class of an `L2` middle.
     pub fn mid2(&self, x: VertexId) -> MiddleClass {
-        stored(&self.mid_l2, x)
+        stored(&self.mid[0], x)
     }
 
     /// Stored class of an `L3` middle.
     pub fn mid3(&self, y: VertexId) -> MiddleClass {
-        stored(&self.mid_l3, y)
+        stored(&self.mid[self.far()], y)
+    }
+
+    /// High-degree vertices of `L1`.
+    pub fn high_l1(&self) -> &[VertexId] {
+        &self.high[0]
+    }
+
+    /// High-degree vertices of `L4`.
+    pub fn high_l4(&self) -> &[VertexId] {
+        &self.high[self.far()]
+    }
+
+    /// Dense vertices of `L2`.
+    pub fn dense_l2(&self) -> &[VertexId] {
+        &self.dense[0]
+    }
+
+    /// Dense vertices of `L3`.
+    pub fn dense_l3(&self) -> &[VertexId] {
+        &self.dense[self.far()]
     }
 
     /// `true` if `x ∈ L2` is Sparse (not Tiny, not Dense).
@@ -237,12 +324,18 @@ impl GraphState {
     }
 
     /// Overwrites a vertex's stored class (and the High/Dense member lists).
+    /// In a symmetric state `Ep4` is `Ep1` and `Mid3` is `Mid2`.
     pub fn set_stored_class(&mut self, role: Role, w: VertexId, class: ClassCode) {
+        let far = self.far();
         match (role, class) {
-            (Role::Ep1, ClassCode::Endpoint(c)) => file(&mut self.ep_l1, &mut self.high_l1, w, c),
-            (Role::Ep4, ClassCode::Endpoint(c)) => file(&mut self.ep_l4, &mut self.high_l4, w, c),
-            (Role::Mid2, ClassCode::Middle(c)) => file(&mut self.mid_l2, &mut self.dense_l2, w, c),
-            (Role::Mid3, ClassCode::Middle(c)) => file(&mut self.mid_l3, &mut self.dense_l3, w, c),
+            (Role::Ep1, ClassCode::Endpoint(c)) => file(&mut self.ep[0], &mut self.high[0], w, c),
+            (Role::Ep4, ClassCode::Endpoint(c)) => {
+                file(&mut self.ep[far], &mut self.high[far], w, c)
+            }
+            (Role::Mid2, ClassCode::Middle(c)) => file(&mut self.mid[0], &mut self.dense[0], w, c),
+            (Role::Mid3, ClassCode::Middle(c)) => {
+                file(&mut self.mid[far], &mut self.dense[far], w, c)
+            }
             #[expect(
                 clippy::panic,
                 reason = "callers pair each Role with its own class code"
@@ -255,7 +348,8 @@ impl GraphState {
     /// its layer, as `(rel, tag, left, right, weight)` — including entries
     /// whose total weight is zero (an edge inserted in an old phase and
     /// deleted in the new window still contributes to phase-split
-    /// structures).
+    /// structures). In a symmetric state `Role::Ep1` lists each pair of `w`
+    /// once, as `(A, tag, w, x, weight)`.
     pub fn incident_tagged_entries(
         &self,
         role: Role,
@@ -294,6 +388,11 @@ impl GraphState {
     /// Pre-sets every vertex's stored class from the degrees implied by the
     /// given edge list (used by the era rebuild, where the final classes are
     /// known before the edges are replayed).
+    ///
+    /// A symmetric state takes each general edge once, as
+    /// [`current_edges`](Self::current_edges) lists it, and files a vertex
+    /// of general degree `d` by its layered copies' degrees: `d` as an
+    /// endpoint, `2d` as a middle.
     pub fn preset_classes_from_edges(&mut self, edges: &[(QRel, VertexId, VertexId)]) {
         // Degrees by layer, `L1` to `L4`, each indexed by id.
         let mut degrees: [Vec<usize>; 4] = Default::default();
@@ -306,11 +405,19 @@ impl GraphState {
             d[i] += 1;
         };
         for &(rel, l, r) in edges {
-            let (l_layer, r_layer) = layers(rel);
+            let (l_layer, r_layer) = if self.symmetric { (0, 0) } else { layers(rel) };
             count(l_layer, l);
             count(r_layer, r);
         }
         let t = self.thresholds;
+        if self.symmetric {
+            for (i, d) in degrees[0].iter().enumerate().filter(|&(_, &d)| d > 0) {
+                let w = dense_id(i);
+                self.set_stored_class(Role::Ep1, w, ClassCode::Endpoint(t.endpoint_class(*d)));
+                self.set_stored_class(Role::Mid2, w, ClassCode::Middle(t.middle_class(2 * d)));
+            }
+            return;
+        }
         let roles = [Role::Ep1, Role::Mid2, Role::Mid3, Role::Ep4];
         for (role, degrees) in roles.into_iter().zip(degrees) {
             for (i, d) in degrees.into_iter().enumerate().filter(|&(_, d)| d > 0) {
@@ -410,11 +517,11 @@ mod tests {
         assert_eq!(st.ep1(7), EndpointClass::Tiny);
         assert_eq!(st.mid3(7), MiddleClass::Tiny);
         st.set_stored_class(Role::Ep1, 7, ClassCode::Endpoint(EndpointClass::High));
-        assert!(st.high_l1.contains(&7));
+        assert!(st.high_l1().contains(&7));
         st.set_stored_class(Role::Ep1, 7, ClassCode::Endpoint(EndpointClass::Low));
-        assert!(!st.high_l1.contains(&7));
+        assert!(!st.high_l1().contains(&7));
         st.set_stored_class(Role::Mid2, 9, ClassCode::Middle(MiddleClass::Dense));
-        assert!(st.dense_l2.contains(&9));
+        assert!(st.dense_l2().contains(&9));
     }
 
     #[test]
@@ -428,7 +535,7 @@ mod tests {
         edges.push((QRel::B, 100, 200));
         st.preset_classes_from_edges(&edges);
         assert_eq!(st.ep1(1), EndpointClass::High);
-        assert!(st.high_l1.contains(&1));
+        assert!(st.high_l1().contains(&1));
         assert_eq!(st.mid2(100), st.thresholds.middle_class(2));
     }
 

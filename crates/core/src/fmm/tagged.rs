@@ -14,6 +14,11 @@
 //! * each row counts its entries with a non-zero total, so total degrees
 //!   are O(1).
 //!
+//! A *symmetric* adjacency ([`TaggedAdjacency::symmetric`]) holds §8's
+//! general graph, whose relation is its own transpose: a pair `{a, b}` is
+//! one entry in row `a` and one in row `b`, both sides read the same rows,
+//! and every edit writes both orientations.
+//!
 //! [`TaggedView`] reads the total, old or new weights through the methods
 //! of a signed bipartite adjacency, skipping pairs whose weight in the view
 //! is 0. Weights are `i32`: a pair's events alternate insert and delete, so
@@ -25,6 +30,9 @@ use fourcycle_graph::VertexId;
 
 /// A pair's `[old, new]` weights, indexed by [`Tag::index`].
 type Weights = [i32; 2];
+
+/// A change of a pair's `[old, new]` weights, indexed by [`Tag::index`].
+pub type Delta = [i64; 2];
 
 /// The views, in the order of [`view_index`].
 const VIEWS: [Option<Tag>; 3] = [None, Some(Tag::Old), Some(Tag::New)];
@@ -96,10 +104,15 @@ impl Side {
 
 /// The weight of `w` in the view `tag` (`None`: the total).
 fn pick(tag: Option<Tag>, [old, new]: Weights) -> i64 {
+    pick_delta(tag, [i64::from(old), i64::from(new)])
+}
+
+/// The part of `delta` that the view `tag` sees (`None`: the total).
+pub fn pick_delta(tag: Option<Tag>, [old, new]: Delta) -> i64 {
     match tag {
-        None => i64::from(old) + i64::from(new),
-        Some(Tag::Old) => i64::from(old),
-        Some(Tag::New) => i64::from(new),
+        None => old + new,
+        Some(Tag::Old) => old,
+        Some(Tag::New) => new,
     }
 }
 
@@ -122,34 +135,62 @@ fn narrow(w: i64) -> i32 {
 #[derive(Debug, Default)]
 pub struct TaggedAdjacency {
     forward: Side,
+    /// Rows by right vertex; empty in a symmetric adjacency, whose forward
+    /// rows serve both sides.
     backward: Side,
-    /// Pairs with a non-zero weight in each of [`VIEWS`].
+    symmetric: bool,
+    /// Pairs with a non-zero weight in each of [`VIEWS`]; a symmetric
+    /// adjacency counts `{a, b}` once.
     len: [usize; 3],
 }
 
 impl TaggedAdjacency {
+    /// An empty symmetric adjacency (module docs).
+    pub fn symmetric() -> Self {
+        Self {
+            symmetric: true,
+            ..Self::default()
+        }
+    }
+
     /// Adds `delta` to the `tag` weight of `(l, r)`, and so to its total.
     pub fn add(&mut self, tag: Tag, l: VertexId, r: VertexId, delta: i64) {
-        let t = tag.index();
-        self.edit(l, r, |mut w| {
-            w[t] = narrow(i64::from(w[t]) + delta);
-            w
-        });
+        let mut change = [0; 2];
+        change[tag.index()] = delta;
+        self.add_delta(l, r, change);
     }
 
     /// Moves weight `s` of `(l, r)` from its new weight to its old one; the
     /// total is unchanged.
     pub fn retag_new_to_old(&mut self, l: VertexId, r: VertexId, s: i64) {
-        self.edit(l, r, |[old, new]| {
-            [narrow(i64::from(old) + s), narrow(i64::from(new) - s)]
-        });
+        self.add_delta(l, r, [s, -s]);
     }
 
-    fn edit(&mut self, l: VertexId, r: VertexId, edit: impl FnOnce(Weights) -> Weights) {
-        let [before, after] = self.forward.edit(l, r, edit);
-        self.backward.edit(r, l, |_| after);
+    /// Adds `delta` to the `[old, new]` weights of `(l, r)`.
+    pub fn add_delta(&mut self, l: VertexId, r: VertexId, delta: Delta) {
+        let [before, after] = self.forward.edit(l, r, |[old, new]| {
+            [
+                narrow(i64::from(old) + delta[0]),
+                narrow(i64::from(new) + delta[1]),
+            ]
+        });
+        let mirror = if self.symmetric {
+            &mut self.forward
+        } else {
+            &mut self.backward
+        };
+        mirror.edit(r, l, |_| after);
         for (tag, len) in VIEWS.into_iter().zip(&mut self.len) {
             recount(len, pick(tag, before), pick(tag, after));
+        }
+    }
+
+    /// The rows by right vertex.
+    fn backward(&self) -> &Side {
+        if self.symmetric {
+            &self.forward
+        } else {
+            &self.backward
         }
     }
 
@@ -216,7 +257,7 @@ impl<'a> TaggedView<'a> {
     /// Number of left neighbors of a right vertex (as
     /// [`degree_left`](Self::degree_left)).
     pub fn degree_right(self, right: VertexId) -> usize {
-        self.degree(self.adj.backward.row(right))
+        self.degree(self.adj.backward().row(right))
     }
 
     /// `(neighbor, weight)` pairs of a left vertex, in neighbor-id order.
@@ -226,7 +267,7 @@ impl<'a> TaggedView<'a> {
 
     /// `(neighbor, weight)` pairs of a right vertex, in neighbor-id order.
     pub fn neighbors_of_right(self, right: VertexId) -> impl Iterator<Item = (VertexId, i64)> + 'a {
-        self.nonzero(self.adj.backward.row(right))
+        self.nonzero(self.adj.backward().row(right))
     }
 
     /// All `(left, right, weight)` triples.

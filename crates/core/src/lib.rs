@@ -29,8 +29,10 @@
 //!   (Theorem 2) by running four rotated engine instances, one per relation
 //!   playing the role of the query matrix `D`.
 //! * [`FourCycleCounter`] — maintains the 4-cycle count of a *general* graph
-//!   (Theorem 1) through the §8 reduction, on one engine: the `D` rotation,
-//!   since in §8's layered copy the other three rotations are identical.
+//!   (Theorem 1) through the §8 reduction, on one [`GeneralEngine`]: the `D`
+//!   rotation, since in §8's layered copy the other three rotations are
+//!   identical. Its fmm kinds run [`SymmetricFmmEngine`], which also stores
+//!   that copy's `A = B = C` once.
 //! * [`TriangleCounter`] — a dynamic triangle-count baseline, included
 //!   because the paper's narrative contrasts the `Θ(m^{1/2})` triangle bound
 //!   with the 4-cycle bounds.
@@ -64,9 +66,9 @@ pub mod threshold;
 pub mod triangle;
 
 pub use counter::{FourCycleCounter, LayeredCycleCounter, Snapshot};
-pub use engine::{EngineConfig, EngineKind, QRel, SlowPathStats, ThreePathEngine};
+pub use engine::{EngineConfig, EngineKind, GeneralEngine, QRel, SlowPathStats, ThreePathEngine};
 pub use error::{BatchError, UpdateError};
-pub use fmm::{FmmConfig, FmmEngine};
+pub use fmm::{FmmConfig, FmmEngine, SymmetricFmmEngine};
 pub use naive::NaiveEngine;
 pub use pair_counts::PairCounts;
 pub use simple::SimpleEngine;

@@ -17,8 +17,9 @@ use fourcycle_core::fmm::rules::Structures;
 use fourcycle_core::fmm::state::{GraphState, Tag};
 use fourcycle_core::fmm::table::PairTable;
 use fourcycle_core::{
-    EngineKind, FmmConfig, FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine, QRel,
-    SimpleEngine, SlowPathStats, ThreePathEngine, ThresholdEngine,
+    EngineConfig, EngineKind, FmmConfig, FmmEngine, FourCycleCounter, GeneralEngine,
+    LayeredCycleCounter, NaiveEngine, QRel, SimpleEngine, SlowPathStats, ThreePathEngine,
+    ThresholdEngine,
 };
 use fourcycle_graph::{
     EndpointClass, GeneralGraph, GraphUpdate, LayeredGraph, LayeredUpdate, MiddleClass, Rel,
@@ -391,16 +392,17 @@ fn hub_skewed_general_stream(seed: u64) -> Vec<GraphUpdate> {
 }
 
 /// Runs `updates` through a `FourCycleCounter` and, beside it, a lone
-/// engine given the calls §8 makes: a query before an insert's three
-/// two-orientation batches, and after a delete's. Every `check_every`
-/// updates and at the end, the count must match brute force and the
-/// counter's snapshot must describe exactly the lone engine.
+/// general engine given the calls §8 makes: a query before an insert's
+/// update, and after a delete's. Every `check_every` updates and at the
+/// end, the count must match brute force and the counter's snapshot must
+/// describe exactly the lone engine.
 fn run_general_differential(
     kind: EngineKind,
     updates: &[GraphUpdate],
     check_every: usize,
 ) -> SlowPathStats {
-    let (mut counter, mut twin, mut twin_count) = (FourCycleCounter::new(kind), kind.build(), 0);
+    let mut counter = FourCycleCounter::new(kind);
+    let (mut twin, mut twin_count) = (GeneralEngine::build(kind, &EngineConfig::default()), 0);
     let mut reference = GeneralGraph::new();
     for (i, &update) in updates.iter().enumerate() {
         counter.apply(update).expect("well-formed update");
@@ -409,9 +411,7 @@ fn run_general_differential(
         if op == UpdateOp::Insert {
             twin_count += twin.query(u, v);
         }
-        for rel in QRel::ALL {
-            twin.apply_batch(rel, &[(u, v, op), (v, u, op)]);
-        }
+        twin.update(u, v, op);
         if op == UpdateOp::Delete {
             twin_count -= twin.query(u, v);
         }
@@ -506,19 +506,19 @@ fn fmm_engine_matches_oracle_with_high_and_dense_vertices() {
     }
     let (state, _) = engine.debug_state();
     assert!(
-        !state.high_l1.is_empty(),
+        !state.high_l1().is_empty(),
         "stream must create High L1 vertices"
     );
     assert!(
-        !state.high_l4.is_empty(),
+        !state.high_l4().is_empty(),
         "stream must create High L4 vertices"
     );
     assert!(
-        !state.dense_l2.is_empty(),
+        !state.dense_l2().is_empty(),
         "stream must create Dense L2 vertices"
     );
     assert!(
-        !state.dense_l3.is_empty(),
+        !state.dense_l3().is_empty(),
         "stream must create Dense L3 vertices"
     );
     assert!(engine.rollovers() > 0);
@@ -552,7 +552,7 @@ fn fmm_dense_rollover_matches_oracle_with_high_and_dense_vertices() {
         }
     }
     let (state, _) = engine.debug_state();
-    assert!(!state.high_l1.is_empty() && !state.dense_l2.is_empty());
+    assert!(!state.high_l1().is_empty() && !state.dense_l2().is_empty());
     assert!(engine.rollovers() > 0);
 }
 
@@ -726,8 +726,8 @@ fn fmm_rollover_changes_only_the_phase_split_of_the_tables() {
     assert!(rolling.rollovers() > 0);
     assert_eq!(unrolled.rollovers(), 0);
     let (state, _) = rolling.debug_state();
-    assert!(!state.high_l1.is_empty() && !state.high_l4.is_empty());
-    assert!(!state.dense_l2.is_empty() && !state.dense_l3.is_empty());
+    assert!(!state.high_l1().is_empty() && !state.high_l4().is_empty());
+    assert!(!state.dense_l2().is_empty() && !state.dense_l3().is_empty());
 }
 
 /// The dense id the engine gave client vertex `v` of `layer` (0 = `L1`).

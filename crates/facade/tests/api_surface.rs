@@ -10,10 +10,10 @@
 //! one-line diff in `api_surface.txt`.
 
 use fourcycle::core::{
-    BatchError, EngineConfig, EngineKind, FourCycleCounter, LayeredCycleCounter, SlowPathStats,
-    Snapshot, ThreePathEngine, UpdateError,
+    BatchError, EngineConfig, EngineKind, FourCycleCounter, GeneralEngine, LayeredCycleCounter,
+    SlowPathStats, Snapshot, ThreePathEngine, UpdateError,
 };
-use fourcycle::graph::{GraphUpdate, LayeredUpdate, Rel};
+use fourcycle::graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp};
 use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, CyclicJoinCountView, Relation, Value};
 use fourcycle::runtime::{RuntimeConfig, RuntimeReport, RuntimeStats, ShardedRuntime};
 use fourcycle::server::{Client, ClientError, Server, ServerConfig, ServerStats, WireError};
@@ -488,6 +488,22 @@ fn surface() -> Vec<&'static str> {
         n,
         "core::FourCycleCounter::snapshot",
         FourCycleCounter::snapshot as fn(&FourCycleCounter) -> Snapshot
+    );
+    pin_type::<GeneralEngine>(&mut n, "core::GeneralEngine");
+    pin!(
+        n,
+        "core::GeneralEngine::build",
+        GeneralEngine::build as fn(EngineKind, &EngineConfig) -> GeneralEngine
+    );
+    pin!(
+        n,
+        "core::GeneralEngine::{update,query,has_edge,edges}",
+        (
+            GeneralEngine::update as fn(&mut GeneralEngine, u32, u32, UpdateOp),
+            GeneralEngine::query as fn(&mut GeneralEngine, u32, u32) -> i64,
+            GeneralEngine::has_edge as fn(&GeneralEngine, u32, u32) -> bool,
+            GeneralEngine::edges as fn(&GeneralEngine) -> Vec<(u32, u32)>,
+        )
     );
 
     // --- IVM views --------------------------------------------------------

@@ -13,7 +13,8 @@
 //! `#[test]` exists so the proof is visibly part of the test suite.
 
 use fourcycle::core::{
-    FmmEngine, FourCycleCounter, LayeredCycleCounter, NaiveEngine, SimpleEngine, ThresholdEngine,
+    FmmEngine, FourCycleCounter, GeneralEngine, LayeredCycleCounter, NaiveEngine, SimpleEngine,
+    SymmetricFmmEngine, ThresholdEngine,
 };
 use fourcycle::ivm::{BinaryJoinCountView, CyclicJoinCountView};
 use fourcycle::runtime::{Pipeline, RuntimeConfig, RuntimeError, ShardedRuntime, Ticket};
@@ -26,11 +27,14 @@ fn assert_sync<T: Sync>() {}
 
 #[allow(dead_code)]
 fn every_engine_is_send() {
-    // All five engines (Fmm serves both the Fmm and FmmDense kinds).
+    // All five engines (Fmm serves both the Fmm and FmmDense kinds), and
+    // the general sessions' engines.
     assert_send::<NaiveEngine>();
     assert_send::<SimpleEngine>();
     assert_send::<ThresholdEngine>();
     assert_send::<FmmEngine>();
+    assert_send::<SymmetricFmmEngine>();
+    assert_send::<GeneralEngine>();
 }
 
 #[allow(dead_code)]

@@ -114,11 +114,17 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 /// Most replies one connection may owe before its thread stops reading to
 /// answer them. This bounds server memory per connection; shard-level
 /// backpressure is separate (`err busy`).
 const MAX_OWED: usize = 128;
+
+/// How long the accept loop waits after a failed `accept` before retrying.
+/// A failure such as an exhausted descriptor table repeats at once until
+/// something frees a descriptor, so retrying without a pause would spin.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 
 /// Configuration of a [`Server`], builder-style.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,7 +367,13 @@ fn accept_loop(
         }
         let stream = match stream {
             Ok(stream) => stream,
-            Err(_) => continue,
+            Err(_) => {
+                thread::sleep(ACCEPT_RETRY_PAUSE);
+                if shared.shutting_down.load(Ordering::SeqCst) {
+                    break;
+                }
+                continue;
+            }
         };
         let id = u64::try_from(id).unwrap_or(u64::MAX);
         let _ = stream.set_nodelay(true);
