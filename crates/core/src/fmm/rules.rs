@@ -45,7 +45,10 @@
 //! (`A`, then `B`, then `C`), writing the one adjacency between the `A` and
 //! `B` events, so that `A` events read the graph without the change and
 //! `C` events with it. A `B` event must see the change in `A` but not in
-//! `C`: its reads of `C` hide the pair's own entry `(y, x)`.
+//! `C`: its reads of `C` hide the pair's own entry `(y, x)`. A symmetric
+//! rollover re-tags a pair through it with [`Rules::PhaseSplit`]: the
+//! tag-free tables depend only on the total adjacency and the classes,
+//! which a re-tag leaves as they were.
 //!
 //! Structure inventory (notation as in the paper; `∗` = any class):
 //!
