@@ -46,7 +46,11 @@
 //!
 //! §8 gives a general graph's engine every edge `{u, v}` as `A`, `B` and
 //! `C`, each in both orientations. [`SymmetricFmmEngine`] runs the same
-//! engine over one copy of that relation:
+//! engine over one copy of that relation. The kind is the `SYMMETRIC`
+//! const parameter of [`FmmEngine`], [`state::GraphState`],
+//! [`rules::Structures`] and [`tagged::TaggedAdjacency`] (default
+//! `false`), so the three-relation engine compiles without any of the
+//! symmetric branches. The symmetric kind keeps:
 //!
 //! * one interner for all four layers, and one symmetric
 //!   [`tagged::TaggedAdjacency`] holding `{u, v}` as `(u, v)` and `(v, u)`,
@@ -196,13 +200,14 @@ fn layers(rel: QRel) -> (usize, usize) {
     (rel.index(), rel.index() + 1)
 }
 
-/// The main engine (§4–§7).
-pub struct FmmEngine {
+/// The main engine (§4–§7). `SYMMETRIC` selects, at compile time, the
+/// engine over one symmetric relation that [`SymmetricFmmEngine`] wraps.
+pub struct FmmEngine<const SYMMETRIC: bool = false> {
     cfg: FmmConfig,
     /// Client id → dense id, per layer `L1`–`L4` (module docs).
     ids: [CompactIndex; 4],
-    state: GraphState,
-    structs: Structures,
+    state: GraphState<SYMMETRIC>,
+    structs: Structures<SYMMETRIC>,
     /// Events of the previous phase (will leave the "new" window at the next
     /// rollover).
     prev_phase: Vec<Event>,
@@ -218,26 +223,18 @@ pub struct FmmEngine {
 impl FmmEngine {
     /// Creates an empty engine.
     pub fn new(cfg: FmmConfig) -> Self {
-        let thresholds = ClassThresholds::with_delta(1, cfg.eps, cfg.delta);
-        Self::with_parts(cfg, GraphState::new(thresholds), Structures::new())
+        Self::empty(cfg)
     }
+}
 
-    /// An empty engine over a symmetric state, for [`SymmetricFmmEngine`].
-    fn symmetric(cfg: FmmConfig) -> Self {
+impl<const SYMMETRIC: bool> FmmEngine<SYMMETRIC> {
+    fn empty(cfg: FmmConfig) -> Self {
         let thresholds = ClassThresholds::with_delta(1, cfg.eps, cfg.delta);
-        Self::with_parts(
-            cfg,
-            GraphState::symmetric(thresholds),
-            Structures::symmetric(),
-        )
-    }
-
-    fn with_parts(cfg: FmmConfig, state: GraphState, structs: Structures) -> Self {
         Self {
             cfg,
             ids: Default::default(),
-            state,
-            structs,
+            state: GraphState::empty(thresholds),
+            structs: Structures::empty(),
             prev_phase: Vec::new(),
             cur_phase: Vec::new(),
             updates_in_phase: 0,
@@ -265,7 +262,7 @@ impl FmmEngine {
 
     /// Access to the internal state, in dense ids (used by white-box tests).
     #[doc(hidden)]
-    pub fn debug_state(&self) -> (&GraphState, &Structures) {
+    pub fn debug_state(&self) -> (&GraphState<SYMMETRIC>, &Structures<SYMMETRIC>) {
         (&self.state, &self.structs)
     }
 
@@ -279,7 +276,7 @@ impl FmmEngine {
     /// The interner of `layer`: its own, or in a symmetric engine the one
     /// interner of all four layers (`L1`'s).
     fn layer(&self, layer: usize) -> usize {
-        if self.state.is_symmetric() {
+        if SYMMETRIC {
             0
         } else {
             layer
@@ -396,7 +393,7 @@ impl FmmEngine {
         let rolled = std::mem::take(&mut self.prev_phase);
         self.structs.skip_pure_old = self.cfg.use_fmm;
         for &(rel, l, r, s) in &rolled {
-            if self.state.is_symmetric() {
+            if SYMMETRIC {
                 let retag = [(Tag::New, -s), (Tag::Old, s)];
                 self.structs
                     .pair(&mut self.state, [l, r], &retag, Rules::PhaseSplit);
@@ -430,12 +427,13 @@ impl FmmEngine {
             (*l, *r) = self.intern(*rel, client.0, client.1);
         }
         let thresholds = ClassThresholds::with_delta(m, self.cfg.eps, self.cfg.delta);
-        let mut state = self.state.fresh(thresholds);
+        let mut state = GraphState::empty(thresholds);
         state.preset_classes_from_edges(&edges);
-        let mut structs = self.structs.fresh();
+        let mut structs = Structures::empty();
+        structs.work = self.structs.work;
         structs.skip_pure_old = self.cfg.use_fmm;
         for &(rel, l, r) in &edges {
-            if state.is_symmetric() {
+            if SYMMETRIC {
                 structs.pair(&mut state, [l, r], &[(Tag::Old, 1)], Rules::All);
             } else {
                 structs.apply(&state, rel, Tag::Old, l, r, 1);
@@ -570,7 +568,7 @@ fn endpoint_roles(rel: QRel) -> (Role, Role) {
     }
 }
 
-impl ThreePathEngine for FmmEngine {
+impl<const SYMMETRIC: bool> ThreePathEngine for FmmEngine<SYMMETRIC> {
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool {
         // Membership is answered from the total (untagged) adjacency: an
         // edge deleted in a later phase than its insertion nets to weight 0
@@ -657,12 +655,12 @@ impl ThreePathEngine for FmmEngine {
 /// (module docs, "General sessions"). It takes general updates only, so no
 /// caller can hand it a per-relation one; [`crate::GeneralEngine`] runs it
 /// for the fmm kinds.
-pub struct SymmetricFmmEngine(FmmEngine);
+pub struct SymmetricFmmEngine(FmmEngine<true>);
 
 impl SymmetricFmmEngine {
     /// Creates an empty engine.
     pub fn new(cfg: FmmConfig) -> Self {
-        Self(FmmEngine::symmetric(cfg))
+        Self(FmmEngine::empty(cfg))
     }
 
     /// Inserts or deletes the general edge `{u, v}` in `A`, `B` and `C`, in
@@ -707,7 +705,7 @@ impl SymmetricFmmEngine {
 
     /// Access to the internal state, in dense ids (used by white-box tests).
     #[doc(hidden)]
-    pub fn debug_state(&self) -> (&GraphState, &Structures) {
+    pub fn debug_state(&self) -> (&GraphState<true>, &Structures<true>) {
         self.0.debug_state()
     }
 

@@ -27,7 +27,7 @@ use super::FmmEngine;
 use crate::engine::QRel;
 use fourcycle_graph::{EndpointClass as E, MiddleClass as M, VertexId};
 
-impl FmmEngine {
+impl<const SYMMETRIC: bool> FmmEngine<SYMMETRIC> {
     /// Full query implementation (see module docs).
     pub(crate) fn query_impl(&mut self, u: VertexId, v: VertexId) -> i64 {
         let mut work = 0u64;

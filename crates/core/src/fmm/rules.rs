@@ -30,7 +30,7 @@
 //!
 //! In §8's layered copy of a general graph `A = B = C`, and every B·C-side
 //! table is the transpose of an A·B-side one. A symmetric engine
-//! ([`Structures::symmetric`]) stores only the A·B side and the
+//! (`Structures<true>`) stores only the A·B side and the
 //! self-symmetric tables, and reads the rest through the `*_at` methods:
 //!
 //! * `bc_s` is `ab_s` and `bc_t` is `ab_t`;
@@ -80,7 +80,8 @@ pub enum Rules {
 }
 
 /// All maintained pair-count structures of the main engine.
-pub struct Structures {
+/// `SYMMETRIC` selects the symmetric kind (module docs) at compile time.
+pub struct Structures<const SYMMETRIC: bool = false> {
     /// `A^{∗S}·B^{S∗}` — wedges through Sparse `L2`, keyed `(u ∈ L1, y ∈ L3)`.
     pub ab_s: PairTable,
     /// `B^{∗S}·C^{S∗}` — wedges through Sparse `L3`, keyed `(x ∈ L2, v ∈ L4)`.
@@ -126,9 +127,6 @@ pub struct Structures {
     /// old–old auxiliaries (`ab_hs[0][0]`, `bc_sh[0][0]`) are *not* skipped
     /// because the mixed-phase triple rules read them mid-replay.
     pub skip_pure_old: bool,
-    /// Stores only the A·B side and reads the rest as transposes (module
-    /// docs).
-    symmetric: bool,
 }
 
 /// Takes `hidden` off neighbor `x`'s weight in `row`, a row of `C` read in
@@ -151,6 +149,14 @@ fn hide_entry(row: &mut Vec<(VertexId, i64)>, x: VertexId, hidden: i64) {
 impl Structures {
     /// Creates empty structures.
     pub fn new() -> Self {
+        Self::empty()
+    }
+}
+
+impl<const SYMMETRIC: bool> Structures<SYMMETRIC> {
+    /// Empty structures; a symmetric engine's aliased tables stay empty
+    /// (module docs).
+    pub fn empty() -> Self {
         Self {
             ab_s: PairTable::new(),
             bc_s: PairTable::new(),
@@ -172,31 +178,12 @@ impl Structures {
             hss3: Default::default(),
             work: 0,
             skip_pure_old: false,
-            symmetric: false,
-        }
-    }
-
-    /// Creates empty structures for a symmetric engine, which leaves every
-    /// aliased table empty (module docs).
-    pub fn symmetric() -> Self {
-        Self {
-            symmetric: true,
-            ..Self::new()
-        }
-    }
-
-    /// Empty structures of the same kind, carrying over the work count.
-    pub fn fresh(&self) -> Self {
-        Self {
-            work: self.work,
-            symmetric: self.symmetric,
-            ..Self::new()
         }
     }
 
     /// `B^{∗S}·C^{S∗}` at `(x, v)`.
     pub fn bc_s_at(&self, x: VertexId, v: VertexId) -> i64 {
-        if self.symmetric {
+        if SYMMETRIC {
             self.ab_s.get(x, v)
         } else {
             self.bc_s.get(x, v)
@@ -205,7 +192,7 @@ impl Structures {
 
     /// `B^{∗T}·C^{T∗}` at `(x, v)`.
     pub fn bc_t_at(&self, x: VertexId, v: VertexId) -> i64 {
-        if self.symmetric {
+        if SYMMETRIC {
             self.ab_t.get(x, v)
         } else {
             self.bc_t.get(x, v)
@@ -214,7 +201,7 @@ impl Structures {
 
     /// `B^{DD}·C^{DH}` at `(x, v)`.
     pub fn bc_dh_at(&self, x: VertexId, v: VertexId) -> i64 {
-        if self.symmetric {
+        if SYMMETRIC {
             self.ab_hd.get(v, x)
         } else {
             self.bc_dh.get(x, v)
@@ -223,7 +210,7 @@ impl Structures {
 
     /// `B^{DD}·C^{DM}` at `(x, v)`.
     pub fn bc_dm_at(&self, x: VertexId, v: VertexId) -> i64 {
-        if self.symmetric {
+        if SYMMETRIC {
             self.ab_md.get(v, x)
         } else {
             self.bc_dm.get(x, v)
@@ -232,7 +219,7 @@ impl Structures {
 
     /// `A^{HT}·B^{TT}·C^{TM}` at `(u, v)`.
     pub fn t3_hm_at(&self, u: VertexId, v: VertexId) -> i64 {
-        if self.symmetric {
+        if SYMMETRIC {
             self.t3_mh.get(v, u)
         } else {
             self.t3_hm.get(u, v)
@@ -241,7 +228,7 @@ impl Structures {
 
     /// `A^{HS}·B^{ST}·C^{TH}` at `(u, v)`.
     pub fn st3_at(&self, u: VertexId, v: VertexId) -> i64 {
-        if self.symmetric {
+        if SYMMETRIC {
             self.ts3.get(v, u)
         } else {
             self.st3.get(u, v)
@@ -250,7 +237,7 @@ impl Structures {
 
     /// `A^{HS}_p·B^{SS}_q·C^{SH}_r` at `(u, v)`.
     pub fn hss3_at(&self, [p, q, r]: [usize; 3], u: VertexId, v: VertexId) -> i64 {
-        if self.symmetric && p > r {
+        if SYMMETRIC && p > r {
             self.hss3[r][q][p].get(v, u)
         } else {
             self.hss3[p][q][r].get(u, v)
@@ -259,7 +246,7 @@ impl Structures {
 
     /// `true` if a symmetric engine stores `hss3[p][q][r]` itself.
     fn stores_hss3(&self, p: usize, r: usize) -> bool {
-        !self.symmetric || p <= r
+        !SYMMETRIC || p <= r
     }
 
     /// Applies every maintenance rule, tag-free and phase-split, for one
@@ -267,7 +254,7 @@ impl Structures {
     /// the ordering of adjacency mutation vs rule application.
     pub fn apply(
         &mut self,
-        st: &GraphState,
+        st: &GraphState<SYMMETRIC>,
         rel: QRel,
         tag: Tag,
         l: VertexId,
@@ -282,7 +269,14 @@ impl Structures {
     /// phase-split rules only, since the tag-free tables would see the two
     /// cancel (module docs). Does not touch adjacency: call it before
     /// [`GraphState::retag_new_to_old`].
-    pub fn retag(&mut self, st: &GraphState, rel: QRel, l: VertexId, r: VertexId, s: i64) {
+    pub fn retag(
+        &mut self,
+        st: &GraphState<SYMMETRIC>,
+        rel: QRel,
+        l: VertexId,
+        r: VertexId,
+        s: i64,
+    ) {
         for half in [(Tag::New, -s), (Tag::Old, s)] {
             self.event(st, rel, [l, r], half, Rules::PhaseSplit, [0; 2]);
         }
@@ -296,7 +290,7 @@ impl Structures {
     /// re-tag.
     pub fn pair(
         &mut self,
-        st: &mut GraphState,
+        st: &mut GraphState<SYMMETRIC>,
         [a, b]: [VertexId; 2],
         events: &[(Tag, i64)],
         rules: Rules,
@@ -335,7 +329,7 @@ impl Structures {
     /// entry `(y, x)` ([`pair`](Self::pair)).
     fn event(
         &mut self,
-        st: &GraphState,
+        st: &GraphState<SYMMETRIC>,
         rel: QRel,
         [l, r]: [VertexId; 2],
         (tag, d): (Tag, i64),
@@ -369,7 +363,7 @@ impl Structures {
     /// triples.
     fn a_from_bc(
         &mut self,
-        st: &GraphState,
+        st: &GraphState<SYMMETRIC>,
         tag: Tag,
         u: VertexId,
         x: VertexId,
@@ -392,7 +386,7 @@ impl Structures {
                 self.ts3.add(u, v, d * bc);
             }
         }
-        if rules == Rules::All && cx == M::Sparse && !self.symmetric {
+        if rules == Rules::All && cx == M::Sparse && !SYMMETRIC {
             for &v in st.high_l4() {
                 self.work += 1;
                 self.st3.add(u, v, d * self.bc_t.get(x, v));
@@ -408,7 +402,7 @@ impl Structures {
                     {
                         continue;
                     }
-                    if self.symmetric {
+                    if SYMMETRIC {
                         // Row `x` of `bc_sh[q][r]` is column `x` of `ab_hs[r][q]`.
                         for &v in st.high_l4() {
                             self.work += 1;
@@ -432,7 +426,7 @@ impl Structures {
     /// The other `A` rules.
     fn a_rest(
         &mut self,
-        st: &GraphState,
+        st: &GraphState<SYMMETRIC>,
         tag: Tag,
         u: VertexId,
         x: VertexId,
@@ -488,9 +482,7 @@ impl Structures {
                         match (cu, st.ep4(v)) {
                             (E::High, E::High) => self.t3_hh.add(u, v, d * wb * wc),
                             (E::Medium, E::High) => self.t3_mh.add(u, v, d * wb * wc),
-                            (E::High, E::Medium) if !self.symmetric => {
-                                self.t3_hm.add(u, v, d * wb * wc)
-                            }
+                            (E::High, E::Medium) if !SYMMETRIC => self.t3_hm.add(u, v, d * wb * wc),
                             _ => {}
                         }
                     }
@@ -542,7 +534,14 @@ impl Structures {
         }
     }
 
-    fn tag_free_b(&mut self, st: &GraphState, x: VertexId, y: VertexId, d: i64, hide: Delta) {
+    fn tag_free_b(
+        &mut self,
+        st: &GraphState<SYMMETRIC>,
+        x: VertexId,
+        y: VertexId,
+        d: i64,
+        hide: Delta,
+    ) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cx = st.mid2(x);
@@ -565,13 +564,13 @@ impl Structures {
                 self.ab_t.add(u, y, d * wa);
             }
         }
-        if cy == M::Sparse && !self.symmetric {
+        if cy == M::Sparse && !SYMMETRIC {
             for (v, wc) in c_total.neighbors_of_left(y) {
                 self.work += 1;
                 self.bc_s.add(x, v, d * wc);
             }
         }
-        if cy == M::Tiny && !self.symmetric {
+        if cy == M::Tiny && !SYMMETRIC {
             for (v, wc) in c_total.neighbors_of_left(y) {
                 self.work += 1;
                 self.bc_t.add(x, v, d * wc);
@@ -588,7 +587,7 @@ impl Structures {
                     _ => {}
                 }
             }
-            if !self.symmetric {
+            if !SYMMETRIC {
                 for (v, wc) in c_total.neighbors_of_left(y) {
                     self.work += 1;
                     match st.ep4(v) {
@@ -611,9 +610,7 @@ impl Structures {
                     match (st.ep1(u), st.ep4(v)) {
                         (E::High, E::High) => self.t3_hh.add(u, v, d * wa * wc),
                         (E::Medium, E::High) => self.t3_mh.add(u, v, d * wa * wc),
-                        (E::High, E::Medium) if !self.symmetric => {
-                            self.t3_hm.add(u, v, d * wa * wc)
-                        }
+                        (E::High, E::Medium) if !SYMMETRIC => self.t3_hm.add(u, v, d * wa * wc),
                         _ => {}
                     }
                 }
@@ -635,7 +632,7 @@ impl Structures {
                 }
             }
         }
-        if cx == M::Sparse && cy == M::Tiny && !self.symmetric {
+        if cx == M::Sparse && cy == M::Tiny && !SYMMETRIC {
             for (v, wc) in c_total.neighbors_of_left(y) {
                 if st.ep4(v) != E::High {
                     continue;
@@ -653,7 +650,7 @@ impl Structures {
 
     fn phase_split_b(
         &mut self,
-        st: &GraphState,
+        st: &GraphState<SYMMETRIC>,
         tag: Tag,
         x: VertexId,
         y: VertexId,
@@ -692,7 +689,7 @@ impl Structures {
                     }
                 }
             }
-            if !self.symmetric {
+            if !SYMMETRIC {
                 for r_tag in Tag::BOTH {
                     let r = r_tag.index();
                     for (v, wc) in st.adj(QRel::C, Some(r_tag)).neighbors_of_left(y) {
@@ -747,7 +744,7 @@ impl Structures {
         }
     }
 
-    fn tag_free_c(&mut self, st: &GraphState, y: VertexId, v: VertexId, d: i64) {
+    fn tag_free_c(&mut self, st: &GraphState<SYMMETRIC>, y: VertexId, v: VertexId, d: i64) {
         use EndpointClass as E;
         use MiddleClass as M;
         let cy = st.mid3(y);
@@ -755,7 +752,7 @@ impl Structures {
         let a_total = st.adj(QRel::A, None);
         let b_total = st.adj(QRel::B, None);
 
-        if !self.symmetric {
+        if !SYMMETRIC {
             // Eq 12 / Eq 16.
             if cy == M::Sparse {
                 for (x, wb) in b_total.neighbors_of_right(y) {
@@ -787,7 +784,7 @@ impl Structures {
 
         // Eq 17: direct enumeration through the tiny middles. A Medium `v`
         // only feeds `t3_hm`, which a symmetric engine does not store.
-        if cy == M::Tiny && (cv == E::High || (cv == E::Medium && !self.symmetric)) {
+        if cy == M::Tiny && (cv == E::High || (cv == E::Medium && !SYMMETRIC)) {
             for (x, wb) in b_total.neighbors_of_right(y) {
                 if st.mid2(x) != M::Tiny {
                     continue;
@@ -811,7 +808,7 @@ impl Structures {
                 self.ts3.add(u, v, d * self.ab_t.get(u, y));
             }
         }
-        if cy == M::Tiny && cv == E::High && !self.symmetric {
+        if cy == M::Tiny && cv == E::High && !SYMMETRIC {
             for &u in st.high_l1() {
                 self.work += 1;
                 self.st3.add(u, v, d * self.ab_s.get(u, y));
@@ -819,14 +816,21 @@ impl Structures {
         }
     }
 
-    fn phase_split_c(&mut self, st: &GraphState, tag: Tag, y: VertexId, v: VertexId, d: i64) {
+    fn phase_split_c(
+        &mut self,
+        st: &GraphState<SYMMETRIC>,
+        tag: Tag,
+        y: VertexId,
+        v: VertexId,
+        d: i64,
+    ) {
         use EndpointClass as E;
         use MiddleClass as M;
 
         // Eq 15 auxiliaries and triples.
         if st.mid3(y) == M::Sparse && st.ep4(v) == E::High {
             let r = tag.index();
-            if !self.symmetric {
+            if !SYMMETRIC {
                 for q_tag in Tag::BOTH {
                     let q = q_tag.index();
                     for (x, wb) in st.adj(QRel::B, Some(q_tag)).neighbors_of_right(y) {
@@ -856,8 +860,8 @@ impl Structures {
     }
 }
 
-impl Default for Structures {
+impl<const SYMMETRIC: bool> Default for Structures<SYMMETRIC> {
     fn default() -> Self {
-        Self::new()
+        Self::empty()
     }
 }

@@ -17,11 +17,11 @@
 //! docs): a layer's stored classes are one `Vec` indexed by id, and its
 //! High or Dense members one list of ids.
 //!
-//! A *symmetric* state ([`GraphState::symmetric`]) holds §8's layered copy
-//! of a general graph, where `A = B = C` and the four layers are one vertex
-//! set: one symmetric adjacency serves all three relations, and one
-//! endpoint class (`L1` = `L4`) and one middle class (`L2` = `L3`) per
-//! vertex, with one High list and one Dense list, serve all four layers.
+//! A *symmetric* state (`GraphState<true>`) holds §8's layered copy of a
+//! general graph, where `A = B = C` and the four layers are one vertex set:
+//! one symmetric adjacency serves all three relations, and one endpoint
+//! class (`L1` = `L4`) and one middle class (`L2` = `L3`) per vertex, with
+//! one High list and one Dense list, serve all four layers.
 
 use super::tagged::{Delta, TaggedAdjacency, TaggedView};
 use super::{dense_id, layers, slot};
@@ -82,11 +82,11 @@ pub enum ClassCode {
 pub const LAYERED_COPIES: usize = 6;
 
 /// The engine's graph state: tagged adjacency, thresholds and stored classes.
-pub struct GraphState {
+/// `SYMMETRIC` selects a symmetric state (module docs) at compile time.
+pub struct GraphState<const SYMMETRIC: bool = false> {
     /// Relations indexed by [`QRel::index`]; a symmetric state uses only
     /// the first, for all three.
-    rels: [TaggedAdjacency; 3],
-    symmetric: bool,
+    rels: [TaggedAdjacency<SYMMETRIC>; 3],
     /// Degree thresholds of the current era.
     pub thresholds: ClassThresholds,
     /// Stored endpoint classes by id, `[L1, L4]`; ids past the end are
@@ -105,9 +105,15 @@ pub struct GraphState {
 impl GraphState {
     /// Creates an empty state with the given thresholds.
     pub fn new(thresholds: ClassThresholds) -> Self {
+        Self::empty(thresholds)
+    }
+}
+
+impl<const SYMMETRIC: bool> GraphState<SYMMETRIC> {
+    /// An empty state with the given thresholds.
+    pub fn empty(thresholds: ClassThresholds) -> Self {
         Self {
             rels: Default::default(),
-            symmetric: false,
             thresholds,
             ep: Default::default(),
             mid: Default::default(),
@@ -116,36 +122,12 @@ impl GraphState {
         }
     }
 
-    /// Creates an empty symmetric state (module docs).
-    pub fn symmetric(thresholds: ClassThresholds) -> Self {
-        let mut state = Self::new(thresholds);
-        state.rels[0] = TaggedAdjacency::symmetric();
-        state.symmetric = true;
-        state
-    }
-
-    /// An empty state of the same kind, with new thresholds.
-    pub fn fresh(&self, thresholds: ClassThresholds) -> Self {
-        if self.symmetric {
-            Self::symmetric(thresholds)
-        } else {
-            Self::new(thresholds)
-        }
-    }
-
-    /// `true` for a symmetric state.
-    pub fn is_symmetric(&self) -> bool {
-        self.symmetric
-    }
-
     /// Index of the `L3`/`L4` side in the per-side fields: 1, or 0 in a
     /// symmetric state.
-    fn far(&self) -> usize {
-        usize::from(!self.symmetric)
-    }
+    const FAR: usize = if SYMMETRIC { 0 } else { 1 };
 
-    fn rel_slot(&self, rel: QRel) -> usize {
-        if self.symmetric {
+    fn rel_slot(rel: QRel) -> usize {
+        if SYMMETRIC {
             0
         } else {
             rel.index()
@@ -154,36 +136,34 @@ impl GraphState {
 
     /// The requested weights: `None` → the total (current) graph,
     /// `Some(tag)` → the tagged multiset.
-    pub fn adj(&self, rel: QRel, tag: Option<Tag>) -> TaggedView<'_> {
-        self.rels[self.rel_slot(rel)].view(tag)
+    pub fn adj(&self, rel: QRel, tag: Option<Tag>) -> TaggedView<'_, SYMMETRIC> {
+        self.rels[Self::rel_slot(rel)].view(tag)
     }
 
     /// Adds `delta` to the tagged multiset, and so to the total graph. In a
     /// symmetric state this writes the pair in both orientations, and so in
     /// all three relations.
     pub fn add_edge_weight(&mut self, rel: QRel, tag: Tag, l: VertexId, r: VertexId, delta: i64) {
-        let slot = self.rel_slot(rel);
-        self.rels[slot].add(tag, l, r, delta);
+        self.rels[Self::rel_slot(rel)].add(tag, l, r, delta);
     }
 
     /// Adds `delta` to the `[old, new]` weights of the pair `{a, b}` of a
     /// symmetric state.
     pub fn add_pair_delta(&mut self, a: VertexId, b: VertexId, delta: Delta) {
-        debug_assert!(self.symmetric, "pairs are a symmetric state's");
+        debug_assert!(SYMMETRIC, "pairs are a symmetric state's");
         self.rels[0].add_delta(a, b, delta);
     }
 
     /// Moves weight `s` of the pair from the new multiset to the old one
     /// (rollover); the total is unchanged.
     pub fn retag_new_to_old(&mut self, rel: QRel, l: VertexId, r: VertexId, s: i64) {
-        let slot = self.rel_slot(rel);
-        self.rels[slot].retag_new_to_old(l, r, s);
+        self.rels[Self::rel_slot(rel)].retag_new_to_old(l, r, s);
     }
 
     /// Total number of edges currently present (the paper's `m`). A
     /// symmetric state counts each general edge as its six layered copies.
     pub fn total_edges(&self) -> usize {
-        if self.symmetric {
+        if SYMMETRIC {
             LAYERED_COPIES * self.rels[0].view(None).len()
         } else {
             self.rels.iter().map(|r| r.view(None).len()).sum()
@@ -194,16 +174,12 @@ impl GraphState {
     /// state lists each general edge `{a, b}` once, as `(A, a, b)` with
     /// `a < b`.
     pub fn current_edges(&self) -> Vec<(QRel, VertexId, VertexId)> {
-        let rels: &[QRel] = if self.symmetric {
-            &[QRel::A]
-        } else {
-            &QRel::ALL
-        };
+        let rels: &[QRel] = if SYMMETRIC { &[QRel::A] } else { &QRel::ALL };
         let mut out = Vec::with_capacity(self.total_edges());
         for &rel in rels {
             for (l, r, w) in self.adj(rel, None).iter() {
                 debug_assert!(w == 1, "current graph must be simple");
-                if !self.symmetric || l < r {
+                if !SYMMETRIC || l < r {
                     out.push((rel, l, r));
                 }
             }
@@ -252,7 +228,7 @@ impl GraphState {
 
     /// Stored class of an `L4` endpoint.
     pub fn ep4(&self, v: VertexId) -> EndpointClass {
-        stored(&self.ep[self.far()], v)
+        stored(&self.ep[Self::FAR], v)
     }
 
     /// Stored class of an `L2` middle.
@@ -262,7 +238,7 @@ impl GraphState {
 
     /// Stored class of an `L3` middle.
     pub fn mid3(&self, y: VertexId) -> MiddleClass {
-        stored(&self.mid[self.far()], y)
+        stored(&self.mid[Self::FAR], y)
     }
 
     /// High-degree vertices of `L1`.
@@ -272,7 +248,7 @@ impl GraphState {
 
     /// High-degree vertices of `L4`.
     pub fn high_l4(&self) -> &[VertexId] {
-        &self.high[self.far()]
+        &self.high[Self::FAR]
     }
 
     /// Dense vertices of `L2`.
@@ -282,7 +258,7 @@ impl GraphState {
 
     /// Dense vertices of `L3`.
     pub fn dense_l3(&self) -> &[VertexId] {
-        &self.dense[self.far()]
+        &self.dense[Self::FAR]
     }
 
     /// `true` if `x ∈ L2` is Sparse (not Tiny, not Dense).
@@ -326,7 +302,7 @@ impl GraphState {
     /// Overwrites a vertex's stored class (and the High/Dense member lists).
     /// In a symmetric state `Ep4` is `Ep1` and `Mid3` is `Mid2`.
     pub fn set_stored_class(&mut self, role: Role, w: VertexId, class: ClassCode) {
-        let far = self.far();
+        let far = Self::FAR;
         match (role, class) {
             (Role::Ep1, ClassCode::Endpoint(c)) => file(&mut self.ep[0], &mut self.high[0], w, c),
             (Role::Ep4, ClassCode::Endpoint(c)) => {
@@ -405,12 +381,12 @@ impl GraphState {
             d[i] += 1;
         };
         for &(rel, l, r) in edges {
-            let (l_layer, r_layer) = if self.symmetric { (0, 0) } else { layers(rel) };
+            let (l_layer, r_layer) = if SYMMETRIC { (0, 0) } else { layers(rel) };
             count(l_layer, l);
             count(r_layer, r);
         }
         let t = self.thresholds;
-        if self.symmetric {
+        if SYMMETRIC {
             for (i, d) in degrees[0].iter().enumerate().filter(|&(_, &d)| d > 0) {
                 let w = dense_id(i);
                 self.set_stored_class(Role::Ep1, w, ClassCode::Endpoint(t.endpoint_class(*d)));

@@ -14,7 +14,7 @@
 //! * each row counts its entries with a non-zero total, so total degrees
 //!   are O(1).
 //!
-//! A *symmetric* adjacency ([`TaggedAdjacency::symmetric`]) holds §8's
+//! A *symmetric* adjacency (`TaggedAdjacency<true>`) holds §8's
 //! general graph, whose relation is its own transpose: a pair `{a, b}` is
 //! one entry in row `a` and one in row `b`, both sides read the same rows,
 //! and every edit writes both orientations.
@@ -131,28 +131,21 @@ fn narrow(w: i64) -> i32 {
 }
 
 /// One relation's phase-tagged adjacency: one `[old, new]` entry per pair,
-/// indexed from both sides (module docs).
+/// indexed from both sides (module docs). `SYMMETRIC` selects the
+/// symmetric kind at compile time, so a three-relation engine's reads pay
+/// nothing for it.
 #[derive(Debug, Default)]
-pub struct TaggedAdjacency {
+pub struct TaggedAdjacency<const SYMMETRIC: bool = false> {
     forward: Side,
     /// Rows by right vertex; empty in a symmetric adjacency, whose forward
     /// rows serve both sides.
     backward: Side,
-    symmetric: bool,
     /// Pairs with a non-zero weight in each of [`VIEWS`]; a symmetric
     /// adjacency counts `{a, b}` once.
     len: [usize; 3],
 }
 
-impl TaggedAdjacency {
-    /// An empty symmetric adjacency (module docs).
-    pub fn symmetric() -> Self {
-        Self {
-            symmetric: true,
-            ..Self::default()
-        }
-    }
-
+impl<const SYMMETRIC: bool> TaggedAdjacency<SYMMETRIC> {
     /// Adds `delta` to the `tag` weight of `(l, r)`, and so to its total.
     pub fn add(&mut self, tag: Tag, l: VertexId, r: VertexId, delta: i64) {
         let mut change = [0; 2];
@@ -174,7 +167,7 @@ impl TaggedAdjacency {
                 narrow(i64::from(new) + delta[1]),
             ]
         });
-        let mirror = if self.symmetric {
+        let mirror = if SYMMETRIC {
             &mut self.forward
         } else {
             &mut self.backward
@@ -187,7 +180,7 @@ impl TaggedAdjacency {
 
     /// The rows by right vertex.
     fn backward(&self) -> &Side {
-        if self.symmetric {
+        if SYMMETRIC {
             &self.forward
         } else {
             &self.backward
@@ -195,7 +188,7 @@ impl TaggedAdjacency {
     }
 
     /// The total (`None`), old or new weights.
-    pub fn view(&self, tag: Option<Tag>) -> TaggedView<'_> {
+    pub fn view(&self, tag: Option<Tag>) -> TaggedView<'_, SYMMETRIC> {
         TaggedView { adj: self, tag }
     }
 }
@@ -204,12 +197,12 @@ impl TaggedAdjacency {
 /// new), through the methods of a signed bipartite adjacency. Pairs whose
 /// weight in the view is 0 are skipped.
 #[derive(Debug, Clone, Copy)]
-pub struct TaggedView<'a> {
-    adj: &'a TaggedAdjacency,
+pub struct TaggedView<'a, const SYMMETRIC: bool = false> {
+    adj: &'a TaggedAdjacency<SYMMETRIC>,
     tag: Option<Tag>,
 }
 
-impl<'a> TaggedView<'a> {
+impl<'a, const SYMMETRIC: bool> TaggedView<'a, SYMMETRIC> {
     /// The non-zero `(neighbor, weight)` pairs of a row, in neighbor order.
     fn nonzero(self, row: Option<&'a Row>) -> impl Iterator<Item = (VertexId, i64)> + 'a {
         let entries = row.map_or(&[][..], |row| row.entries.as_slice());

@@ -67,9 +67,9 @@ const UPDATES: usize = 1_000;
 
 /// The bound on the session's live heap, in bytes, halfway between two
 /// figures for this stream: 2,249,456 bytes when the engine kept `A`, `B`
-/// and `C` as three relations with their B·C-side tables, and 701,304
+/// and `C` as three relations with their B·C-side tables, and 701,272
 /// bytes with one symmetric adjacency and only the A·B-side tables.
-const MAX_SESSION_BYTES: i64 = 1_475_400;
+const MAX_SESSION_BYTES: i64 = 1_475_364;
 
 /// A vertex: one of the hubs with probability `HUB_SHARE`, else uniform
 /// over the rest.
