@@ -18,43 +18,12 @@ use fourcycle_core::{EngineKind, FourCycleCounter};
 use fourcycle_graph::GraphUpdate;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// The system allocator, counting live heap bytes.
-struct CountingAlloc;
+mod counting_alloc;
 
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the only addition is a relaxed counter update, which touches
-// no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{CountingAlloc, LIVE_BYTES};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
