@@ -227,6 +227,11 @@ pub enum EngineKind {
     Fmm,
     /// [`crate::FmmEngine`] with the dense (Strassen) rollover path enabled.
     FmmDense,
+    /// [`crate::AutoEngine`] — [`Simple`](Self::Simple) while the graph is
+    /// small, then one rebuild into [`Fmm`](Self::Fmm) once the engine holds
+    /// a measured number of layered edges, never back (ADR-011). The kind a
+    /// session gets by default.
+    Auto,
 }
 
 /// Shared construction options for [`EngineKind::build_with`]: the one
@@ -235,18 +240,20 @@ pub enum EngineKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineConfig {
     /// Configuration of the main (§4–§7) engine. `use_fmm` is forced on for
-    /// [`EngineKind::FmmDense`] and off for [`EngineKind::Fmm`].
+    /// [`EngineKind::FmmDense`] and off for [`EngineKind::Fmm`] and
+    /// [`EngineKind::Auto`].
     pub fmm: crate::FmmConfig,
 }
 
 impl EngineKind {
     /// All selectable kinds.
-    pub const ALL: [EngineKind; 5] = [
+    pub const ALL: [EngineKind; 6] = [
         EngineKind::Naive,
         EngineKind::Simple,
         EngineKind::Threshold,
         EngineKind::Fmm,
         EngineKind::FmmDense,
+        EngineKind::Auto,
     ];
 
     /// Builds a fresh engine of this kind with default configuration.
@@ -263,6 +270,7 @@ impl EngineKind {
             EngineKind::Fmm | EngineKind::FmmDense => {
                 Box::new(crate::FmmEngine::new(self.fmm_config(config)))
             }
+            EngineKind::Auto => Box::new(crate::AutoEngine::new(self.fmm_config(config))),
         }
     }
 
@@ -283,6 +291,7 @@ impl EngineKind {
             EngineKind::Threshold => "threshold-m23",
             EngineKind::Fmm => "fmm-main",
             EngineKind::FmmDense => "fmm-main-dense",
+            EngineKind::Auto => "auto-simple-fmm",
         }
     }
 }
@@ -311,16 +320,26 @@ pub enum GeneralEngine {
     Relations(Box<dyn ThreePathEngine>),
     /// The main engine over one symmetric adjacency.
     Symmetric(Box<crate::SymmetricFmmEngine>),
+    /// [`EngineKind::Auto`] before its switch: an [`crate::AutoEngine`] on
+    /// its simple engine, given updates as [`Relations`](Self::Relations)
+    /// gives them. Once it holds the auto kind's switch point in layered
+    /// edges (six per general edge), it is rebuilt into
+    /// [`Symmetric`](Self::Symmetric) ([`crate::auto`]).
+    Auto(Box<crate::AutoEngine>),
 }
 
 impl GeneralEngine {
     /// The engine a general session of `kind` runs: the symmetric engine
-    /// for the two fmm kinds, the kind's own engine otherwise.
+    /// for the two fmm kinds, the simple engine until its switch for the
+    /// auto kind, the kind's own engine otherwise.
     pub fn build(kind: EngineKind, config: &EngineConfig) -> Self {
         match kind {
             EngineKind::Fmm | EngineKind::FmmDense => Self::Symmetric(Box::new(
                 crate::SymmetricFmmEngine::new(kind.fmm_config(config)),
             )),
+            EngineKind::Auto => {
+                Self::Auto(Box::new(crate::AutoEngine::new(kind.fmm_config(config))))
+            }
             _ => Self::Relations(kind.build_with(config)),
         }
     }
@@ -335,6 +354,11 @@ impl GeneralEngine {
                 }
             }
             Self::Symmetric(engine) => engine.update(u, v, op),
+            Self::Auto(engine) => {
+                if let Some(grown) = engine.update_general(u, v, op) {
+                    *self = Self::Symmetric(grown);
+                }
+            }
         }
     }
 
@@ -344,6 +368,7 @@ impl GeneralEngine {
         match self {
             Self::Relations(engine) => engine.query(u, v),
             Self::Symmetric(engine) => engine.query(u, v),
+            Self::Auto(engine) => engine.query(u, v),
         }
     }
 
@@ -352,19 +377,19 @@ impl GeneralEngine {
         match self {
             Self::Relations(engine) => engine.has_edge(QRel::A, u, v),
             Self::Symmetric(engine) => engine.has_edge(u, v),
+            Self::Auto(engine) => engine.has_edge(QRel::A, u, v),
         }
     }
 
     /// Every current edge, once, as `(u, v)` with `u < v`.
     pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
-        match self {
-            Self::Relations(engine) => {
-                let mut edges = engine.edges(QRel::A);
-                edges.retain(|&(u, v)| u < v);
-                edges
-            }
-            Self::Symmetric(engine) => engine.edges(),
-        }
+        let mut edges = match self {
+            Self::Relations(engine) => engine.edges(QRel::A),
+            Self::Symmetric(engine) => return engine.edges(),
+            Self::Auto(engine) => engine.edges(QRel::A),
+        };
+        edges.retain(|&(u, v)| u < v);
+        edges
     }
 
     /// Elementary operations performed so far.
@@ -372,6 +397,7 @@ impl GeneralEngine {
         match self {
             Self::Relations(engine) => engine.work(),
             Self::Symmetric(engine) => engine.work(),
+            Self::Auto(engine) => engine.work(),
         }
     }
 
@@ -380,14 +406,17 @@ impl GeneralEngine {
         match self {
             Self::Relations(engine) => engine.slow_path_stats(),
             Self::Symmetric(engine) => engine.slow_path_stats(),
+            Self::Auto(engine) => engine.slow_path_stats(),
         }
     }
 
-    /// Short, stable engine name for reports.
+    /// Short, stable engine name for reports: the engine running now, or
+    /// the auto kind's name before its switch.
     pub fn name(&self) -> &'static str {
         match self {
             Self::Relations(engine) => engine.name(),
             Self::Symmetric(engine) => engine.name(),
+            Self::Auto(..) => EngineKind::Auto.name(),
         }
     }
 }

@@ -411,22 +411,48 @@ impl<const SYMMETRIC: bool> FmmEngine<SYMMETRIC> {
         self.rollovers += 1;
     }
 
+    /// An engine holding `edges` (client ids; a symmetric engine takes each
+    /// general edge once, as `A`), built by one era rebuild for the era
+    /// scale `m_hat`, with `work` starting at `work`. An auto engine
+    /// switches into the main engine this way ([`crate::AutoEngine`]).
+    pub(crate) fn from_edges(
+        cfg: FmmConfig,
+        edges: Vec<(QRel, VertexId, VertexId)>,
+        m_hat: usize,
+        work: u64,
+    ) -> Self {
+        let mut engine = Self::empty(cfg);
+        engine.structs.work = work;
+        engine.rebuild_from(edges, m_hat);
+        engine
+    }
+
     /// Era rebuild: thresholds are recomputed for the current `m`, every
     /// current edge is re-accounted as old, and the phase clock restarts.
     /// The layers re-intern only the vertices of current edges.
     fn rebuild_era(&mut self) {
-        let m = self.state.total_edges().max(1);
-        let seen = std::mem::take(&mut self.ids);
-        let mut edges = self.state.current_edges();
+        let edges = self
+            .state
+            .current_edges()
+            .into_iter()
+            .map(|(rel, l, r)| {
+                let (ll, rl) = layers(rel);
+                let left = self.ids[self.layer(ll)].vertex_at(slot(l));
+                (rel, left, self.ids[self.layer(rl)].vertex_at(slot(r)))
+            })
+            .collect();
+        self.rebuild_from(edges, self.state.total_edges());
+    }
+
+    /// The body of an era rebuild over `edges`, in client ids
+    /// ([`GraphState::current_edges`]'s form), with thresholds for the era
+    /// scale `m_hat`.
+    fn rebuild_from(&mut self, mut edges: Vec<(QRel, VertexId, VertexId)>, m_hat: usize) {
+        self.ids = Default::default();
         for (rel, l, r) in &mut edges {
-            let (ll, rl) = layers(*rel);
-            let client = (
-                seen[self.layer(ll)].vertex_at(slot(*l)),
-                seen[self.layer(rl)].vertex_at(slot(*r)),
-            );
-            (*l, *r) = self.intern(*rel, client.0, client.1);
+            (*l, *r) = self.intern(*rel, *l, *r);
         }
-        let thresholds = ClassThresholds::with_delta(m, self.cfg.eps, self.cfg.delta);
+        let thresholds = ClassThresholds::with_delta(m_hat.max(1), self.cfg.eps, self.cfg.delta);
         let mut state = GraphState::empty(thresholds);
         state.preset_classes_from_edges(&edges);
         let mut structs = Structures::empty();
@@ -661,6 +687,19 @@ impl SymmetricFmmEngine {
     /// Creates an empty engine.
     pub fn new(cfg: FmmConfig) -> Self {
         Self(FmmEngine::empty(cfg))
+    }
+
+    /// An engine holding the general `edges`, each once, built by one era
+    /// rebuild for the era scale `m_hat` (in layered edges), with `work`
+    /// starting at `work` (the auto kind's switch).
+    pub(crate) fn from_edges(
+        cfg: FmmConfig,
+        edges: &[(VertexId, VertexId)],
+        m_hat: usize,
+        work: u64,
+    ) -> Self {
+        let edges = edges.iter().map(|&(u, v)| (QRel::A, u, v)).collect();
+        Self(FmmEngine::from_edges(cfg, edges, m_hat, work))
     }
 
     /// Inserts or deletes the general edge `{u, v}` in `A`, `B` and `C`, in

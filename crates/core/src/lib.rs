@@ -22,6 +22,7 @@
 //! | [`SimpleEngine`] | Appendix A | `O(n)` | all-pairs wedge counts |
 //! | [`ThresholdEngine`] | §1 ("previous work", HHH22-style) | `O(m^{2/3})` | one heavy/light threshold |
 //! | [`FmmEngine`] | §4–§7 | `O(m^{2/3−ε})` | phases + degree classes + old-phase matrix products |
+//! | [`AutoEngine`] | Appendix A, then §4–§7 | as simple, then as fmm | simple until it holds a measured `m`, then one rebuild into fmm (ADR-011); the default |
 //!
 //! # Counters
 //!
@@ -55,6 +56,7 @@
     )
 )]
 
+pub mod auto;
 pub mod counter;
 pub mod engine;
 pub mod error;
@@ -65,6 +67,7 @@ pub mod simple;
 pub mod threshold;
 pub mod triangle;
 
+pub use auto::AutoEngine;
 pub use counter::{FourCycleCounter, LayeredCycleCounter, Snapshot};
 pub use engine::{EngineConfig, EngineKind, GeneralEngine, QRel, SlowPathStats, ThreePathEngine};
 pub use error::{BatchError, UpdateError};

@@ -31,6 +31,11 @@ impl SimpleEngine {
         Self::default()
     }
 
+    /// Edges held in `A`, `B` and `C` together (the paper's `m`).
+    pub(crate) fn total_edges(&self) -> usize {
+        self.a.len() + self.b.len() + self.c.len()
+    }
+
     /// Number of stored wedge entries (exposed for the memory experiments).
     pub fn stored_wedges(&self) -> usize {
         self.wedges_bc.len()

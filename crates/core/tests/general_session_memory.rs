@@ -1,4 +1,4 @@
-//! Pins the live heap of one general session on the default engine.
+//! Pins the live heap of one general session on the fmm engine.
 //!
 //! The stream has the shape of perfbench's `general-hubs` session, scaled
 //! down: 2,000 edges on 1,500 vertices, 4 hubs drawing 30 % of the

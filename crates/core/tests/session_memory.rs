@@ -1,4 +1,4 @@
-//! Pins the live heap of one small layered session on the default engine.
+//! Pins the live heap of one small layered session on the fmm engine.
 //!
 //! The stream has the shape of perfbench's `tenants-wire` sessions: 150
 //! layered edges over 24 vertices per layer, 2 hubs per layer drawing 30 %

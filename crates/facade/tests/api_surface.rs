@@ -10,8 +10,8 @@
 //! one-line diff in `api_surface.txt`.
 
 use fourcycle::core::{
-    BatchError, EngineConfig, EngineKind, FourCycleCounter, GeneralEngine, LayeredCycleCounter,
-    SlowPathStats, Snapshot, ThreePathEngine, UpdateError,
+    AutoEngine, BatchError, EngineConfig, EngineKind, FmmConfig, FourCycleCounter, GeneralEngine,
+    LayeredCycleCounter, SlowPathStats, Snapshot, ThreePathEngine, UpdateError,
 };
 use fourcycle::graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp};
 use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, CyclicJoinCountView, Relation, Value};
@@ -339,6 +339,18 @@ fn surface() -> Vec<&'static str> {
         "core::EngineKind::build_with",
         EngineKind::build_with as fn(EngineKind, &EngineConfig) -> Box<dyn ThreePathEngine>
     );
+    pin!(n, "core::EngineKind::Auto", EngineKind::Auto);
+    pin_type::<AutoEngine>(&mut n, "core::AutoEngine");
+    pin!(
+        n,
+        "core::AutoEngine::new",
+        AutoEngine::new as fn(FmmConfig) -> AutoEngine
+    );
+    pin!(
+        n,
+        "core::AutoEngine::switched",
+        AutoEngine::switched as fn(&AutoEngine) -> bool
+    );
 
     // --- layered counter -------------------------------------------------
     pin!(
@@ -504,6 +516,11 @@ fn surface() -> Vec<&'static str> {
             GeneralEngine::has_edge as fn(&GeneralEngine, u32, u32) -> bool,
             GeneralEngine::edges as fn(&GeneralEngine) -> Vec<(u32, u32)>,
         )
+    );
+    pin!(
+        n,
+        "core::GeneralEngine::Auto",
+        GeneralEngine::Auto as fn(Box<AutoEngine>) -> GeneralEngine
     );
 
     // --- IVM views --------------------------------------------------------

@@ -13,8 +13,8 @@
 //! `#[test]` exists so the proof is visibly part of the test suite.
 
 use fourcycle::core::{
-    FmmEngine, FourCycleCounter, GeneralEngine, LayeredCycleCounter, NaiveEngine, SimpleEngine,
-    SymmetricFmmEngine, ThresholdEngine,
+    AutoEngine, FmmEngine, FourCycleCounter, GeneralEngine, LayeredCycleCounter, NaiveEngine,
+    SimpleEngine, SymmetricFmmEngine, ThresholdEngine,
 };
 use fourcycle::ivm::{BinaryJoinCountView, CyclicJoinCountView};
 use fourcycle::runtime::{Pipeline, RuntimeConfig, RuntimeError, ShardedRuntime, Ticket};
@@ -27,12 +27,13 @@ fn assert_sync<T: Sync>() {}
 
 #[allow(dead_code)]
 fn every_engine_is_send() {
-    // All five engines (Fmm serves both the Fmm and FmmDense kinds), and
-    // the general sessions' engines.
+    // Every kind's engine (Fmm serves both the Fmm and FmmDense kinds),
+    // and the general sessions' engines.
     assert_send::<NaiveEngine>();
     assert_send::<SimpleEngine>();
     assert_send::<ThresholdEngine>();
     assert_send::<FmmEngine>();
+    assert_send::<AutoEngine>();
     assert_send::<SymmetricFmmEngine>();
     assert_send::<GeneralEngine>();
 }

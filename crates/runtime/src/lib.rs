@@ -141,7 +141,7 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     /// One shard per available core (capped at 8), mailbox depth 64,
-    /// default [`SessionSpec`].
+    /// default [`SessionSpec`] (layered, [`EngineKind::Auto`]).
     fn default() -> Self {
         let shards = thread::available_parallelism()
             .map(|n| n.get().min(8))
@@ -183,7 +183,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the default engine kind (shorthand over [`RuntimeConfig::spec`]).
+    /// Sets the default engine kind (shorthand over [`RuntimeConfig::spec`];
+    /// [`EngineKind::Auto`] unless set). A journal directory's manifest pins
+    /// the kind it was created with: reopening a store made under another
+    /// default, such as `fmm` before `auto` became the default, takes
+    /// `.engine(EngineKind::Fmm)` (ADR-005).
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.default_spec.kind = kind;
         self
@@ -937,6 +941,61 @@ mod tests {
             other => panic!("expected snapshot, got {other:?}"),
         }
         third.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store created while `fmm` was the default engine has the manifest
+    /// `engine: fmm-main`. The manifest pins a store's default (ADR-005),
+    /// so under today's `auto` default it is refused, and it reopens once
+    /// the old default is named.
+    #[test]
+    fn store_made_under_the_fmm_default_reopens_with_fmm_named() {
+        let dir = std::env::temp_dir().join("fourcycle-runtime-fmm-default-store");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || RuntimeConfig::new().shards(1).journal_dir(&dir);
+
+        let old = ShardedRuntime::try_start(config().engine(EngineKind::Fmm)).unwrap();
+        old.call(Request::CreateGraph {
+            id: GraphId(1),
+            spec: None,
+        })
+        .unwrap();
+        old.call(Request::ApplyLayeredBatch {
+            id: GraphId(1),
+            updates: square(0),
+        })
+        .unwrap();
+        old.shutdown();
+        let manifest = std::fs::read_to_string(dir.join(fourcycle_store::MANIFEST_FILE)).unwrap();
+        assert_eq!(
+            manifest.trim(),
+            r#"{"version": 1, "shards": 1, "mode": "layered", "engine": "fmm-main"}"#
+        );
+
+        match ShardedRuntime::try_start(config()) {
+            Err(RuntimeError::Store(fourcycle_store::StoreError::ManifestMismatch {
+                field: "engine",
+                manifest,
+                requested,
+            })) => assert_eq!(
+                (manifest.as_str(), requested.as_str()),
+                ("fmm-main", "auto-simple-fmm")
+            ),
+            Err(other) => panic!("expected an engine manifest mismatch, got {other}"),
+            Ok(_) => panic!("a store made under another default must be refused"),
+        }
+
+        let reopened = ShardedRuntime::try_start(config().engine(EngineKind::Fmm)).unwrap();
+        match reopened
+            .call(Request::GetSnapshot { id: GraphId(1) })
+            .unwrap()
+        {
+            Response::Snapshot { snapshot, .. } => {
+                assert_eq!((snapshot.count, snapshot.epoch), (1, 4));
+            }
+            other => panic!("expected snapshot, got {other:?}"),
+        }
+        reopened.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,6 +19,13 @@
 //! drop g1
 //! ```
 //!
+//! An `<engine>` token is one of `naive`, `simple`, `threshold`, `fmm`,
+//! `fmm-dense` and `auto` (each kind's `EngineKind::name` is accepted too).
+//! `auto` starts on the simple engine and rebuilds into fmm once the
+//! session's engines grow past a measured size (ADR-011); it is the kind of
+//! `SessionSpec::default()`, so a bare `create g2` gets it unless the
+//! service was built with another default.
+//!
 //! Graph ids are `u64`, written with an optional `g` prefix. A one-update
 //! batch renders as a single-update command (the two are semantically
 //! identical), so `parse(render(r))` is identity up to that normalization.
@@ -290,6 +297,7 @@ fn engine_token(kind: EngineKind) -> &'static str {
         EngineKind::Threshold => "threshold",
         EngineKind::Fmm => "fmm",
         EngineKind::FmmDense => "fmm-dense",
+        EngineKind::Auto => "auto",
     }
 }
 

@@ -131,9 +131,14 @@ impl WorkloadMode {
 }
 
 /// Everything needed to build one session's underlying structure.
+///
+/// The default is a layered session on [`EngineKind::Auto`]: its engines
+/// start on Appendix A's simple engine and each rebuilds once into the
+/// paper's main engine when it grows past a measured size (ADR-011).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSpec {
-    /// Engine driving the session's counter/view.
+    /// Engine driving the session's counter/view ([`EngineKind::Auto`] by
+    /// default).
     pub kind: EngineKind,
     /// Shared construction options (the `FmmConfig`).
     pub config: EngineConfig,
@@ -144,7 +149,7 @@ pub struct SessionSpec {
 impl Default for SessionSpec {
     fn default() -> Self {
         Self {
-            kind: EngineKind::Fmm,
+            kind: EngineKind::Auto,
             config: EngineConfig::default(),
             mode: WorkloadMode::Layered,
         }
@@ -160,12 +165,13 @@ pub struct ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// A builder with the default spec (main algorithm, layered mode).
+    /// A builder with the default spec ([`EngineKind::Auto`], layered
+    /// mode).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the default engine kind.
+    /// Sets the default engine kind ([`EngineKind::Auto`] unless set).
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.spec.kind = kind;
         self
