@@ -125,12 +125,13 @@ impl AutoEngine {
         v: VertexId,
         op: UpdateOp,
     ) -> Option<Box<SymmetricFmmEngine>> {
+        for rel in QRel::ALL {
+            self.engine_mut()
+                .apply_batch(rel, &[(u, v, op), (v, u, op)]);
+        }
         let Stage::Simple(simple, era) = &mut self.stage else {
             return None;
         };
-        for rel in QRel::ALL {
-            simple.apply_batch(rel, &[(u, v, op), (v, u, op)]);
-        }
         settle_era(era, simple.total_edges());
         if simple.total_edges() < SWITCH_AT {
             return None;
