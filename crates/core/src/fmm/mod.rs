@@ -446,34 +446,36 @@ impl<const SYMMETRIC: bool> FmmEngine<SYMMETRIC> {
 
     /// The body of an era rebuild over `edges`, in client ids
     /// ([`GraphState::current_edges`]'s form), with thresholds for the era
-    /// scale `m_hat`.
+    /// scale `m_hat`. The old state, structures and phase logs are freed
+    /// before the new ones are built, so a rebuild never holds two engines.
     fn rebuild_from(&mut self, mut edges: Vec<(QRel, VertexId, VertexId)>, m_hat: usize) {
+        let thresholds = ClassThresholds::with_delta(m_hat.max(1), self.cfg.eps, self.cfg.delta);
+        let work = self.structs.work;
         self.ids = Default::default();
+        self.state = GraphState::empty(thresholds);
+        self.structs = Structures::empty();
+        self.prev_phase = Vec::new();
+        self.cur_phase = Vec::new();
         for (rel, l, r) in &mut edges {
             (*l, *r) = self.intern(*rel, *l, *r);
         }
-        let thresholds = ClassThresholds::with_delta(m_hat.max(1), self.cfg.eps, self.cfg.delta);
-        let mut state = GraphState::empty(thresholds);
+        let (state, structs) = (&mut self.state, &mut self.structs);
         state.preset_classes_from_edges(&edges);
-        let mut structs = Structures::empty();
-        structs.work = self.structs.work;
+        structs.work = work;
         structs.skip_pure_old = self.cfg.use_fmm;
         for &(rel, l, r) in &edges {
             if SYMMETRIC {
-                structs.pair(&mut state, [l, r], &[(Tag::Old, 1)], Rules::All);
+                structs.pair(state, [l, r], &[(Tag::Old, 1)], Rules::All);
             } else {
-                structs.apply(&state, rel, Tag::Old, l, r, 1);
+                structs.apply(state, rel, Tag::Old, l, r, 1);
                 state.add_edge_weight(rel, Tag::Old, l, r, 1);
             }
         }
         structs.skip_pure_old = false;
-        self.state = state;
-        self.structs = structs;
+        drop(edges);
         if self.cfg.use_fmm {
             self.rebuild_pure_old_structures();
         }
-        self.prev_phase.clear();
-        self.cur_phase.clear();
         self.updates_in_phase = 0;
         self.era_rebuilds += 1;
     }

@@ -1,19 +1,25 @@
-//! The shard dispatcher: mailbox group draining and the journal
-//! **group-commit** barrier.
+//! The shard dispatcher: mailbox group draining, the journal
+//! **group-commit** barrier, and the inline path that runs a command on
+//! its caller's thread while the shard is idle.
 //!
-//! One dispatcher thread per shard. Per iteration it drains its mailbox
-//! into a *group* and runs the group's commands serially, in slot
-//! (= arrival) order:
+//! Each shard's [`CycleCountService`] sits behind a `Mutex` in its
+//! [`Shard`], shared by the shard's worker thread and the runtime handle.
+//! The worker drains its mailbox into a *group*, takes the lock once, and
+//! runs the group's commands serially, in slot (= arrival) order:
 //!
 //! ```text
-//!  mailbox ──drain──► group [ c1ᵍ¹ c2ᵍ² create g9 c3ᵍ¹ … ]
-//!                               │
-//!               each slot, in order: apply, then journal
+//!  mailbox ──drain──► group [ c1ᵍ¹ c2ᵍ² create g9 c3ᵍ¹ … ] ──lock──┐
+//!                                                                  │
+//!               each slot, in order: apply, then journal  ◄────────┘
 //!                               │
 //!         ┌─────────────────────┴─────────────────────┐
 //!   EveryN / OnShutdown / memory-only            GroupCommit
 //!   reply at once                                one fsync for the group,
 //!                                                then release every reply
+//!
+//!  call() on an idle shard ──try_lock──► the same slot path, on the
+//!  (no job queued, lock free)            caller's thread; no mailbox,
+//!                                        no reply channel, no group
 //! ```
 //!
 //! * **Serial by design.** A session's commands must apply strictly in
@@ -21,6 +27,17 @@
 //!   Claim 8.1 pins that query between a general update's engine
 //!   updates). A shard could only overlap *different* sessions, and hash
 //!   sharding already spreads sessions over shard threads.
+//! * **Inline when idle.** [`Shard::queued`] counts each mailbox job from
+//!   before it enters the mailbox until it has executed. A command may run
+//!   on its caller's thread ([`run_inline`]) only while that count is 0:
+//!   every command its caller queued earlier has then executed, so one
+//!   submitter's commands still apply in submission order. The count is
+//!   read again once the caller has won `try_lock`, so a job counted
+//!   meanwhile is not overtaken either: once the worker has a job, it
+//!   waits for the lock behind at most the one inline command holding it.
+//!   A busy shard, a lost `try_lock`, a fan-out command and every command
+//!   of a group-commit runtime take the mailbox. A caller never blocks on
+//!   the lock.
 //! * **Journaling.** Each slot runs through the service's split path
 //!   ([`CycleCountService::execute_unjournaled`] +
 //!   [`CycleCountService::journal_record_applied`]), which times the apply
@@ -32,20 +49,25 @@
 //!   group's replies released — reply ⇒ journaled ⇒ durable, at a fraction
 //!   of the fsync count. A failed barrier poisons exactly the commands
 //!   journaled into the failed group (`ServiceError::Journal`).
+//! * **Accounting.** Both paths count a finished command through
+//!   [`account`]: the shard counters, the reply stage and the slow-request
+//!   check. `groups` counts mailbox groups only.
 //!
 //! The dispatch loop serves every session on its shard, so one blocked
 //! iteration stalls them all (ADR-006). Its functions therefore carry
 //! `#[deny(clippy::disallowed_methods)]`, which rejects the blocking calls
 //! listed in this crate's `clippy.toml` (`Mutex::lock`, `thread::sleep`,
-//! fsync, `read_line`).
+//! fsync, `read_line`); the worker's one `lock` per group is the single
+//! exception. A command that panics poisons the lock, and the shard is
+//! unavailable from then on, on both paths.
 
 use crate::stats::{self, ShardMetrics};
-use crate::Job;
+use crate::{Job, RuntimeError};
 use fourcycle_service::{CycleCountService, Request, Response, ServiceError};
 use fourcycle_telemetry::{EventKind, Histogram, Stage, Telemetry};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Upper bound on one drained group when no `GroupCommit` policy bounds
@@ -65,20 +87,35 @@ pub(crate) struct GroupCommitKnobs {
     pub(crate) max_batch: usize,
 }
 
-/// Shard-scoped telemetry view threaded through one group's processing.
+/// One shard's state, shared by its worker thread and the runtime handle.
+pub(crate) struct Shard {
+    /// The shard's index, for its telemetry.
+    pub(crate) index: usize,
+    /// The service, pre-built — and, when journaling, pre-recovered — by
+    /// `try_start`. The worker locks it once per drained group; a caller
+    /// only ever `try_lock`s it, to run one command inline.
+    pub(crate) service: Mutex<CycleCountService>,
+    /// Mailbox jobs counted from before each enters the mailbox until it
+    /// has executed. A command runs inline only while this is 0.
+    pub(crate) queued: AtomicUsize,
+    pub(crate) metrics: ShardMetrics,
+}
+
+/// Shard-scoped telemetry view threaded through command processing.
 ///
-/// Stage accounting invariant: every delivered command contributes
-/// **exactly one** sample to each of the six stage histograms (zero-valued
-/// where a stage does not apply), so each stage's per-shard sample count
-/// equals the shard's `commands` counter — a differential the tests pin.
-/// A command's stages are consecutive intervals from its enqueue stamp to
-/// its reply, so they sum to its time in the runtime.
-struct GroupTelemetry<'a> {
+/// Stage accounting invariant: every finished command, from the mailbox
+/// or inline, contributes **exactly one** sample to each of the six stage
+/// histograms (zero-valued where a stage does not apply), so each stage's
+/// per-shard sample count equals the shard's `commands` counter — a
+/// differential the tests pin. A command's stages are consecutive
+/// intervals from its arrival at the runtime to its reply, so they sum to
+/// its time in the runtime.
+struct ShardTelemetry<'a> {
     tel: &'a Telemetry,
     shard: usize,
 }
 
-impl GroupTelemetry<'_> {
+impl ShardTelemetry<'_> {
     fn hist(&self, stage: Stage) -> &Histogram {
         self.tel.stage(self.shard, stage)
     }
@@ -94,23 +131,22 @@ fn nanos_between(earlier: Instant, later: Instant) -> u64 {
     stats::clamped_nanos(later.saturating_duration_since(earlier))
 }
 
-/// The shard worker loop: owns one `CycleCountService` (pre-built — and,
-/// when journaling, pre-recovered — by `try_start`), drains its mailbox in
-/// groups until every runtime handle sender is gone, then syncs the
-/// journal and exits.
+/// The shard worker loop: drains its mailbox in groups and runs each
+/// under the shard's lock until every runtime handle sender is gone, or
+/// until it finds the lock poisoned. The runtime syncs the journal once
+/// the worker has exited.
 #[deny(clippy::disallowed_methods)]
 pub(crate) fn shard_worker(
     rx: Receiver<Job>,
-    metrics: Arc<ShardMetrics>,
-    mut service: CycleCountService,
-    shard: usize,
+    shard: Arc<Shard>,
     group_commit: Option<GroupCommitKnobs>,
     telemetry: Arc<Telemetry>,
 ) {
-    let tel = GroupTelemetry {
+    let tel = ShardTelemetry {
         tel: &telemetry,
-        shard,
+        shard: shard.index,
     };
+    let metrics = &shard.metrics;
     let mut idle_since = Instant::now();
     while let Ok(first) = rx.recv() {
         // Interval accounting is deliberately paranoid: durations come
@@ -151,36 +187,40 @@ pub(crate) fn shard_worker(
                 }
             }
         }
-        process_group(&mut service, group, &metrics, group_commit.is_some(), &tel);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "callers only try_lock, so the worker waits here behind at most one inline command"
+        )]
+        let Ok(mut service) = shard.service.lock() else {
+            // A command panicked under the lock. Dropping the group drops
+            // its reply senders, so its tickets read `ShardUnavailable`,
+            // and leaving the loop closes the mailbox for later ones.
+            break;
+        };
+        process_group(&mut service, group, &shard, group_commit.is_some(), &tel);
         metrics.groups.fetch_add(1, Ordering::Relaxed);
         metrics
             .journal_fsyncs
             .store(service.journal_fsyncs(), Ordering::Relaxed);
+        drop(service);
         idle_since = Instant::now();
         metrics.add_busy(stats::clamped_nanos(
             idle_since.saturating_duration_since(busy_since),
         ));
     }
-    // Graceful exit: make everything journaled so far durable, whatever
-    // the fsync policy (best effort — the worker has nowhere to report),
-    // and fold that last fsync into the gauge so shutdown reports add up.
-    let _ = service.sync_journal();
-    metrics
-        .journal_fsyncs
-        .store(service.journal_fsyncs(), Ordering::Relaxed);
 }
 
-/// Executes one drained group serially, in slot order. Under the
-/// immediate policies each reply leaves as soon as its command is
-/// journaled; under group commit the replies wait for the group's one
-/// fsync.
+/// Executes one drained group serially, in slot order, uncounting each
+/// job from `shard.queued` once it has executed. Under the immediate
+/// policies each reply leaves as soon as its command is journaled; under
+/// group commit the replies wait for the group's one fsync.
 #[deny(clippy::disallowed_methods)]
 fn process_group(
     service: &mut CycleCountService,
     group: Vec<Job>,
-    metrics: &ShardMetrics,
+    shard: &Shard,
     hold_for_commit: bool,
-    tel: &GroupTelemetry,
+    tel: &ShardTelemetry,
 ) {
     // Queue wait is exact per job (submit stamped it) and ends where the
     // group starts.
@@ -189,21 +229,26 @@ fn process_group(
     for job in &group {
         queue_wait.record(nanos_between(job.enqueued_at, started));
     }
+    let executed = |service: &mut CycleCountService, job: &Job| {
+        let slot = execute_slot(service, &job.request, started, tel);
+        shard.queued.fetch_sub(1, Ordering::SeqCst);
+        slot
+    };
 
     if !hold_for_commit {
         let fsync_wait = tel.hist(Stage::FsyncWait);
         for job in group {
-            let (outcome, _, ready) = execute_slot(service, &job.request, started, tel);
+            let (outcome, _, ready) = executed(service, &job);
             fsync_wait.record(0);
-            deliver(metrics, job, outcome, ready, tel);
+            deliver(&shard.metrics, job, outcome, ready, tel);
         }
         return;
     }
 
-    let mut executed = Vec::with_capacity(group.len());
+    let mut slots = Vec::with_capacity(group.len());
     for job in group {
-        let (outcome, journaled, ready) = execute_slot(service, &job.request, started, tel);
-        executed.push((job, outcome, journaled, ready));
+        let (outcome, journaled, ready) = executed(service, &job);
+        slots.push((job, outcome, journaled, ready));
     }
     // The group's durability barrier: one fsync for every command
     // journaled above. Only now may replies leave the shard — a client
@@ -221,15 +266,66 @@ fn process_group(
         );
     }
     let fsync_wait = tel.hist(Stage::FsyncWait);
-    for (job, mut outcome, journaled, ready) in executed {
+    for (job, mut outcome, journaled, ready) in slots {
         // If the fsync failed, exactly the commands journaled into the
         // group applied but are not durable.
         if let (true, Err(e)) = (journaled, committed) {
             outcome = Err(e);
         }
         fsync_wait.record(nanos_between(ready, fsynced));
-        deliver(metrics, job, outcome, fsynced, tel);
+        deliver(&shard.metrics, job, outcome, fsynced, tel);
     }
+}
+
+/// Runs `request` on the caller's thread if `shard` is idle: no mailbox
+/// job counted in [`Shard::queued`], read before and again after winning
+/// `try_lock`. Hands the request back when the shard is busy or the lock
+/// is taken, so the caller takes the mailbox instead; a poisoned lock
+/// answers [`RuntimeError::ShardUnavailable`]. Never called for a shard
+/// journaling under group commit, whose replies wait for their group's
+/// fsync.
+///
+/// The command takes the same slot path and accounting as a mailbox job:
+/// its queue wait runs from `arrived` to taking the lock, it joins no
+/// group, and its fsync wait is 0.
+#[deny(clippy::disallowed_methods)]
+pub(crate) fn run_inline(
+    shard: &Shard,
+    request: Request,
+    arrived: Instant,
+    telemetry: &Telemetry,
+) -> Result<Result<Response, RuntimeError>, Request> {
+    if shard.queued.load(Ordering::SeqCst) != 0 {
+        return Err(request);
+    }
+    let mut service = match shard.service.try_lock() {
+        Ok(service) => service,
+        Err(TryLockError::WouldBlock) => return Err(request),
+        Err(TryLockError::Poisoned(_)) => return Ok(Err(RuntimeError::ShardUnavailable)),
+    };
+    // A job counted since the first read must run first.
+    if shard.queued.load(Ordering::SeqCst) != 0 {
+        return Err(request);
+    }
+    let tel = ShardTelemetry {
+        tel: telemetry,
+        shard: shard.index,
+    };
+    let locked = Instant::now();
+    tel.hist(Stage::QueueWait)
+        .record(nanos_between(arrived, locked));
+    let (outcome, _, ready) = execute_slot(&mut service, &request, locked, &tel);
+    tel.hist(Stage::FsyncWait).record(0);
+    account(&shard.metrics, &request, &outcome, arrived, ready, &tel);
+    shard
+        .metrics
+        .journal_fsyncs
+        .store(service.journal_fsyncs(), Ordering::Relaxed);
+    drop(service);
+    shard
+        .metrics
+        .add_busy(nanos_between(locked, Instant::now()));
+    Ok(outcome.map_err(RuntimeError::Service))
 }
 
 /// Executes one slot through the service's split path
@@ -246,7 +342,7 @@ fn execute_slot(
     service: &mut CycleCountService,
     request: &Request,
     group_started: Instant,
-    tel: &GroupTelemetry,
+    tel: &ShardTelemetry,
 ) -> (Result<Response, ServiceError>, bool, Instant) {
     let apply_started = Instant::now();
     tel.hist(Stage::Dispatch)
@@ -268,16 +364,33 @@ fn execute_slot(
     (outcome, journaled, done)
 }
 
-/// Counts one finished command into the metrics and sends its reply,
-/// recording the reply stage (from `ready`, when the reply could first
-/// leave) and the request's end-to-end latency for slow-request events.
+/// Counts one finished mailbox job with [`account`] and sends its reply.
 #[deny(clippy::disallowed_methods)]
 fn deliver(
     metrics: &ShardMetrics,
     job: Job,
     outcome: Result<Response, ServiceError>,
     ready: Instant,
-    tel: &GroupTelemetry,
+    tel: &ShardTelemetry,
+) {
+    account(metrics, &job.request, &outcome, job.enqueued_at, ready, tel);
+    // The client may have dropped its ticket (fire-and-forget); a dead
+    // reply channel is not an error.
+    let _ = job.reply.send(outcome);
+}
+
+/// Counts one finished command into the shard's metrics, records its
+/// reply stage (from `ready`, when the reply could first leave) and checks
+/// its latency since `arrived` against the slow-request threshold. Both
+/// the mailbox and the inline path call it just before the reply leaves.
+#[deny(clippy::disallowed_methods)]
+fn account(
+    metrics: &ShardMetrics,
+    request: &Request,
+    outcome: &Result<Response, ServiceError>,
+    arrived: Instant,
+    ready: Instant,
+    tel: &ShardTelemetry,
 ) {
     metrics.commands.fetch_add(1, Ordering::Relaxed);
     // `updates_applied` counts what actually landed in service state.
@@ -286,11 +399,11 @@ fn deliver(
     // applied, then the sink failed) — so its updates count as applied
     // or the report would diverge from the session epochs during
     // exactly the incidents (disk full) where it matters.
-    let applied = match &outcome {
-        Ok(_) => u64::try_from(job.request.update_count()).unwrap_or(u64::MAX),
+    let applied = match outcome {
+        Ok(_) => u64::try_from(request.update_count()).unwrap_or(u64::MAX),
         Err(ServiceError::Journal(_) | ServiceError::JournalCheckpoint(_)) => {
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            u64::try_from(job.request.update_count()).unwrap_or(u64::MAX)
+            u64::try_from(request.update_count()).unwrap_or(u64::MAX)
         }
         Err(_) => {
             metrics.rejected.fetch_add(1, Ordering::Relaxed);
@@ -302,17 +415,14 @@ fn deliver(
             .updates_applied
             .fetch_add(applied, Ordering::Relaxed);
     }
-    // Recorded before the send, which publishes them: a caller holding its
-    // reply may read the telemetry at once and must find every sample of
-    // its command there.
+    // Recorded before the reply leaves, which publishes them: a caller
+    // holding its reply may read the telemetry at once and must find every
+    // sample of its command there.
     let sending = Instant::now();
     tel.hist(Stage::Reply).record(nanos_between(ready, sending));
     // Fan-out sub-commands check per shard.
     tel.tel
-        .note_request_done(tel.shard_id(), nanos_between(job.enqueued_at, sending));
-    // The client may have dropped its ticket (fire-and-forget); a dead
-    // reply channel is not an error.
-    let _ = job.reply.send(outcome);
+        .note_request_done(tel.shard_id(), nanos_between(arrived, sending));
 }
 
 #[cfg(test)]
@@ -354,7 +464,7 @@ mod tests {
             TelemetryConfig::default().slow_request_threshold(Duration::ZERO),
             1,
         );
-        let tel = GroupTelemetry {
+        let tel = ShardTelemetry {
             tel: &telemetry,
             shard: 0,
         };
@@ -363,8 +473,14 @@ mod tests {
             id: costly,
             updates,
         });
-        let metrics = ShardMetrics::default();
-        process_group(&mut service, vec![count, batch], &metrics, false, &tel);
+        let shard = Shard {
+            index: 0,
+            service: Mutex::new(CycleCountService::builder().build()),
+            queued: AtomicUsize::new(2),
+            metrics: ShardMetrics::default(),
+        };
+        process_group(&mut service, vec![count, batch], &shard, false, &tel);
+        assert_eq!(shard.queued.load(Ordering::SeqCst), 0);
         assert!(count_rx.recv().unwrap().is_ok());
         assert!(batch_rx.recv().unwrap().is_ok());
 

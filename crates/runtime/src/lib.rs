@@ -18,49 +18,64 @@
 //!  bounded │  mailbox 0   │  mailbox 1   │  mailbox N-1 │  (sync_channel,
 //!          └──────┬───────┴──────┬───────┴──────┬───────┘   backpressure)
 //!                 ▼              ▼              ▼
-//!           worker thread  worker thread  worker thread    (std::thread)
-//!           CycleCount-    CycleCount-    CycleCount-
-//!           Service #0     Service #1     Service #N-1
-//!                 │              │              │
+//!           worker thread  worker thread  worker thread    (std::thread;
+//!                 │ lock         │ lock         │ lock       once per group)
+//!           ┌─────▼────────┬─────▼────────┬─────▼────────┐
+//!           │ Mutex<Cycle- │ Mutex<Cycle- │ Mutex<Cycle- │ ◄── call() on an
+//!           │ CountService>│ CountService>│ CountService>│  idle shard: try_lock,
+//!           └─────┬────────┴─────┬────────┴─────┬────────┘  run on the caller's
+//!                 │              │              │           thread, return
 //!                 └── per-request reply channel ┴──► Ticket::wait()
 //! ```
 //!
 //! * **Sharding.** Every [`Request`] that addresses a graph is routed to
-//!   `hash(GraphId) mod N`; a graph lives its whole life on one shard, so
-//!   shard workers need no locks — each owns its `CycleCountService`
-//!   outright, and per-graph command order equals submission order (one
-//!   submitter's sends to one mailbox are FIFO). Service-wide commands
+//!   `hash(GraphId) mod N`; a graph lives its whole life on one shard, and
+//!   per-graph command order equals submission order (one submitter's
+//!   sends to one mailbox are FIFO, and a command runs inline only once
+//!   the submitter's earlier ones have run). Service-wide commands
 //!   ([`Request::ListGraphs`]) fan out to all shards and merge.
 //! * **Backpressure.** Mailboxes are *bounded* (`RuntimeConfig::
 //!   mailbox_depth`): a submitter that outruns a shard blocks on its
 //!   mailbox instead of growing an unbounded queue, or with
 //!   [`ShardedRuntime::try_submit`] gets its request back as `Busy`; both
 //!   are counted in [`RuntimeStats::queue_full_stalls`].
-//! * **One serial dispatcher per shard.** Each shard's worker drains its
-//!   mailbox into a group and executes the group's commands one by one,
-//!   in arrival order: a session's updates must apply strictly in order,
-//!   and sessions on different shards already run in parallel. See the
-//!   `dispatch` module docs for the data flow.
+//! * **One serial dispatcher per shard.** Each shard's `CycleCountService`
+//!   sits behind a `Mutex` that its worker and the runtime handle share.
+//!   The worker drains its mailbox into a group, takes the lock once, and
+//!   executes the group's commands one by one, in arrival order: a
+//!   session's updates must apply strictly in order, and sessions on
+//!   different shards already run in parallel. See the `dispatch` module
+//!   docs for the data flow.
 //! * **Journal group commit.** Under
 //!   [`FsyncPolicy::GroupCommit`](fourcycle_store::FsyncPolicy) the
 //!   dispatcher journals a whole group, issues **one** fsync for it, and
 //!   only then releases the group's replies — fsync-every-1 durability
 //!   (reply ⇒ journaled ⇒ durable) at a fraction of the fsync count.
 //! * **Two call shapes.** [`ShardedRuntime::call`] is the blocking
-//!   request/response path; [`ShardedRuntime::submit`] returns a
-//!   [`Ticket`] immediately so callers (and [`Pipeline`] / the
-//!   [`ScriptSource`] replayer) can keep many commands in flight across
-//!   shards and collect replies later.
+//!   request/response path. When the command's shard is idle — none of
+//!   its mailbox jobs is still to run, and the caller wins `try_lock` — it
+//!   runs the command on the caller's thread, with no mailbox hop and no
+//!   reply channel; otherwise it takes the mailbox like `submit`.
+//!   [`ShardedRuntime::submit`] returns a [`Ticket`] immediately so callers
+//!   (and [`Pipeline`] / the [`ScriptSource`] replayer) can keep many
+//!   commands in flight across shards and collect replies later; it always
+//!   takes the mailbox, as do [`ShardedRuntime::try_submit`] and the
+//!   `ListGraphs` fan-out. [`ShardedRuntime::try_call`] is `try_submit`
+//!   for a caller that will wait at once (the TCP server's lone line): it
+//!   runs inline when `call` would. A group-commit runtime never runs a
+//!   command inline.
 //! * **Observability.** Each shard keeps [`RuntimeStats`] (commands,
 //!   applied updates, rejections, stalls, busy/idle time); [`ShardedRuntime
 //!   ::report`] aggregates them runtime-wide at any moment, and
 //!   [`ShardedRuntime::shutdown`] returns the final report after draining
 //!   every mailbox and joining every worker. [`ShardedRuntime::telemetry`]
-//!   times every command's six stages and collects slow-request, group
-//!   commit and journal events (`fourcycle-telemetry`, ADR-009).
+//!   times every command's six stages, inline or not, and collects
+//!   slow-request, group commit and journal events (`fourcycle-telemetry`,
+//!   ADR-009).
 //!
 //! See `docs/adr/ADR-004-sharded-runtime.md` for why thread-per-shard with
-//! bounded mailboxes was chosen over a shared-lock service.
+//! bounded mailboxes was chosen over a shared-lock service, and its
+//! 2026-10-18 amendment for why the inline path is not that lock.
 //!
 //! # Quick start
 //!
@@ -115,6 +130,7 @@ pub use error::RuntimeError;
 pub use script::ScriptSource;
 pub use stats::{RuntimeReport, RuntimeStats};
 
+use dispatch::Shard;
 use fourcycle_core::{EngineConfig, EngineKind};
 use fourcycle_service::{
     CycleCountService, GraphId, Request, Response, ServiceError, SessionSpec, WorkloadMode,
@@ -123,9 +139,9 @@ use fourcycle_store::{FsyncPolicy, JournalConfig, JournalStore};
 use fourcycle_telemetry::{Telemetry, TelemetryConfig};
 use stats::ShardMetrics;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -270,30 +286,41 @@ pub(crate) struct Job {
 /// [`Ticket::wait`]. Dropping a ticket abandons the reply (the command
 /// still executes — fire-and-forget).
 #[must_use = "a ticket holds a pending reply; wait() it or the response is lost"]
-pub struct Ticket {
-    /// Replies expected (1, or the shard count for fan-out commands).
-    expected: usize,
-    rx: mpsc::Receiver<Result<Response, ServiceError>>,
-    /// Set when submission itself failed (shard mailbox disconnected).
-    dead: bool,
+pub struct Ticket(TicketState);
+
+enum TicketState {
+    /// The outcome is known already: the command ran on the caller's
+    /// thread ([`ShardedRuntime::try_call`]), or it could not be queued.
+    Ready(Result<Response, RuntimeError>),
+    /// Replies to come from `expected` shards (1, or the shard count for
+    /// fan-out commands).
+    Queued {
+        expected: usize,
+        rx: mpsc::Receiver<Result<Response, ServiceError>>,
+    },
 }
 
 impl Ticket {
+    fn unavailable() -> Self {
+        Ticket(TicketState::Ready(Err(RuntimeError::ShardUnavailable)))
+    }
+
     /// Blocks until the command's outcome is available.
     ///
     /// Fan-out commands (`ListGraphs`) wait for every shard and merge the
     /// per-shard listings into one sorted [`Response::Graphs`].
     pub fn wait(self) -> Result<Response, RuntimeError> {
-        if self.dead {
-            return Err(RuntimeError::ShardUnavailable);
-        }
-        if self.expected == 1 {
-            let outcome = self.rx.recv().map_err(|_| RuntimeError::ShardUnavailable)?;
+        let (expected, rx) = match self.0 {
+            TicketState::Ready(outcome) => return outcome,
+            TicketState::Queued { expected, rx } => (expected, rx),
+        };
+        if expected == 1 {
+            let outcome = rx.recv().map_err(|_| RuntimeError::ShardUnavailable)?;
             return outcome.map_err(RuntimeError::Service);
         }
         let mut ids: Vec<GraphId> = Vec::new();
-        for _ in 0..self.expected {
-            let outcome = self.rx.recv().map_err(|_| RuntimeError::ShardUnavailable)?;
+        for _ in 0..expected {
+            let outcome = rx.recv().map_err(|_| RuntimeError::ShardUnavailable)?;
             match outcome.map_err(RuntimeError::Service)? {
                 Response::Graphs { ids: shard_ids } => ids.extend(shard_ids),
                 #[expect(
@@ -319,7 +346,8 @@ impl Ticket {
 /// The outcome of a non-blocking [`ShardedRuntime::try_submit`].
 #[must_use = "a Busy outcome carries the request back; drop it and the command is lost"]
 pub enum SubmitOutcome {
-    /// The command is in its shard's mailbox; redeem the ticket as usual.
+    /// The command is in its shard's mailbox, or [`ShardedRuntime::try_call`]
+    /// has already run it; redeem the ticket as usual.
     Queued(Ticket),
     /// The shard's mailbox was full. The command was **not** enqueued and
     /// is handed back unchanged so the caller can retry it later (or
@@ -370,9 +398,12 @@ impl<'rt> Pipeline<'rt> {
 pub struct ShardedRuntime {
     config: RuntimeConfig,
     mailboxes: Vec<SyncSender<Job>>,
-    metrics: Vec<Arc<ShardMetrics>>,
+    shards: Vec<Arc<Shard>>,
     workers: Vec<JoinHandle<()>>,
     telemetry: Arc<Telemetry>,
+    /// Set under [`FsyncPolicy::GroupCommit`], whose dispatcher holds each
+    /// group's replies for the group's fsync: no command runs inline.
+    group_commit: bool,
 }
 
 impl ShardedRuntime {
@@ -415,7 +446,7 @@ impl ShardedRuntime {
             None => None,
         };
         let mut mailboxes = Vec::with_capacity(config.shards);
-        let mut metrics = Vec::with_capacity(config.shards);
+        let mut shards = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             // Built (and, when journaling, recovered) on the caller's
@@ -429,7 +460,12 @@ impl ShardedRuntime {
                     .build(),
             };
             let (tx, rx) = mpsc::sync_channel::<Job>(config.mailbox_depth);
-            let cell = Arc::new(ShardMetrics::default());
+            let cell = Arc::new(Shard {
+                index: shard,
+                service: Mutex::new(service),
+                queued: AtomicUsize::new(0),
+                metrics: ShardMetrics::default(),
+            });
             let worker_cell = Arc::clone(&cell);
             // Group-commit reply holding engages iff the journal policy
             // asks for it; the dispatcher is the group's fsync leader.
@@ -452,26 +488,24 @@ impl ShardedRuntime {
                 thread::Builder::new()
                     .name(format!("fourcycle-shard-{shard}"))
                     .spawn(move || {
-                        dispatch::shard_worker(
-                            rx,
-                            worker_cell,
-                            service,
-                            shard,
-                            group_commit,
-                            worker_telemetry,
-                        )
+                        dispatch::shard_worker(rx, worker_cell, group_commit, worker_telemetry)
                     })
                     .expect("spawn shard worker"),
             );
             mailboxes.push(tx);
-            metrics.push(cell);
+            shards.push(cell);
         }
+        let group_commit = config
+            .journal
+            .as_ref()
+            .is_some_and(|j| matches!(j.fsync, FsyncPolicy::GroupCommit { .. }));
         Ok(Self {
             config,
             mailboxes,
-            metrics,
+            shards,
             workers,
             telemetry,
+            group_commit,
         })
     }
 
@@ -505,8 +539,46 @@ impl ShardedRuntime {
     /// by value so batch payloads move straight into the shard mailbox
     /// (callers replaying a retained script clone explicitly, as
     /// [`ScriptSource::replay`] does).
+    ///
+    /// When the command's shard is idle — no job in or drained from its
+    /// mailbox still unexecuted, and its lock free — the command runs
+    /// on the caller's thread, with no mailbox hop and no reply channel.
+    /// Otherwise it takes the mailbox exactly as [`ShardedRuntime::submit`]
+    /// does. Either way it applies after every command the caller queued
+    /// before. Fan-out commands and every command of a runtime journaling
+    /// under [`FsyncPolicy::GroupCommit`] always take the mailbox.
     pub fn call(&self, request: Request) -> Result<Response, RuntimeError> {
-        self.submit(request).wait()
+        match self.run_inline(request) {
+            Ok(outcome) => outcome,
+            Err(request) => self.submit(request).wait(),
+        }
+    }
+
+    /// [`ShardedRuntime::try_submit`] for a caller that will wait on the
+    /// ticket at once, such as the TCP server's lone command line: when
+    /// the shard is idle the command runs on the caller's thread as in
+    /// [`ShardedRuntime::call`], and the ticket it returns is already
+    /// resolved. Otherwise this is `try_submit`, `Busy` included.
+    pub fn try_call(&self, request: Request) -> SubmitOutcome {
+        match self.run_inline(request) {
+            Ok(outcome) => SubmitOutcome::Queued(Ticket(TicketState::Ready(outcome))),
+            Err(request) => self.try_submit(request),
+        }
+    }
+
+    /// Runs a command on the caller's thread if its shard is idle, or hands
+    /// it back for the mailbox (see [`dispatch::run_inline`]).
+    fn run_inline(&self, request: Request) -> Result<Result<Response, RuntimeError>, Request> {
+        let arrived = Instant::now();
+        match request.graph_id() {
+            Some(id) if !self.group_commit => dispatch::run_inline(
+                &self.shards[self.shard_of(id)],
+                request,
+                arrived,
+                &self.telemetry,
+            ),
+            _ => Err(request),
+        }
     }
 
     /// Starts an empty fire-collect pipeline over this runtime.
@@ -523,22 +595,14 @@ impl ShardedRuntime {
     pub fn submit(&self, request: Request) -> Ticket {
         let (reply, rx) = mpsc::channel();
         let enqueued_at = Instant::now();
-        match request.graph_id() {
+        let (expected, dead) = match request.graph_id() {
             Some(id) => {
-                let shard = self.shard_of(id);
-                let dead = !self.send(
-                    shard,
-                    Job {
-                        request,
-                        reply,
-                        enqueued_at,
-                    },
-                );
-                Ticket {
-                    expected: 1,
-                    rx,
-                    dead,
-                }
+                let job = Job {
+                    request,
+                    reply,
+                    enqueued_at,
+                };
+                (1, self.enqueue(self.shard_of(id), job, true).is_err())
             }
             None => {
                 let expected = self.mailboxes.len();
@@ -549,10 +613,15 @@ impl ShardedRuntime {
                         reply: reply.clone(),
                         enqueued_at,
                     };
-                    dead |= !self.send(shard, job);
+                    dead |= self.enqueue(shard, job, true).is_err();
                 }
-                Ticket { expected, rx, dead }
+                (expected, dead)
             }
+        };
+        if dead {
+            Ticket::unavailable()
+        } else {
+            Ticket(TicketState::Queued { expected, rx })
         }
     }
 
@@ -573,41 +642,27 @@ impl ShardedRuntime {
         let Some(id) = request.graph_id() else {
             return SubmitOutcome::Queued(self.submit(request));
         };
-        let shard = self.shard_of(id);
         let (reply, rx) = mpsc::channel();
-        let enqueued_at = Instant::now();
-        match self.mailboxes[shard].try_send(Job {
+        let job = Job {
             request,
             reply,
-            enqueued_at,
-        }) {
-            Ok(()) => SubmitOutcome::Queued(Ticket {
-                expected: 1,
-                rx,
-                dead: false,
-            }),
-            Err(TrySendError::Full(job)) => {
-                self.metrics[shard]
-                    .queue_full_stalls
-                    .fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Busy(job.request)
-            }
-            Err(TrySendError::Disconnected(_)) => SubmitOutcome::Queued(Ticket {
-                expected: 1,
-                rx,
-                dead: true,
-            }),
+            enqueued_at: Instant::now(),
+        };
+        match self.enqueue(self.shard_of(id), job, false) {
+            Ok(()) => SubmitOutcome::Queued(Ticket(TicketState::Queued { expected: 1, rx })),
+            Err(TrySendError::Full(job)) => SubmitOutcome::Busy(job.request),
+            Err(TrySendError::Disconnected(_)) => SubmitOutcome::Queued(Ticket::unavailable()),
         }
     }
 
     /// Live statistics of one shard.
     pub fn stats(&self, shard: usize) -> RuntimeStats {
-        self.metrics[shard].snapshot()
+        self.shards[shard].metrics.snapshot()
     }
 
     /// Live runtime-wide report (per-shard statistics plus totals).
     pub fn report(&self) -> RuntimeReport {
-        RuntimeReport::from_shards(self.metrics.iter().map(|m| m.snapshot()).collect())
+        RuntimeReport::from_shards(self.shards.iter().map(|s| s.metrics.snapshot()).collect())
     }
 
     /// The live telemetry: stage histograms and the event ring. Clone the
@@ -626,25 +681,58 @@ impl ShardedRuntime {
         self.report()
     }
 
-    /// Delivers a job to a shard with backpressure accounting; returns
-    /// `false` if the shard is gone.
-    fn send(&self, shard: usize, job: Job) -> bool {
-        match self.mailboxes[shard].try_send(job) {
-            Ok(()) => true,
+    /// Puts a job in a shard's mailbox, counting it in the shard's
+    /// `queued` until it has executed. A full mailbox counts a stall; then
+    /// a `blocking` caller waits for room, and any other gets the job back
+    /// as `Full`. `Disconnected` means the shard is gone.
+    fn enqueue(&self, shard: usize, job: Job, blocking: bool) -> Result<(), TrySendError<Job>> {
+        let queued = &self.shards[shard].queued;
+        queued.fetch_add(1, Ordering::SeqCst);
+        let sent = match self.mailboxes[shard].try_send(job) {
             Err(TrySendError::Full(job)) => {
-                self.metrics[shard]
+                self.shards[shard]
+                    .metrics
                     .queue_full_stalls
                     .fetch_add(1, Ordering::Relaxed);
-                self.mailboxes[shard].send(job).is_ok()
+                if blocking {
+                    self.mailboxes[shard]
+                        .send(job)
+                        .map_err(|e| TrySendError::Disconnected(e.0))
+                } else {
+                    Err(TrySendError::Full(job))
+                }
             }
-            Err(TrySendError::Disconnected(_)) => false,
+            sent => sent,
+        };
+        if sent.is_err() {
+            queued.fetch_sub(1, Ordering::SeqCst);
         }
+        sent
     }
 
+    /// Closes every mailbox, joins the workers once they have drained
+    /// them, and makes everything journaled so far durable, whatever the
+    /// fsync policy (best effort: there is nowhere to report), folding
+    /// that last fsync into each shard's gauge.
     fn stop_workers(&mut self) {
+        let workers = std::mem::take(&mut self.workers);
+        if workers.is_empty() {
+            return; // stopped already
+        }
         self.mailboxes.clear(); // disconnects; workers drain and exit
-        for worker in self.workers.drain(..) {
+        for worker in workers {
             let _ = worker.join();
+        }
+        for shard in &self.shards {
+            // A poisoned lock means a command panicked: that shard's state
+            // is not trusted, so it is not synced.
+            if let Ok(mut service) = shard.service.lock() {
+                let _ = service.sync_journal();
+                shard
+                    .metrics
+                    .journal_fsyncs
+                    .store(service.journal_fsyncs(), Ordering::Relaxed);
+            }
         }
     }
 }
@@ -1416,6 +1504,75 @@ mod tests {
         // ring under 68 events makes implausible).
         assert!(drained as u64 <= emitted);
         assert!(drained > 0, "drainer never observed an event");
+    }
+
+    /// A mailbox job counts in its shard's `queued` until it has executed,
+    /// also after the worker has drained it and waits for the lock behind
+    /// an inline command (held here by the test itself).
+    #[test]
+    fn a_drained_job_counts_until_it_has_executed() {
+        let runtime = ShardedRuntime::start(
+            RuntimeConfig::new()
+                .shards(1)
+                .engine(EngineKind::Simple)
+                .mailbox_depth(1),
+        );
+        let shard = Arc::clone(&runtime.shards[0]);
+        let held = shard.service.lock().unwrap();
+        let id = GraphId(1);
+        let created = runtime.submit(Request::CreateGraph { id, spec: None });
+        // The depth-1 mailbox takes the count once the worker has drained
+        // the create; the worker then waits for the lock.
+        let mut count = Request::Count { id };
+        let counted = loop {
+            match runtime.try_submit(count) {
+                SubmitOutcome::Queued(ticket) => break ticket,
+                SubmitOutcome::Busy(request) => count = request,
+            }
+            thread::yield_now();
+        };
+        thread::sleep(std::time::Duration::from_millis(10));
+        assert_eq!(shard.queued.load(Ordering::SeqCst), 2);
+        // A call now would overtake both: it takes the mailbox instead.
+        let called = thread::scope(|scope| {
+            let call = scope.spawn(|| runtime.call(Request::Count { id }));
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            while shard.queued.load(Ordering::SeqCst) < 3 {
+                assert!(Instant::now() < deadline, "the call never queued");
+                thread::yield_now();
+            }
+            drop(held);
+            call.join().unwrap()
+        });
+        assert_eq!(created.wait(), Ok(Response::Created { id }));
+        assert_eq!(counted.wait(), Ok(Response::Count { id, count: 0 }));
+        assert_eq!(called, Ok(Response::Count { id, count: 0 }));
+        assert_eq!(shard.queued.load(Ordering::SeqCst), 0);
+        assert_eq!(runtime.shutdown().totals.commands, 3);
+    }
+
+    /// A command that panics under the shard lock poisons it: from then on
+    /// the shard answers `ShardUnavailable` on the inline path and on the
+    /// mailbox path, and the runtime still shuts down.
+    #[test]
+    fn a_poisoned_shard_is_unavailable_on_both_paths() {
+        let runtime =
+            ShardedRuntime::start(RuntimeConfig::new().shards(1).engine(EngineKind::Simple));
+        let id = GraphId(1);
+        runtime
+            .call(Request::CreateGraph { id, spec: None })
+            .unwrap();
+        let shard = Arc::clone(&runtime.shards[0]);
+        let poisoner = thread::spawn(move || {
+            let _held = shard.service.lock().unwrap();
+            panic!("a command panics under the shard lock");
+        });
+        assert!(poisoner.join().is_err());
+        let unavailable = Err(RuntimeError::ShardUnavailable);
+        assert_eq!(runtime.call(Request::Count { id }), unavailable);
+        assert_eq!(runtime.submit(Request::Count { id }).wait(), unavailable);
+        assert_eq!(runtime.call(Request::Count { id }), unavailable);
+        assert_eq!(runtime.shutdown().totals.commands, 1);
     }
 
     /// The runtime wires its event ring into the journal store: a

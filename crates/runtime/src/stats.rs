@@ -10,8 +10,9 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free counter cell of one shard. Workers increment with relaxed
-/// atomics on the hot path; readers snapshot into [`RuntimeStats`].
+/// Lock-free counter cell of one shard. The worker, and callers running a
+/// command inline, increment with relaxed atomics on the hot path; readers
+/// snapshot into [`RuntimeStats`].
 #[derive(Debug, Default)]
 pub(crate) struct ShardMetrics {
     /// Commands executed (successful or rejected).
@@ -26,14 +27,16 @@ pub(crate) struct ShardMetrics {
     pub queue_full_stalls: AtomicU64,
     /// Groups the shard dispatcher drained from its mailbox (each group is
     /// one batch of commands processed — and, under group commit, fsynced —
-    /// together). `commands / groups` is the achieved batching factor.
+    /// together). A command run inline joins no group.
     pub groups: AtomicU64,
-    /// Fsyncs the shard's journal has issued (gauge, written by the worker
-    /// after each group; 0 for memory-only shards).
+    /// Fsyncs the shard's journal has issued (gauge, written after each
+    /// group and each inline command; 0 for memory-only shards).
     pub journal_fsyncs: AtomicU64,
-    /// Nanoseconds the worker spent executing commands.
+    /// Nanoseconds spent executing the shard's commands: by the worker per
+    /// group, and by callers per inline command.
     pub busy_nanos: AtomicU64,
-    /// Nanoseconds the worker spent waiting for its mailbox.
+    /// Nanoseconds the worker spent waiting for its mailbox, which can
+    /// overlap busy time spent inline.
     pub idle_nanos: AtomicU64,
 }
 
@@ -83,14 +86,20 @@ pub struct RuntimeStats {
     /// server `busy` reply is one).
     pub queue_full_stalls: u64,
     /// Mailbox groups the dispatcher processed (the crate-private
-    /// `ShardMetrics::groups` counter); `commands / groups` is the
-    /// achieved batching factor.
+    /// `ShardMetrics::groups` counter). A command that
+    /// [`ShardedRuntime::call`](crate::ShardedRuntime::call) ran on its
+    /// caller's thread joins no group, so `commands / groups` is the
+    /// batching factor only of traffic that took the mailbox.
     pub groups: u64,
     /// Fsyncs the shard's journal has issued so far (0 when not journaled).
     pub journal_fsyncs: u64,
-    /// Nanoseconds the shard worker spent executing commands.
+    /// Nanoseconds spent executing the shard's commands, by its worker or
+    /// inline on callers' threads.
     pub busy_nanos: u64,
-    /// Nanoseconds the shard worker spent idle, waiting for work.
+    /// Nanoseconds the shard worker spent idle, waiting for work. A caller
+    /// may run a command inline while the worker waits, so idle time can
+    /// overlap busy time spent inline, and `busy_nanos + idle_nanos` can
+    /// exceed the wall time.
     pub idle_nanos: u64,
 }
 

@@ -17,8 +17,8 @@
 //!  │ TCP conn 1   │──────────► │ conn thread 1     │ try_submit()  ┌─────────┐
 //!  │  "layered…\n"│            │  parse_request    │─────────────► │ shard 0 │
 //!  └──────────────┘            │  full? err busy   │   Ticket      │ shard 1 │
-//!                              │  ≤ 128 owed       │               │   …     │
-//!                              │                   │               └─────────┘
+//!                              │  ≤ 128 owed       │ lone line:    │   …     │
+//!                              │                   │ try_call()    └─────────┘
 //!                              │                   │   Ticket::wait     │
 //!         responses ◄──────────│  render_response  │◄───────────────────┘
 //!         "ok applied g1 1 4"  └───────────────────┘
@@ -32,9 +32,15 @@
 //!   resulting [`Ticket`] in turn, writes the framed responses back **in
 //!   submission order**, flushes once and reads again; it never blocks on
 //!   a read while it owes a reply. Because commands from every connection
-//!   meet only in the runtime's shard mailboxes, one slow client never
-//!   blocks another — and pipelined commands from one client overlap
-//!   across shards while their responses stay ordered.
+//!   meet only in the runtime's shards, one slow client never blocks
+//!   another — and pipelined commands from one client overlap across
+//!   shards while their responses stay ordered.
+//! * **A lone line skips the mailbox.** A line the thread would wait on at
+//!   once — no reply owed before it, no other complete line buffered —
+//!   goes through [`try_call`](ShardedRuntime::try_call) instead, which
+//!   runs it on the connection thread while its shard is idle (and is
+//!   `try_submit` otherwise). A closed-loop request then wakes two
+//!   threads, the client's and the connection's, instead of four.
 //! * **Backpressure, not buffering.** A full shard mailbox surfaces as a
 //!   documented `err busy` response (counted in both the server's
 //!   `busy_rejections` and the runtime's `queue_full_stalls`) instead of
@@ -485,7 +491,10 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream, id: u64) {
                     "metrics" => Pending::Line(render_metrics_text(&shared)),
                     "metrics json" => Pending::Line(render_metrics_json(&shared)),
                     "events" => Pending::Line(render_events(&shared)),
-                    _ => route_command(&shared, line),
+                    _ => {
+                        let lone = owed.is_empty() && !reader.buffer().contains(&b'\n');
+                        route_command(&shared, line, lone)
+                    }
                 }
             }
             Err(_) => Pending::Line(WireError::Parse("invalid utf-8".to_string()).render()),
@@ -509,23 +518,32 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream, id: u64) {
 
 /// Parses one command line and fires it at the runtime without blocking:
 /// a full shard mailbox becomes `err busy` for this client instead of a
-/// parked connection thread.
-fn route_command(shared: &Shared, line: &str) -> Pending {
-    match parse_request(line) {
-        Err(e) => Pending::Line(WireError::Parse(e.message).render()),
-        Ok(request) => match shared.runtime.try_submit(request) {
-            SubmitOutcome::Queued(ticket) => {
-                shared.counters.commands.fetch_add(1, Ordering::Relaxed);
-                Pending::Ticket(ticket)
-            }
-            SubmitOutcome::Busy(_) => {
-                shared
-                    .counters
-                    .busy_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                Pending::Line(WireError::Busy.render())
-            }
-        },
+/// parked connection thread. A `lone` line (no reply owed before it, no
+/// other complete line buffered) is one the thread would wait on at once,
+/// so it goes through [`ShardedRuntime::try_call`], which runs it on this
+/// thread when its shard is idle.
+fn route_command(shared: &Shared, line: &str, lone: bool) -> Pending {
+    let request = match parse_request(line) {
+        Ok(request) => request,
+        Err(e) => return Pending::Line(WireError::Parse(e.message).render()),
+    };
+    let outcome = if lone {
+        shared.runtime.try_call(request)
+    } else {
+        shared.runtime.try_submit(request)
+    };
+    match outcome {
+        SubmitOutcome::Queued(ticket) => {
+            shared.counters.commands.fetch_add(1, Ordering::Relaxed);
+            Pending::Ticket(ticket)
+        }
+        SubmitOutcome::Busy(_) => {
+            shared
+                .counters
+                .busy_rejections
+                .fetch_add(1, Ordering::Relaxed);
+            Pending::Line(WireError::Busy.render())
+        }
     }
 }
 

@@ -16,7 +16,11 @@
 //! come after it.
 
 #![cfg(target_os = "linux")]
-#![allow(clippy::unwrap_used, reason = "test code may unwrap")]
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test code may unwrap and panic"
+)]
 
 use fourcycle_runtime::{RuntimeConfig, ShardedRuntime};
 use fourcycle_server::{Server, ServerConfig};
@@ -25,10 +29,14 @@ use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// Set in the child's environment: serve instead of spawning.
 const CHILD: &str = "FOURCYCLE_ACCEPT_SHED_CHILD";
+
+/// Longest the parent waits for a tagged line from its child.
+const TAG_WAIT: Duration = Duration::from_secs(30);
 
 /// Longest the accept thread may run, in clock ticks of 10 ms, over a
 /// one-second window in which every `accept` fails: a tenth of the window.
@@ -51,14 +59,37 @@ fn spawn_child(name: &str) -> Child {
         .unwrap()
 }
 
-/// Reads the child's stdout up to a line `prefix value`; returns `value`.
-fn read_tagged(stdout: &mut impl BufRead, prefix: &str) -> String {
-    let mut line = String::new();
+/// The child's stdout, line by line, read on a thread of its own so that
+/// a wait for a line can time out. The thread reads until the child exits,
+/// which keeps the pipe open while the child prints its test result.
+fn stdout_lines(child: &mut Child) -> Receiver<String> {
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in stdout.lines().map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    rx
+}
+
+/// Waits up to [`TAG_WAIT`] for a line of the child's that holds `tag`, and
+/// returns what follows the tag. The tag need not start the line: when the
+/// test process may use only one CPU, libtest prints `test <name> ... `
+/// ahead of the child's own output on the same line.
+fn read_tagged(lines: &Receiver<String>, tag: &str) -> String {
+    let deadline = Instant::now() + TAG_WAIT;
     loop {
-        line.clear();
-        assert!(stdout.read_line(&mut line).unwrap() > 0, "child exited");
-        if let Some(value) = line.trim_end().strip_prefix(prefix) {
-            return value.to_string();
+        match lines.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(line) => {
+                if let Some((_, value)) = line.split_once(tag) {
+                    return value.trim_end().to_string();
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("no {tag:?} line from the child within {TAG_WAIT:?}")
+            }
+            Err(RecvTimeoutError::Disconnected) => panic!("the child exited before {tag:?}"),
         }
     }
 }
@@ -88,9 +119,8 @@ fn a_connection_that_cannot_be_registered_is_shed() {
         return;
     }
     let mut child = spawn_child("a_connection_that_cannot_be_registered_is_shed");
-    // Kept open until the child exits: it still prints its test result.
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let addr = read_tagged(&mut stdout, "addr ");
+    let stdout = stdout_lines(&mut child);
+    let addr = read_tagged(&stdout, "addr ");
 
     let mut conn = TcpStream::connect(&addr).unwrap();
     conn.write_all(b"list\n").unwrap();
@@ -122,8 +152,8 @@ fn accept_pauses_while_descriptors_run_out() {
     }
     let mut child = spawn_child("accept_pauses_while_descriptors_run_out");
     let mut stdin = child.stdin.take().unwrap();
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let addr = read_tagged(&mut stdout, "addr ");
+    let stdout = stdout_lines(&mut child);
+    let addr = read_tagged(&stdout, "addr ");
 
     // The first connection takes the descriptor `accept` had reserved and
     // the child's last free one for its clone; from then on every `accept`
@@ -145,7 +175,7 @@ fn accept_pauses_while_descriptors_run_out() {
     pending.write_all(b"list\n").unwrap();
 
     writeln!(stdin, "measure").unwrap();
-    let ticks: u64 = read_tagged(&mut stdout, "ticks ").parse().unwrap();
+    let ticks: u64 = read_tagged(&stdout, "ticks ").parse().unwrap();
     assert!(
         ticks < MAX_ACCEPT_TICKS,
         "the accept thread ran {ticks} ticks of 10 ms in one second of failing accepts"

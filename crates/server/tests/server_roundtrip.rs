@@ -1,8 +1,9 @@
 //! End-to-end wire tests: a real listener on a loopback port, driven by
 //! the real [`Client`] — every response and error shape, per-connection
-//! ordering under pipelining, backpressure (`busy`) convergence, the
-//! `stats` document, and graceful shutdown semantics. A raw socket drives
-//! what the client cannot: a half-close after a long pipeline.
+//! ordering under pipelining, which lines skip the shard mailbox,
+//! backpressure (`busy`) convergence, the `stats` document, and graceful
+//! shutdown semantics. A raw socket drives what the client cannot: a
+//! half-close after a long pipeline.
 
 #![allow(
     clippy::unwrap_used,
@@ -163,6 +164,95 @@ fn pipelined_replies_preserve_submission_order() {
     assert_eq!(report.totals.commands, script.len() as u64);
 }
 
+/// A closed-loop client's lines are lone: no reply owed, nothing else
+/// buffered. Each runs on the connection thread while its shard is idle,
+/// so the runtime's dispatch groups stay flat.
+#[test]
+fn closed_loop_commands_skip_the_mailbox() {
+    let server = start_server(2);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let groups = server.report().totals.groups;
+    let mut commands = 0;
+    for id in [GraphId(1), GraphId(2), GraphId(3)] {
+        client
+            .call(&Request::CreateGraph { id, spec: None })
+            .unwrap();
+        for update in square(0) {
+            client.call(&Request::ApplyLayered { id, update }).unwrap();
+        }
+        assert_eq!(
+            client.call(&Request::Count { id }).unwrap(),
+            Response::Count { id, count: 1 }
+        );
+        commands += 6;
+    }
+    let report = server.report();
+    assert_eq!(report.totals.commands, commands);
+    assert_eq!(report.totals.groups, groups, "{report:?}");
+    server.shutdown();
+}
+
+/// A pipelined burst still fans out over the shard mailboxes: 72 lines
+/// over 2 shards (36 each, so no mailbox of 64 fills) drain in groups, and
+/// the replies come back in submission order.
+#[test]
+fn a_pipelined_burst_still_batches_and_replies_in_order() {
+    let runtime = ShardedRuntime::start(
+        RuntimeConfig::new()
+            .shards(2)
+            .engine(EngineKind::Simple)
+            .mailbox_depth(64),
+    );
+    let mut graphs: Vec<GraphId> = Vec::new();
+    for shard in 0..2 {
+        graphs.extend(
+            (0..)
+                .map(GraphId)
+                .filter(|&id| runtime.shard_of(id) == shard)
+                .take(4),
+        );
+    }
+    let server = Server::start(ServerConfig::new(), runtime).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut script: Vec<Request> = graphs
+        .iter()
+        .map(|&id| Request::CreateGraph { id, spec: None })
+        .collect();
+    for round in 0..7u32 {
+        for &id in &graphs {
+            script.push(Request::ApplyLayeredBatch {
+                id,
+                updates: square(round * 10),
+            });
+        }
+    }
+    script.extend(graphs.iter().map(|&id| Request::Count { id }));
+    assert_eq!(script.len(), 72);
+    let replies = client.pipeline(&script).unwrap();
+    assert_eq!(replies.len(), script.len());
+    for (i, (request, reply)) in script.iter().zip(&replies).enumerate() {
+        let response = reply
+            .as_ref()
+            .unwrap_or_else(|e| panic!("#{i} {request:?}: {e}"));
+        let cycles = i64::try_from(i / 8).unwrap();
+        match (request, response) {
+            (Request::CreateGraph { id, .. }, Response::Created { id: got }) => {
+                assert_eq!(got, id)
+            }
+            (Request::ApplyLayeredBatch { id, .. }, Response::Applied { id: got, count, .. }) => {
+                assert_eq!((got, *count), (id, cycles))
+            }
+            (Request::Count { id }, Response::Count { id: got, count }) => {
+                assert_eq!((got, *count), (id, 7))
+            }
+            (request, response) => panic!("#{i}: {request:?} -> {response:?}"),
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(report.totals.commands, 72);
+    assert!(report.totals.groups < report.totals.commands, "{report:?}");
+}
+
 /// Backpressure end-to-end: against a depth-1 mailbox, a hard pipeliner
 /// sees `err busy` instead of hanging the server; retrying the rejected
 /// commands converges to the exact final state. The traffic is
@@ -297,15 +387,18 @@ fn stats_per_shard_objects_pin_the_full_counter_shape() {
     let server = start_server(2);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = GraphId(1);
-    client
-        .call(&Request::CreateGraph { id, spec: None })
+    // Sent as one burst: a closed-loop command on an idle shard runs on
+    // the connection thread and joins no dispatch group.
+    let replies = client
+        .pipeline(&[
+            Request::CreateGraph { id, spec: None },
+            Request::ApplyLayeredBatch {
+                id,
+                updates: square(0),
+            },
+        ])
         .unwrap();
-    client
-        .call(&Request::ApplyLayeredBatch {
-            id,
-            updates: square(0),
-        })
-        .unwrap();
+    assert!(replies.iter().all(Result::is_ok), "{replies:?}");
 
     let stats = client.stats().unwrap();
     let runtime_side = stats.get("runtime").expect("runtime section");
