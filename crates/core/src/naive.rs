@@ -1,18 +1,21 @@
 //! Enumeration oracle engine.
 //!
-//! Maintains nothing beyond the three adjacency structures and answers a
-//! query by enumerating all 2-hop extensions of the query's `L1` endpoint.
+//! Maintains nothing beyond the three relations and answers a query by
+//! enumerating all 2-hop extensions of the query's `L1` endpoint. A query
+//! reads every relation from its left end only, so each is kept once, as
+//! rows keyed by its left endpoint.
 //! This is the ground truth every other engine is differential-tested
 //! against; its update cost is `O(1)` and its query cost is the number of
 //! `A–B` 2-path instances out of `u`, which can be `Θ(m)`.
 
 use crate::engine::{QRel, ThreePathEngine};
-use fourcycle_graph::{coalesce_updates, BipartiteAdjacency, UpdateOp, VertexId};
+use fourcycle_graph::{coalesce_updates, SignedAdjacency, UpdateOp, VertexId};
 
 /// The enumeration oracle (no data structures, exhaustive queries).
 #[derive(Debug, Default)]
 pub struct NaiveEngine {
-    rels: [BipartiteAdjacency; 3],
+    /// `A`, `B` and `C`, each as rows keyed by its left endpoint.
+    rels: [SignedAdjacency; 3],
     work: u64,
 }
 
@@ -49,8 +52,8 @@ impl ThreePathEngine for NaiveEngine {
         let b = &self.rels[QRel::B.index()];
         let c = &self.rels[QRel::C.index()];
         let mut total = 0i64;
-        for (x, wa) in a.neighbors_of_left(u) {
-            for (y, wb) in b.neighbors_of_left(x) {
+        for (x, wa) in a.neighbors(u) {
+            for (y, wb) in b.neighbors(x) {
                 self.work += 1;
                 total += wa * wb * c.weight(y, v);
             }

@@ -49,12 +49,6 @@ impl PairCounts {
     pub fn clear(&mut self) {
         self.table.clear();
     }
-
-    /// Reclaims interner slots of left keys with no live entries (see
-    /// [`SignedAdjacency::compact`]).
-    pub fn compact(&mut self) {
-        self.table.compact();
-    }
 }
 
 #[cfg(test)]

@@ -9,17 +9,25 @@
 //! `W_{BC}[x][v] = #{2-paths x –B– y –C– v}`: updates to `B` or `C` touch at
 //! most `deg ≤ n` entries, updates to `A` touch none, and a query sums
 //! `W_{BC}[x][v]` over `x ∈ N_A(u)`.
+//!
+//! So the engine reads `A` only from its `L1` end and `B` and `C` only from
+//! their `L3` end, and keeps each relation once, in that orientation: `A`
+//! and `C` as rows keyed by their left endpoint, `B` as rows keyed by its
+//! right endpoint. `has_edge` and `edges` flip `B`'s pairs back.
 
 use crate::engine::{QRel, ThreePathEngine};
 use crate::pair_counts::PairCounts;
-use fourcycle_graph::{coalesce_updates, BipartiteAdjacency, UpdateOp, VertexId};
+use fourcycle_graph::{coalesce_updates, SignedAdjacency, UpdateOp, VertexId};
 
 /// Appendix A: all-pairs wedge counts, `O(n)` worst-case update time.
 #[derive(Debug, Default)]
 pub struct SimpleEngine {
-    a: BipartiteAdjacency,
-    b: BipartiteAdjacency,
-    c: BipartiteAdjacency,
+    /// `A`, row `u ∈ L1` holding `(x, A[u][x])`.
+    a_by_l1: SignedAdjacency,
+    /// `B`, row `y ∈ L3` holding `(x, B[x][y])`.
+    b_by_l3: SignedAdjacency,
+    /// `C`, row `y ∈ L3` holding `(v, C[y][v])`.
+    c_by_l3: SignedAdjacency,
     /// `W_{BC}[x][v]` — wedges from `x ∈ L2` to `v ∈ L4` through `L3`.
     wedges_bc: PairCounts,
     work: u64,
@@ -33,7 +41,7 @@ impl SimpleEngine {
 
     /// Edges held in `A`, `B` and `C` together (the paper's `m`).
     pub(crate) fn total_edges(&self) -> usize {
-        self.a.len() + self.b.len() + self.c.len()
+        self.a_by_l1.len() + self.b_by_l3.len() + self.c_by_l3.len()
     }
 
     /// Number of stored wedge entries (exposed for the memory experiments).
@@ -41,36 +49,27 @@ impl SimpleEngine {
         self.wedges_bc.len()
     }
 
-    /// The adjacency of `rel`.
-    fn rel(&self, rel: QRel) -> &BipartiteAdjacency {
-        match rel {
-            QRel::A => &self.a,
-            QRel::B => &self.b,
-            QRel::C => &self.c,
-        }
-    }
-
     /// One signed edge event: wedge-table maintenance plus adjacency.
     fn apply_signed(&mut self, rel: QRel, left: VertexId, right: VertexId, s: i64) {
         match rel {
             QRel::A => {
-                self.a.add(left, right, s);
+                self.a_by_l1.add(left, right, s);
             }
             QRel::B => {
                 // New wedge (left, v) for every C-neighbor v of `right`.
-                for (v, wc) in self.c.neighbors_of_left(right) {
+                for (v, wc) in self.c_by_l3.neighbors(right) {
                     self.work += 1;
                     self.wedges_bc.add(left, v, s * wc);
                 }
-                self.b.add(left, right, s);
+                self.b_by_l3.add(right, left, s);
             }
             QRel::C => {
                 // New wedge (x, right) for every B-neighbor x of `left`.
-                for (x, wb) in self.b.neighbors_of_right(left) {
+                for (x, wb) in self.b_by_l3.neighbors(left) {
                     self.work += 1;
                     self.wedges_bc.add(x, right, s * wb);
                 }
-                self.c.add(left, right, s);
+                self.c_by_l3.add(left, right, s);
             }
         }
     }
@@ -86,16 +85,24 @@ impl ThreePathEngine for SimpleEngine {
     }
 
     fn has_edge(&self, rel: QRel, left: VertexId, right: VertexId) -> bool {
-        self.rel(rel).weight(left, right) != 0
+        match rel {
+            QRel::A => self.a_by_l1.contains(left, right),
+            QRel::B => self.b_by_l3.contains(right, left),
+            QRel::C => self.c_by_l3.contains(left, right),
+        }
     }
 
     fn edges(&self, rel: QRel) -> Vec<(VertexId, VertexId)> {
-        self.rel(rel).iter().map(|(l, r, _)| (l, r)).collect()
+        match rel {
+            QRel::A => self.a_by_l1.iter().map(|(l, r, _)| (l, r)).collect(),
+            QRel::B => self.b_by_l3.iter().map(|(r, l, _)| (l, r)).collect(),
+            QRel::C => self.c_by_l3.iter().map(|(l, r, _)| (l, r)).collect(),
+        }
     }
 
     fn query(&mut self, u: VertexId, v: VertexId) -> i64 {
         let mut total = 0i64;
-        for (x, wa) in self.a.neighbors_of_left(u) {
+        for (x, wa) in self.a_by_l1.neighbors(u) {
             self.work += 1;
             total += wa * self.wedges_bc.get(x, v);
         }
@@ -147,6 +154,47 @@ mod tests {
             }
         }
         assert!(simple.stored_wedges() > 0);
+    }
+
+    /// `B` is stored by its right endpoint: membership and edge lists must
+    /// still speak `(left, right)`, as the oracle's left-keyed rows do.
+    #[test]
+    fn every_relation_reads_back_its_own_pairs() {
+        let script = [
+            (QRel::A, 1, 10, Insert),
+            (QRel::A, 1, 11, Insert),
+            (QRel::B, 10, 20, Insert),
+            (QRel::B, 11, 20, Insert),
+            (QRel::B, 10, 21, Insert),
+            (QRel::C, 20, 30, Insert),
+            (QRel::C, 21, 30, Insert),
+            (QRel::C, 20, 31, Insert),
+            (QRel::A, 1, 10, Delete),
+            (QRel::B, 10, 20, Delete),
+            (QRel::C, 21, 30, Delete),
+        ];
+        let mut simple = SimpleEngine::new();
+        let mut naive = NaiveEngine::new();
+        for (rel, l, r, op) in script {
+            simple.apply_update(rel, l, r, op);
+            naive.apply_update(rel, l, r, op);
+            assert_eq!(simple.has_edge(rel, l, r), op == Insert);
+        }
+        for (rel, l, r, op) in script {
+            assert_eq!(
+                simple.has_edge(rel, l, r),
+                naive.has_edge(rel, l, r),
+                "{rel:?} ({l}, {r}) after {op:?}"
+            );
+            assert!(!simple.has_edge(rel, r, l), "{rel:?} ({r}, {l}) is no pair");
+        }
+        for rel in QRel::ALL {
+            let (mut mine, mut oracle) = (simple.edges(rel), naive.edges(rel));
+            mine.sort_unstable();
+            oracle.sort_unstable();
+            assert_eq!(mine, oracle, "{rel:?}");
+        }
+        assert_eq!(simple.total_edges(), 5);
     }
 
     #[test]

@@ -348,16 +348,6 @@ impl ThresholdEngine {
             self.apply_rules(rel, l, r, 1);
             self.adjacency_add(rel, l, r, 1);
         }
-        // The rebuild is the engine's amortization point, so reclaim the
-        // interner slots of vertices that no longer appear — otherwise
-        // memory (and slot scans) would track vertices ever seen rather
-        // than the live graph on unbounded-id streams.
-        self.a.compact();
-        self.b.compact();
-        self.c.compact();
-        self.w_ab_light.compact();
-        self.w_bc_light.compact();
-        self.p_ll_hh.compact();
     }
 
     fn needs_rebuild(&self) -> bool {

@@ -18,9 +18,19 @@
 //! binary search in a row that is typically short. The interner and the row
 //! allocations survive [`SignedAdjacency::clear`], so the era rebuilds of the
 //! engines re-populate warm buffers instead of re-hashing every vertex.
+//!
+//! A vertex keeps its interner slot after its row empties, so that a vertex
+//! whose degree flaps between 0 and 1 is not re-hashed each time. Once its
+//! empty rows outnumber its live ones by more than a small slack, the
+//! structure compacts itself, so on streams of ever-fresh vertex ids its
+//! memory tracks the live rows, not every vertex ever seen.
 
 use crate::compact::CompactIndex;
 use crate::VertexId;
+
+/// Empty rows a [`SignedAdjacency`] tolerates beyond its live ones before
+/// an emptying `add` compacts it: it keeps `slots ≤ 2·live + COMPACT_SLACK`.
+const COMPACT_SLACK: usize = 16;
 
 /// A signed directed adjacency map from left vertices to right vertices.
 ///
@@ -30,13 +40,15 @@ use crate::VertexId;
 #[derive(Debug, Clone, Default)]
 pub struct SignedAdjacency {
     /// Left-vertex interner; a vertex keeps its slot after its row empties,
-    /// until `compact`.
+    /// until the next compaction.
     index: CompactIndex,
     /// `rows[slot]` holds the `(neighbor, weight)` entries of the left
     /// vertex at `slot`, sorted by neighbor id, no zero weights.
     rows: Vec<Vec<(VertexId, i64)>>,
     /// Total number of (pair, weight != 0) entries.
     entries: usize,
+    /// Number of non-empty rows.
+    live_rows: usize,
 }
 
 impl SignedAdjacency {
@@ -47,7 +59,9 @@ impl SignedAdjacency {
 
     /// Adds `delta` to the weight of the pair `(u, v)`.
     ///
-    /// Returns the new weight.
+    /// Returns the new weight. An `add` that empties a row compacts the
+    /// structure once its empty rows outnumber its live ones by more than
+    /// a small slack (module docs).
     pub fn add(&mut self, u: VertexId, v: VertexId, delta: i64) -> i64 {
         if delta == 0 {
             return self.weight(u, v);
@@ -62,16 +76,23 @@ impl SignedAdjacency {
                 let new = row[pos].1 + delta;
                 if new == 0 {
                     row.remove(pos);
+                    self.entries -= 1;
                     if row.is_empty() {
                         *row = Vec::new();
+                        self.live_rows -= 1;
+                        if self.rows.len() > 2 * self.live_rows + COMPACT_SLACK {
+                            self.compact();
+                        }
                     }
-                    self.entries -= 1;
                 } else {
                     row[pos].1 = new;
                 }
                 new
             }
             Err(pos) => {
+                if row.is_empty() {
+                    self.live_rows += 1;
+                }
                 row.insert(pos, (v, delta));
                 self.entries += 1;
                 delta
@@ -147,23 +168,20 @@ impl SignedAdjacency {
             row.clear();
         }
         self.entries = 0;
+        self.live_rows = 0;
     }
 
     /// Drops the interner slots and row allocations of vertices whose rows
-    /// are currently empty, re-interning only the live ones.
-    ///
-    /// Interner slots otherwise persist for the structure's lifetime, so on
-    /// unbounded id streams (sliding windows, ever-fresh tuple ids) memory
-    /// would grow with the vertices *ever seen* rather than the live graph.
-    /// Callers with a natural amortization point — the engines' era
-    /// rebuilds, a periodic maintenance tick — call this there; cost is
-    /// `O(slots)`.
-    pub fn compact(&mut self) {
-        if self.rows.iter().all(|row| !row.is_empty()) {
+    /// are currently empty, re-interning only the live ones. An emptying
+    /// [`add`](Self::add) runs this once empty rows outnumber live ones by
+    /// the slack, so memory tracks the live rows on unbounded id streams
+    /// (sliding windows, ever-fresh tuple ids). Cost is `O(slots)`.
+    fn compact(&mut self) {
+        if self.live_rows == self.rows.len() {
             return;
         }
-        let mut index = CompactIndex::with_capacity(self.rows.len());
-        let mut rows = Vec::with_capacity(self.rows.len());
+        let mut index = CompactIndex::with_capacity(self.live_rows);
+        let mut rows = Vec::with_capacity(self.live_rows);
         for (slot, row) in self.rows.iter_mut().enumerate() {
             if !row.is_empty() {
                 index.insert(self.index.vertex_at(slot));
@@ -262,13 +280,6 @@ impl BipartiteAdjacency {
     pub fn clear(&mut self) {
         self.forward.clear();
         self.backward.clear();
-    }
-
-    /// Reclaims interner slots of vertices with no live entries on either
-    /// side (see [`SignedAdjacency::compact`]).
-    pub fn compact(&mut self) {
-        self.forward.compact();
-        self.backward.compact();
     }
 }
 
@@ -379,6 +390,68 @@ mod tests {
         adj.compact();
         assert_eq!(adj.len(), 2);
         assert_eq!(adj.weight(49, 149), 1);
+    }
+
+    /// The non-empty rows, counted from the rows themselves.
+    fn live(adj: &SignedAdjacency) -> usize {
+        adj.rows.iter().filter(|row| !row.is_empty()).count()
+    }
+
+    #[test]
+    fn churn_of_fresh_ids_keeps_slots_within_twice_the_live_rows() {
+        let mut adj = SignedAdjacency::new();
+        for v in 0..40u32 {
+            adj.add(v, v % 7, 1);
+        }
+        // Each round retires the oldest left vertex and brings a new one.
+        for v in 40..10_040u32 {
+            adj.add(v - 40, (v - 40) % 7, -1);
+            assert!(adj.rows.len() <= 2 * live(&adj) + COMPACT_SLACK);
+            adj.add(v, v % 7, 1);
+            assert!(adj.rows.len() <= 2 * live(&adj) + COMPACT_SLACK);
+        }
+        assert_eq!(adj.live_rows, live(&adj));
+        assert_eq!(adj.index.len(), adj.rows.len());
+        assert_eq!(adj.len(), 40);
+        for v in 10_000..10_040u32 {
+            assert_eq!(adj.weight(v, v % 7), 1, "a live row survives compaction");
+        }
+        assert_eq!(adj.weight(9_999, 9_999 % 7), 0);
+    }
+
+    #[test]
+    fn clear_and_repopulation_keep_their_rows() {
+        let mut adj = SignedAdjacency::new();
+        for v in 0..100u32 {
+            adj.add(v, 1, 1);
+            adj.add(v, 2, 1);
+        }
+        adj.clear();
+        assert_eq!(adj.rows.len(), 100, "clear keeps every slot");
+        assert!(adj
+            .rows
+            .iter()
+            .all(|row| row.is_empty() && row.capacity() > 0));
+        // An era rebuild re-populates part of the rows: nothing is dropped.
+        for v in 0..20u32 {
+            adj.add(v, 3, 1);
+            adj.add(v, 4, 1);
+        }
+        assert_eq!(adj.rows.len(), 100);
+        assert!(adj.rows.iter().all(|row| row.capacity() > 0));
+        assert_eq!(
+            adj.index.index_of(7),
+            Some(7),
+            "a re-populated vertex keeps its slot"
+        );
+        // A deletion that leaves its row non-empty compacts nothing either.
+        adj.add(0, 3, -1);
+        assert_eq!(adj.rows.len(), 100);
+        // The first emptied row finds 81 empty rows beside 19 live ones.
+        adj.add(0, 4, -1);
+        assert_eq!(adj.rows.len(), 19);
+        assert_eq!(adj.len(), 38);
+        assert!((1..20u32).all(|v| adj.degree(v) == 2));
     }
 
     #[test]

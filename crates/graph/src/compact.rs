@@ -9,6 +9,10 @@
 //! the dense range `0..len`. It backs both the indexed adjacency rows of
 //! [`crate::SignedAdjacency`] and the matrix extraction in
 //! `fourcycle-matrix` (which re-exports this type).
+//!
+//! An index holds distinct `u32` ids, so it has at most 2^32 of them and
+//! every dense index fits a `u32`. The map stores its indices as `u32`
+//! slots, half the size of `usize` ones; the API still speaks `usize`.
 
 use crate::VertexId;
 use std::collections::HashMap;
@@ -16,8 +20,13 @@ use std::collections::HashMap;
 /// A bijection between vertex ids and dense indices.
 #[derive(Debug, Clone, Default)]
 pub struct CompactIndex {
-    to_index: HashMap<VertexId, usize>,
+    to_index: HashMap<VertexId, u32>,
     to_vertex: Vec<VertexId>,
+}
+
+/// The position of a stored `u32` slot.
+fn position(slot: u32) -> usize {
+    usize::try_from(slot).unwrap_or(usize::MAX)
 }
 
 impl CompactIndex {
@@ -45,19 +54,24 @@ impl CompactIndex {
     }
 
     /// Inserts a vertex (no-op if already present) and returns its index.
+    #[expect(
+        clippy::expect_used,
+        reason = "the index holds distinct u32 ids, so a new one's index is below 2^32"
+    )]
     pub fn insert(&mut self, v: VertexId) -> usize {
-        if let Some(&i) = self.to_index.get(&v) {
-            return i;
+        if let Some(&slot) = self.to_index.get(&v) {
+            return position(slot);
         }
         let i = self.to_vertex.len();
-        self.to_index.insert(v, i);
+        let slot = u32::try_from(i).expect("an index holds at most 2^32 vertices");
+        self.to_index.insert(v, slot);
         self.to_vertex.push(v);
         i
     }
 
     /// Index of a vertex, if present.
     pub fn index_of(&self, v: VertexId) -> Option<usize> {
-        self.to_index.get(&v).copied()
+        self.to_index.get(&v).copied().map(position)
     }
 
     /// Vertex at a dense index.
