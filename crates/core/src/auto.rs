@@ -28,6 +28,7 @@
 //! layered edges, six per general edge.
 
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
+use crate::fmm::state::LAYERED_COPIES;
 use crate::{FmmConfig, FmmEngine, SimpleEngine, SymmetricFmmEngine};
 use fourcycle_graph::{ClassThresholds, UpdateOp, VertexId};
 use std::cmp::Reverse;
@@ -136,10 +137,39 @@ impl AutoEngine {
         if simple.total_edges() < SWITCH_AT {
             return None;
         }
+        self.grow(&[])
+    }
+
+    /// A general session's insert-only load before its switch
+    /// ([`crate::GeneralEngine::load`]): if the simple engine and `edges`
+    /// (each once, none held) reach [`SWITCH_AT`] layered edges, the
+    /// [`SymmetricFmmEngine`] built from them at once, for the era the
+    /// per-update rule reaches; otherwise `None`, with nothing changed.
+    pub(crate) fn grow_with(
+        &mut self,
+        edges: &[(VertexId, VertexId)],
+    ) -> Option<Box<SymmetricFmmEngine>> {
+        let Stage::Simple(simple, era) = &mut self.stage else {
+            return None;
+        };
+        let held = simple.total_edges();
+        if held + LAYERED_COPIES * edges.len() < SWITCH_AT {
+            return None;
+        }
+        *era = era_after(*era, held, edges.len());
+        self.grow(edges)
+    }
+
+    /// The [`SymmetricFmmEngine`] holding the simple engine's general graph
+    /// and `more` edges, built for the era reached so far; the simple
+    /// engine is dropped first. `None` after the switch.
+    fn grow(&mut self, more: &[(VertexId, VertexId)]) -> Option<Box<SymmetricFmmEngine>> {
         let (simple, m_hat) = self.take_simple()?;
         let work = simple.work();
-        let edges = simple.edges(QRel::A);
+        let mut edges = simple.edges(QRel::A);
         drop(simple);
+        edges.retain(|&(u, v)| u < v);
+        edges.extend_from_slice(more);
         let fmm = SymmetricFmmEngine::from_edges(self.cfg, &hubs_first(edges), m_hat, work);
         Some(Box::new(fmm))
     }
@@ -147,16 +177,16 @@ impl AutoEngine {
 
 /// A general graph's edges, each once, ordered so that the main engine
 /// built from them numbers the highest-degree vertices first: by the
-/// endpoint of higher degree, then the other (ties by id). `edges` are the
-/// simple engine's `A` pairs, in both orientations. The main engine's
-/// tables keyed by its few High and Dense vertices then need short row
-/// headers: handed over by client id instead, a general-hubs-shaped session
-/// of 8,000 edges held 3 % more heap than one grown on the main engine from
-/// the start, and 0.7 % less this way (ADR-011).
-fn hubs_first(edges: Vec<(VertexId, VertexId)>) -> Vec<(VertexId, VertexId)> {
+/// endpoint of higher degree, then the other (ties by id). The main
+/// engine's tables keyed by its few High and Dense vertices then need short
+/// row headers: handed over by client id instead, a general-hubs-shaped
+/// session of 8,000 edges held 3 % more heap than one grown on the main
+/// engine from the start, and 0.7 % less this way (ADR-011).
+pub(crate) fn hubs_first(edges: Vec<(VertexId, VertexId)>) -> Vec<(VertexId, VertexId)> {
     let mut degree: HashMap<VertexId, usize> = HashMap::new();
-    for &(u, _) in &edges {
+    for &(u, v) in &edges {
         *degree.entry(u).or_insert(0) += 1;
+        *degree.entry(v).or_insert(0) += 1;
     }
     let mut by_degree: Vec<_> = degree.into_iter().collect();
     by_degree.sort_unstable_by_key(|&(v, d)| (Reverse(d), v));
@@ -169,7 +199,11 @@ fn hubs_first(edges: Vec<(VertexId, VertexId)>) -> Vec<(VertexId, VertexId)> {
         .into_iter()
         .filter_map(|(u, v)| {
             let (ru, rv) = (*rank.get(&u)?, *rank.get(&v)?);
-            (ru < rv).then_some((ru, rv, u, v))
+            Some(if ru < rv {
+                (ru, rv, u, v)
+            } else {
+                (rv, ru, v, u)
+            })
         })
         .collect();
     ranked.sort_unstable();
@@ -182,6 +216,16 @@ fn settle_era(era: &mut ClassThresholds, held: usize) {
     if era.needs_rebuild(held) {
         *era = ClassThresholds::with_delta(held.max(1), era.eps, era.delta);
     }
+}
+
+/// The era a general session's engine reaches from `era`, holding `held`
+/// layered edges, after `inserts` general inserts one at a time: the rule
+/// of [`settle_era`] after each, as the per-update path runs it.
+pub(crate) fn era_after(mut era: ClassThresholds, held: usize, inserts: usize) -> ClassThresholds {
+    for i in 1..=inserts {
+        settle_era(&mut era, held + LAYERED_COPIES * i);
+    }
+    era
 }
 
 /// How many of `updates` to apply before switching, if an engine holding

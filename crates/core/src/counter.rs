@@ -24,6 +24,14 @@
 //! routes it to the engines; `try_apply` is a one-update batch, and the
 //! skip-semantics `apply_batch` falls back to per-update `try_apply` only
 //! for a batch that holds a rejected update.
+//!
+//! An insert-only batch at least as large as the graph (a session's set-up,
+//! or its replay during recovery) is a bulk load: the engines take it
+//! whole, without the per-update query points, and the count is recounted
+//! on the final graph. A layered counter sums the `D` rotation's query
+//! over the `D` edges; a general counter rebuilds its symmetric engine once
+//! and uses the walk identity of `four_cycles_from_walks`. Engine kinds
+//! on which that measured slower keep the per-update path.
 
 use crate::engine::{
     EngineConfig, EngineKind, GeneralEngine, QRel, SlowPathStats, ThreePathEngine,
@@ -281,12 +289,21 @@ impl LayeredCycleCounter {
     /// that depends on it, and between queries they digest whole runs of
     /// updates at once (coalescing same-pair churn, settling class
     /// transitions and phase bookkeeping once per run).
+    ///
+    /// An insert-only batch at least as large as the graph skips the query
+    /// points on engine kinds where that measured faster
+    /// (`LAYERED_BULK_KINDS`): each engine takes its whole sub-batches,
+    /// and the count is recounted on the final graph.
     pub fn try_apply_batch(&mut self, updates: &[LayeredUpdate]) -> Result<i64, BatchError> {
         crate::error::validate_batch(
             updates,
             |u| Ok(((u.rel, u.left, u.right), u.op)),
             |u| self.engines[Self::holder(u.rel)].has_edge(QRel::A, u.left, u.right),
         )?;
+        if LAYERED_BULK_KINDS.contains(&self.kind) && loads_in_bulk(self.edges, updates, |u| u.op) {
+            self.load(updates);
+            return Ok(self.count);
+        }
 
         /// Per-engine buffers of updates not yet applied, one per role
         /// (`QRel`), each in arrival order. Order *across* roles is
@@ -329,6 +346,82 @@ impl LayeredCycleCounter {
         }
         Ok(self.count)
     }
+
+    /// The bulk path of [`try_apply_batch`](Self::try_apply_batch), for a
+    /// validated insert-only batch ([`loads_in_bulk`]): each rotation takes
+    /// its three roles as three whole batches, and the count is recounted
+    /// on the final graph. Every layered 4-cycle holds exactly one `D` edge
+    /// `(l, r)` and closes exactly one 3-path from `r ∈ L1` to `l ∈ L4`, so
+    /// the count is the `D` rotation's query summed over the `D` edges.
+    fn load(&mut self, updates: &[LayeredUpdate]) {
+        let mut by_rel: [Vec<(VertexId, VertexId, UpdateOp)>; 4] = Default::default();
+        for u in updates {
+            by_rel[u.rel.index()].push((u.left, u.right, UpdateOp::Insert));
+        }
+        for (rot, engine) in self.engines.iter_mut().enumerate() {
+            for rel in Rel::ALL {
+                let batch = &by_rel[rel.index()];
+                match Self::role_in_rotation(rot, rel) {
+                    Some(role) if !batch.is_empty() => engine.apply_batch(role, batch),
+                    _ => {}
+                }
+            }
+        }
+        let d_edges = self.edges(Rel::D);
+        let query = &mut self.engines[Rel::D.index()];
+        self.count = d_edges.iter().map(|&(l, r)| query.query(r, l)).sum();
+        self.edges += updates.len();
+        self.epoch += u64::try_from(updates.len()).unwrap_or(u64::MAX);
+    }
+}
+
+/// Engine kinds whose layered counters load an insert-only batch in bulk:
+/// those for which the bulk path beat the per-update one at `b = m` on
+/// sessions of 150, 600 and 2,000 edges (ADR-001's 2026-10-19 amendment).
+/// Threshold lost at 150 edges and fmm at 600 and 2,000, so both keep the
+/// per-update path.
+const LAYERED_BULK_KINDS: [EngineKind; 4] = [
+    EngineKind::Naive,
+    EngineKind::Simple,
+    EngineKind::FmmDense,
+    EngineKind::Auto,
+];
+
+/// Whether a counter holding `held` edges may take the validated batch
+/// `updates` by its bulk path: the batch inserts only and holds at least
+/// as many updates as the counter holds edges. A whole recount then asks
+/// at most about as many queries as the per-update path, each on one final
+/// graph, and the engines take whole batches instead of runs split at
+/// every query. A one-update batch (every `try_apply`) always runs the
+/// per-update rules. Whether the engine kind takes it is the caller's.
+fn loads_in_bulk<U>(held: usize, updates: &[U], op: impl Fn(&U) -> UpdateOp) -> bool {
+    updates.len() >= held.max(2) && updates.iter().all(|u| op(u) == UpdateOp::Insert)
+}
+
+/// The number of 4-cycles of a general graph whose `edges` are given each
+/// once, from `walks(u, v)`, its number of 3-walks `u – x – y – v`, asked
+/// once per edge. For an edge `{u, v}` those walks are the `c(u, v)`
+/// 3-paths that close a 4-cycle through it, the `deg(v)` walks with
+/// `x = v`, and the `deg(u)` walks with `y = u`, less the one walk
+/// `u – v – u – v` counted in both. Each 4-cycle has four edges and
+/// `Σ_{uv} (deg(u) + deg(v)) = Σ_v deg(v)²`, so the count is
+/// `(Σ_e walks(e) − Σ_v deg(v)² + m) / 4`.
+pub(crate) fn four_cycles_from_walks(
+    edges: &[(VertexId, VertexId)],
+    mut walks: impl FnMut(VertexId, VertexId) -> i64,
+) -> i64 {
+    let walk_sum: i64 = edges.iter().map(|&(u, v)| walks(u, v)).sum();
+    let mut ends: Vec<VertexId> = edges.iter().flat_map(|&(u, v)| [u, v]).collect();
+    ends.sort_unstable();
+    let square_degrees: i64 = ends
+        .chunk_by(|a, b| a == b)
+        .map(|run| {
+            let degree = i64::try_from(run.len()).unwrap_or(i64::MAX);
+            degree * degree
+        })
+        .sum();
+    let m = i64::try_from(edges.len()).unwrap_or(i64::MAX);
+    (walk_sum - square_degrees + m) / 4
 }
 
 /// Maintains the exact number of 4-cycles of a fully dynamic *general* simple
@@ -481,6 +574,12 @@ impl FourCycleCounter {
     /// `B`, `C`, so each general update pins a query point next to its own
     /// engine update. The batch is therefore applied in order, one query
     /// and one [`GeneralEngine::update`] per update.
+    ///
+    /// The exception is a bulk load: an insert-only batch at least as large
+    /// as the graph, on a session that runs the symmetric fmm engine or
+    /// grows into it with this batch. The engine is rebuilt once from the
+    /// old and new edges, and the count is recounted on the final graph
+    /// from one query per edge (`four_cycles_from_walks`).
     pub fn try_apply_batch(&mut self, updates: &[GraphUpdate]) -> Result<i64, BatchError> {
         crate::error::validate_batch(
             updates,
@@ -493,6 +592,18 @@ impl FourCycleCounter {
             },
             |u| self.engine.has_edge(u.u, u.v),
         )?;
+        if loads_in_bulk(self.edges, updates, |u| u.op)
+            && self
+                .engine
+                .load(&updates.iter().map(|u| (u.u, u.v)).collect::<Vec<_>>())
+        {
+            self.edges += updates.len();
+            self.epoch += u64::try_from(updates.len()).unwrap_or(u64::MAX);
+            let edges = self.engine.edges();
+            let engine = &mut self.engine;
+            self.count = four_cycles_from_walks(&edges, |u, v| engine.query(u, v));
+            return Ok(self.count);
+        }
         for &GraphUpdate { op, u, v } in updates {
             match op {
                 // Claim 8.1: query while (u, v) is absent from A, B, C, so
@@ -610,6 +721,78 @@ mod tests {
         want.sort_unstable();
         assert_eq!(edges, want);
         assert_eq!(counter.total_edges(), 5);
+    }
+
+    /// The 3-walks `u – x – y – v` of `g`, by enumeration.
+    fn walks(g: &GeneralGraph, u: VertexId, v: VertexId) -> i64 {
+        g.neighbors(u)
+            .flat_map(|x| g.neighbors(x))
+            .filter(|&y| g.has_edge(y, v))
+            .count() as i64
+    }
+
+    fn graph(edges: impl IntoIterator<Item = (VertexId, VertexId)>) -> GeneralGraph {
+        let mut g = GeneralGraph::new();
+        for (u, v) in edges {
+            g.insert(u, v);
+        }
+        g
+    }
+
+    #[test]
+    fn four_cycles_from_walks_matches_brute_force() {
+        let k4 = graph((1..=4).flat_map(|u| (u + 1..=4).map(move |v| (u, v))));
+        let k33 = graph((1..=3).flat_map(|u| (10..=12).map(move |v| (u, v))));
+        let star = graph((1..=9).map(|v| (0, v)));
+        let mut graphs = vec![(k4, 3), (k33, 9), (star, 0)];
+        let mut state = 41u64;
+        for (vertices, edges) in [(8, 14), (15, 45), (40, 200)] {
+            let mut g = GeneralGraph::new();
+            for _ in 0..edges {
+                let mut next = || {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    ((state >> 33) % vertices) as VertexId
+                };
+                let (u, v) = (next(), next());
+                g.insert(u, v);
+            }
+            let want = g.count_4cycles_brute_force();
+            graphs.push((g, want));
+        }
+        for (g, want) in graphs {
+            assert_eq!(g.count_4cycles_brute_force(), want);
+            let edges: Vec<_> = g.edges().collect();
+            // Each edge asked once, in either orientation.
+            let got = four_cycles_from_walks(&edges, |u, v| walks(&g, u, v));
+            assert_eq!(got, want, "{} edges", edges.len());
+            let flipped: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
+            assert_eq!(
+                four_cycles_from_walks(&flipped, |u, v| walks(&g, u, v)),
+                want
+            );
+        }
+    }
+
+    #[test]
+    fn a_general_fmm_bulk_batch_is_one_era_rebuild() {
+        let mut counter = FourCycleCounter::new(EngineKind::Fmm);
+        let mut reference = GeneralGraph::new();
+        let edges: Vec<_> = (0..200u32)
+            .map(|i| (i % 13, 13 + (i * 7) % 29))
+            .filter(|&(u, v)| reference.insert(u, v))
+            .map(|(u, v)| GraphUpdate::insert(u, v))
+            .collect();
+        let (first, second) = edges.split_at(edges.len() / 2);
+        counter.try_apply_batch(first).unwrap();
+        assert_eq!(counter.slow_path_stats().era_rebuilds, 1);
+        let work = counter.work();
+        counter.try_apply_batch(second).unwrap();
+        let slow = counter.slow_path_stats();
+        assert_eq!((slow.era_rebuilds, slow.phase_rollovers), (2, 0));
+        assert!(counter.work() > work, "the rebuild and the queries count");
+        assert_eq!(counter.count(), reference.count_4cycles_brute_force());
     }
 
     #[test]

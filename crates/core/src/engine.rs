@@ -362,6 +362,28 @@ impl GeneralEngine {
         }
     }
 
+    /// Inserts the general `edges`, each once and none present, by one era
+    /// rebuild of the symmetric engine (the bulk path of
+    /// [`crate::FourCycleCounter::try_apply_batch`]), if this engine is the
+    /// symmetric one or is the auto kind's and they carry it to its switch
+    /// point; otherwise returns `false` and changes nothing.
+    pub(crate) fn load(&mut self, edges: &[(VertexId, VertexId)]) -> bool {
+        match self {
+            Self::Relations(_) => false,
+            Self::Symmetric(engine) => {
+                engine.insert_all(edges);
+                true
+            }
+            Self::Auto(engine) => {
+                let Some(grown) = engine.grow_with(edges) else {
+                    return false;
+                };
+                *self = Self::Symmetric(grown);
+                true
+            }
+        }
+    }
+
     /// The number of layered 3-paths from `u ∈ L1` to `v ∈ L4`: the
     /// general graph's 3-walks from `u` to `v`.
     pub fn query(&mut self, u: VertexId, v: VertexId) -> i64 {

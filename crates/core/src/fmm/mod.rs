@@ -14,9 +14,11 @@
 //!   updates intern them, `query` and `has_edge` look them up, answer 0 or
 //!   `false` for an id the engine has not seen and intern nothing, and
 //!   `edges` translates dense ids back through the interners. An
-//!   era rebuild re-interns only the live vertices, so memory tracks the
-//!   live graph. Everything below sees dense ids only, including
-//!   [`FmmEngine::debug_state`].
+//!   era rebuild re-interns only the live vertices, and one also runs, at
+//!   the era scale already held, once a layer's interner holds more than
+//!   twice its live vertices plus a slack, so memory tracks the live graph
+//!   even at a steady size under vertex-id churn. Everything below sees
+//!   dense ids only, including [`FmmEngine::debug_state`].
 //! * [`state::GraphState`] — the three relations `A`, `B`, `C`, each split
 //!   into an *old* and a *new* signed edge multiset (§5.1: `P_new` is the
 //!   current phase plus the previous one, `P_old` everything older; a
@@ -125,7 +127,9 @@ pub mod table;
 pub mod tagged;
 
 use crate::engine::{QRel, SlowPathStats, ThreePathEngine};
-use fourcycle_graph::{ClassThresholds, CompactIndex, EndpointClass, UpdateOp, VertexId};
+use fourcycle_graph::{
+    ClassThresholds, CompactIndex, EndpointClass, UpdateOp, VertexId, COMPACT_SLACK,
+};
 use fourcycle_matrix::{MulAlgorithm, SparseMatrix};
 use rules::{Rules, Structures};
 use state::{GraphState, Role, Tag};
@@ -369,14 +373,19 @@ impl<const SYMMETRIC: bool> FmmEngine<SYMMETRIC> {
         self.settle_clocks(state::LAYERED_COPIES);
     }
 
-    /// The era and phase checks after `ticks` layered events.
+    /// The era and phase checks after `ticks` layered events. An era
+    /// rebuild also runs, for the era scale already held, once a layer's
+    /// interner holds more dead ids than live ones by more than
+    /// [`COMPACT_SLACK`], so that memory tracks the live vertices on a
+    /// stream of ever-fresh ids (`SignedAdjacency`'s rule).
     fn settle_clocks(&mut self, ticks: usize) {
-        if self
-            .state
-            .thresholds
-            .needs_rebuild(self.state.total_edges())
-        {
-            self.rebuild_era();
+        let held = self.state.total_edges();
+        if self.state.thresholds.needs_rebuild(held) {
+            self.rebuild_era(held);
+            return;
+        }
+        if self.holds_dead_ids() {
+            self.rebuild_era(self.state.thresholds.m_hat);
             return;
         }
         self.updates_in_phase += ticks;
@@ -427,10 +436,17 @@ impl<const SYMMETRIC: bool> FmmEngine<SYMMETRIC> {
         engine
     }
 
-    /// Era rebuild: thresholds are recomputed for the current `m`, every
-    /// current edge is re-accounted as old, and the phase clock restarts.
-    /// The layers re-intern only the vertices of current edges.
-    fn rebuild_era(&mut self) {
+    /// Whether some layer's interner holds more than `2·live + COMPACT_SLACK`
+    /// ids, `live` counting the layer's vertices with a non-zero degree.
+    fn holds_dead_ids(&self) -> bool {
+        let layers = if SYMMETRIC { 1 } else { 4 };
+        (0..layers).any(|k| self.ids[k].len() > 2 * self.state.live(k) + COMPACT_SLACK)
+    }
+
+    /// Era rebuild: thresholds are recomputed for the era scale `m_hat`,
+    /// every current edge is re-accounted as old, and the phase clock
+    /// restarts. The layers re-intern only the vertices of current edges.
+    fn rebuild_era(&mut self, m_hat: usize) {
         let edges = self
             .state
             .current_edges()
@@ -441,7 +457,7 @@ impl<const SYMMETRIC: bool> FmmEngine<SYMMETRIC> {
                 (rel, left, self.ids[self.layer(rl)].vertex_at(slot(r)))
             })
             .collect();
-        self.rebuild_from(edges, self.state.total_edges());
+        self.rebuild_from(edges, m_hat);
     }
 
     /// The body of an era rebuild over `edges`, in client ids
@@ -708,6 +724,23 @@ impl SymmetricFmmEngine {
     /// both orientations. The caller keeps the stream well-formed.
     pub fn update(&mut self, u: VertexId, v: VertexId, op: UpdateOp) {
         self.0.update_pair(u, v, op);
+    }
+
+    /// Inserts the general `edges`, each once and none present, by one era
+    /// rebuild over the engine's edges and them, handed over hubs first and
+    /// built for the era the per-update rule would reach. The old state is
+    /// freed before the new one is built; `work` and the slow-path counters
+    /// carry on, plus the one era rebuild.
+    pub(crate) fn insert_all(&mut self, edges: &[(VertexId, VertexId)]) {
+        let held = self.0.state.total_edges();
+        let era = crate::auto::era_after(self.0.state.thresholds, held, edges.len());
+        let mut all = self.edges();
+        all.extend_from_slice(edges);
+        let all = crate::auto::hubs_first(all)
+            .into_iter()
+            .map(|(u, v)| (QRel::A, u, v))
+            .collect();
+        self.0.rebuild_from(all, era.m_hat);
     }
 
     /// The number of 3-walks `u – x – y – v` in the current graph, §8's

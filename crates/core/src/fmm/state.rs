@@ -100,6 +100,9 @@ pub struct GraphState<const SYMMETRIC: bool = false> {
     high: [Vec<VertexId>; 2],
     /// Dense vertices, `[L2, L3]`.
     dense: [Vec<VertexId>; 2],
+    /// Vertices with a non-zero degree in their layer, `L1` to `L4`; a
+    /// symmetric state counts its one vertex set in the first.
+    live: [usize; 4],
 }
 
 impl GraphState {
@@ -119,6 +122,7 @@ impl<const SYMMETRIC: bool> GraphState<SYMMETRIC> {
             mid: Default::default(),
             high: Default::default(),
             dense: Default::default(),
+            live: [0; 4],
         }
     }
 
@@ -144,14 +148,50 @@ impl<const SYMMETRIC: bool> GraphState<SYMMETRIC> {
     /// symmetric state this writes the pair in both orientations, and so in
     /// all three relations.
     pub fn add_edge_weight(&mut self, rel: QRel, tag: Tag, l: VertexId, r: VertexId, delta: i64) {
-        self.rels[Self::rel_slot(rel)].add(tag, l, r, delta);
+        let turn = self.rels[Self::rel_slot(rel)].add(tag, l, r, delta);
+        if turn != 0 {
+            let (l_layer, r_layer) = if SYMMETRIC { (0, 0) } else { layers(rel) };
+            self.recount_live(l_layer, l, turn);
+            self.recount_live(r_layer, r, turn);
+        }
     }
 
     /// Adds `delta` to the `[old, new]` weights of the pair `{a, b}` of a
     /// symmetric state.
     pub fn add_pair_delta(&mut self, a: VertexId, b: VertexId, delta: Delta) {
         debug_assert!(SYMMETRIC, "pairs are a symmetric state's");
-        self.rels[0].add_delta(a, b, delta);
+        let turn = self.rels[0].add_delta(a, b, delta);
+        if turn != 0 {
+            self.recount_live(0, a, turn);
+            self.recount_live(0, b, turn);
+        }
+    }
+
+    /// Keeps [`live`](Self::live) counting after an edge of `w` in `layer`
+    /// appeared (`turn` 1) or vanished (−1): `w` came alive if its degree
+    /// is now 1, and died if it is now 0.
+    fn recount_live(&mut self, layer: usize, w: VertexId, turn: i64) {
+        match (turn, self.layer_degree(layer, w)) {
+            (1, 1) => self.live[layer] += 1,
+            (-1, 0) => self.live[layer] -= 1,
+            _ => {}
+        }
+    }
+
+    /// Vertices of `layer` (`0` = `L1` … `3` = `L4`) with a non-zero degree
+    /// there; a symmetric state has one vertex set, `layer` 0.
+    pub fn live(&self, layer: usize) -> usize {
+        self.live[layer]
+    }
+
+    /// The degree of `w` in `layer`: its role's classifying degree.
+    fn layer_degree(&self, layer: usize, w: VertexId) -> usize {
+        match layer {
+            0 => self.deg_l1(w),
+            1 => self.deg_l2(w),
+            2 => self.deg_l3(w),
+            _ => self.deg_l4(w),
+        }
     }
 
     /// Moves weight `s` of the pair from the new multiset to the old one

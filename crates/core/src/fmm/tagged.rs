@@ -146,11 +146,12 @@ pub struct TaggedAdjacency<const SYMMETRIC: bool = false> {
 }
 
 impl<const SYMMETRIC: bool> TaggedAdjacency<SYMMETRIC> {
-    /// Adds `delta` to the `tag` weight of `(l, r)`, and so to its total.
-    pub fn add(&mut self, tag: Tag, l: VertexId, r: VertexId, delta: i64) {
+    /// Adds `delta` to the `tag` weight of `(l, r)`, and so to its total;
+    /// returns how the pair's presence changed ([`add_delta`](Self::add_delta)).
+    pub fn add(&mut self, tag: Tag, l: VertexId, r: VertexId, delta: i64) -> i64 {
         let mut change = [0; 2];
         change[tag.index()] = delta;
-        self.add_delta(l, r, change);
+        self.add_delta(l, r, change)
     }
 
     /// Moves weight `s` of `(l, r)` from its new weight to its old one; the
@@ -159,8 +160,10 @@ impl<const SYMMETRIC: bool> TaggedAdjacency<SYMMETRIC> {
         self.add_delta(l, r, [s, -s]);
     }
 
-    /// Adds `delta` to the `[old, new]` weights of `(l, r)`.
-    pub fn add_delta(&mut self, l: VertexId, r: VertexId, delta: Delta) {
+    /// Adds `delta` to the `[old, new]` weights of `(l, r)`; returns how the
+    /// pair's presence changed: `1` if its total turned non-zero, `−1` if it
+    /// turned 0, else `0`.
+    pub fn add_delta(&mut self, l: VertexId, r: VertexId, delta: Delta) -> i64 {
         let [before, after] = self.forward.edit(l, r, |[old, new]| {
             [
                 narrow(i64::from(old) + delta[0]),
@@ -176,6 +179,7 @@ impl<const SYMMETRIC: bool> TaggedAdjacency<SYMMETRIC> {
         for (tag, len) in VIEWS.into_iter().zip(&mut self.len) {
             recount(len, pick(tag, before), pick(tag, after));
         }
+        i64::from(pick(None, after) != 0) - i64::from(pick(None, before) != 0)
     }
 
     /// The rows by right vertex.

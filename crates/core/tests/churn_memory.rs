@@ -5,8 +5,10 @@
 //! insert brings a vertex id never seen before, as sliding windows over
 //! fresh tuple ids do. A session whose interners kept a slot for every
 //! vertex ever seen would grow without bound; this test asserts that the
-//! naive, simple, auto and threshold kinds each end within 1.5× of the
-//! heap they held after the first 5,000 updates.
+//! naive, simple, auto, threshold and fmm kinds each end within 1.5× of the
+//! heap they held after the first 5,000 updates. A general auto session of
+//! 400 edges, which runs the symmetric fmm engine after its switch, is held
+//! to the same bound.
 //!
 //! The file's counting allocator sees every allocation of the process, so
 //! its two tests take a lock and never count at the same time. The
@@ -21,8 +23,8 @@
     reason = "test code may unwrap, panic and cast"
 )]
 
-use fourcycle_core::{EngineKind, LayeredCycleCounter};
-use fourcycle_graph::{LayeredUpdate, Rel};
+use fourcycle_core::{EngineKind, FourCycleCounter, LayeredCycleCounter};
+use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
@@ -40,6 +42,8 @@ static COUNTING: Mutex<()> = Mutex::new(());
 
 /// Layered edges the session holds.
 const HELD: usize = 120;
+/// General edges the general session holds: past the auto switch point.
+const GENERAL_HELD: usize = 400;
 /// Hub vertices per layer, `0..HUBS`; every other id is used once.
 const HUBS: u32 = 4;
 /// Updates after which the session's heap is the reference.
@@ -47,11 +51,12 @@ const FIRST: usize = 5_000;
 /// How far past the reference the heap may grow.
 const MAX_GROWTH: f64 = 1.5;
 
-const KINDS: [EngineKind; 4] = [
+const KINDS: [EngineKind; 5] = [
     EngineKind::Naive,
     EngineKind::Simple,
     EngineKind::Auto,
     EngineKind::Threshold,
+    EngineKind::Fmm,
 ];
 
 /// A churn stream whose inserts each bring a never-seen vertex id. It
@@ -98,6 +103,25 @@ impl Churn {
         LayeredUpdate::insert(rel, l, r)
     }
 
+    /// A new general edge from a fresh id to a hub or to another fresh id.
+    fn insert_general(&mut self) -> GraphUpdate {
+        let (u, v) = (self.fresh(), self.other());
+        self.edges.push((Rel::A, u, v));
+        GraphUpdate::insert(u, v)
+    }
+
+    /// General update `i` after set-up, as [`update`](Self::update).
+    fn update_general(&mut self, i: usize) -> GraphUpdate {
+        if i.is_multiple_of(2) {
+            let (_, u, v) = self
+                .edges
+                .swap_remove(self.rng.gen_range(0..self.edges.len()));
+            GraphUpdate::delete(u, v)
+        } else {
+            self.insert_general()
+        }
+    }
+
     /// Update `i` after set-up: a delete of a random held edge when `i` is
     /// even, else an insert.
     fn update(&mut self, i: usize) -> LayeredUpdate {
@@ -132,15 +156,41 @@ fn heap_after(kind: EngineKind, updates: usize, seed: u64) -> (i64, i64) {
     (reference, LIVE_BYTES.load(Ordering::Relaxed) - before)
 }
 
+/// [`heap_after`] for a general auto session of [`GENERAL_HELD`] edges.
+fn general_heap_after(updates: usize, seed: u64) -> (i64, i64) {
+    let mut churn = Churn::new(seed);
+    churn.edges.reserve(GENERAL_HELD);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let mut counter = FourCycleCounter::new(EngineKind::Auto);
+    for _ in 0..GENERAL_HELD {
+        counter.try_apply(churn.insert_general()).unwrap();
+    }
+    let mut reference = 0;
+    for i in 0..updates {
+        counter.try_apply(churn.update_general(i)).unwrap();
+        if i + 1 == FIRST {
+            reference = LIVE_BYTES.load(Ordering::Relaxed) - before;
+        }
+    }
+    assert_eq!(counter.total_edges(), GENERAL_HELD);
+    (reference, LIVE_BYTES.load(Ordering::Relaxed) - before)
+}
+
 fn check_every_kind(updates: usize) {
     let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
-    for (seed, kind) in (2601..).zip(KINDS) {
-        let (reference, end) = heap_after(kind, updates, seed);
+    let layered = (2601..).zip(KINDS).map(|(seed, kind)| {
+        let name = format!("layered {}", kind.name());
+        (name, heap_after(kind, updates, seed))
+    });
+    let general = (
+        "general auto".to_string(),
+        general_heap_after(updates, 2611),
+    );
+    for (session, (reference, end)) in layered.chain([general]) {
         assert!(
             end as f64 <= MAX_GROWTH * reference as f64,
-            "a {} session held {reference} bytes after {FIRST} fresh-id updates \
-             and {end} after {updates}",
-            kind.name()
+            "a {session} session held {reference} bytes after {FIRST} fresh-id \
+             updates and {end} after {updates}",
         );
     }
 }

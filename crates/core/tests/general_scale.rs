@@ -7,7 +7,9 @@
 //! and at 10 checkpoints every count must equal
 //! `count_4cycles_brute_force`. The fmm counters must cross every slow path
 //! and hold High and Dense vertices at the end, so the run reaches the
-//! classes and tables that small streams leave empty.
+//! classes and tables that small streams leave empty. Their era rebuilds
+//! must be exactly those of the era rule: ids drawn from 6,000 vertices
+//! never leave the dead majority that would make the engine re-intern.
 //!
 //! The slice runs under `cargo test`; the full run has more churn and adds
 //! the threshold engine, and CI runs it in release:
@@ -21,8 +23,8 @@
     reason = "test code may unwrap, panic and cast"
 )]
 
-use fourcycle_core::{EngineKind, FourCycleCounter, GeneralEngine};
-use fourcycle_graph::{GeneralGraph, GraphUpdate};
+use fourcycle_core::{EngineKind, FmmConfig, FourCycleCounter, GeneralEngine};
+use fourcycle_graph::{ClassThresholds, GeneralGraph, GraphUpdate, UpdateOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -78,6 +80,26 @@ fn general_hubs_stream(seed: u64, churn: usize) -> Vec<GraphUpdate> {
     stream
 }
 
+/// The era rebuilds a symmetric engine's era rule makes on `stream`, one
+/// update at a time: fresh thresholds whenever the six layered copies of
+/// its edges leave `[m̂/2, 2m̂]`.
+fn era_rule_rebuilds(stream: &[GraphUpdate]) -> u64 {
+    let FmmConfig { eps, delta, .. } = FmmConfig::default();
+    let mut era = ClassThresholds::with_delta(1, eps, delta);
+    let (mut edges, mut rebuilds) = (0usize, 0);
+    for update in stream {
+        edges = match update.op {
+            UpdateOp::Insert => edges + 1,
+            UpdateOp::Delete => edges - 1,
+        };
+        if era.needs_rebuild(6 * edges) {
+            era = ClassThresholds::with_delta(6 * edges, eps, delta);
+            rebuilds += 1;
+        }
+    }
+    rebuilds
+}
+
 /// Runs the stream through one counter per kind, checking every count
 /// against brute force at the checkpoints, then checks the fmm counters'
 /// slow paths and classes.
@@ -107,6 +129,12 @@ fn run(kinds: &[EngineKind], churn: usize) {
             continue;
         };
         let slow = counter.slow_path_stats();
+        assert_eq!(
+            slow.era_rebuilds,
+            era_rule_rebuilds(&stream),
+            "{}: a rebuild beyond the era rule's",
+            kind.name()
+        );
         assert!(slow.era_rebuilds > 0, "{} {slow:?}", kind.name());
         assert!(slow.phase_rollovers > 0, "{} {slow:?}", kind.name());
         assert!(slow.class_transitions > 0, "{} {slow:?}", kind.name());

@@ -30,7 +30,9 @@ use crate::VertexId;
 
 /// Empty rows a [`SignedAdjacency`] tolerates beyond its live ones before
 /// an emptying `add` compacts it: it keeps `slots ≤ 2·live + COMPACT_SLACK`.
-const COMPACT_SLACK: usize = 16;
+/// The main engine of `fourcycle-core` applies the same rule to its layer
+/// interners.
+pub const COMPACT_SLACK: usize = 16;
 
 /// A signed directed adjacency map from left vertices to right vertices.
 ///

@@ -9,10 +9,10 @@
 //! copy: its four rotations are identical, so it keeps one engine of it.
 
 use crate::adjacency::SignedAdjacency;
+use crate::compact::CompactIndex;
 use crate::layered::{LayeredGraph, Rel};
 use crate::update::{GraphUpdate, UpdateOp};
 use crate::VertexId;
-use std::collections::HashMap;
 
 /// A fully dynamic simple undirected graph (no self-loops, no multi-edges).
 ///
@@ -94,20 +94,37 @@ impl GeneralGraph {
     ///
     /// Uses the classical codegree identity: every 4-cycle contributes
     /// exactly one pair of opposite corners twice, so
-    /// `#C4 = ½ · Σ_{u<v} C(codeg(u,v), 2)`.
+    /// `#C4 = ½ · Σ_{u<v} C(codeg(u,v), 2)`. Each vertex `u`'s codegrees
+    /// with the vertices after it are counted in one dense counter over its
+    /// neighbours' neighbours, so the cost is `Σ_x deg(x)²` array steps and
+    /// no hashing.
     pub fn count_4cycles_brute_force(&self) -> i64 {
-        let mut codeg: HashMap<(VertexId, VertexId), i64> = HashMap::new();
-        for x in self.adj.left_vertices() {
-            // Rows iterate in neighbor-id order, so the pairs come out
-            // canonically ordered already.
-            let ns: Vec<VertexId> = self.neighbors(x).collect();
-            for i in 0..ns.len() {
-                for j in (i + 1)..ns.len() {
-                    *codeg.entry((ns[i], ns[j])).or_insert(0) += 1;
+        let index = CompactIndex::from_vertices(self.adj.left_vertices());
+        // The graph in dense ids, one neighbour list per vertex.
+        let adjacency: Vec<Vec<usize>> = (0..index.len())
+            .map(|i| {
+                self.neighbors(index.vertex_at(i))
+                    .filter_map(|n| index.index_of(n))
+                    .collect()
+            })
+            .collect();
+        let mut codeg = vec![0i64; index.len()];
+        let mut touched = Vec::new();
+        let mut twice = 0i64;
+        for (u, neighbors) in adjacency.iter().enumerate() {
+            for &x in neighbors {
+                for &w in adjacency[x].iter().filter(|&&w| w > u) {
+                    if codeg[w] == 0 {
+                        touched.push(w);
+                    }
+                    codeg[w] += 1;
                 }
             }
+            for w in touched.drain(..) {
+                twice += codeg[w] * (codeg[w] - 1) / 2;
+                codeg[w] = 0;
+            }
         }
-        let twice: i64 = codeg.values().map(|&w| w * (w - 1) / 2).sum();
         debug_assert_eq!(twice % 2, 0, "each 4-cycle must be counted twice");
         twice / 2
     }
@@ -217,6 +234,52 @@ mod tests {
         tri.insert(3, 1);
         assert_eq!(tri.count_4cycles_brute_force(), 0);
         assert_eq!(tri.count_triangles_brute_force(), 1);
+    }
+
+    /// The oracle's former form: every wedge's pair of ends hashed into a
+    /// map of codegrees.
+    fn count_4cycles_by_codegree_map(g: &GeneralGraph) -> i64 {
+        use std::collections::HashMap;
+        let mut codeg: HashMap<(VertexId, VertexId), i64> = HashMap::new();
+        for x in g.adj.left_vertices() {
+            let ns: Vec<VertexId> = g.neighbors(x).collect();
+            for i in 0..ns.len() {
+                for j in (i + 1)..ns.len() {
+                    *codeg.entry((ns[i], ns[j])).or_insert(0) += 1;
+                }
+            }
+        }
+        codeg.values().map(|&w| w * (w - 1) / 2).sum::<i64>() / 2
+    }
+
+    #[test]
+    fn dense_codegree_oracle_matches_the_codegree_map() {
+        // A small multiplicative generator keeps the test free of crates.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            u32::try_from((state >> 33) % n).unwrap()
+        };
+        for (vertices, edges) in [(6, 10), (12, 40), (30, 120), (60, 600), (200, 900)] {
+            let mut g = GeneralGraph::new();
+            for _ in 0..edges {
+                // Sparse ids, so the dense counter's interning is exercised.
+                g.insert(1_000 + 7 * next(vertices), 1_000 + 7 * next(vertices));
+            }
+            for _ in 0..edges / 4 {
+                let at = next(10) as usize % g.edge_count();
+                let (u, v) = g.edges().nth(at).unwrap();
+                g.delete(u, v);
+            }
+            assert_eq!(
+                g.count_4cycles_brute_force(),
+                count_4cycles_by_codegree_map(&g),
+                "{vertices} vertices, {edges} inserts"
+            );
+        }
+        assert_eq!(GeneralGraph::new().count_4cycles_brute_force(), 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod general;
 pub mod layered;
 pub mod update;
 
-pub use adjacency::{BipartiteAdjacency, SignedAdjacency};
+pub use adjacency::{BipartiteAdjacency, SignedAdjacency, COMPACT_SLACK};
 pub use classes::{ClassThresholds, EndpointClass, MiddleClass};
 pub use compact::CompactIndex;
 pub use general::GeneralGraph;

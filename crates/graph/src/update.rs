@@ -220,14 +220,21 @@ impl<'a> IntoIterator for &'a UpdateBatch {
 /// This is the shared front-end of every engine's `apply_batch`: because
 /// all maintained structures are (multi)linear in the signed edge multiset,
 /// applying the net delta of a pair once is equivalent to replaying its
-/// updates individually. A one-entry slice (a single update) is returned
-/// as is, without hashing.
+/// updates individually. A slice whose updates all have one sign (a single
+/// update, an insert-only load) is returned as is, without hashing: in a
+/// well-formed stream a pair's updates alternate, so no two of them share
+/// a sign and none can cancel.
 pub fn coalesce_updates(
     updates: &[(VertexId, VertexId, UpdateOp)],
 ) -> Vec<(VertexId, VertexId, i64)> {
     use std::collections::HashMap;
-    if let [(l, r, op)] = *updates {
-        return vec![(l, r, op.sign())];
+    if let Some(&(_, _, first)) = updates.first() {
+        if updates.iter().all(|&(_, _, op)| op == first) {
+            return updates
+                .iter()
+                .map(|&(l, r, op)| (l, r, op.sign()))
+                .collect();
+        }
     }
     let mut slot: HashMap<(VertexId, VertexId), usize> = HashMap::with_capacity(updates.len());
     let mut out: Vec<(VertexId, VertexId, i64)> = Vec::with_capacity(updates.len());
@@ -303,5 +310,13 @@ mod tests {
         assert_eq!(coalesce_updates(&updates), vec![(3, 4, 1), (5, 6, -1)]);
         assert!(coalesce_updates(&[]).is_empty());
         assert_eq!(coalesce_updates(&[(7, 8, Delete)]), vec![(7, 8, -1)]);
+        // One sign throughout: every pair kept, in order.
+        let loads = [(1u32, 2u32, Insert), (2, 1, Insert), (9, 9, Insert)];
+        assert_eq!(
+            coalesce_updates(&loads),
+            vec![(1, 2, 1), (2, 1, 1), (9, 9, 1)]
+        );
+        let drops = [(1u32, 2u32, Delete), (3, 4, Delete)];
+        assert_eq!(coalesce_updates(&drops), vec![(1, 2, -1), (3, 4, -1)]);
     }
 }

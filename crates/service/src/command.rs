@@ -79,6 +79,7 @@ use crate::{GraphId, SessionSpec, WorkloadMode};
 use fourcycle_core::{EngineConfig, EngineKind, Snapshot};
 use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp, VertexId};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// One service command. Every operation of the underlying counters and
 /// views is representable, so a `Vec<Request>` is a complete, replayable
@@ -473,18 +474,31 @@ pub fn parse_script(script: &str) -> Result<Vec<Request>, ParseError> {
     Ok(requests)
 }
 
-fn render_layered_token(u: &LayeredUpdate) -> String {
-    format!(
-        "{}{}{}:{}",
-        rel_token(u.rel),
-        op_token(u.op),
-        u.left,
-        u.right
-    )
+/// Appends one layered-update token, e.g. `A+1:2`.
+fn push_layered_token(out: &mut String, u: &LayeredUpdate) {
+    out.push(rel_token(u.rel));
+    out.push(op_token(u.op));
+    let _ = write!(out, "{}:{}", u.left, u.right);
 }
 
-fn render_general_token(u: &GraphUpdate) -> String {
-    format!("{}{}:{}", op_token(u.op), u.u, u.v)
+/// Appends one general-update token, e.g. `+1:2`.
+fn push_general_token(out: &mut String, u: &GraphUpdate) {
+    out.push(op_token(u.op));
+    let _ = write!(out, "{}:{}", u.u, u.v);
+}
+
+/// `<verb> <id> ` and then each update's token, space-separated, written
+/// into one `String`.
+fn render_updates<U>(verb: &str, id: GraphId, updates: &[U], token: fn(&mut String, &U)) -> String {
+    let mut out = String::with_capacity(16 + 12 * updates.len());
+    let _ = write!(out, "{verb} {id} ");
+    for (i, update) in updates.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        token(&mut out, update);
+    }
+    out
 }
 
 /// Renders a command in the text format (inverse of [`parse_request`], up
@@ -492,6 +506,7 @@ fn render_general_token(u: &GraphUpdate) -> String {
 /// request carries one; custom `EngineConfig`s are not representable in the
 /// text format and render as their mode + engine.
 pub fn render_request(request: &Request) -> String {
+    use std::slice::from_ref;
     match request {
         Request::CreateGraph { id, spec: None } => format!("create {id}"),
         Request::CreateGraph { id, spec: Some(s) } => {
@@ -499,18 +514,16 @@ pub fn render_request(request: &Request) -> String {
         }
         Request::DropGraph { id } => format!("drop {id}"),
         Request::ApplyLayered { id, update } => {
-            format!("layered {id} {}", render_layered_token(update))
+            render_updates("layered", *id, from_ref(update), push_layered_token)
         }
         Request::ApplyLayeredBatch { id, updates } => {
-            let tokens: Vec<String> = updates.iter().map(render_layered_token).collect();
-            format!("layered {id} {}", tokens.join(" "))
+            render_updates("layered", *id, updates, push_layered_token)
         }
         Request::ApplyGeneral { id, update } => {
-            format!("general {id} {}", render_general_token(update))
+            render_updates("general", *id, from_ref(update), push_general_token)
         }
         Request::ApplyGeneralBatch { id, updates } => {
-            let tokens: Vec<String> = updates.iter().map(render_general_token).collect();
-            format!("general {id} {}", tokens.join(" "))
+            render_updates("general", *id, updates, push_general_token)
         }
         Request::Count { id } => format!("count {id}"),
         Request::GetSnapshot { id } => format!("snapshot {id}"),
@@ -542,21 +555,19 @@ pub fn render_response(response: &Response) -> String {
         Response::Applied { id, count, epoch } => format!("ok applied {id} {count} {epoch}"),
         Response::Count { id, count } => format!("ok count {id} {count}"),
         Response::Snapshot { id, snapshot: s } => {
-            let values: [String; 7] = [
-                s.count.to_string(),
-                s.total_edges.to_string(),
-                s.work.to_string(),
-                s.slow_path.era_rebuilds.to_string(),
-                s.slow_path.phase_rollovers.to_string(),
-                s.slow_path.class_transitions.to_string(),
-                s.epoch.to_string(),
+            let values: [&dyn fmt::Display; 7] = [
+                &s.count,
+                &s.total_edges,
+                &s.work,
+                &s.slow_path.era_rebuilds,
+                &s.slow_path.phase_rollovers,
+                &s.slow_path.class_transitions,
+                &s.epoch,
             ];
-            let mut out = format!("ok+{} snapshot {id}", SNAPSHOT_FIELDS.len());
+            let mut out = String::with_capacity(160);
+            let _ = write!(out, "ok+{} snapshot {id}", SNAPSHOT_FIELDS.len());
             for (field, value) in SNAPSHOT_FIELDS.iter().zip(values) {
-                out.push('\n');
-                out.push_str(field);
-                out.push(' ');
-                out.push_str(&value);
+                let _ = write!(out, "\n{field} {value}");
             }
             out
         }
@@ -918,6 +929,169 @@ mod tests {
         assert!(parse_response("ok applied g1 three 4").is_err());
         assert!(parse_response("ok count g1").is_err());
         assert!(parse_response("ok+1 graphs\nnot-an-id").is_err());
+    }
+
+    /// The renderings these replaced, one `String` per token or field:
+    /// the reference the one-buffer renderings must match byte for byte.
+    fn former_render_request(request: &Request) -> String {
+        let layered = |u: &LayeredUpdate| {
+            format!(
+                "{}{}{}:{}",
+                rel_token(u.rel),
+                op_token(u.op),
+                u.left,
+                u.right
+            )
+        };
+        let general = |u: &GraphUpdate| format!("{}{}:{}", op_token(u.op), u.u, u.v);
+        match request {
+            Request::ApplyLayered { id, update } => format!("layered {id} {}", layered(update)),
+            Request::ApplyLayeredBatch { id, updates } => {
+                let tokens: Vec<String> = updates.iter().map(layered).collect();
+                format!("layered {id} {}", tokens.join(" "))
+            }
+            Request::ApplyGeneral { id, update } => format!("general {id} {}", general(update)),
+            Request::ApplyGeneralBatch { id, updates } => {
+                let tokens: Vec<String> = updates.iter().map(general).collect();
+                format!("general {id} {}", tokens.join(" "))
+            }
+            other => render_request(other),
+        }
+    }
+
+    fn former_render_snapshot(id: GraphId, s: &Snapshot) -> String {
+        let values: [String; 7] = [
+            s.count.to_string(),
+            s.total_edges.to_string(),
+            s.work.to_string(),
+            s.slow_path.era_rebuilds.to_string(),
+            s.slow_path.phase_rollovers.to_string(),
+            s.slow_path.class_transitions.to_string(),
+            s.epoch.to_string(),
+        ];
+        let mut out = format!("ok+{} snapshot {id}", SNAPSHOT_FIELDS.len());
+        for (field, value) in SNAPSHOT_FIELDS.iter().zip(values) {
+            out.push('\n');
+            out.push_str(field);
+            out.push(' ');
+            out.push_str(&value);
+        }
+        out
+    }
+
+    #[test]
+    fn one_buffer_renderings_match_the_former_text_and_round_trip() {
+        use fourcycle_core::SlowPathStats;
+        let ids = [GraphId(0), GraphId(7), GraphId(u64::MAX)];
+        let ends = [(0, 0), (1, 2), (u32::MAX, 0), (u32::MAX, u32::MAX)];
+        let mut requests = vec![Request::ListGraphs];
+        for id in ids {
+            requests.push(Request::CreateGraph { id, spec: None });
+            for (mode, kind) in WorkloadMode::ALL.into_iter().zip(EngineKind::ALL) {
+                let spec = SessionSpec {
+                    kind,
+                    config: EngineConfig::default(),
+                    mode,
+                };
+                requests.push(Request::CreateGraph {
+                    id,
+                    spec: Some(spec),
+                });
+            }
+            requests.push(Request::DropGraph { id });
+            requests.push(Request::Count { id });
+            requests.push(Request::GetSnapshot { id });
+            let mut layered = Vec::new();
+            let mut general = Vec::new();
+            for (i, &(l, r)) in ends.iter().enumerate() {
+                for rel in Rel::ALL {
+                    for op in [UpdateOp::Insert, UpdateOp::Delete] {
+                        let update = LayeredUpdate {
+                            op,
+                            rel,
+                            left: l,
+                            right: r,
+                        };
+                        requests.push(Request::ApplyLayered { id, update });
+                        layered.push(update);
+                    }
+                }
+                let update = GraphUpdate {
+                    op: if i % 2 == 0 {
+                        UpdateOp::Insert
+                    } else {
+                        UpdateOp::Delete
+                    },
+                    u: l,
+                    v: r,
+                };
+                requests.push(Request::ApplyGeneral { id, update });
+                general.push(update);
+            }
+            requests.push(Request::ApplyLayeredBatch {
+                id,
+                updates: layered,
+            });
+            requests.push(Request::ApplyGeneralBatch {
+                id,
+                updates: general,
+            });
+        }
+        for request in &requests {
+            let line = render_request(request);
+            assert_eq!(line, former_render_request(request));
+            assert_eq!(&parse_request(&line).unwrap(), request, "{line}");
+        }
+        // An empty batch renders as before, `<verb> <id> `, and has no
+        // text form: it never parses (nor is it journaled).
+        for empty in [
+            Request::ApplyLayeredBatch {
+                id: GraphId(3),
+                updates: vec![],
+            },
+            Request::ApplyGeneralBatch {
+                id: GraphId(3),
+                updates: vec![],
+            },
+        ] {
+            let line = render_request(&empty);
+            assert_eq!(line, former_render_request(&empty));
+            assert!(line.ends_with("g3 "), "{line:?}");
+            assert!(parse_request(&line).is_err());
+        }
+
+        let mut responses = vec![Response::Graphs { ids: vec![] }];
+        responses.push(Response::Graphs { ids: ids.to_vec() });
+        for id in ids {
+            responses.push(Response::Created { id });
+            responses.push(Response::Dropped { id });
+            for count in [i64::MIN, -1, 0, 5, i64::MAX] {
+                responses.push(Response::Count { id, count });
+                for epoch in [0, u64::MAX] {
+                    responses.push(Response::Applied { id, count, epoch });
+                }
+                for big in [0, u64::MAX] {
+                    let snapshot = Snapshot {
+                        count,
+                        total_edges: usize::try_from(big).unwrap_or(usize::MAX),
+                        work: big,
+                        slow_path: SlowPathStats {
+                            era_rebuilds: big,
+                            phase_rollovers: 1,
+                            class_transitions: big / 3,
+                        },
+                        epoch: big,
+                    };
+                    let text = render_response(&Response::Snapshot { id, snapshot });
+                    assert_eq!(text, former_render_snapshot(id, &snapshot));
+                    responses.push(Response::Snapshot { id, snapshot });
+                }
+            }
+        }
+        for response in &responses {
+            let text = render_response(response);
+            assert_eq!(&parse_response(&text).unwrap(), response, "{text}");
+        }
     }
 
     #[test]

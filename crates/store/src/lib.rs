@@ -1484,6 +1484,57 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Set-up batches that take the counters' bulk path (insert-only, at
+    /// least as large as the graph), on a layered and a general session,
+    /// then per-update traffic; the general set-up carries the auto kind
+    /// past its switch point.
+    fn bulk_history() -> Vec<Request> {
+        use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel};
+        let layered = |from: u32, to: u32| Request::ApplyLayeredBatch {
+            id: GraphId(1),
+            updates: (from..to)
+                .map(|i| LayeredUpdate::insert(Rel::from_index((i % 4) as usize), i % 17, i % 13))
+                .collect(),
+        };
+        let general = |from: u32, to: u32| Request::ApplyGeneralBatch {
+            id: GraphId(2),
+            updates: (from..to)
+                .map(|i| GraphUpdate::insert(i % 40, 40 + (i * 7) % 61))
+                .collect(),
+        };
+        let mut requests = parse_script("create g1 layered auto\ncreate g2 general auto").unwrap();
+        requests.extend([layered(0, 100), layered(100, 200), general(0, 250)]);
+        requests.extend([general(250, 500), layered(200, 210)]);
+        requests
+            .extend(parse_script("layered g1 A-0:0\ngeneral g2 -0:40\ngeneral g2 +0:40").unwrap());
+        requests
+    }
+
+    #[test]
+    fn bulk_loaded_sessions_recover_to_their_count_and_epoch() {
+        for checkpoint in [None, Some(4)] {
+            let dir = test_dir("bulk-load");
+            let config = JournalConfig {
+                checkpoint_every: checkpoint,
+                ..JournalConfig::new(&dir)
+            };
+            let store = JournalStore::open(config, 1, SessionSpec::default()).unwrap();
+            let mut journaled = store.open_shard(0).unwrap();
+            run_history(&mut journaled, &bulk_history());
+            let expected: Vec<_> = (1..=2).map(|id| state_triple(&journaled, id)).collect();
+            assert!(
+                expected.iter().all(|&(count, _, _)| count > 0),
+                "{expected:?}"
+            );
+            drop(journaled);
+
+            let recovered = store.recover_shard(0).unwrap();
+            let got: Vec<_> = (1..=2).map(|id| state_triple(&recovered, id)).collect();
+            assert_eq!(got, expected, "checkpoint every {checkpoint:?}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn corrupt_checkpoint_falls_back_to_full_wal_replay() {
         let dir = test_dir("ckpt-fallback");
