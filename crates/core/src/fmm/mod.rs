@@ -32,8 +32,8 @@
 //!   read through total, old or new views.
 //! * [`rules::Structures`] — every pair-count data structure of Tables 2–3
 //!   (Eq 12–18) plus the phase-split auxiliaries needed to maintain them,
-//!   each a [`table::PairTable`] whose rows are indexed by the left key's
-//!   id, all driven by a single uniform rule: *given one signed,
+//!   each a [`table::PairTable`], one seeded hash map keyed by the pair
+//!   of dense ids, all driven by a single uniform rule: *given one signed,
 //!   phase-tagged edge event, add the number of pattern completions formed
 //!   with the other currently-present edges.*
 //! * the phase machinery in this module — event logs for the current and

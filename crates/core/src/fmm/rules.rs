@@ -129,23 +129,6 @@ pub struct Structures<const SYMMETRIC: bool = false> {
     pub skip_pure_old: bool,
 }
 
-/// Takes `hidden` off neighbor `x`'s weight in `row`, a row of `C` read in
-/// neighbor order, so a symmetric `B` event does not see its own pair.
-fn hide_entry(row: &mut Vec<(VertexId, i64)>, x: VertexId, hidden: i64) {
-    if hidden == 0 {
-        return;
-    }
-    match row.binary_search_by_key(&x, |&(n, _)| n) {
-        Ok(pos) => {
-            row[pos].1 -= hidden;
-            if row[pos].1 == 0 {
-                row.remove(pos);
-            }
-        }
-        Err(pos) => row.insert(pos, (x, -hidden)),
-    }
-}
-
 impl Structures {
     /// Creates empty structures.
     pub fn new() -> Self {
@@ -232,6 +215,15 @@ impl<const SYMMETRIC: bool> Structures<SYMMETRIC> {
             self.ts3.get(v, u)
         } else {
             self.st3.get(u, v)
+        }
+    }
+
+    /// `B^{SS}_q·C^{SH}_r` at `(x, v)`.
+    pub fn bc_sh_at(&self, [q, r]: [usize; 2], x: VertexId, v: VertexId) -> i64 {
+        if SYMMETRIC {
+            self.ab_hs[r][q].get(v, x)
+        } else {
+            self.bc_sh[q][r].get(x, v)
         }
     }
 
@@ -402,19 +394,15 @@ impl<const SYMMETRIC: bool> Structures<SYMMETRIC> {
                     {
                         continue;
                     }
-                    if SYMMETRIC {
-                        // Row `x` of `bc_sh[q][r]` is column `x` of `ab_hs[r][q]`.
-                        for &v in st.high_l4() {
+                    // Row `x` of `bc_sh[q][r]` holds High `L4` columns
+                    // only. A symmetric engine counts a probe per High
+                    // vertex, a three-relation one the row's entries.
+                    for &v in st.high_l4() {
+                        let cnt = self.bc_sh_at([q, r], x, v);
+                        if SYMMETRIC || cnt != 0 {
                             self.work += 1;
-                            let cnt = self.ab_hs[r][q].get(v, x);
-                            if cnt != 0 {
-                                self.hss3[p][q][r].add(u, v, d * cnt);
-                            }
                         }
-                    } else {
-                        let updates: Vec<(VertexId, i64)> = self.bc_sh[q][r].row(x).collect();
-                        for (v, cnt) in updates {
-                            self.work += 1;
+                        if cnt != 0 {
                             self.hss3[p][q][r].add(u, v, d * cnt);
                         }
                     }
@@ -599,13 +587,16 @@ impl<const SYMMETRIC: bool> Structures<SYMMETRIC> {
             }
         }
 
-        // Eq 17: tiny–tiny triples.
+        // Eq 17: tiny–tiny triples. `C`'s row `y` is read with `hidden`
+        // taken off its entry `x`, which it may lack.
         if cx == M::Tiny && cy == M::Tiny {
-            let us: Vec<(VertexId, i64)> = a_total.neighbors_of_right(x).collect();
-            let mut vs: Vec<(VertexId, i64)> = c_total.neighbors_of_left(y).collect();
-            hide_entry(&mut vs, x, hidden);
-            for &(u, wa) in &us {
-                for &(v, wc) in &vs {
+            let lacks_x = (hidden != 0 && c_total.weight(y, x) == 0).then_some((x, 0));
+            for (u, wa) in a_total.neighbors_of_right(x) {
+                for (v, wc) in c_total.neighbors_of_left(y).chain(lacks_x) {
+                    let wc = if v == x { wc - hidden } else { wc };
+                    if wc == 0 {
+                        continue;
+                    }
                     self.work += 1;
                     match (st.ep1(u), st.ep4(v)) {
                         (E::High, E::High) => self.t3_hh.add(u, v, d * wa * wc),

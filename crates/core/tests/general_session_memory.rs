@@ -35,9 +35,10 @@ const EDGES: usize = 2_000;
 const UPDATES: usize = 1_000;
 
 /// The bound on the session's live heap, in bytes, halfway between two
-/// figures for this stream: 701,272 bytes when `CompactIndex` stored
-/// `usize` slots, and 684,888 bytes with `u32` ones.
-const MAX_SESSION_BYTES: i64 = 693_080;
+/// figures for this stream: 689,728 bytes when each pair-count table kept
+/// a sorted `Vec` per row, and 519,796 bytes with one seeded hash map per
+/// table (520,696 in 3 of 150 runs: the hash seeds move when a map grows).
+const MAX_SESSION_BYTES: i64 = 604_762;
 
 /// A vertex: one of the hubs with probability `HUB_SHARE`, else uniform
 /// over the rest.

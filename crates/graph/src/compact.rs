@@ -13,14 +13,19 @@
 //! An index holds distinct `u32` ids, so it has at most 2^32 of them and
 //! every dense index fits a `u32`. The map stores its indices as `u32`
 //! slots, half the size of `usize` ones; the API still speaks `usize`.
+//!
+//! Every engine interns client ids here, so the map hashes with
+//! [`SeededState`]'s one folded multiply instead of SipHash; its seed is
+//! drawn per index, since the ids are the client's choice
+//! ([`crate::hash`]).
 
+use crate::hash::{SeededHashMap, SeededState};
 use crate::VertexId;
-use std::collections::HashMap;
 
 /// A bijection between vertex ids and dense indices.
 #[derive(Debug, Clone, Default)]
 pub struct CompactIndex {
-    to_index: HashMap<VertexId, u32>,
+    to_index: SeededHashMap<VertexId, u32>,
     to_vertex: Vec<VertexId>,
 }
 
@@ -38,7 +43,7 @@ impl CompactIndex {
     /// Creates an empty index with room for `capacity` vertices.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            to_index: HashMap::with_capacity(capacity),
+            to_index: SeededHashMap::with_capacity_and_hasher(capacity, SeededState::default()),
             to_vertex: Vec::with_capacity(capacity),
         }
     }
@@ -119,6 +124,35 @@ mod tests {
         assert_eq!(pairs, vec![(0, 5), (1, 9), (2, 1)]);
         assert!(!idx.is_empty());
         assert!(CompactIndex::new().is_empty());
+    }
+
+    #[test]
+    fn matches_a_hash_map_on_ids_shaped_to_collide() {
+        use std::collections::HashMap;
+        // Ids that an unseeded multiply would send to few buckets: multiples
+        // of 2^16, runs of consecutive ids, both ends of the range.
+        let ids: Vec<VertexId> = (0..2_000u32)
+            .map(|k| k << 16)
+            .chain(1_000_000..1_003_000)
+            .chain((0..64).map(|k| u32::MAX - k))
+            .chain([0, 1, u32::MAX, 1 << 16])
+            .collect();
+        let mut idx = CompactIndex::with_capacity(4);
+        let mut model: HashMap<VertexId, usize> = HashMap::new();
+        for &v in &ids {
+            let next = model.len();
+            let i = *model.entry(v).or_insert(next);
+            assert_eq!(idx.insert(v), i, "insert of {v}");
+        }
+        assert_eq!(idx.len(), model.len());
+        for (&v, &i) in &model {
+            assert_eq!(idx.index_of(v), Some(i), "index of {v}");
+            assert_eq!(idx.vertex_at(i), v);
+        }
+        for v in [2u32, (1 << 16) + 1, 999_999, 1_003_000, u32::MAX - 64] {
+            assert_eq!(idx.index_of(v), None, "{v} was never inserted");
+        }
+        assert!(idx.iter().all(|(i, v)| model[&v] == i));
     }
 
     #[test]

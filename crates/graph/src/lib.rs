@@ -35,6 +35,7 @@ pub mod adjacency;
 pub mod classes;
 pub mod compact;
 pub mod general;
+pub mod hash;
 pub mod layered;
 pub mod update;
 
@@ -42,6 +43,7 @@ pub use adjacency::{BipartiteAdjacency, SignedAdjacency, COMPACT_SLACK};
 pub use classes::{ClassThresholds, EndpointClass, MiddleClass};
 pub use compact::CompactIndex;
 pub use general::GeneralGraph;
+pub use hash::{SeededHashMap, SeededState};
 pub use layered::{LayeredGraph, Rel};
 pub use update::{coalesce_updates, GraphUpdate, LayeredUpdate, UpdateBatch, UpdateOp};
 
