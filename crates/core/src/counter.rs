@@ -39,8 +39,8 @@ use crate::engine::{
 use crate::error::{BatchError, UpdateError};
 use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp, VertexId};
 
-/// A consistent point-in-time view of a counter (or view / service
-/// session): the answer, its cost counters, and the epoch it was taken at.
+/// A consistent point-in-time view of a counter (or service session): the
+/// answer, its cost counters, and the epoch it was taken at.
 ///
 /// `epoch` is the number of updates successfully applied so far — rejected
 /// and skipped updates do not advance it — so two snapshots with the same
@@ -50,14 +50,14 @@ use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp, VertexId};
 /// writer slipping in between the reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// The maintained count (layered 4-cycles, general 4-cycles, or join
-    /// size, depending on the structure snapshotted).
+    /// The maintained count (layered 4-cycles, which is the cyclic join
+    /// size, or general 4-cycles, depending on the structure snapshotted).
     pub count: i64,
     /// Total number of edges / tuples currently present.
     pub total_edges: usize,
     /// Total elementary operations performed so far. A layered counter
-    /// (and the cyclic join view over one) sums its four rotated engines;
-    /// a general counter reports its one engine.
+    /// sums its four rotated engines; a general counter reports its one
+    /// engine.
     pub work: u64,
     /// Amortized slow-path counters, taken over the same engines as `work`.
     pub slow_path: SlowPathStats,

@@ -34,9 +34,6 @@
 //!   rotation, since in §8's layered copy the other three rotations are
 //!   identical. Its fmm kinds run [`SymmetricFmmEngine`], which also stores
 //!   that copy's `A = B = C` once.
-//! * [`TriangleCounter`] — a dynamic triangle-count baseline, included
-//!   because the paper's narrative contrasts the `Θ(m^{1/2})` triangle bound
-//!   with the 4-cycle bounds.
 //!
 //! # Cost accounting
 //!
@@ -65,7 +62,6 @@ pub mod naive;
 pub mod pair_counts;
 pub mod simple;
 pub mod threshold;
-pub mod triangle;
 
 pub use auto::AutoEngine;
 pub use counter::{FourCycleCounter, LayeredCycleCounter, Snapshot};
@@ -76,4 +72,3 @@ pub use naive::NaiveEngine;
 pub use pair_counts::PairCounts;
 pub use simple::SimpleEngine;
 pub use threshold::ThresholdEngine;
-pub use triangle::TriangleCounter;

@@ -21,7 +21,7 @@ fn main() {
         .build();
 
     let social = GraphId(1); // general graph: 4-cycles in a friendship graph
-    let warehouse = GraphId(2); // cyclic join: |A ⋈ B ⋈ C ⋈ D|
+    let warehouse = GraphId(2); // layered: the cyclic join |A ⋈ B ⋈ C ⋈ D|
     service.create_session(social).expect("fresh id");
     service
         .create_session_with(
@@ -29,7 +29,7 @@ fn main() {
             SessionSpec {
                 kind: EngineKind::Threshold,
                 config: Default::default(),
-                mode: WorkloadMode::Join,
+                mode: WorkloadMode::Layered,
             },
         )
         .expect("fresh id");

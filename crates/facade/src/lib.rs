@@ -57,7 +57,6 @@
 //! | [`complexity`] | ω / ω(a,b,c) models, the paper's parameter solver, Appendix B checks |
 //! | [`core`] | the counting engines (Appendix A, HHH22-style, §4–§7 main) and counters |
 //! | [`workloads`] | fully dynamic stream generators and the trace format |
-//! | [`ivm`] | cyclic-join count view maintenance (the database framing of §1) |
 //! | [`service`] | multi-tenant `CycleCountService`: sessions, commands, typed errors, snapshots |
 //! | [`store`] | durable per-shard write-ahead journal, checkpoints, crash recovery |
 //! | [`runtime`] | sharded thread-per-shard executor: concurrent service traffic, backpressure, stats |
@@ -67,7 +66,6 @@
 pub use fourcycle_complexity as complexity;
 pub use fourcycle_core as core;
 pub use fourcycle_graph as graph;
-pub use fourcycle_ivm as ivm;
 pub use fourcycle_matrix as matrix;
 pub use fourcycle_runtime as runtime;
 pub use fourcycle_server as server;

@@ -14,7 +14,6 @@ use fourcycle::core::{
     LayeredCycleCounter, SlowPathStats, Snapshot, ThreePathEngine, UpdateError,
 };
 use fourcycle::graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp};
-use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, CyclicJoinCountView, Relation, Value};
 use fourcycle::runtime::{RuntimeConfig, RuntimeReport, RuntimeStats, ShardedRuntime};
 use fourcycle::server::{Client, ClientError, Server, ServerConfig, ServerStats, WireError};
 use fourcycle::service::{
@@ -521,101 +520,6 @@ fn surface() -> Vec<&'static str> {
         n,
         "core::GeneralEngine::Auto",
         GeneralEngine::Auto as fn(Box<AutoEngine>) -> GeneralEngine
-    );
-
-    // --- IVM views --------------------------------------------------------
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::new",
-        CyclicJoinCountView::new as fn(EngineKind) -> CyclicJoinCountView
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::with_config",
-        CyclicJoinCountView::with_config as fn(EngineKind, &EngineConfig) -> CyclicJoinCountView
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::insert",
-        CyclicJoinCountView::insert
-            as fn(&mut CyclicJoinCountView, Relation, Value, Value) -> Option<i64>
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::delete",
-        CyclicJoinCountView::delete
-            as fn(&mut CyclicJoinCountView, Relation, Value, Value) -> Option<i64>
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::try_insert",
-        CyclicJoinCountView::try_insert
-            as fn(&mut CyclicJoinCountView, Relation, Value, Value) -> Result<i64, UpdateError>
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::try_delete",
-        CyclicJoinCountView::try_delete
-            as fn(&mut CyclicJoinCountView, Relation, Value, Value) -> Result<i64, UpdateError>
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::try_apply",
-        CyclicJoinCountView::try_apply
-            as fn(&mut CyclicJoinCountView, LayeredUpdate) -> Result<i64, UpdateError>
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::apply_batch",
-        CyclicJoinCountView::apply_batch as fn(&mut CyclicJoinCountView, &[LayeredUpdate]) -> i64
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::try_apply_batch",
-        CyclicJoinCountView::try_apply_batch
-            as fn(&mut CyclicJoinCountView, &[LayeredUpdate]) -> Result<i64, BatchError>
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::edges",
-        CyclicJoinCountView::edges as fn(&CyclicJoinCountView, Relation) -> Vec<(Value, Value)>
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::epoch",
-        CyclicJoinCountView::epoch as fn(&CyclicJoinCountView) -> u64
-    );
-    pin!(
-        n,
-        "ivm::CyclicJoinCountView::snapshot",
-        CyclicJoinCountView::snapshot as fn(&CyclicJoinCountView) -> Snapshot
-    );
-    pin!(
-        n,
-        "ivm::BinaryJoinCountView::new",
-        BinaryJoinCountView::new as fn() -> BinaryJoinCountView
-    );
-    pin!(
-        n,
-        "ivm::BinaryJoinCountView::slow_path_stats",
-        BinaryJoinCountView::slow_path_stats as fn(&BinaryJoinCountView) -> SlowPathStats
-    );
-    pin!(
-        n,
-        "ivm::BinaryJoinCountView::try_apply",
-        BinaryJoinCountView::try_apply
-            as fn(&mut BinaryJoinCountView, BinaryJoinUpdate) -> Result<i64, UpdateError>
-    );
-    pin!(
-        n,
-        "ivm::BinaryJoinCountView::try_apply_batch",
-        BinaryJoinCountView::try_apply_batch
-            as fn(&mut BinaryJoinCountView, &[BinaryJoinUpdate]) -> Result<i64, BatchError>
-    );
-    pin!(
-        n,
-        "ivm::BinaryJoinCountView::snapshot",
-        BinaryJoinCountView::snapshot as fn(&BinaryJoinCountView) -> Snapshot
     );
 
     n

@@ -1,17 +1,13 @@
 //! The error model, pinned across the whole stack: every `EngineKind` must
 //! report the *same* [`UpdateError`] for the same ill-formed update, at the
-//! engine level (`try_apply_update`), the counter level (`try_apply` /
-//! `try_insert`) and the view level (`try_insert` / `try_delete`) — plus a
-//! property test that atomic batch rejection attributes the correct batch
-//! index on every level that offers `try_apply_batch`, and a seeded replay
-//! that checks every kind's verdicts, edge lists and edge totals against a
-//! reference graph the test keeps itself.
+//! engine level (`try_apply_update`) and the counter level (`try_apply` /
+//! `try_insert`) — plus a property test that atomic batch rejection
+//! attributes the correct batch index, and a seeded replay that checks
+//! every kind's verdicts, edge lists and edge totals against a reference
+//! graph the test keeps itself.
 
-use fourcycle::core::{
-    BatchError, EngineKind, FourCycleCounter, LayeredCycleCounter, QRel, UpdateError,
-};
+use fourcycle::core::{EngineKind, FourCycleCounter, LayeredCycleCounter, QRel, UpdateError};
 use fourcycle::graph::{GeneralGraph, GraphUpdate, LayeredGraph, LayeredUpdate, Rel, UpdateOp};
-use fourcycle::ivm::{BinaryJoinCountView, BinaryJoinUpdate, BinarySide, CyclicJoinCountView};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -128,34 +124,6 @@ fn general_counter_errors_identical_across_every_kind() {
     }
 }
 
-/// View level: the cyclic join view and the binary join view speak the same
-/// error vocabulary.
-#[test]
-fn view_errors_identical_across_every_kind() {
-    for kind in EngineKind::ALL {
-        let name = kind.name();
-        let mut view = CyclicJoinCountView::new(kind);
-        assert_eq!(view.try_insert(Rel::B, 7, 8), Ok(0), "{name}");
-        assert_eq!(
-            view.try_insert(Rel::B, 7, 8),
-            Err(UpdateError::DuplicateEdge),
-            "{name}"
-        );
-        assert_eq!(
-            view.try_delete(Rel::C, 7, 8),
-            Err(UpdateError::MissingEdge),
-            "{name}"
-        );
-        assert_eq!(view.epoch(), 1, "{name}");
-    }
-
-    let mut binary = BinaryJoinCountView::new();
-    assert_eq!(binary.try_insert_a(1, 2), Ok(0));
-    assert_eq!(binary.try_insert_a(1, 2), Err(UpdateError::DuplicateEdge));
-    assert_eq!(binary.try_delete_b(2, 1), Err(UpdateError::MissingEdge));
-    assert_eq!(binary.epoch(), 1);
-}
-
 /// The verdict a replay into `present`'s graph gives an update.
 fn verdict(present: bool, op: UpdateOp) -> Result<(), UpdateError> {
     match op {
@@ -166,7 +134,7 @@ fn verdict(present: bool, op: UpdateOp) -> Result<(), UpdateError> {
 }
 
 /// The engines are the only copy of a counter's graph, so on every
-/// `EngineKind` both counters and the join view must give each update the
+/// `EngineKind` both counters must give each update the
 /// verdict of a replay into a reference graph the test keeps itself, and
 /// after every step hold its edge set, edge total and 4-cycle count. Of
 /// each stream's 250 seeded updates, 50 to 199 (asserted) are duplicate
@@ -200,7 +168,6 @@ fn every_kind_matches_a_reference_replay_on_a_noisy_stream() {
     for kind in EngineKind::ALL {
         let name = kind.name();
         let mut counter = LayeredCycleCounter::new(kind);
-        let mut view = CyclicJoinCountView::new(kind);
         let mut reference = LayeredGraph::new();
         let mut rejected = 0;
         for (step, &update) in layered.iter().enumerate() {
@@ -217,12 +184,10 @@ fn every_kind_matches_a_reference_replay_on_a_noisy_stream() {
                 want,
                 "{name} step {step}"
             );
-            assert_eq!(view.try_apply(update).map(drop), want, "{name} step {step}");
             reference.apply(&update);
             for rel in Rel::ALL {
                 let edges = set(reference.rel(rel).iter().map(|(l, r, _)| (l, r)).collect());
                 assert_eq!(set(counter.edges(rel)), edges, "{name} step {step} {rel:?}");
-                assert_eq!(set(view.edges(rel)), edges, "{name} step {step} {rel:?}");
             }
             assert_eq!(
                 counter.total_edges(),
@@ -230,14 +195,8 @@ fn every_kind_matches_a_reference_replay_on_a_noisy_stream() {
                 "{name} step {step}"
             );
             assert_eq!(
-                view.total_tuples(),
-                reference.total_edges(),
-                "{name} step {step}"
-            );
-            let count = reference.count_layered_4cycles_brute_force();
-            assert_eq!(
-                (counter.count(), view.count()),
-                (count, count),
+                counter.count(),
+                reference.count_layered_4cycles_brute_force(),
                 "{name} step {step}"
             );
         }
@@ -350,43 +309,7 @@ proptest! {
         prop_assert_eq!(counter.total_edges(), 0);
         prop_assert_eq!(counter.count(), 0);
 
-        // The well-formed stream is accepted whole, and the view level
-        // agrees on both verdict and attribution.
+        // The well-formed stream is accepted whole.
         prop_assert!(counter.try_apply_batch(&stream).is_ok());
-        let mut view = CyclicJoinCountView::new(kind);
-        let view_err = view.try_apply_batch(&corrupted).expect_err("same rejection");
-        prop_assert_eq!(view_err, BatchError::at(position, expected));
-    }
-
-    /// Same attribution property for the binary join view's batch path.
-    #[test]
-    fn binary_join_batch_rejection_attributes_the_corrupted_index(
-        script in proptest::collection::vec((0u8..2, 0u32..4, 0u32..4), 2..40),
-        corrupt_pick in 0usize..10_000,
-    ) {
-        let mut present = std::collections::HashSet::new();
-        let stream: Vec<BinaryJoinUpdate> = script
-            .iter()
-            .map(|&(side_idx, shared, other)| {
-                let side = [BinarySide::A, BinarySide::B][side_idx as usize];
-                let key = (side, shared, other);
-                let op = if present.remove(&key) {
-                    UpdateOp::Delete
-                } else {
-                    present.insert(key);
-                    UpdateOp::Insert
-                };
-                BinaryJoinUpdate { side, op, shared, other }
-            })
-            .collect();
-        let position = corrupt_pick % stream.len();
-        let mut corrupted = stream.clone();
-        corrupted[position].op = corrupted[position].op.inverse();
-
-        let mut view = BinaryJoinCountView::new();
-        let err = view.try_apply_batch(&corrupted).expect_err("rejected");
-        prop_assert_eq!(err.index, position);
-        prop_assert_eq!(view.snapshot(), Default::default(), "atomic rejection");
-        prop_assert!(view.try_apply_batch(&stream).is_ok());
     }
 }

@@ -1,11 +1,10 @@
 //! Workspace-level integration tests: exercise the public facade API
-//! end-to-end across crates (graphs ← workloads → engines → counters → IVM),
+//! end-to-end across crates (graphs ← workloads → engines → counters),
 //! the way the examples and a downstream user would.
 
 use fourcycle::complexity::{solve_main, OMEGA_CURRENT_BEST, PAPER_EPS_CURRENT};
-use fourcycle::core::{EngineKind, FourCycleCounter, LayeredCycleCounter, TriangleCounter};
-use fourcycle::graph::{GeneralGraph, LayeredGraph, Rel};
-use fourcycle::ivm::CyclicJoinCountView;
+use fourcycle::core::{EngineKind, FourCycleCounter, LayeredCycleCounter};
+use fourcycle::graph::{GeneralGraph, LayeredGraph, LayeredUpdate, Rel};
 use fourcycle::workloads::{
     parse_layered_trace, render_layered_trace, GeneralStreamConfig, GeneralStreamKind,
     LayeredStreamConfig, LayeredStreamKind,
@@ -24,19 +23,13 @@ fn general_graph_pipeline_with_main_algorithm() {
     }
     .generate();
     let mut counter = FourCycleCounter::new(EngineKind::Fmm);
-    let mut triangles = TriangleCounter::new();
     let mut reference = GeneralGraph::new();
     for update in &stream {
         if counter.apply(*update).is_some() {
             reference.apply(update);
         }
-        triangles.apply(*update);
     }
     assert_eq!(counter.count(), reference.count_4cycles_brute_force());
-    assert_eq!(
-        triangles.count(),
-        triangles.graph().count_triangles_brute_force()
-    );
 }
 
 /// End-to-end Theorem 2 pipeline on a skewed layered stream: all engines
@@ -106,11 +99,11 @@ fn trace_roundtrip_reproduces_counts() {
     assert_eq!(direct.count(), replayed.count());
 }
 
-/// The IVM view (database framing) tracks the same quantity as the layered
-/// counter and survives ad-hoc tuple churn.
+/// The cyclic-join (IVM) reading of §1: a layered counter fed tuple inserts
+/// and deletes tracks the join size `|A ⋈ B ⋈ C ⋈ D|`, recomputed from the
+/// tuples it accepted, under a generated stream and ad-hoc tuple churn.
 #[test]
 fn ivm_view_tracks_cyclic_join_count() {
-    let mut view = CyclicJoinCountView::new(EngineKind::Fmm);
     let stream = LayeredStreamConfig {
         layer_size: 12,
         updates: 500,
@@ -119,18 +112,19 @@ fn ivm_view_tracks_cyclic_join_count() {
         seed: 404,
     }
     .generate();
-    for update in &stream {
-        view.apply(*update);
-    }
-    assert_eq!(view.count(), view.recompute_from_scratch());
-    // Ad-hoc churn through the relational API.
-    view.insert(Rel::A, 0, 0);
-    view.insert(Rel::B, 0, 0);
-    view.insert(Rel::C, 0, 0);
-    view.insert(Rel::D, 0, 0);
-    assert_eq!(view.count(), view.recompute_from_scratch());
-    view.delete(Rel::B, 0, 0);
-    assert_eq!(view.count(), view.recompute_from_scratch());
+    let mut view = LayeredCycleCounter::new(EngineKind::Fmm);
+    let mut tuples = LayeredGraph::new();
+    let mut apply = |updates: &[LayeredUpdate]| {
+        for update in updates {
+            if view.apply(*update).is_some() {
+                tuples.apply(update);
+            }
+        }
+        assert_eq!(view.count(), tuples.count_layered_4cycles_brute_force());
+    };
+    apply(&stream);
+    apply(&Rel::ALL.map(|rel| LayeredUpdate::insert(rel, 0, 0)));
+    apply(&[LayeredUpdate::delete(Rel::B, 0, 0)]);
 }
 
 /// The headline numbers of the paper are reproducible through the facade.

@@ -2,7 +2,7 @@
 //! blocks.
 //!
 //! The thread-per-shard executor moves whole `CycleCountService` shards
-//! (and with them every engine, counter and view) onto worker threads. If
+//! (and with them every engine and counter) onto worker threads. If
 //! any of these types ever grows a `!Send` member (an `Rc`, a raw pointer,
 //! a thread-local handle), the runtime would stop compiling — but only
 //! through a confusing trait-bound error deep inside `thread::spawn`.
@@ -16,7 +16,6 @@ use fourcycle::core::{
     AutoEngine, FmmEngine, FourCycleCounter, GeneralEngine, LayeredCycleCounter, NaiveEngine,
     SimpleEngine, SymmetricFmmEngine, ThresholdEngine,
 };
-use fourcycle::ivm::{BinaryJoinCountView, CyclicJoinCountView};
 use fourcycle::runtime::{Pipeline, RuntimeConfig, RuntimeError, ShardedRuntime, Ticket};
 use fourcycle::server::{Client, ClientError, Server, WireError};
 use fourcycle::service::{CycleCountService, JournalSink, Request, Response, ServiceError};
@@ -39,11 +38,9 @@ fn every_engine_is_send() {
 }
 
 #[allow(dead_code)]
-fn both_counters_and_both_views_are_send() {
+fn both_counters_are_send() {
     assert_send::<LayeredCycleCounter>();
     assert_send::<FourCycleCounter>();
-    assert_send::<CyclicJoinCountView>();
-    assert_send::<BinaryJoinCountView>();
 }
 
 #[allow(dead_code)]

@@ -64,8 +64,9 @@ fn catalog_scenarios_through_two_concurrent_sessions_match_direct_counters() {
     }
 }
 
-/// The same stream driven through the Join mode (IVM view underneath)
-/// yields the same count: the service modes are views over one semantics.
+/// A session created with the former join mode's token, `join`, is a
+/// layered session: the same stream yields the same count and epoch, and
+/// general traffic is refused with the layered mode.
 #[test]
 fn join_mode_session_agrees_with_layered_mode() {
     let scenario = &smoke_catalog(23)[0];
@@ -83,16 +84,9 @@ fn join_mode_session_agrees_with_layered_mode() {
             },
         )
         .unwrap();
-    service
-        .create_session_with(
-            GraphId(2),
-            fourcycle::service::SessionSpec {
-                kind: EngineKind::Simple,
-                config: Default::default(),
-                mode: WorkloadMode::Join,
-            },
-        )
-        .unwrap();
+    for request in parse_script("create g2 join simple").unwrap() {
+        service.execute(&request).unwrap();
+    }
     for batch in &batches {
         for id in [GraphId(1), GraphId(2)] {
             service
@@ -104,6 +98,13 @@ fn join_mode_session_agrees_with_layered_mode() {
     let join = service.snapshot(GraphId(2)).unwrap();
     assert_eq!(layered.count, join.count);
     assert_eq!(layered.epoch, join.epoch);
+    assert_eq!(
+        service.try_apply_general(GraphId(2), fourcycle::graph::GraphUpdate::insert(1, 2)),
+        Err(ServiceError::ModeMismatch {
+            id: GraphId(2),
+            mode: WorkloadMode::Layered
+        })
+    );
 }
 
 /// A serialized command stream (the text format) replays against the

@@ -18,8 +18,8 @@ use crate::VertexId;
 ///
 /// Backed by the same indexed adjacency rows as the layered structures
 /// (each undirected edge is stored in both orientations with weight 1), so
-/// neighbor iteration — the inner loop of the triangle counter and the
-/// brute-force oracles — is a flat scan.
+/// neighbor iteration — the inner loop of the brute-force oracles — is a
+/// flat scan.
 #[derive(Debug, Clone, Default)]
 pub struct GeneralGraph {
     adj: SignedAdjacency,
@@ -150,19 +150,6 @@ impl GeneralGraph {
         total
     }
 
-    /// Brute-force triangle count (used by the triangle-baseline module).
-    pub fn count_triangles_brute_force(&self) -> i64 {
-        let mut total = 0i64;
-        for (u, v) in self.edges() {
-            for w in self.neighbors(u) {
-                if w > v && self.has_edge(v, w) {
-                    total += 1;
-                }
-            }
-        }
-        total
-    }
-
     /// Builds the 4-layered replication of §8: each layer holds a copy of the
     /// vertex set and every edge `{u, v}` appears in all four relations (in
     /// both orientations, since the relations are bipartite and the original
@@ -233,7 +220,6 @@ mod tests {
         tri.insert(2, 3);
         tri.insert(3, 1);
         assert_eq!(tri.count_4cycles_brute_force(), 0);
-        assert_eq!(tri.count_triangles_brute_force(), 1);
     }
 
     /// The oracle's former form: every wedge's pair of ends hashed into a

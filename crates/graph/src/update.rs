@@ -5,7 +5,7 @@
 //! arbitrary interleaving of edge insertions and deletions. These types are
 //! the common currency between the workload generators
 //! (`fourcycle-workloads`), the counters (`fourcycle-core`) and the
-//! IVM layer (`fourcycle-ivm`).
+//! service (`fourcycle-service`).
 
 use crate::layered::Rel;
 use crate::VertexId;
@@ -122,9 +122,8 @@ impl LayeredUpdate {
 /// updates rather than paid per edge. `UpdateBatch` is the API-level
 /// counterpart: callers group updates (a workload chunk, one trace file
 /// block, one ingestion tick) and hand the whole group to
-/// `LayeredCycleCounter::apply_batch` / `CyclicJoinCountView::apply_batch`,
-/// which route per-relation sub-batches to the engines' `apply_batch`
-/// entry points.
+/// `LayeredCycleCounter::apply_batch`, which routes per-relation
+/// sub-batches to the engines' `apply_batch` entry points.
 ///
 /// Batch application is *semantics-preserving*: applying a batch leaves
 /// every counter and engine in a state equivalent to applying its updates

@@ -13,9 +13,6 @@
 //! * [`SparseMatrix`] — row-list sparse matrices with sparse–sparse and
 //!   sparse–dense products, used for the combinatorial fallback path and for
 //!   building class-restricted submatrices out of adjacency lists.
-//! * [`CompactIndex`] — a bijection between arbitrary `u32` vertex ids and
-//!   dense `0..k` matrix indices, used when extracting the class-restricted
-//!   submatrices (`A^{HS}_old`, `B^{DD}_old`, …) of §5.
 //! * [`MatMulJob`] — an *incremental* multiplication job that performs a
 //!   bounded amount of work per call. The paper spreads each old-phase
 //!   product over the updates of the following phase to keep the update time
@@ -38,12 +35,10 @@
     )
 )]
 
-pub mod compact;
 pub mod dense;
 pub mod job;
 pub mod sparse;
 
-pub use compact::CompactIndex;
 pub use dense::{DenseMatrix, MulAlgorithm};
 pub use job::{JobStatus, MatMulJob};
 pub use sparse::SparseMatrix;

@@ -1087,6 +1087,113 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A journal directory as it was written while `join` was a mode of its
+    /// own, with `checkpoint_every(2)`: the manifest, the checkpoint's state
+    /// script and the WAL all carry the token. `join` now parses as layered (ADR-003's 2026-10-20
+    /// amendment), so the store opens with a layered spec, and both
+    /// checkpoint-plus-tail recovery and a restarted runtime reach the old
+    /// session's `(count, total_edges, epoch)`.
+    #[test]
+    fn journal_made_in_join_mode_reopens_as_layered() {
+        use fourcycle_graph::GraphUpdate;
+        use fourcycle_store::{checkpoint_file, wal_file, MANIFEST_FILE};
+        use fourcycle_telemetry::{ring::recovery_phase, EventKind};
+        let dir = std::env::temp_dir().join("fourcycle-runtime-join-mode-store");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = [
+            (
+                MANIFEST_FILE.to_string(),
+                r#"{"version": 1, "shards": 1, "mode": "join", "engine": "threshold-m23"}"#,
+            ),
+            (
+                checkpoint_file(0),
+                concat!(
+                    r#"{"version": 1, "shard": 0, "offset": 4, "sessions": "#,
+                    r#"[{"id": 1, "count": 1, "total_edges": 4, "epoch": 6}]}"#,
+                    "\ncreate g1 join threshold\nlayered g1 A+1:2 B+2:3 C+3:4 D+4:1",
+                ),
+            ),
+            (
+                wal_file(0),
+                "create g1 join threshold\nlayered g1 A+1:2 B+2:3 C+3:4 D+4:1\n\
+                 layered g1 A-1:2\nlayered g1 A+1:2\nlayered g1 B+2:5",
+            ),
+        ];
+        for (name, text) in files {
+            std::fs::write(dir.join(name), format!("{text}\n")).unwrap();
+        }
+        let journal = JournalConfig::new(&dir).checkpoint_every(2);
+        let id = GraphId(1);
+        let triple = |snapshot: fourcycle_core::Snapshot| {
+            (snapshot.count, snapshot.total_edges, snapshot.epoch)
+        };
+        let general = GraphUpdate::insert(1, 2);
+        let mismatch = ServiceError::ModeMismatch {
+            id,
+            mode: WorkloadMode::Layered,
+        };
+
+        let store = JournalStore::resume(journal.clone()).unwrap();
+        assert_eq!(store.default_spec().mode, WorkloadMode::Layered);
+        assert_eq!(store.default_spec().kind, EngineKind::Threshold);
+        let mut recovered = store.recover_shard(0).unwrap();
+        assert_eq!(triple(recovered.snapshot(id).unwrap()), (1, 5, 7));
+        assert_eq!(recovered.try_apply_general(id, general), Err(mismatch));
+        drop(recovered);
+
+        let config = || {
+            RuntimeConfig::new()
+                .shards(1)
+                .engine(EngineKind::Threshold)
+                .journal(journal.clone())
+        };
+        let revived = ShardedRuntime::try_start(config()).unwrap();
+        // The checkpoint's script parsed: it was loaded and only the one
+        // WAL line past its offset replayed.
+        let recoveries: Vec<_> = revived
+            .telemetry()
+            .ring()
+            .drain()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::RecoveryPhase)
+            .map(|e| (e.a, e.b))
+            .collect();
+        assert_eq!(recoveries, vec![(recovery_phase::CHECKPOINT_TAIL, 1)]);
+        let snapshot = |runtime: &ShardedRuntime| match runtime.call(Request::GetSnapshot { id }) {
+            Ok(Response::Snapshot { snapshot, .. }) => triple(snapshot),
+            other => panic!("expected snapshot, got {other:?}"),
+        };
+        assert_eq!(snapshot(&revived), (1, 5, 7));
+        assert_eq!(
+            revived.call(Request::ApplyGeneral {
+                id,
+                update: general
+            }),
+            Err(RuntimeError::Service(mismatch))
+        );
+        // Two more commands write a checkpoint, whose create line now
+        // names the session's mode as `layered`.
+        for update in [
+            LayeredUpdate::delete(Rel::B, 2, 5),
+            LayeredUpdate::insert(Rel::B, 2, 5),
+        ] {
+            revived.call(Request::ApplyLayered { id, update }).unwrap();
+        }
+        assert_eq!(snapshot(&revived), (1, 5, 9));
+        revived.shutdown();
+        let checkpoint = std::fs::read_to_string(dir.join(checkpoint_file(0))).unwrap();
+        assert!(
+            checkpoint.contains("\ncreate g1 layered threshold\n"),
+            "{checkpoint}"
+        );
+
+        let restarted = ShardedRuntime::try_start(config()).unwrap();
+        assert_eq!(snapshot(&restarted), (1, 5, 9));
+        restarted.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn script_source_replays_serialized_traffic() {
         let script = "

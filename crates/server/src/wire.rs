@@ -287,10 +287,7 @@ fn parse_graph_id(token: &str) -> Result<GraphId, ParseError> {
 }
 
 fn parse_mode(token: &str) -> Result<WorkloadMode, ParseError> {
-    WorkloadMode::ALL
-        .into_iter()
-        .find(|m| m.token() == token)
-        .ok_or_else(|| parse_err(format!("unknown mode {token:?}")))
+    WorkloadMode::from_token(token).ok_or_else(|| parse_err(format!("unknown mode {token:?}")))
 }
 
 /// The stable verdict tokens of the core update rejections.

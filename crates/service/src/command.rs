@@ -81,8 +81,8 @@ use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp, VertexId};
 use std::fmt;
 use std::fmt::Write as _;
 
-/// One service command. Every operation of the underlying counters and
-/// views is representable, so a `Vec<Request>` is a complete, replayable
+/// One service command. Every operation of the underlying counters is
+/// representable, so a `Vec<Request>` is a complete, replayable
 /// description of a traffic trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -98,16 +98,16 @@ pub enum Request {
         /// Session to drop.
         id: GraphId,
     },
-    /// One layered (or join-tuple) update.
+    /// One layered update.
     ApplyLayered {
-        /// Target session (layered or join mode).
+        /// Target session (layered mode).
         id: GraphId,
         /// The update.
         update: LayeredUpdate,
     },
     /// An atomic batch of layered updates.
     ApplyLayeredBatch {
-        /// Target session (layered or join mode).
+        /// Target session (layered mode).
         id: GraphId,
         /// The updates, in order.
         updates: Vec<LayeredUpdate>,
@@ -283,10 +283,8 @@ fn parse_graph_id(token: &str) -> Result<GraphId, ParseError> {
 }
 
 fn parse_mode(token: &str) -> Result<WorkloadMode, ParseError> {
-    WorkloadMode::ALL
-        .into_iter()
-        .find(|m| m.token() == token)
-        .ok_or_else(|| err(format!("unknown mode {token:?} (layered|general|join)")))
+    WorkloadMode::from_token(token)
+        .ok_or_else(|| err(format!("unknown mode {token:?} (layered|general)")))
 }
 
 /// Short engine token for the text format (`EngineKind::name` is also
@@ -735,7 +733,7 @@ mod tests {
                 spec: Some(SessionSpec {
                     kind: EngineKind::FmmDense,
                     config: EngineConfig::default(),
-                    mode: WorkloadMode::Join,
+                    mode: WorkloadMode::Layered,
                 }),
             },
             Request::ApplyLayered {
@@ -771,6 +769,12 @@ mod tests {
             .map(|r| format!("  {}   # inline comment\n\n", render_request(r)))
             .collect();
         assert_eq!(parse_script(&script).unwrap(), requests);
+
+        // The former join mode's token still parses, as a layered session,
+        // and renders back as `layered`.
+        let request = parse_request("create g2 join fmm-dense").unwrap();
+        assert_eq!(request, requests[1]);
+        assert_eq!(render_request(&request), "create g2 layered fmm-dense");
     }
 
     #[test]
@@ -987,16 +991,18 @@ mod tests {
         let mut requests = vec![Request::ListGraphs];
         for id in ids {
             requests.push(Request::CreateGraph { id, spec: None });
-            for (mode, kind) in WorkloadMode::ALL.into_iter().zip(EngineKind::ALL) {
-                let spec = SessionSpec {
-                    kind,
-                    config: EngineConfig::default(),
-                    mode,
-                };
-                requests.push(Request::CreateGraph {
-                    id,
-                    spec: Some(spec),
-                });
+            for mode in WorkloadMode::ALL {
+                for kind in EngineKind::ALL {
+                    let spec = SessionSpec {
+                        kind,
+                        config: EngineConfig::default(),
+                        mode,
+                    };
+                    requests.push(Request::CreateGraph {
+                        id,
+                        spec: Some(spec),
+                    });
+                }
             }
             requests.push(Request::DropGraph { id });
             requests.push(Request::Count { id });

@@ -104,7 +104,7 @@ pub struct SessionImage {
     pub snapshot: Snapshot,
     /// Commands that recreate the session in an empty service: one
     /// `CreateGraph` carrying the spec, then batched re-inserts of the
-    /// current edge set (relation by relation for layered/join sessions).
+    /// current edge set (relation by relation for layered sessions).
     /// Replaying them yields the snapshot's `count` and `total_edges`;
     /// pair with `restore_epoch` for the `epoch`.
     pub state: Vec<Request>,

@@ -1,17 +1,17 @@
 //! `fourcycle-service` — the typed, multi-tenant front door of the
 //! workspace.
 //!
-//! The counters and views of `fourcycle-core` / `fourcycle-ivm` each serve
-//! exactly one graph and are constructed ad hoc. A production deployment
-//! (the ROADMAP's "heavy traffic from millions of users") instead wants one
-//! *service* object owning many independent graphs, a single command
-//! vocabulary for all of them, real errors instead of silently-ignored
-//! updates, and reads that cannot race writers. [`CycleCountService`]
-//! provides exactly that, in the same service framing IVM systems
-//! (DBSP, differential dataflow) put in front of their incremental cores:
+//! The counters of `fourcycle-core` each serve exactly one graph and are
+//! constructed ad hoc. A production deployment (the ROADMAP's "heavy
+//! traffic from millions of users") instead wants one *service* object
+//! owning many independent graphs, a single command vocabulary for all of
+//! them, real errors instead of silently-ignored updates, and reads that
+//! cannot race writers. [`CycleCountService`] provides exactly that, in the
+//! same service framing IVM systems (DBSP, differential dataflow) put in
+//! front of their incremental cores:
 //!
 //! * **Sessions** — a registry of independent graphs keyed by [`GraphId`].
-//!   Each session owns one counter/view built from a [`SessionSpec`]
+//!   Each session owns one counter built from a [`SessionSpec`]
 //!   (engine kind, [`EngineConfig`], [`WorkloadMode`]); sessions are fully
 //!   isolated, so one tenant's updates never touch another's count.
 //! * **Commands** — the [`Request`]/[`Response`] enum pair: every operation
@@ -82,7 +82,6 @@ pub use journal::{CheckpointImage, JournalSink, SessionImage};
 
 use fourcycle_core::{FourCycleCounter, LayeredCycleCounter};
 use fourcycle_graph::{GraphUpdate, LayeredUpdate, Rel, VertexId};
-use fourcycle_ivm::CyclicJoinCountView;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -103,29 +102,37 @@ impl fmt::Display for GraphId {
 pub enum WorkloadMode {
     /// Layered 4-cycle counting (Theorem 2) via `LayeredCycleCounter`;
     /// accepts layered updates.
+    ///
+    /// This is also §1's database framing: the four relations `A(L1,L2)`,
+    /// `B(L2,L3)`, `C(L3,L4)`, `D(L4,L1)` are the four layers' edge sets,
+    /// each join result is a layered 4-cycle (Fig. 1), so the count is the
+    /// cyclic join size `|A ⋈ B ⋈ C ⋈ D|` under tuple inserts and deletes.
+    /// The token `join` parses as this mode ([`WorkloadMode::from_token`]).
     Layered,
     /// General-graph 4-cycle counting (Theorem 1, §8 reduction) via
     /// `FourCycleCounter`; accepts general updates.
     General,
-    /// Cyclic-join count maintenance (the §1 database framing) via
-    /// `CyclicJoinCountView`; accepts layered (tuple) updates.
-    Join,
 }
 
 impl WorkloadMode {
     /// All modes.
-    pub const ALL: [WorkloadMode; 3] = [
-        WorkloadMode::Layered,
-        WorkloadMode::General,
-        WorkloadMode::Join,
-    ];
+    pub const ALL: [WorkloadMode; 2] = [WorkloadMode::Layered, WorkloadMode::General];
 
     /// Stable token used by the command text format.
     pub fn token(self) -> &'static str {
         match self {
             WorkloadMode::Layered => "layered",
             WorkloadMode::General => "general",
-            WorkloadMode::Join => "join",
+        }
+    }
+
+    /// Parses a mode token: [`Self::token`]'s, or `join`, the former
+    /// cyclic-join mode's token, which names a layered session (ADR-003's
+    /// 2026-10-20 amendment), so journals that carry it still replay.
+    pub fn from_token(token: &str) -> Option<WorkloadMode> {
+        match token {
+            "join" => Some(WorkloadMode::Layered),
+            _ => Self::ALL.into_iter().find(|m| m.token() == token),
         }
     }
 }
@@ -137,7 +144,7 @@ impl WorkloadMode {
 /// paper's main engine when it grows past a measured size (ADR-011).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSpec {
-    /// Engine driving the session's counter/view ([`EngineKind::Auto`] by
+    /// Engine driving the session's counter ([`EngineKind::Auto`] by
     /// default).
     pub kind: EngineKind,
     /// Shared construction options (the `FmmConfig`).
@@ -305,7 +312,6 @@ struct Session {
 enum SessionState {
     Layered(LayeredCycleCounter),
     General(FourCycleCounter),
-    Join(CyclicJoinCountView),
 }
 
 impl Session {
@@ -317,9 +323,6 @@ impl Session {
             WorkloadMode::General => {
                 SessionState::General(FourCycleCounter::with_config(spec.kind, &spec.config))
             }
-            WorkloadMode::Join => {
-                SessionState::Join(CyclicJoinCountView::with_config(spec.kind, &spec.config))
-            }
         };
         Self { spec, state }
     }
@@ -328,7 +331,6 @@ impl Session {
         match &self.state {
             SessionState::Layered(c) => c.count(),
             SessionState::General(c) => c.count(),
-            SessionState::Join(v) => v.count(),
         }
     }
 
@@ -336,7 +338,6 @@ impl Session {
         match &self.state {
             SessionState::Layered(c) => c.epoch(),
             SessionState::General(c) => c.epoch(),
-            SessionState::Join(v) => v.epoch(),
         }
     }
 
@@ -344,7 +345,6 @@ impl Session {
         match &self.state {
             SessionState::Layered(c) => c.snapshot(),
             SessionState::General(c) => c.snapshot(),
-            SessionState::Join(v) => v.snapshot(),
         }
     }
 
@@ -352,7 +352,6 @@ impl Session {
         match &mut self.state {
             SessionState::Layered(c) => c.restore_epoch(epoch),
             SessionState::General(c) => c.restore_epoch(epoch),
-            SessionState::Join(v) => v.restore_epoch(epoch),
         }
     }
 
@@ -370,7 +369,6 @@ impl Session {
     ) -> Result<i64, ServiceError> {
         match &mut self.state {
             SessionState::Layered(c) => Ok(c.try_apply(update)?),
-            SessionState::Join(v) => Ok(v.try_apply(update)?),
             SessionState::General(_) => Err(self.mode_mismatch(id)),
         }
     }
@@ -382,7 +380,6 @@ impl Session {
     ) -> Result<i64, ServiceError> {
         match &mut self.state {
             SessionState::Layered(c) => Ok(c.try_apply_batch(updates)?),
-            SessionState::Join(v) => Ok(v.try_apply_batch(updates)?),
             SessionState::General(_) => Err(self.mode_mismatch(id)),
         }
     }
@@ -390,7 +387,7 @@ impl Session {
     fn try_apply_general(&mut self, id: GraphId, update: GraphUpdate) -> Result<i64, ServiceError> {
         match &mut self.state {
             SessionState::General(c) => Ok(c.try_apply(update)?),
-            SessionState::Layered(_) | SessionState::Join(_) => Err(self.mode_mismatch(id)),
+            SessionState::Layered(_) => Err(self.mode_mismatch(id)),
         }
     }
 
@@ -401,7 +398,7 @@ impl Session {
     ) -> Result<i64, ServiceError> {
         match &mut self.state {
             SessionState::General(c) => Ok(c.try_apply_batch(updates)?),
-            SessionState::Layered(_) | SessionState::Join(_) => Err(self.mode_mismatch(id)),
+            SessionState::Layered(_) => Err(self.mode_mismatch(id)),
         }
     }
 
@@ -426,7 +423,6 @@ impl Session {
             SessionState::Layered(c) => {
                 layered_state_requests(id, |rel| c.edges(rel), &mut requests)
             }
-            SessionState::Join(v) => layered_state_requests(id, |rel| v.edges(rel), &mut requests),
             SessionState::General(c) => {
                 let updates: Vec<GraphUpdate> = c
                     .edges()
@@ -564,8 +560,8 @@ impl CycleCountService {
             .ok_or(ServiceError::UnknownGraph(id))
     }
 
-    /// Current count of a session (layered 4-cycles, general 4-cycles or
-    /// join size, depending on its mode).
+    /// Current count of a session (layered or general 4-cycles, depending
+    /// on its mode).
     pub fn count(&self, id: GraphId) -> Result<i64, ServiceError> {
         Ok(self.session(id)?.count())
     }
@@ -583,7 +579,7 @@ impl CycleCountService {
         Ok(self.session(id)?.snapshot())
     }
 
-    /// Applies one layered (or join-tuple) update; returns the session's new
+    /// Applies one layered update; returns the session's new
     /// count.
     pub fn try_apply_layered(
         &mut self,
@@ -593,7 +589,7 @@ impl CycleCountService {
         self.session_mut(id)?.try_apply_layered(id, update)
     }
 
-    /// Atomically applies a batch of layered (or join-tuple) updates;
+    /// Atomically applies a batch of layered updates;
     /// rejection attributes the first offending batch index and changes
     /// nothing.
     pub fn try_apply_layered_batch(
@@ -1010,7 +1006,7 @@ mod tests {
         };
         svc.create_session_with(GraphId(1), spec(WorkloadMode::General))
             .unwrap();
-        svc.create_session_with(GraphId(2), spec(WorkloadMode::Join))
+        svc.create_session_with(GraphId(2), spec(WorkloadMode::Layered))
             .unwrap();
 
         // General session: 4-cycle counting with self-loop rejection.
@@ -1027,7 +1023,7 @@ mod tests {
             Err(ServiceError::Update(UpdateError::SelfLoop))
         );
 
-        // Join session accepts layered (tuple) updates.
+        // Layered session accepts layered (tuple) updates.
         assert_eq!(
             svc.try_apply_layered(GraphId(2), LayeredUpdate::insert(Rel::A, 1, 2)),
             Ok(0)
@@ -1045,7 +1041,7 @@ mod tests {
             svc.try_apply_general(GraphId(2), GraphUpdate::insert(1, 2)),
             Err(ServiceError::ModeMismatch {
                 id: GraphId(2),
-                mode: WorkloadMode::Join
+                mode: WorkloadMode::Layered
             })
         );
     }

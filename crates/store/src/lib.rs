@@ -1337,9 +1337,7 @@ fn parse_manifest(
         .get("mode")
         .and_then(Json::as_str)
         .ok_or_else(|| corrupt(path, 1, "missing mode"))?;
-    let mode = WorkloadMode::ALL
-        .into_iter()
-        .find(|m| m.token() == mode_token)
+    let mode = WorkloadMode::from_token(mode_token)
         .ok_or_else(|| corrupt(path, 1, format!("unknown mode {mode_token:?}")))?;
     let engine_name = doc
         .get("engine")
@@ -1623,10 +1621,10 @@ mod tests {
                 ..
             })
         ));
-        let mut join = spec(EngineKind::Fmm);
-        join.mode = WorkloadMode::Join;
+        let mut general = spec(EngineKind::Fmm);
+        general.mode = WorkloadMode::General;
         assert!(matches!(
-            JournalStore::open(config.clone(), 2, join),
+            JournalStore::open(config.clone(), 2, general),
             Err(StoreError::ManifestMismatch { field: "mode", .. })
         ));
         // resume() reads everything back from the manifest.
@@ -1663,6 +1661,10 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The `join` case creates its session with the former join mode's
+    /// token, which now makes a layered session (ADR-003's 2026-10-20
+    /// amendment); journals written while it was a mode of its own are
+    /// checked by the runtime's `journal_made_in_join_mode_reopens_as_layered`.
     #[test]
     fn general_and_join_modes_journal_and_recover_too() {
         for (name, mode, script) in [
@@ -1673,8 +1675,9 @@ mod tests {
             ),
             (
                 "join-mode",
-                WorkloadMode::Join,
-                "create g1\nlayered g1 A+1:2 B+2:3 C+3:4 D+4:1\nlayered g1 A-1:2\nlayered g1 A+1:2",
+                WorkloadMode::Layered,
+                "create g1 join threshold\nlayered g1 A+1:2 B+2:3 C+3:4 D+4:1\n\
+                 layered g1 A-1:2\nlayered g1 A+1:2",
             ),
         ] {
             let dir = test_dir(name);

@@ -1,8 +1,8 @@
 //! Update streams over 4-layered graphs.
 //!
 //! These are the direct inputs of `fourcycle_core::LayeredCycleCounter`
-//! (Theorem 2) and, through `fourcycle-ivm`, of the cyclic-join view
-//! maintenance scenario of §1/Fig. 1. Three families:
+//! (Theorem 2), whose count is also the cyclic-join size of §1/Fig. 1's
+//! view maintenance scenario. Three families:
 //!
 //! * [`LayeredStreamKind::Uniform`] — endpoints drawn uniformly from each
 //!   layer; a configurable fraction of updates deletes a currently present

@@ -15,7 +15,7 @@
 //! * [`trace`] — a plain-text trace format so experiments are replayable and
 //!   streams can be exchanged with other tools.
 //! * [`player`] — batched trace playback: groups streams/traces into
-//!   `UpdateBatch`es for the counters' and views' batch entry points.
+//!   `UpdateBatch`es for the counters' batch entry points.
 //! * [`scenario`] — named, documented stress scenarios (the [`Scenario`]
 //!   trait and the built-in catalog of `docs/SCENARIOS.md`): seeded batched
 //!   workloads each engineered to exercise a specific engine slow path

@@ -1,12 +1,11 @@
 //! Batched trace playback.
 //!
 //! The trace format (`trace.rs`) stores one update per line; replaying a
-//! trace update-by-update forfeits the batch entry points of the counters
-//! and views. This module groups a parsed stream into [`UpdateBatch`]es of
-//! a configured size — mirroring the paper's phase structure of `m^{1−δ}`
+//! trace update-by-update forfeits the batch entry points of the counters.
+//! This module groups a parsed stream into [`UpdateBatch`]es of a
+//! configured size — mirroring the paper's phase structure of `m^{1−δ}`
 //! updates (§5.1) — so that experiment drivers and ingestion pipelines can
-//! feed `LayeredCycleCounter::apply_batch` / `CyclicJoinCountView::
-//! apply_batch` directly.
+//! feed `LayeredCycleCounter::apply_batch` directly.
 
 use crate::trace::parse_layered_trace;
 use fourcycle_graph::{LayeredUpdate, UpdateBatch};
