@@ -21,17 +21,18 @@
 //! journaled store (throwaway temp directory) with that fsync policy, and
 //! `--transport <inproc|tcp>` chooses between direct runtime calls and
 //! real TCP connections through an in-process `fourcycle-server` on a
-//! loopback port (the tcp path asserts the server's `stats` document
-//! parses and its command total matches what the clients submitted — the
-//! CI `server-smoke` step rides on exactly that assertion).
+//! loopback port (the tcp path asserts the server's `metrics json`
+//! document parses and its front-door command total matches what the
+//! clients submitted — the CI `server-smoke` step rides on exactly that
+//! assertion).
 //!
 //! After each sweep point it prints the runtime's per-stage latency
 //! breakdown (queue wait → dispatch → apply → journal append → fsync wait
 //! → reply) and asserts that every stage histogram holds exactly one
 //! sample per delivered command. It then prints an aligned table to
 //! stdout and writes a JSON report under the output directory (default
-//! `target/scenario-reports/`, created if absent), with per-shard
-//! command/update/stall/utilization breakdowns. Full runs write
+//! `target/scenario-reports/`, created if absent), with each shard's
+//! counters and utilization. Full runs write
 //! `loadgen.json`; `--smoke` runs write `loadgen-smoke.json`, so a CI
 //! smoke pass never silently overwrites a full sweep sitting in the same
 //! directory (the file-name scheme is documented in `docs/SCENARIOS.md`).
@@ -147,14 +148,14 @@ fn main() {
                 "  {shards} shard(s): {:.0} upd/s, p99 {:.1} µs, {} stalls",
                 report.updates_per_sec,
                 report.latency.p99 * 1e6,
-                report.runtime.totals.queue_full_stalls,
+                report.telemetry.totals.queue_full_stalls,
             );
             // The stage-accounting differential: every delivered command
             // contributed exactly one sample to every stage histogram.
             for stage in Stage::ALL {
                 assert_eq!(
                     report.telemetry.stage_total(stage).count(),
-                    report.runtime.totals.commands,
+                    report.telemetry.totals.commands,
                     "stage {} sample count must equal delivered commands",
                     stage.name()
                 );

@@ -10,10 +10,9 @@
 //!
 //! One run produces a [`LoadReport`]: aggregate throughput (updates and
 //! requests per second), merged per-request latency percentiles
-//! (p50/p90/p99/max via [`LatencySummary`]), the runtime's own per-shard
-//! [`RuntimeStats`](fourcycle_runtime::RuntimeStats) report, its final
-//! [`TelemetrySnapshot`] (per-stage latency histograms), and every
-//! session's final epoch-stamped
+//! (p50/p90/p99/max via [`LatencySummary`]), the runtime's final
+//! [`TelemetrySnapshot`] (per-stage latency histograms, per-shard and
+//! front-door counters), and every session's final epoch-stamped
 //! [`Snapshot`] — which the differential tests (and
 //! [`replay_single_threaded`]) compare against a plain single-threaded
 //! `CycleCountService` replay of the same scenario, proving concurrent
@@ -25,11 +24,11 @@
 use crate::scenario_runner::LatencySummary;
 use fourcycle_core::{EngineKind, Snapshot};
 use fourcycle_graph::UpdateBatch;
-use fourcycle_runtime::{RuntimeConfig, RuntimeReport, ShardedRuntime};
-use fourcycle_server::{Client, ClientError, Server, ServerConfig, ServerStats, WireError};
+use fourcycle_runtime::{RuntimeConfig, ShardedRuntime};
+use fourcycle_server::{Client, ClientError, Server, ServerConfig, WireError};
 use fourcycle_service::{CycleCountService, GraphId, Request, Response, SessionSpec, WorkloadMode};
 use fourcycle_store::{FsyncPolicy, JournalConfig};
-use fourcycle_telemetry::{Stage, TelemetrySnapshot};
+use fourcycle_telemetry::{expose, Stage, TelemetrySnapshot};
 use fourcycle_workloads::{total_updates, Scenario};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -149,12 +148,9 @@ pub struct LoadReport {
     /// Hardware parallelism of the host the run executed on
     /// (`std::thread::available_parallelism`; 0 when the OS won't say).
     pub cores: usize,
-    /// The runtime's own final statistics (per shard + totals).
-    pub runtime: RuntimeReport,
-    /// The server's front-door counters — `Some` only for
-    /// [`Transport::Tcp`] runs.
-    pub server: Option<ServerStats>,
-    /// The runtime's final telemetry snapshot.
+    /// The runtime's final telemetry snapshot: stage histograms, shard
+    /// counters and, for [`Transport::Tcp`] runs, the server's front-door
+    /// counters.
     pub telemetry: TelemetrySnapshot,
     /// Final state of every session.
     pub sessions: Vec<SessionOutcome>,
@@ -292,9 +288,6 @@ impl LoadRunner {
             dir
         });
         let runtime = ShardedRuntime::start(runtime_config);
-        // The handle must be cloned out now: the TCP arm moves the runtime
-        // into the server, and the snapshot is read after shutdown.
-        let telemetry = runtime.telemetry().clone();
 
         // Pre-generate every session's stream (not timed).
         let mut plans: Vec<Vec<SessionPlan>> = (0..cfg.clients)
@@ -315,7 +308,7 @@ impl LoadRunner {
             })
             .collect();
 
-        let (results, seconds, report, server) = match cfg.transport {
+        let (results, seconds, telemetry) = match cfg.transport {
             Transport::InProcess => {
                 let started = Instant::now();
                 let results: Vec<ClientResult> = std::thread::scope(|scope| {
@@ -338,7 +331,7 @@ impl LoadRunner {
                         .collect()
                 });
                 let seconds = started.elapsed().as_secs_f64();
-                (results, seconds, runtime.shutdown(), None)
+                (results, seconds, runtime.shutdown())
             }
             Transport::Tcp => {
                 // The runtime moves behind a real listener on a loopback
@@ -377,23 +370,23 @@ impl LoadRunner {
                 });
                 let seconds = started.elapsed().as_secs_f64();
                 // Front-door accounting must agree with the clients: the
-                // stats document parses with the in-tree JSON reader and
-                // its command total equals what the clients submitted.
+                // `metrics json` document parses with the in-tree JSON
+                // reader and its command total equals what the clients
+                // submitted.
                 let requests: u64 = results.iter().map(|r| r.requests).sum();
-                let mut probe = Client::connect(addr).expect("connect stats probe");
-                let stats = probe.stats().expect("stats document parses");
-                let wire_commands = stats
+                let mut probe = Client::connect(addr).expect("connect metrics probe");
+                let metrics = probe.metrics().expect("metrics document parses");
+                let wire_commands = metrics
                     .get("server")
                     .and_then(|s| s.get("commands"))
                     .and_then(|c| c.as_u64())
-                    .expect("stats.server.commands present");
+                    .expect("metrics.server.commands present");
                 assert_eq!(
                     wire_commands, requests,
                     "server command total diverged from client submissions"
                 );
                 drop(probe);
-                let server_stats = server.stats();
-                (results, seconds, server.shutdown(), Some(server_stats))
+                (results, seconds, server.shutdown())
             }
         };
         if let Some(dir) = journal_dir {
@@ -426,9 +419,7 @@ impl LoadRunner {
             updates_per_sec: per_sec(updates),
             latency: LatencySummary::from_latencies(&latencies),
             cores: available_cores(),
-            runtime: report,
-            server,
-            telemetry: telemetry.snapshot(),
+            telemetry,
             sessions,
         }
     }
@@ -468,22 +459,12 @@ pub fn render_load_json(reports: &[LoadReport]) -> String {
         .iter()
         .map(|r| {
             let shards: Vec<String> = r
-                .runtime
+                .telemetry
                 .per_shard
                 .iter()
                 .map(|s| {
-                    format!(
-                        concat!(
-                            "{{\"commands\": {}, \"updates_applied\": {}, ",
-                            "\"rejected\": {}, \"queue_full_stalls\": {}, ",
-                            "\"utilization\": {:.4}}}"
-                        ),
-                        s.commands,
-                        s.updates_applied,
-                        s.rejected,
-                        s.queue_full_stalls,
-                        s.utilization()
-                    )
+                    let counters = expose::json_fields(&s.fields());
+                    format!("{{{counters}, \"utilization\": {:.4}}}", s.utilization())
                 })
                 .collect();
             format!(
@@ -512,8 +493,8 @@ pub fn render_load_json(reports: &[LoadReport]) -> String {
                 r.seconds,
                 r.requests_per_sec,
                 r.updates_per_sec,
-                r.runtime.totals.journal_fsyncs,
-                r.runtime.totals.groups,
+                r.telemetry.totals.journal_fsyncs,
+                r.telemetry.totals.groups,
                 r.latency.mean,
                 r.latency.p50,
                 r.latency.p90,
@@ -543,9 +524,9 @@ pub fn render_load_table(reports: &[LoadReport]) -> String {
                 format!("{:.1}", r.latency.p50 * 1e6),
                 format!("{:.1}", r.latency.p90 * 1e6),
                 format!("{:.1}", r.latency.p99 * 1e6),
-                r.runtime.totals.journal_fsyncs.to_string(),
-                r.runtime.totals.queue_full_stalls.to_string(),
-                format!("{:.0}%", r.runtime.totals.utilization() * 100.0),
+                r.telemetry.totals.journal_fsyncs.to_string(),
+                r.telemetry.totals.queue_full_stalls.to_string(),
+                format!("{:.0}%", r.telemetry.totals.utilization() * 100.0),
             ]
         })
         .collect();
@@ -607,10 +588,10 @@ mod tests {
         };
         let report = LoadRunner::new(config).run(&scenarios);
         assert_eq!(report.sessions.len(), 4);
-        assert_eq!(report.runtime.totals.commands, report.requests);
-        assert_eq!(report.runtime.totals.updates_applied, report.updates);
-        assert_eq!(report.runtime.totals.rejected, 0);
-        assert_eq!(report.runtime.per_shard.len(), 2);
+        assert_eq!(report.telemetry.totals.commands, report.requests);
+        assert_eq!(report.telemetry.totals.updates_applied, report.updates);
+        assert_eq!(report.telemetry.totals.rejected, 0);
+        assert_eq!(report.telemetry.per_shard.len(), 2);
         assert!(report.updates_per_sec > 0.0);
         assert!(report.latency.max >= report.latency.p50);
         // Every session ends at its scenario's epoch.
@@ -635,7 +616,8 @@ mod tests {
         assert!(table.contains("shards") && table.contains("p99"));
         let json = render_load_json(&reports);
         assert!(json.contains("\"updates_per_sec\""));
-        assert!(json.contains("\"per_shard\": ["));
+        assert!(json.contains("\"per_shard\": [{\"commands\": "));
+        assert!(json.contains("\"idle_nanos\": "));
         assert!(json.contains("\"journal\": \"none\""));
         assert_eq!(json.matches("\"shards\"").count(), 1);
     }
@@ -655,12 +637,12 @@ mod tests {
             ..LoadConfig::default()
         };
         let report = LoadRunner::new(config).run(&scenarios);
-        assert_eq!(report.runtime.totals.commands, report.requests);
-        assert_eq!(report.runtime.totals.updates_applied, report.updates);
-        let server = report.server.expect("tcp runs report server stats");
+        assert_eq!(report.telemetry.totals.commands, report.requests);
+        assert_eq!(report.telemetry.totals.updates_applied, report.updates);
+        let server = report.telemetry.server;
         assert_eq!(server.commands, report.requests);
         assert!(server.bytes_in > 0 && server.bytes_out > 0);
-        assert_eq!(server.connections, 3); // 2 load clients + the stats probe
+        assert_eq!(server.connections, 3); // 2 load clients + the metrics probe
         let json = render_load_json(&[report]);
         assert!(json.contains("\"transport\": \"tcp\""));
     }
@@ -685,22 +667,22 @@ mod tests {
         };
         assert_eq!(config.journal_label(), "group");
         let report = LoadRunner::new(config).run(&scenarios);
-        assert_eq!(report.runtime.totals.commands, report.requests);
-        assert_eq!(report.runtime.totals.updates_applied, report.updates);
-        assert!(report.runtime.totals.journal_fsyncs > 0);
+        assert_eq!(report.telemetry.totals.commands, report.requests);
+        assert_eq!(report.telemetry.totals.updates_applied, report.updates);
+        assert!(report.telemetry.totals.journal_fsyncs > 0);
         // Group commit's whole point: replies retain fsync-every-1
         // durability while the fsync count tracks *groups*, not commands.
         assert!(
-            report.runtime.totals.journal_fsyncs <= report.runtime.totals.groups + 1,
+            report.telemetry.totals.journal_fsyncs <= report.telemetry.totals.groups + 1,
             "{:?}",
-            report.runtime.totals
+            report.telemetry.totals
         );
         assert_eq!(report.cores, available_cores());
         let telemetry = &report.telemetry;
         for stage in Stage::ALL {
             assert_eq!(
                 telemetry.stage_total(stage).count(),
-                report.runtime.totals.commands,
+                telemetry.totals.commands,
                 "stage {} sample count diverged from the command total",
                 stage.name()
             );

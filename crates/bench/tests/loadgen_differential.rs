@@ -52,12 +52,12 @@ fn concurrent_replay_matches_single_threaded_replay_exactly() {
         // The runtime served exactly what the clients submitted — nothing
         // dropped, nothing duplicated, nothing rejected.
         assert_eq!(
-            report.runtime.totals.commands, report.requests,
+            report.telemetry.totals.commands, report.requests,
             "{shards} shards: command totals must equal submitted requests"
         );
-        assert_eq!(report.runtime.totals.updates_applied, report.updates);
-        assert_eq!(report.runtime.totals.rejected, 0);
-        assert_eq!(report.runtime.per_shard.len(), shards);
+        assert_eq!(report.telemetry.totals.updates_applied, report.updates);
+        assert_eq!(report.telemetry.totals.rejected, 0);
+        assert_eq!(report.telemetry.per_shard.len(), shards);
     }
 }
 

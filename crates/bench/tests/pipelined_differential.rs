@@ -110,7 +110,8 @@ fn pipelined_application_matches_single_threaded_replay() {
             // groups — otherwise this test isn't exercising group draining.
             assert!(
                 report.totals.groups < report.totals.commands,
-                "{label}: no batching happened ({report:?})"
+                "{label}: no batching happened ({:?})",
+                report.totals
             );
         }
     }

@@ -9,8 +9,9 @@
 //!   `Snapshot { count, total_edges, epoch }` a plain single-threaded
 //!   `CycleCountService` replay of the same stream produces, at every
 //!   shard count. The run also exercises the front door's own accounting
-//!   cross-check (the `stats` document must parse and agree with what the
-//!   clients submitted — `LoadRunner` panics otherwise).
+//!   cross-check (the `metrics json` document must parse and its command
+//!   total agree with what the clients submitted — `LoadRunner` panics
+//!   otherwise).
 //!
 //! * **Durability through the wire** — a server journaling at
 //!   fsync-every-1 is killed mid-stream (simulated by truncating the WAL
@@ -68,12 +69,12 @@ fn concurrent_socket_clients_match_single_threaded_replay() {
         }
         // Busy retries notwithstanding, the runtime executed exactly what
         // the clients submitted — nothing dropped, nothing duplicated.
-        let server = report.server.expect("tcp runs report server stats");
+        let server = report.telemetry.server;
         assert_eq!(server.commands, report.requests, "{shards} shards");
-        assert_eq!(report.runtime.totals.commands, report.requests);
-        assert_eq!(report.runtime.totals.updates_applied, report.updates);
-        assert_eq!(report.runtime.totals.rejected, 0);
-        assert!(server.busy_rejections <= report.runtime.totals.queue_full_stalls);
+        assert_eq!(report.telemetry.totals.commands, report.requests);
+        assert_eq!(report.telemetry.totals.updates_applied, report.updates);
+        assert_eq!(report.telemetry.totals.rejected, 0);
+        assert!(server.busy_rejections <= report.telemetry.totals.queue_full_stalls);
     }
 }
 

@@ -8,8 +8,8 @@
 
 use fourcycle::core::EngineKind;
 use fourcycle::graph::{LayeredUpdate, Rel};
-use fourcycle::runtime::{RuntimeConfig, ScriptSource, ShardedRuntime};
-use fourcycle::service::{GraphId, Request, Response};
+use fourcycle::runtime::{RuntimeConfig, ShardedRuntime};
+use fourcycle::service::{parse_script, GraphId, Request, Response};
 use std::thread;
 
 fn square(base: u32) -> Vec<LayeredUpdate> {
@@ -77,12 +77,22 @@ fn main() {
         count g100
         list
     ";
-    let source = ScriptSource::parse(script).expect("well-formed script");
-    let outcomes = source.replay_pipelined(&runtime);
+    let mut pipeline = runtime.pipeline();
+    for request in parse_script(script).expect("well-formed script") {
+        pipeline.submit(request);
+    }
+    let outcomes = pipeline.drain();
     println!("script: {:?}", outcomes.last().unwrap().as_ref().unwrap());
 
     // --- graceful shutdown: drain mailboxes, join workers, final report -
     let report = runtime.shutdown();
-    println!("\nper-shard statistics:\n{report}");
+    for (shard, stats) in report.per_shard.iter().enumerate() {
+        println!(
+            "shard {shard}: {} commands, {} updates, {:.0}% busy",
+            stats.commands,
+            stats.updates_applied,
+            stats.utilization() * 100.0
+        );
+    }
     assert_eq!(report.totals.rejected, 0);
 }

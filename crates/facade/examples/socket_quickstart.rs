@@ -1,7 +1,7 @@
 //! Quick tour of the network front door: a `fourcycle-server` on a
 //! loopback port, driven by the blocking wire client — single calls,
-//! pipelining, wire errors and the retry contract, the `stats` document,
-//! and graceful shutdown.
+//! pipelining, wire errors and the retry contract, the `metrics json`
+//! document, and graceful shutdown.
 //!
 //! ```text
 //! cargo run -p fourcycle --release --example socket_quickstart
@@ -73,24 +73,25 @@ fn main() {
         other => println!("unexpected: {other:?}"),
     }
 
-    // --- the stats document: all-integer JSON, parsed in-tree -----------
-    let stats = client.stats().expect("stats parses");
-    let server_side = stats.get("server").expect("server section");
+    // --- the metrics document: all-integer JSON, parsed in-tree ---------
+    let metrics = client.metrics().expect("metrics parses");
+    let server_side = metrics.get("server").expect("server section");
+    let counter = |name: &str| server_side.get(name).and_then(|j| j.as_u64()).unwrap();
     println!(
         "served {} commands over {} connections",
-        server_side
-            .get("commands")
-            .and_then(|j| j.as_u64())
-            .unwrap(),
-        server_side
-            .get("connections")
-            .and_then(|j| j.as_u64())
-            .unwrap(),
+        counter("commands"),
+        counter("connections"),
     );
+    assert_eq!(counter("commands"), 13); // 4 × (create, batch), 4 snapshots, 1 probe
 
     // --- graceful shutdown: drain connections, join shards, report ------
     drop(client);
     let report = server.shutdown();
-    println!("\nper-shard statistics:\n{report}");
+    for (shard, stats) in report.per_shard.iter().enumerate() {
+        println!(
+            "shard {shard}: {} commands, {} updates, {} rejected",
+            stats.commands, stats.updates_applied, stats.rejected
+        );
+    }
     assert_eq!(report.totals.rejected, 1); // the unknown-graph probe
 }

@@ -59,9 +59,9 @@
 //! | [`workloads`] | fully dynamic stream generators and the trace format |
 //! | [`service`] | multi-tenant `CycleCountService`: sessions, commands, typed errors, snapshots |
 //! | [`store`] | durable per-shard write-ahead journal, checkpoints, crash recovery |
-//! | [`runtime`] | sharded thread-per-shard executor: concurrent service traffic, backpressure, stats |
-//! | [`server`] | TCP front door: the command text format over sockets, blocking wire client, stats |
-//! | [`telemetry`] | per-stage latency histograms, bounded event ring, exposition |
+//! | [`runtime`] | sharded thread-per-shard executor: concurrent service traffic, backpressure |
+//! | [`server`] | TCP front door: the command text format over sockets, blocking wire client |
+//! | [`telemetry`] | per-stage latency histograms, shard and server counters, bounded event ring, exposition |
 
 pub use fourcycle_complexity as complexity;
 pub use fourcycle_core as core;

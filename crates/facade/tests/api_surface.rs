@@ -14,13 +14,14 @@ use fourcycle::core::{
     LayeredCycleCounter, SlowPathStats, Snapshot, ThreePathEngine, UpdateError,
 };
 use fourcycle::graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp};
-use fourcycle::runtime::{RuntimeConfig, RuntimeReport, RuntimeStats, ShardedRuntime};
-use fourcycle::server::{Client, ClientError, Server, ServerConfig, ServerStats, WireError};
+use fourcycle::runtime::{RuntimeConfig, ShardedRuntime};
+use fourcycle::server::{Client, ClientError, Server, ServerConfig, WireError};
 use fourcycle::service::{
     CheckpointImage, CycleCountService, GraphId, JournalSink, ParseError, Request, Response,
     ServiceBuilder, ServiceError, SessionImage, SessionSpec, WorkloadMode,
 };
 use fourcycle::store::{FsyncPolicy, JournalConfig, JournalStore, ShardJournal, StoreError};
+use fourcycle::telemetry::{ServerStats, ShardStats, TelemetrySnapshot};
 
 /// Records `$name` after forcing a compile-time reference to `$item`
 /// (usually a function pointer with the exact public signature).
@@ -179,7 +180,6 @@ fn surface() -> Vec<&'static str> {
     );
     pin_type::<Server>(&mut n, "server::Server");
     pin_type::<ServerConfig>(&mut n, "server::ServerConfig");
-    pin_type::<ServerStats>(&mut n, "server::ServerStats");
     pin_type::<Client>(&mut n, "server::Client");
     pin_type::<ClientError>(&mut n, "server::ClientError");
     pin_type::<WireError>(&mut n, "server::WireError");
@@ -191,7 +191,15 @@ fn surface() -> Vec<&'static str> {
     pin!(
         n,
         "server::Server::shutdown",
-        Server::shutdown as fn(Server) -> RuntimeReport
+        Server::shutdown as fn(Server) -> TelemetrySnapshot
+    );
+    pin!(
+        n,
+        "server::Server::{stats,report}",
+        (
+            Server::stats as fn(&Server) -> ServerStats,
+            Server::report as fn(&Server) -> TelemetrySnapshot,
+        )
     );
     pin!(
         n,
@@ -283,8 +291,29 @@ fn surface() -> Vec<&'static str> {
     );
     pin!(
         n,
-        "runtime::RuntimeStats::{groups,journal_fsyncs}",
-        |s: &RuntimeStats| (s.groups, s.journal_fsyncs)
+        "runtime::ShardedRuntime::{report,shutdown}",
+        (
+            ShardedRuntime::report as fn(&ShardedRuntime) -> TelemetrySnapshot,
+            ShardedRuntime::shutdown as fn(ShardedRuntime) -> TelemetrySnapshot,
+        )
+    );
+    pin_type::<TelemetrySnapshot>(&mut n, "telemetry::TelemetrySnapshot");
+    pin_type::<ShardStats>(&mut n, "telemetry::ShardStats");
+    pin_type::<ServerStats>(&mut n, "telemetry::ServerStats");
+    pin!(
+        n,
+        "telemetry::TelemetrySnapshot::{per_shard,totals,server}",
+        |s: &TelemetrySnapshot| (s.per_shard.len(), s.totals, s.server)
+    );
+    pin!(
+        n,
+        "telemetry::ShardStats::{groups,journal_fsyncs,queue_full_stalls}",
+        |s: &ShardStats| (s.groups, s.journal_fsyncs, s.queue_full_stalls)
+    );
+    pin!(
+        n,
+        "telemetry::ServerStats::{commands,bytes_in,bytes_out}",
+        |s: &ServerStats| (s.commands, s.bytes_in, s.bytes_out)
     );
 
     pin_type::<JournalConfig>(&mut n, "store::JournalConfig");

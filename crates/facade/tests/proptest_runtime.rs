@@ -12,7 +12,7 @@
 
 use fourcycle::core::{EngineConfig, EngineKind};
 use fourcycle::graph::{GraphUpdate, LayeredUpdate, Rel, UpdateOp};
-use fourcycle::runtime::{RuntimeConfig, RuntimeError, ScriptSource, ShardedRuntime};
+use fourcycle::runtime::{RuntimeConfig, RuntimeError, ShardedRuntime};
 use fourcycle::service::{
     parse_request, render_request, CycleCountService, GraphId, Request, SessionSpec, WorkloadMode,
 };
@@ -132,7 +132,11 @@ fn assert_runtime_matches_direct(requests: Vec<Request>, shards: usize) {
     let expected: Vec<Result<_, _>> = requests.iter().map(|r| direct.execute(r)).collect();
 
     let runtime = ShardedRuntime::start(RuntimeConfig::new().shards(shards).spec(spec));
-    let outcomes = ScriptSource::from_requests(requests.clone()).replay_pipelined(&runtime);
+    let mut pipeline = runtime.pipeline();
+    for request in &requests {
+        pipeline.submit(request.clone());
+    }
+    let outcomes = pipeline.drain();
     runtime.shutdown();
 
     assert_eq!(outcomes.len(), expected.len());

@@ -50,8 +50,9 @@
 //!   of the fsync count. A failed barrier poisons exactly the commands
 //!   journaled into the failed group (`ServiceError::Journal`).
 //! * **Accounting.** Both paths count a finished command through
-//!   [`account`]: the shard counters, the reply stage and the slow-request
-//!   check. `groups` counts mailbox groups only.
+//!   [`account`]: the shard's telemetry counters, the reply stage (whose
+//!   sample count is the shard's `commands`) and the slow-request check.
+//!   `groups` counts mailbox groups only.
 //!
 //! The dispatch loop serves every session on its shard, so one blocked
 //! iteration stalls them all (ADR-006). Its functions therefore carry
@@ -61,10 +62,9 @@
 //! exception. A command that panics poisons the lock, and the shard is
 //! unavailable from then on, on both paths.
 
-use crate::stats::{self, ShardMetrics};
 use crate::{Job, RuntimeError};
 use fourcycle_service::{CycleCountService, Request, Response, ServiceError};
-use fourcycle_telemetry::{EventKind, Histogram, Stage, Telemetry};
+use fourcycle_telemetry::{clamped_nanos, EventKind, Histogram, ShardCounters, Stage, Telemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, TryLockError};
@@ -98,18 +98,17 @@ pub(crate) struct Shard {
     /// Mailbox jobs counted from before each enters the mailbox until it
     /// has executed. A command runs inline only while this is 0.
     pub(crate) queued: AtomicUsize,
-    pub(crate) metrics: ShardMetrics,
 }
 
 /// Shard-scoped telemetry view threaded through command processing.
 ///
 /// Stage accounting invariant: every finished command, from the mailbox
 /// or inline, contributes **exactly one** sample to each of the six stage
-/// histograms (zero-valued where a stage does not apply), so each stage's
-/// per-shard sample count equals the shard's `commands` counter — a
-/// differential the tests pin. A command's stages are consecutive
-/// intervals from its arrival at the runtime to its reply, so they sum to
-/// its time in the runtime.
+/// histograms (zero-valued where a stage does not apply), so every stage's
+/// per-shard sample count equals the shard's `commands`, the reply stage's
+/// count — a differential the tests pin. A command's stages are
+/// consecutive intervals from its arrival at the runtime to its reply, so
+/// they sum to its time in the runtime.
 struct ShardTelemetry<'a> {
     tel: &'a Telemetry,
     shard: usize,
@@ -120,6 +119,10 @@ impl ShardTelemetry<'_> {
         self.tel.stage(self.shard, stage)
     }
 
+    fn counters(&self) -> &ShardCounters {
+        self.tel.counters(self.shard)
+    }
+
     /// The shard index as an event's `shard` field.
     fn shard_id(&self) -> u32 {
         u32::try_from(self.shard).unwrap_or(u32::MAX)
@@ -128,7 +131,7 @@ impl ShardTelemetry<'_> {
 
 /// Clamped nanoseconds between two `Instant`s (0 if out of order).
 fn nanos_between(earlier: Instant, later: Instant) -> u64 {
-    stats::clamped_nanos(later.saturating_duration_since(earlier))
+    clamped_nanos(later.saturating_duration_since(earlier))
 }
 
 /// The shard worker loop: drains its mailbox in groups and runs each
@@ -146,18 +149,15 @@ pub(crate) fn shard_worker(
         tel: &telemetry,
         shard: shard.index,
     };
-    let metrics = &shard.metrics;
+    let counters = tel.counters();
     let mut idle_since = Instant::now();
     while let Ok(first) = rx.recv() {
-        // Interval accounting is deliberately paranoid: durations come
-        // from `saturating_duration_since` (never negative, zero-length
-        // intervals are fine), nanoseconds are clamped into u64 without
-        // `as` truncation, and the shared counters saturate rather than
-        // wrap (see `stats::clamped_nanos` / `ShardMetrics::add_busy`).
+        // Intervals never go negative (`nanos_between` saturates), and
+        // the counters saturate rather than wrap.
         let busy_since = Instant::now();
-        metrics.add_idle(stats::clamped_nanos(
-            busy_since.saturating_duration_since(idle_since),
-        ));
+        counters
+            .idle_nanos
+            .add(nanos_between(idle_since, busy_since));
         let cap = group_commit
             .as_ref()
             .map_or(GROUP_CAP, |knobs| knobs.max_batch)
@@ -198,15 +198,13 @@ pub(crate) fn shard_worker(
             break;
         };
         process_group(&mut service, group, &shard, group_commit.is_some(), &tel);
-        metrics.groups.fetch_add(1, Ordering::Relaxed);
-        metrics
-            .journal_fsyncs
-            .store(service.journal_fsyncs(), Ordering::Relaxed);
+        counters.groups.add(1);
+        counters.journal_fsyncs.set(service.journal_fsyncs());
         drop(service);
         idle_since = Instant::now();
-        metrics.add_busy(stats::clamped_nanos(
-            idle_since.saturating_duration_since(busy_since),
-        ));
+        counters
+            .busy_nanos
+            .add(nanos_between(busy_since, idle_since));
     }
 }
 
@@ -240,7 +238,7 @@ fn process_group(
         for job in group {
             let (outcome, _, ready) = executed(service, &job);
             fsync_wait.record(0);
-            deliver(&shard.metrics, job, outcome, ready, tel);
+            deliver(job, outcome, ready, tel);
         }
         return;
     }
@@ -273,7 +271,7 @@ fn process_group(
             outcome = Err(e);
         }
         fsync_wait.record(nanos_between(ready, fsynced));
-        deliver(&shard.metrics, job, outcome, fsynced, tel);
+        deliver(job, outcome, fsynced, tel);
     }
 }
 
@@ -316,15 +314,12 @@ pub(crate) fn run_inline(
         .record(nanos_between(arrived, locked));
     let (outcome, _, ready) = execute_slot(&mut service, &request, locked, &tel);
     tel.hist(Stage::FsyncWait).record(0);
-    account(&shard.metrics, &request, &outcome, arrived, ready, &tel);
-    shard
-        .metrics
-        .journal_fsyncs
-        .store(service.journal_fsyncs(), Ordering::Relaxed);
+    account(&request, &outcome, arrived, ready, &tel);
+    tel.counters().journal_fsyncs.set(service.journal_fsyncs());
     drop(service);
-    shard
-        .metrics
-        .add_busy(nanos_between(locked, Instant::now()));
+    tel.counters()
+        .busy_nanos
+        .add(nanos_between(locked, Instant::now()));
     Ok(outcome.map_err(RuntimeError::Service))
 }
 
@@ -367,32 +362,30 @@ fn execute_slot(
 /// Counts one finished mailbox job with [`account`] and sends its reply.
 #[deny(clippy::disallowed_methods)]
 fn deliver(
-    metrics: &ShardMetrics,
     job: Job,
     outcome: Result<Response, ServiceError>,
     ready: Instant,
     tel: &ShardTelemetry,
 ) {
-    account(metrics, &job.request, &outcome, job.enqueued_at, ready, tel);
+    account(&job.request, &outcome, job.enqueued_at, ready, tel);
     // The client may have dropped its ticket (fire-and-forget); a dead
     // reply channel is not an error.
     let _ = job.reply.send(outcome);
 }
 
-/// Counts one finished command into the shard's metrics, records its
+/// Counts one finished command into the shard's counters, records its
 /// reply stage (from `ready`, when the reply could first leave) and checks
 /// its latency since `arrived` against the slow-request threshold. Both
 /// the mailbox and the inline path call it just before the reply leaves.
 #[deny(clippy::disallowed_methods)]
 fn account(
-    metrics: &ShardMetrics,
     request: &Request,
     outcome: &Result<Response, ServiceError>,
     arrived: Instant,
     ready: Instant,
     tel: &ShardTelemetry,
 ) {
-    metrics.commands.fetch_add(1, Ordering::Relaxed);
+    let counters = tel.counters();
     // `updates_applied` counts what actually landed in service state.
     // A journal failure is reported to the client as an error, but its
     // command's effect *stands* (`ServiceError::Journal` semantics:
@@ -402,22 +395,18 @@ fn account(
     let applied = match outcome {
         Ok(_) => u64::try_from(request.update_count()).unwrap_or(u64::MAX),
         Err(ServiceError::Journal(_) | ServiceError::JournalCheckpoint(_)) => {
-            metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            counters.rejected.add(1);
             u64::try_from(request.update_count()).unwrap_or(u64::MAX)
         }
         Err(_) => {
-            metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            counters.rejected.add(1);
             0
         }
     };
-    if applied > 0 {
-        metrics
-            .updates_applied
-            .fetch_add(applied, Ordering::Relaxed);
-    }
+    counters.updates_applied.add(applied);
     // Recorded before the reply leaves, which publishes them: a caller
     // holding its reply may read the telemetry at once and must find every
-    // sample of its command there.
+    // sample of its command, and the command in `commands`, there.
     let sending = Instant::now();
     tel.hist(Stage::Reply).record(nanos_between(ready, sending));
     // Fan-out sub-commands check per shard.
@@ -477,7 +466,6 @@ mod tests {
             index: 0,
             service: Mutex::new(CycleCountService::builder().build()),
             queued: AtomicUsize::new(2),
-            metrics: ShardMetrics::default(),
         };
         process_group(&mut service, vec![count, batch], &shard, false, &tel);
         assert_eq!(shard.queued.load(Ordering::SeqCst), 0);

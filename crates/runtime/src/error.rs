@@ -2,7 +2,7 @@
 //! handing a [`Request`](fourcycle_service::Request) to the executor and
 //! receiving its [`Response`](fourcycle_service::Response).
 
-use fourcycle_service::{ParseError, ServiceError};
+use fourcycle_service::ServiceError;
 use fourcycle_store::StoreError;
 use std::fmt;
 
@@ -10,8 +10,8 @@ use std::fmt;
 ///
 /// The service-level rejections ([`ServiceError`]) pass through unchanged —
 /// the runtime adds only the failure modes sharded execution itself
-/// introduces (a shard that is no longer reachable, ill-formed script
-/// input). Like `ServiceError`, every wrapping variant implements
+/// introduces (a shard that is no longer reachable, a journal store that
+/// cannot open). Like `ServiceError`, every wrapping variant implements
 /// [`std::error::Error::source`], so reporters can walk the chain down to
 /// the core `UpdateError` verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,9 +22,6 @@ pub enum RuntimeError {
     /// The shard executed the request and the service rejected it; state is
     /// exactly as if the failing command had never been sent.
     Service(ServiceError),
-    /// Script input could not be parsed into requests (only produced by the
-    /// [`ScriptSource`](crate::ScriptSource) adapter).
-    Parse(ParseError),
     /// The durable journal store failed while starting a journaled runtime
     /// (unusable directory, manifest topology mismatch, corrupt journal or
     /// checkpoint during recovery). The runtime refuses to start.
@@ -38,14 +35,13 @@ impl fmt::Display for RuntimeError {
                 write!(f, "shard unavailable (runtime shut down)")
             }
             RuntimeError::Service(e) => write!(f, "service rejected the command: {e}"),
-            RuntimeError::Parse(e) => write!(f, "script rejected: {e}"),
             RuntimeError::Store(e) => write!(f, "journal store failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for RuntimeError {
-    /// Chains to the wrapped [`ServiceError`] / [`ParseError`]; the
+    /// Chains to the wrapped [`ServiceError`] or [`StoreError`]; the
     /// service error itself chains further down to `BatchError` /
     /// `UpdateError`, so the full causal path of a rejected batch is
     /// `RuntimeError → ServiceError → BatchError → UpdateError`.
@@ -53,7 +49,6 @@ impl std::error::Error for RuntimeError {
         match self {
             RuntimeError::ShardUnavailable => None,
             RuntimeError::Service(e) => Some(e),
-            RuntimeError::Parse(e) => Some(e),
             RuntimeError::Store(e) => Some(e),
         }
     }
@@ -62,12 +57,6 @@ impl std::error::Error for RuntimeError {
 impl From<ServiceError> for RuntimeError {
     fn from(e: ServiceError) -> Self {
         RuntimeError::Service(e)
-    }
-}
-
-impl From<ParseError> for RuntimeError {
-    fn from(e: ParseError) -> Self {
-        RuntimeError::Parse(e)
     }
 }
 
@@ -95,14 +84,6 @@ mod tests {
         let update = batch.source().expect("batch chains to update");
         assert_eq!(update.to_string(), UpdateError::DuplicateEdge.to_string());
         assert!(RuntimeError::ShardUnavailable.source().is_none());
-
-        let parse = RuntimeError::Parse(ParseError {
-            line: 3,
-            message: "bad".into(),
-            text: "frobnicate g1".into(),
-        });
-        let rendered = parse.source().unwrap().to_string();
-        assert!(rendered.contains("line 3") && rendered.contains("frobnicate g1"));
 
         let store = RuntimeError::Store(StoreError::UnknownShard {
             shard: 9,

@@ -3,10 +3,9 @@
 //!
 //! Everything below this crate executes on the caller's thread:
 //! [`CycleCountService`] is a plain single-threaded object serving one
-//! command at a time. The ROADMAP's north star ("heavy traffic from
-//! millions of users", "as fast as the hardware allows") needs the missing
-//! piece this crate provides: a **thread-per-shard executor** that owns `N`
-//! service shards and serves many independent graph sessions in parallel.
+//! command at a time. This crate is a **thread-per-shard executor** that
+//! owns `N` service shards and serves many independent graph sessions in
+//! parallel, from any number of client threads.
 //!
 //! # Architecture
 //!
@@ -38,7 +37,7 @@
 //!   mailbox_depth`): a submitter that outruns a shard blocks on its
 //!   mailbox instead of growing an unbounded queue, or with
 //!   [`ShardedRuntime::try_submit`] gets its request back as `Busy`; both
-//!   are counted in [`RuntimeStats::queue_full_stalls`].
+//!   are counted in the shard's `queue_full_stalls`.
 //! * **One serial dispatcher per shard.** Each shard's `CycleCountService`
 //!   sits behind a `Mutex` that its worker and the runtime handle share.
 //!   The worker drains its mailbox into a group, takes the lock once, and
@@ -57,21 +56,20 @@
 //!   runs the command on the caller's thread, with no mailbox hop and no
 //!   reply channel; otherwise it takes the mailbox like `submit`.
 //!   [`ShardedRuntime::submit`] returns a [`Ticket`] immediately so callers
-//!   (and [`Pipeline`] / the [`ScriptSource`] replayer) can keep many
-//!   commands in flight across shards and collect replies later; it always
-//!   takes the mailbox, as do [`ShardedRuntime::try_submit`] and the
-//!   `ListGraphs` fan-out. [`ShardedRuntime::try_call`] is `try_submit`
+//!   (and [`Pipeline`]) can keep many commands in flight across shards and
+//!   collect replies later; it always takes the mailbox, as do
+//!   [`ShardedRuntime::try_submit`] and the `ListGraphs` fan-out. [`ShardedRuntime::try_call`] is `try_submit`
 //!   for a caller that will wait at once (the TCP server's lone line): it
 //!   runs inline when `call` would. A group-commit runtime never runs a
 //!   command inline.
-//! * **Observability.** Each shard keeps [`RuntimeStats`] (commands,
-//!   applied updates, rejections, stalls, busy/idle time); [`ShardedRuntime
-//!   ::report`] aggregates them runtime-wide at any moment, and
-//!   [`ShardedRuntime::shutdown`] returns the final report after draining
-//!   every mailbox and joining every worker. [`ShardedRuntime::telemetry`]
-//!   times every command's six stages, inline or not, and collects
-//!   slow-request, group commit and journal events (`fourcycle-telemetry`,
-//!   ADR-009).
+//! * **Observability.** [`ShardedRuntime::telemetry`] is the runtime's one
+//!   account of itself (`fourcycle-telemetry`, ADR-009): it times every
+//!   command's six stages, inline or not, keeps each shard's counters
+//!   (commands, applied updates, rejections, stalls, groups, fsyncs,
+//!   busy/idle time) and collects slow-request, group commit and journal
+//!   events. [`ShardedRuntime::report`] snapshots it at any moment, and
+//!   [`ShardedRuntime::shutdown`] returns the final snapshot after
+//!   draining every mailbox and joining every worker.
 //!
 //! See `docs/adr/ADR-004-sharded-runtime.md` for why thread-per-shard with
 //! bounded mailboxes was chosen over a shared-lock service, and its
@@ -123,12 +121,8 @@
 
 mod dispatch;
 pub mod error;
-pub mod script;
-pub mod stats;
 
 pub use error::RuntimeError;
-pub use script::ScriptSource;
-pub use stats::{RuntimeReport, RuntimeStats};
 
 use dispatch::Shard;
 use fourcycle_core::{EngineConfig, EngineKind};
@@ -136,8 +130,7 @@ use fourcycle_service::{
     CycleCountService, GraphId, Request, Response, ServiceError, SessionSpec, WorkloadMode,
 };
 use fourcycle_store::{FsyncPolicy, JournalConfig, JournalStore};
-use fourcycle_telemetry::{Telemetry, TelemetryConfig};
-use stats::ShardMetrics;
+use fourcycle_telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
@@ -238,37 +231,12 @@ impl RuntimeConfig {
         self
     }
 
-    /// The journal configuration, if journaling is enabled.
-    pub fn journal_config(&self) -> Option<&JournalConfig> {
-        self.journal.as_ref()
-    }
-
     /// Tunes telemetry: the slow-request threshold and the event ring's
     /// capacity. Every runtime keeps per-shard stage-latency histograms
     /// and the structured event ring (see `fourcycle-telemetry`).
     pub fn telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = config;
         self
-    }
-
-    /// The telemetry configuration.
-    pub fn telemetry_config(&self) -> TelemetryConfig {
-        self.telemetry
-    }
-
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The configured per-shard mailbox depth.
-    pub fn mailbox_len(&self) -> usize {
-        self.mailbox_depth
-    }
-
-    /// The configured default session spec.
-    pub fn default_spec(&self) -> SessionSpec {
-        self.default_spec
     }
 }
 
@@ -396,7 +364,6 @@ impl<'rt> Pipeline<'rt> {
 /// `submit` concurrently through one shared reference (the load generator
 /// in `fourcycle-bench` does exactly that).
 pub struct ShardedRuntime {
-    config: RuntimeConfig,
     mailboxes: Vec<SyncSender<Job>>,
     shards: Vec<Arc<Shard>>,
     workers: Vec<JoinHandle<()>>,
@@ -407,7 +374,7 @@ pub struct ShardedRuntime {
 }
 
 impl ShardedRuntime {
-    /// Starts `config.shard_count()` shard workers, each owning a
+    /// Starts one shard worker per configured shard, each owning a
     /// `CycleCountService` built around the config's default spec.
     ///
     /// Infallible for memory-only runtimes; with journaling enabled
@@ -464,7 +431,6 @@ impl ShardedRuntime {
                 index: shard,
                 service: Mutex::new(service),
                 queued: AtomicUsize::new(0),
-                metrics: ShardMetrics::default(),
             });
             let worker_cell = Arc::clone(&cell);
             // Group-commit reply holding engages iff the journal policy
@@ -500,23 +466,12 @@ impl ShardedRuntime {
             .as_ref()
             .is_some_and(|j| matches!(j.fsync, FsyncPolicy::GroupCommit { .. }));
         Ok(Self {
-            config,
             mailboxes,
             shards,
             workers,
             telemetry,
             group_commit,
         })
-    }
-
-    /// Starts a runtime with the default configuration.
-    pub fn with_defaults() -> Self {
-        Self::start(RuntimeConfig::default())
-    }
-
-    /// The configuration the runtime was started with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
     }
 
     /// Number of shard workers.
@@ -537,8 +492,7 @@ impl ShardedRuntime {
 
     /// Executes one command, blocking for its outcome. Takes the request
     /// by value so batch payloads move straight into the shard mailbox
-    /// (callers replaying a retained script clone explicitly, as
-    /// [`ScriptSource::replay`] does).
+    /// (callers replaying a retained script clone explicitly).
     ///
     /// When the command's shard is idle — no job in or drained from its
     /// mailbox still unexecuted, and its lock free — the command runs
@@ -589,7 +543,7 @@ impl ShardedRuntime {
     /// Fires one command, returning a [`Ticket`] for its eventual outcome.
     ///
     /// If the target shard's mailbox is full, this blocks until the shard
-    /// catches up (counted in [`RuntimeStats::queue_full_stalls`]) — the
+    /// catches up (counted in the shard's `queue_full_stalls`) — the
     /// runtime's backpressure. Commands without a graph id fan out to every
     /// shard.
     pub fn submit(&self, request: Request) -> Ticket {
@@ -631,9 +585,8 @@ impl ShardedRuntime {
     /// up. This is the hook the TCP front door's per-connection
     /// backpressure is built on — a full mailbox becomes a `busy` wire
     /// response the client can retry, not a reader thread parked on a
-    /// stranger's traffic. Every `Busy` is counted in
-    /// [`RuntimeStats::queue_full_stalls`], the same accounting the
-    /// blocking path uses.
+    /// stranger's traffic. Every `Busy` is counted in the shard's
+    /// `queue_full_stalls`, the same accounting the blocking path uses.
     ///
     /// Fan-out commands (`ListGraphs`) never report `Busy`: they enqueue on
     /// *every* shard, and a partial fan-out could not be handed back, so
@@ -655,28 +608,25 @@ impl ShardedRuntime {
         }
     }
 
-    /// Live statistics of one shard.
-    pub fn stats(&self, shard: usize) -> RuntimeStats {
-        self.shards[shard].metrics.snapshot()
+    /// A live snapshot of the telemetry: per-shard stage histograms and
+    /// counters with their totals, and the front door's counters once a
+    /// server fronts the runtime.
+    pub fn report(&self) -> TelemetrySnapshot {
+        self.telemetry.snapshot()
     }
 
-    /// Live runtime-wide report (per-shard statistics plus totals).
-    pub fn report(&self) -> RuntimeReport {
-        RuntimeReport::from_shards(self.shards.iter().map(|s| s.metrics.snapshot()).collect())
-    }
-
-    /// The live telemetry: stage histograms and the event ring. Clone the
-    /// `Arc` to keep observing (snapshots, ring drains) while the runtime
-    /// serves traffic — or after handing the runtime to a server front
-    /// door.
+    /// The live telemetry: stage histograms, counters and the event ring.
+    /// Clone the `Arc` to keep observing (snapshots, ring drains) while the
+    /// runtime serves traffic — or after handing the runtime to a server
+    /// front door.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
 
     /// Graceful shutdown: closes every mailbox, lets each worker drain the
     /// commands already queued (their tickets still receive replies), joins
-    /// all workers and returns the final report.
-    pub fn shutdown(mut self) -> RuntimeReport {
+    /// all workers and returns the final telemetry snapshot.
+    pub fn shutdown(mut self) -> TelemetrySnapshot {
         self.stop_workers();
         self.report()
     }
@@ -690,10 +640,7 @@ impl ShardedRuntime {
         queued.fetch_add(1, Ordering::SeqCst);
         let sent = match self.mailboxes[shard].try_send(job) {
             Err(TrySendError::Full(job)) => {
-                self.shards[shard]
-                    .metrics
-                    .queue_full_stalls
-                    .fetch_add(1, Ordering::Relaxed);
+                self.telemetry.counters(shard).queue_full_stalls.add(1);
                 if blocking {
                     self.mailboxes[shard]
                         .send(job)
@@ -728,10 +675,10 @@ impl ShardedRuntime {
             // is not trusted, so it is not synced.
             if let Ok(mut service) = shard.service.lock() {
                 let _ = service.sync_journal();
-                shard
-                    .metrics
+                self.telemetry
+                    .counters(shard.index)
                     .journal_fsyncs
-                    .store(service.journal_fsyncs(), Ordering::Relaxed);
+                    .set(service.journal_fsyncs());
             }
         }
     }
@@ -832,7 +779,7 @@ mod tests {
         // The 16 sessions really are spread over several shards.
         let report = runtime.report();
         let serving = report.per_shard.iter().filter(|s| s.commands > 1).count();
-        assert!(serving >= 2, "{report:?}");
+        assert!(serving >= 2, "{:?}", report.per_shard);
     }
 
     /// Correctness-audit pin: the `ListGraphs` fan-out merge must stay
@@ -1194,8 +1141,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A parsed command script replays the same through blocking calls and
+    /// through a pipeline.
     #[test]
-    fn script_source_replays_serialized_traffic() {
+    fn parsed_scripts_replay_through_call_and_pipeline() {
         let script = "
             # two tenants, one square each
             create g1 layered simple
@@ -1206,11 +1155,17 @@ mod tests {
             snapshot g2
             list
         ";
-        let source = ScriptSource::parse(script).unwrap();
-        assert_eq!(source.len(), 7);
+        let requests = fourcycle_service::parse_script(script).unwrap();
+        assert_eq!(requests.len(), 7);
+        let called = ShardedRuntime::start(RuntimeConfig::new().shards(2));
+        let pipelined = ShardedRuntime::start(RuntimeConfig::new().shards(3));
+        let mut pipeline = pipelined.pipeline();
+        for request in &requests {
+            pipeline.submit(request.clone());
+        }
         for outcomes in [
-            source.replay(&ShardedRuntime::start(RuntimeConfig::new().shards(2))),
-            source.replay_pipelined(&ShardedRuntime::start(RuntimeConfig::new().shards(3))),
+            requests.iter().map(|r| called.call(r.clone())).collect(),
+            pipeline.drain(),
         ] {
             assert_eq!(outcomes.len(), 7);
             assert_eq!(
@@ -1233,10 +1188,6 @@ mod tests {
                 }
             );
         }
-        assert!(matches!(
-            ScriptSource::parse("frobnicate g1"),
-            Err(RuntimeError::Parse(_))
-        ));
     }
 
     /// The serial dispatcher end-to-end on one shard: pipelined traffic
@@ -1309,7 +1260,11 @@ mod tests {
         assert_eq!(report.totals.updates_applied, applied);
         assert_eq!(report.totals.rejected, rejected);
         // Pipelined traffic on one dispatcher must actually batch.
-        assert!(report.totals.groups < report.totals.commands, "{report:?}");
+        assert!(
+            report.totals.groups < report.totals.commands,
+            "{:?}",
+            report.totals
+        );
     }
 
     /// Group commit end-to-end: replies are only released after the
@@ -1354,9 +1309,10 @@ mod tests {
         // shutdown sync.)
         assert!(
             report.totals.journal_fsyncs <= report.totals.groups + 1,
-            "{report:?}"
+            "{:?}",
+            report.totals
         );
-        assert!(report.totals.groups < mutations, "{report:?}");
+        assert!(report.totals.groups < mutations, "{:?}", report.totals);
 
         // Every replied command survives the restart.
         let revived = ShardedRuntime::try_start(config()).unwrap();
@@ -1409,7 +1365,7 @@ mod tests {
                 update: LayeredUpdate::insert(Rel::A, 1, 2),
             }
         );
-        assert!(runtime.stats(0).queue_full_stalls >= 1);
+        assert!(runtime.report().totals.queue_full_stalls >= 1);
         let submitted = queued.len() as u64;
         for ticket in queued {
             // First insert succeeds, the duplicates are service rejections;

@@ -283,11 +283,11 @@ fn calls_on_an_idle_shard_join_no_group_and_are_accounted() {
         calls += 7;
     }
     let report = runtime.report();
-    assert_eq!(report.totals.groups, 0, "{report:?}");
+    assert_eq!(report.totals.groups, 0, "{:?}", report.totals);
     assert_eq!(report.totals.commands, calls);
     assert_eq!(report.totals.updates_applied, 6 * 4);
     assert_eq!(report.totals.rejected, 6);
-    assert!(report.totals.busy_nanos > 0, "{report:?}");
+    assert!(report.totals.busy_nanos > 0, "{:?}", report.totals);
     let snapshot = telemetry.snapshot();
     for (shard, stats) in report.per_shard.iter().enumerate() {
         for stage in Stage::ALL {
@@ -333,10 +333,11 @@ fn a_group_commit_runtime_never_runs_a_call_inline() {
     let report = runtime.shutdown();
     // One closed-loop caller: each call is a group of its own.
     assert_eq!(report.totals.commands, calls);
-    assert_eq!(report.totals.groups, calls, "{report:?}");
+    assert_eq!(report.totals.groups, calls, "{:?}", report.totals);
     assert!(
         report.totals.journal_fsyncs <= report.totals.groups + 1,
-        "{report:?}"
+        "{:?}",
+        report.totals
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

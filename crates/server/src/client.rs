@@ -154,26 +154,16 @@ impl Client {
         }
     }
 
-    /// Fetches the server's `stats` document as raw JSON text.
-    pub fn stats_json(&mut self) -> Result<String, ClientError> {
-        self.framed_body("stats", "stats")
-    }
-
-    /// Fetches and parses the server's `stats` document (all-integer
-    /// JSON, read with the in-tree `fourcycle_store::json` reader).
-    pub fn stats(&mut self) -> Result<Json, ClientError> {
-        let body = self.stats_json()?;
-        Json::parse(&body).map_err(|e| ClientError::Protocol(format!("invalid stats JSON: {e}")))
-    }
-
     /// Fetches the server's `metrics` exposition as Prometheus-style
-    /// text: the per-stage latency histograms and the event ring's
-    /// counters.
+    /// text: the per-stage latency histograms, the shard and front-door
+    /// counters and the event ring's counters.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         self.framed_body("metrics", "metrics")
     }
 
-    /// Fetches and parses the server's `metrics json` document.
+    /// Fetches and parses the server's `metrics json` document
+    /// (all-integer JSON, read with the in-tree `fourcycle_store::json`
+    /// reader).
     pub fn metrics(&mut self) -> Result<Json, ClientError> {
         let body = self.framed_body("metrics json", "metrics")?;
         Json::parse(&body).map_err(|e| ClientError::Protocol(format!("invalid metrics JSON: {e}")))

@@ -42,8 +42,8 @@
 //!   `try_submit` otherwise). A closed-loop request then wakes two
 //!   threads, the client's and the connection's, instead of four.
 //! * **Backpressure, not buffering.** A full shard mailbox surfaces as a
-//!   documented `err busy` response (counted in both the server's
-//!   `busy_rejections` and the runtime's `queue_full_stalls`) instead of
+//!   documented `err busy` response (counted in both the front door's
+//!   `busy_rejections` and the shard's `queue_full_stalls`) instead of
 //!   the server queueing unboundedly. A connection owes at most 128
 //!   replies before its thread stops reading to answer them, so a client
 //!   that pipelines faster than it reads is eventually paused by TCP
@@ -54,17 +54,17 @@
 //!   exactly one response per command without heuristics. Blank lines and
 //!   `#` comments are accepted and produce **no** response, so command
 //!   scripts can be piped in verbatim.
-//! * **Observability.** The `stats` wire command returns a framed
-//!   all-integer JSON document — server counters (connections, commands,
-//!   busy rejections, bytes in/out) plus the full
-//!   [`RuntimeReport`] — parseable by the in-tree `fourcycle_store::json`
-//!   reader. Three more commands expose the runtime's live telemetry:
-//!   `metrics` (Prometheus-style text exposition of the per-stage latency
-//!   histograms and the event ring's counters), `metrics json` (the same
-//!   snapshot as all-integer JSON with nearest-rank percentiles), and
-//!   `events` (drains the bounded structured event ring — slow requests,
-//!   group commits, checkpoints, recovery phases, chaos faults,
-//!   connection lifecycle). Connection accept/close are themselves
+//! * **Observability.** The server counts itself into the runtime's
+//!   telemetry (connections, commands, busy rejections, bytes in/out),
+//!   beside the shards' stage histograms and counters, and three commands
+//!   expose it: `metrics` (Prometheus-style text exposition), `metrics
+//!   json` (the same snapshot as all-integer JSON with nearest-rank
+//!   percentiles, parseable by the in-tree `fourcycle_store::json`
+//!   reader), and `events` (drains the bounded structured event ring —
+//!   slow requests, group commits, checkpoints, recovery phases, chaos
+//!   faults, connection lifecycle). Each is rendered when its reply is
+//!   due, after every earlier command of the connection has been
+//!   answered, so it counts them. Connection accept/close are themselves
 //!   emitted into the ring as `conn_open` / `conn_close` events.
 //! * **Graceful shutdown.** [`Server::shutdown`] stops accepting, shuts
 //!   the read half of every live connection (in-flight commands still get
@@ -111,13 +111,13 @@ pub mod wire;
 pub use client::{Client, ClientError};
 pub use wire::WireError;
 
-use fourcycle_runtime::{RuntimeReport, RuntimeStats, ShardedRuntime, SubmitOutcome, Ticket};
+use fourcycle_runtime::{ShardedRuntime, SubmitOutcome, Ticket};
 use fourcycle_service::{parse_request, render_response};
-use fourcycle_telemetry::{expose, EventKind, NO_SHARD};
+use fourcycle_telemetry::{expose, EventKind, FrontDoor, ServerStats, TelemetrySnapshot, NO_SHARD};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -172,56 +172,10 @@ impl ServerConfig {
     }
 }
 
-/// Point-in-time server-level counters (the wire-facing totals; shard
-/// execution detail lives in [`RuntimeReport`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Connections currently open.
-    pub open_connections: u64,
-    /// Service commands accepted from the wire and submitted to the
-    /// runtime. Lines rejected as `busy` or by the parser are not counted,
-    /// nor are `stats`, `metrics`, `metrics json` and `events`, which the
-    /// server answers itself.
-    pub commands: u64,
-    /// Commands refused with `err busy` because the target shard's
-    /// mailbox was full.
-    pub busy_rejections: u64,
-    /// Bytes read off accepted connections.
-    pub bytes_in: u64,
-    /// Bytes written back (responses, including line terminators).
-    pub bytes_out: u64,
-}
-
-#[derive(Debug, Default)]
-struct ServerCounters {
-    connections: AtomicU64,
-    open_connections: AtomicU64,
-    commands: AtomicU64,
-    busy_rejections: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-}
-
-impl ServerCounters {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            commands: self.commands.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// State shared by the accept loop and every connection thread.
 struct Shared {
     config: ServerConfig,
     runtime: ShardedRuntime,
-    counters: ServerCounters,
     shutting_down: AtomicBool,
     /// Clones of live connections, so shutdown can shut their read halves
     /// and unblock threads parked on a read without waiting for client
@@ -229,12 +183,21 @@ struct Shared {
     conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
-/// One reply owed to a connection, in submission order: either an
-/// in-flight runtime ticket or a line rendered when its command was read
-/// (parse errors, `busy`, `stats`, `metrics`, `events`).
+impl Shared {
+    /// The front door's counters, in the runtime's telemetry.
+    fn counters(&self) -> &FrontDoor {
+        self.runtime.telemetry().front_door()
+    }
+}
+
+/// One reply owed to a connection, in submission order: an in-flight
+/// runtime ticket, a line rendered when its command was read (parse
+/// errors, `busy`), or a document the server renders when the reply is
+/// due (`metrics`, `metrics json`, `events`).
 enum Pending {
     Ticket(Ticket),
     Line(String),
+    Render(fn(&Shared) -> String),
 }
 
 /// The TCP front door (see the crate docs for the architecture).
@@ -249,14 +212,13 @@ impl Server {
     /// Binds `config`'s listen address and starts serving `runtime` over
     /// it. The runtime is owned by the server from here on;
     /// [`Server::shutdown`] shuts it down too (draining shards and
-    /// syncing journals) and returns its final report.
+    /// syncing journals) and returns its final telemetry snapshot.
     pub fn start(config: ServerConfig, runtime: ShardedRuntime) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
             runtime,
-            counters: ServerCounters::default(),
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
         });
@@ -288,13 +250,14 @@ impl Server {
         self.local_addr
     }
 
-    /// Live server-level counters.
+    /// Live front-door counters.
     pub fn stats(&self) -> ServerStats {
-        self.shared().counters.snapshot()
+        self.shared().counters().snapshot()
     }
 
-    /// Live runtime-wide report (per-shard statistics plus totals).
-    pub fn report(&self) -> RuntimeReport {
+    /// A live snapshot of the runtime's telemetry, front door included
+    /// (see [`ShardedRuntime::report`]).
+    pub fn report(&self) -> TelemetrySnapshot {
         self.shared().runtime.report()
     }
 
@@ -334,8 +297,8 @@ impl Server {
     /// Graceful shutdown: stops accepting, drains in-flight connections
     /// (every submitted command is answered), then shuts the runtime down
     /// — draining every shard mailbox and syncing every journal — and
-    /// returns the final report.
-    pub fn shutdown(mut self) -> RuntimeReport {
+    /// returns the final telemetry snapshot.
+    pub fn shutdown(mut self) -> TelemetrySnapshot {
         self.stop();
         #[expect(
             clippy::expect_used,
@@ -346,7 +309,7 @@ impl Server {
             // All threads joined, so ours is the last reference and the
             // runtime can be consumed for its draining shutdown.
             Ok(shared) => shared.runtime.shutdown(),
-            // Unreachable in practice; degrade to a live report (the
+            // Unreachable in practice; degrade to a live snapshot (the
             // runtime still drains on drop).
             Err(shared) => shared.runtime.report(),
         }
@@ -383,11 +346,8 @@ fn accept_loop(
         };
         let id = u64::try_from(id).unwrap_or(u64::MAX);
         let _ = stream.set_nodelay(true);
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .open_connections
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters().connections.add(1);
+        shared.counters().open_connections.add(1);
         note_conn_event(&shared, EventKind::ConnOpen, id);
         let handle = stream.try_clone().ok().and_then(|clone| {
             shared
@@ -412,10 +372,7 @@ fn accept_loop(
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .remove(&id);
-            shared
-                .counters
-                .open_connections
-                .fetch_sub(1, Ordering::Relaxed);
+            shared.counters().open_connections.sub(1);
             note_conn_event(&shared, EventKind::ConnClose, id);
             continue;
         };
@@ -464,9 +421,9 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream, id: u64) {
             Ok(0) => break, // EOF, or shutdown(Read)
             Ok(n) => {
                 shared
-                    .counters
+                    .counters()
                     .bytes_in
-                    .fetch_add(u64::try_from(n).unwrap_or(u64::MAX), Ordering::Relaxed);
+                    .add(u64::try_from(n).unwrap_or(u64::MAX));
                 if buf.len() > max && !buf.ends_with(b"\n") {
                     let oversize = WireError::Parse(format!(
                         "line exceeds the {max}-byte limit; closing connection"
@@ -487,10 +444,9 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream, id: u64) {
                     continue;
                 }
                 match line {
-                    "stats" => Pending::Line(render_stats(&shared)),
-                    "metrics" => Pending::Line(render_metrics_text(&shared)),
-                    "metrics json" => Pending::Line(render_metrics_json(&shared)),
-                    "events" => Pending::Line(render_events(&shared)),
+                    "metrics" => Pending::Render(render_metrics_text),
+                    "metrics json" => Pending::Render(render_metrics_json),
+                    "events" => Pending::Render(render_events),
                     _ => {
                         let lone = owed.is_empty() && !reader.buffer().contains(&b'\n');
                         route_command(&shared, line, lone)
@@ -510,10 +466,7 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream, id: u64) {
         .unwrap_or_else(|e| e.into_inner())
         .remove(&id);
     note_conn_event(&shared, EventKind::ConnClose, id);
-    shared
-        .counters
-        .open_connections
-        .fetch_sub(1, Ordering::Relaxed);
+    shared.counters().open_connections.sub(1);
 }
 
 /// Parses one command line and fires it at the runtime without blocking:
@@ -534,21 +487,19 @@ fn route_command(shared: &Shared, line: &str, lone: bool) -> Pending {
     };
     match outcome {
         SubmitOutcome::Queued(ticket) => {
-            shared.counters.commands.fetch_add(1, Ordering::Relaxed);
+            shared.counters().commands.add(1);
             Pending::Ticket(ticket)
         }
         SubmitOutcome::Busy(_) => {
-            shared
-                .counters
-                .busy_rejections
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters().busy_rejections.add(1);
             Pending::Line(WireError::Busy.render())
         }
     }
 }
 
 /// Writes every owed reply in submission order, waiting each ticket in
-/// turn, then flushes once. On an error the connection is unwritable and
+/// turn and rendering each document once every reply before it is in
+/// hand, then flushes once. On an error the connection is unwritable and
 /// the replies not yet written are dropped.
 fn answer(
     shared: &Shared,
@@ -558,6 +509,7 @@ fn answer(
     for pending in owed.drain(..) {
         let text = match pending {
             Pending::Line(line) => line,
+            Pending::Render(render) => render(shared),
             Pending::Ticket(ticket) => match ticket.wait() {
                 Ok(response) => render_response(&response),
                 Err(e) => WireError::from(&e).render(),
@@ -566,18 +518,11 @@ fn answer(
         let sent = u64::try_from(text.len())
             .unwrap_or(u64::MAX)
             .saturating_add(1);
-        shared.counters.bytes_out.fetch_add(sent, Ordering::Relaxed);
+        shared.counters().bytes_out.add(sent);
         writer.write_all(text.as_bytes())?;
         writer.write_all(b"\n")?;
     }
     writer.flush()
-}
-
-/// Builds the framed `stats` response: `ok+<n> stats` followed by the
-/// JSON document, one continuation line per JSON line.
-fn render_stats(shared: &Shared) -> String {
-    let json = render_stats_json(&shared.counters.snapshot(), &shared.runtime.report());
-    frame("stats", &json)
 }
 
 /// Frames a multi-line document as `ok+<n> <tag>` plus its lines.
@@ -589,19 +534,14 @@ fn frame(tag: &str, body: &str) -> String {
 /// Builds the framed `metrics` response: a Prometheus-style text
 /// exposition of the telemetry snapshot.
 fn render_metrics_text(shared: &Shared) -> String {
-    frame(
-        "metrics",
-        &shared.runtime.telemetry().snapshot().render_prometheus(),
-    )
+    frame("metrics", &shared.runtime.report().render_prometheus())
 }
 
 /// Builds the framed `metrics json` response: the same snapshot as an
-/// all-integer JSON document (counts, sums, nearest-rank percentiles).
+/// all-integer JSON document (stage counts, sums and nearest-rank
+/// percentiles, and every counter).
 fn render_metrics_json(shared: &Shared) -> String {
-    frame(
-        "metrics",
-        &shared.runtime.telemetry().snapshot().render_json(),
-    )
+    frame("metrics", &shared.runtime.report().render_json())
 }
 
 /// Builds the framed `events` response, **draining** the event ring:
@@ -619,52 +559,4 @@ fn note_conn_event(shared: &Shared, kind: EventKind, id: u64) {
         .telemetry()
         .ring()
         .emit(NO_SHARD, kind, id, 0);
-}
-
-/// Renders server counters plus a [`RuntimeReport`] as an **all-integer**
-/// JSON document — by construction parseable by `fourcycle_store::json`
-/// (which rejects floats by design).
-pub fn render_stats_json(server: &ServerStats, report: &RuntimeReport) -> String {
-    fn shard_object(s: &RuntimeStats) -> String {
-        format!(
-            "{{\"commands\": {}, \"updates_applied\": {}, \"rejected\": {}, \
-             \"queue_full_stalls\": {}, \"groups\": {}, \"journal_fsyncs\": {}, \
-             \"busy_nanos\": {}, \"idle_nanos\": {}}}",
-            s.commands,
-            s.updates_applied,
-            s.rejected,
-            s.queue_full_stalls,
-            s.groups,
-            s.journal_fsyncs,
-            s.busy_nanos,
-            s.idle_nanos
-        )
-    }
-    let mut out = String::new();
-    out.push_str("{\n  \"server\": {\n");
-    out.push_str(&format!(
-        "    \"connections\": {},\n    \"open_connections\": {},\n    \"commands\": {},\n",
-        server.connections, server.open_connections, server.commands
-    ));
-    out.push_str(&format!(
-        "    \"busy_rejections\": {},\n    \"bytes_in\": {},\n    \"bytes_out\": {}\n",
-        server.busy_rejections, server.bytes_in, server.bytes_out
-    ));
-    out.push_str("  },\n  \"runtime\": {\n");
-    out.push_str(&format!("    \"shards\": {},\n", report.per_shard.len()));
-    out.push_str("    \"per_shard\": [\n");
-    for (i, shard) in report.per_shard.iter().enumerate() {
-        let comma = if i + 1 < report.per_shard.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!("      {}{comma}\n", shard_object(shard)));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"totals\": {}\n  }}\n}}",
-        shard_object(&report.totals)
-    ));
-    out
 }

@@ -261,10 +261,6 @@ impl From<&RuntimeError> for WireError {
         match e {
             RuntimeError::ShardUnavailable => WireError::ShardUnavailable,
             RuntimeError::Service(service) => WireError::from(service),
-            // Server-side parse errors are always single-line parses (line
-            // 0, no captured text), so the message alone round-trips the
-            // whole error.
-            RuntimeError::Parse(parse) => WireError::Parse(parse.message.clone()),
             RuntimeError::Store(store) => WireError::Store(store.to_string()),
         }
     }
@@ -422,14 +418,6 @@ mod tests {
         let shard = WireError::from(&RuntimeError::ShardUnavailable);
         assert_eq!(shard.render(), "err shard-unavailable");
         roundtrip(shard);
-
-        let parse = WireError::from(&RuntimeError::Parse(ParseError {
-            line: 0,
-            message: "unknown command \"frobnicate\"".into(),
-            text: String::new(),
-        }));
-        assert_eq!(parse.render(), "err parse unknown command \"frobnicate\"");
-        roundtrip(parse);
 
         let service = WireError::from(&RuntimeError::Service(ServiceError::UnknownGraph(GraphId(
             1,

@@ -1,9 +1,10 @@
 //! End-to-end wire tests: a real listener on a loopback port, driven by
 //! the real [`Client`] — every response and error shape, per-connection
 //! ordering under pipelining, which lines skip the shard mailbox,
-//! backpressure (`busy`) convergence, the `stats` document, and graceful
-//! shutdown semantics. A raw socket drives what the client cannot: a
-//! half-close after a long pipeline.
+//! backpressure (`busy`) convergence, the `metrics` documents, and
+//! graceful shutdown semantics. A raw socket drives what the client
+//! cannot: a half-close after a long pipeline, and documents pipelined
+//! behind commands.
 
 #![allow(
     clippy::unwrap_used,
@@ -17,10 +18,12 @@ use fourcycle_core::EngineKind;
 use fourcycle_graph::{LayeredUpdate, Rel};
 use fourcycle_runtime::{RuntimeConfig, ShardedRuntime};
 use fourcycle_server::{Client, ClientError, Server, ServerConfig, WireError};
-use fourcycle_service::{GraphId, Request, Response};
-use fourcycle_telemetry::{expose, Stage, NO_SHARD};
+use fourcycle_service::{response_extra_lines, GraphId, Request, Response};
+use fourcycle_store::json::Json;
+use fourcycle_telemetry::{expose, Stage, TelemetryConfig, NO_SHARD};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
 
 fn square(base: u32) -> Vec<LayeredUpdate> {
     vec![
@@ -188,7 +191,7 @@ fn closed_loop_commands_skip_the_mailbox() {
     }
     let report = server.report();
     assert_eq!(report.totals.commands, commands);
-    assert_eq!(report.totals.groups, groups, "{report:?}");
+    assert_eq!(report.totals.groups, groups, "{:?}", report.totals);
     server.shutdown();
 }
 
@@ -250,7 +253,11 @@ fn a_pipelined_burst_still_batches_and_replies_in_order() {
     }
     let report = server.shutdown();
     assert_eq!(report.totals.commands, 72);
-    assert!(report.totals.groups < report.totals.commands, "{report:?}");
+    assert!(
+        report.totals.groups < report.totals.commands,
+        "{:?}",
+        report.totals
+    );
 }
 
 /// Backpressure end-to-end: against a depth-1 mailbox, a hard pipeliner
@@ -312,10 +319,41 @@ fn busy_rejections_surface_and_retries_converge() {
     assert!(stats.busy_rejections <= report.totals.queue_full_stalls);
 }
 
-/// The stats document is machine-readable by the in-tree JSON reader and
-/// its totals agree with both layers' counters.
+/// A shard's counter names, in document order.
+const SHARD_FIELDS: [&str; 8] = [
+    "commands",
+    "updates_applied",
+    "rejected",
+    "queue_full_stalls",
+    "groups",
+    "journal_fsyncs",
+    "busy_nanos",
+    "idle_nanos",
+];
+
+/// Reads an integer field of a JSON object.
+fn int(object: &Json, field: &str) -> u64 {
+    object
+        .get(field)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("missing integer field {field:?} in {object:?}"))
+}
+
+/// Sums one stage's sample counts over every shard of a `metrics json`
+/// document.
+fn stage_count(metrics: &Json, stage: Stage) -> u64 {
+    let stages = metrics.get("stages").unwrap().as_arr().unwrap();
+    stages
+        .iter()
+        .filter(|s| s.get("stage").unwrap().as_str() == Some(stage.name()))
+        .map(|s| int(s, "count"))
+        .sum()
+}
+
+/// The `metrics json` document is machine-readable by the in-tree JSON
+/// reader, and its server counters agree with `Server::stats()`.
 #[test]
-fn stats_parse_and_totals_match() {
+fn metrics_json_server_counters_match_server_stats() {
     let server = start_server(2);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = GraphId(5);
@@ -330,60 +368,37 @@ fn stats_parse_and_totals_match() {
         .unwrap();
     client.call(&Request::Count { id }).unwrap();
 
-    let stats = client.stats().unwrap();
-    let server_side = stats.get("server").expect("server section");
-    assert_eq!(server_side.get("commands").unwrap().as_u64(), Some(3));
+    let metrics = client.metrics().unwrap();
+    let wire = metrics.get("server").expect("server section");
+    let live = server.stats();
+    assert_eq!(int(wire, "commands"), 3);
+    assert_eq!(int(wire, "busy_rejections"), 0);
+    assert_eq!(int(wire, "open_connections"), 1);
     assert_eq!(
-        server_side.get("busy_rejections").unwrap().as_u64(),
-        Some(0)
+        (int(wire, "connections"), int(wire, "commands")),
+        (live.connections, live.commands)
     );
+    // The document counts the request line that fetched it, but not its
+    // own reply; both byte counters only grow from there.
+    assert!(int(wire, "bytes_in") > 0 && int(wire, "bytes_in") <= live.bytes_in);
+    assert!(int(wire, "bytes_out") > 0 && int(wire, "bytes_out") < live.bytes_out);
+    assert_eq!(int(metrics.get("totals").unwrap(), "commands"), 3);
+    assert_eq!(metrics.get("shards").unwrap().as_arr().unwrap().len(), 2);
+    // `metrics json` carries what the deleted `stats` document did.
     assert_eq!(
-        server_side.get("open_connections").unwrap().as_u64(),
-        Some(1)
+        client.call_line("stats").unwrap(),
+        "err parse unknown command \"stats\""
     );
-    assert!(server_side.get("bytes_in").unwrap().as_u64().unwrap() > 0);
-    assert!(server_side.get("bytes_out").unwrap().as_u64().unwrap() > 0);
-    let runtime_side = stats.get("runtime").expect("runtime section");
-    assert_eq!(runtime_side.get("shards").unwrap().as_u64(), Some(2));
-    assert_eq!(
-        runtime_side
-            .get("totals")
-            .unwrap()
-            .get("commands")
-            .unwrap()
-            .as_u64(),
-        Some(3)
-    );
-    assert_eq!(
-        runtime_side
-            .get("per_shard")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .len(),
-        2
-    );
-    // The live ServerStats accessor agrees with the wire document.
-    assert_eq!(server.stats().commands, 3);
     server.shutdown();
 }
 
-/// ISSUE 9 satellite: the stats document's per-shard objects carry the
-/// full counter set — including the group-commit counters `groups` and
-/// `journal_fsyncs` — and so do the totals. Pins the JSON shape so
-/// dashboards scraping `stats` don't silently lose fields.
+/// Every per-shard object of `metrics json`, and the totals, carries the
+/// full counter set as integers — including the group-commit counters
+/// `groups` and `journal_fsyncs` — and each shard's `commands` equals
+/// every stage's sample count in the same document. Pins the shape so
+/// dashboards scraping it don't silently lose fields.
 #[test]
-fn stats_per_shard_objects_pin_the_full_counter_shape() {
-    const SHARD_FIELDS: [&str; 8] = [
-        "commands",
-        "updates_applied",
-        "rejected",
-        "queue_full_stalls",
-        "groups",
-        "journal_fsyncs",
-        "busy_nanos",
-        "idle_nanos",
-    ];
+fn metrics_json_pins_the_full_counter_shape() {
     let server = start_server(2);
     let mut client = Client::connect(server.local_addr()).unwrap();
     let id = GraphId(1);
@@ -400,31 +415,35 @@ fn stats_per_shard_objects_pin_the_full_counter_shape() {
         .unwrap();
     assert!(replies.iter().all(Result::is_ok), "{replies:?}");
 
-    let stats = client.stats().unwrap();
-    let runtime_side = stats.get("runtime").expect("runtime section");
-    let per_shard = runtime_side.get("per_shard").unwrap().as_arr().unwrap();
+    let metrics = client.metrics().unwrap();
+    let per_shard = metrics.get("shards").unwrap().as_arr().unwrap();
     assert_eq!(per_shard.len(), 2);
-    let totals = runtime_side.get("totals").unwrap();
+    let totals = metrics.get("totals").unwrap();
     for object in per_shard.iter().chain([totals]) {
         for field in SHARD_FIELDS {
-            assert!(
-                object.get(field).and_then(|v| v.as_u64()).is_some(),
-                "missing integer field {field:?} in {object:?}"
-            );
+            int(object, field);
+        }
+    }
+    let stages = metrics.get("stages").unwrap().as_arr().unwrap();
+    for (shard, object) in per_shard.iter().enumerate() {
+        assert_eq!(int(object, "shard"), shard as u64);
+        for stage in stages.iter().filter(|s| int(s, "shard") == shard as u64) {
+            assert_eq!(int(stage, "count"), int(object, "commands"), "{stage:?}");
         }
     }
     // Dispatch groups are counted even in-process; fsyncs need a
     // journal, so that counter is present but zero here.
-    assert!(totals.get("groups").unwrap().as_u64().unwrap() >= 1);
-    assert_eq!(totals.get("journal_fsyncs").unwrap().as_u64(), Some(0));
-    assert_eq!(totals.get("commands").unwrap().as_u64(), Some(2));
+    assert!(int(totals, "groups") >= 1);
+    assert_eq!(int(totals, "journal_fsyncs"), 0);
+    assert_eq!(int(totals, "commands"), 2);
+    assert_eq!(int(totals, "updates_applied"), 4);
     server.shutdown();
 }
 
 /// After real traffic the `metrics` command returns a well-formed
-/// Prometheus exposition whose per-stage histogram counts equal the
-/// runtime's `commands` counter, and `metrics json` returns the same
-/// snapshot as all-integer JSON.
+/// Prometheus exposition carrying every counter, and `metrics json`
+/// returns the same snapshot as all-integer JSON; both count each
+/// delivered command once in every stage histogram.
 #[test]
 fn metrics_exposition_matches_command_counts() {
     let server = start_server(2);
@@ -436,43 +455,120 @@ fn metrics_exposition_matches_command_counts() {
     for update in square(0) {
         client.call(&Request::ApplyLayered { id, update }).unwrap();
     }
-    let commands = client
-        .stats()
-        .unwrap()
-        .get("runtime")
-        .unwrap()
-        .get("totals")
-        .unwrap()
-        .get("commands")
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    assert_eq!(commands, 5);
 
     let text = client.metrics_text().unwrap();
     expose::validate_prometheus(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     assert!(text.contains("fourcycle_stage_latency_nanos"), "{text}");
+    for field in SHARD_FIELDS {
+        for shard in 0..2 {
+            let series = format!("fourcycle_shard_{field}_total{{shard=\"{shard}\"}} ");
+            assert!(text.contains(&series), "{series} missing:\n{text}");
+        }
+    }
+    let commands: u64 = (0..2)
+        .map(|shard| {
+            let series = format!("fourcycle_shard_commands_total{{shard=\"{shard}\"}} ");
+            let line = text.lines().find(|l| l.starts_with(&series)).unwrap();
+            line[series.len()..].parse::<u64>().unwrap()
+        })
+        .sum();
+    assert_eq!(commands, 5);
+    assert!(
+        text.contains("\nfourcycle_server_commands_total 5\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("\nfourcycle_server_open_connections 1\n"),
+        "{text}"
+    );
 
     // Every delivered command contributed exactly one sample to every
     // stage histogram — the same invariant the runtime tests pin, here
     // observed through the wire document.
     let metrics = client.metrics().unwrap();
-    let stages = metrics.get("stages").unwrap().as_arr().unwrap();
+    assert_eq!(int(metrics.get("totals").unwrap(), "commands"), commands);
     for stage in Stage::ALL {
-        let total: u64 = stages
-            .iter()
-            .filter(|s| s.get("stage").unwrap().as_str() == Some(stage.name()))
-            .map(|s| s.get("count").unwrap().as_u64().unwrap())
-            .sum();
-        assert_eq!(total, commands, "stage {}", stage.name());
+        assert_eq!(
+            stage_count(&metrics, stage),
+            commands,
+            "stage {}",
+            stage.name()
+        );
     }
-    let queue_sum: u64 = stages
+    let queue_sum: u64 = metrics
+        .get("stages")
+        .unwrap()
+        .as_arr()
+        .unwrap()
         .iter()
         .filter(|s| s.get("stage").unwrap().as_str() == Some(Stage::QueueWait.name()))
-        .map(|s| s.get("sum").unwrap().as_u64().unwrap())
+        .map(|s| int(s, "sum"))
         .sum();
     assert!(queue_sum > 0, "queue wait is always measurable");
     server.shutdown();
+}
+
+/// A document pipelined behind commands is rendered when its reply is
+/// due, so it counts every command sent before it on the connection, and
+/// `events` drains what they emitted.
+#[test]
+fn pipelined_documents_count_the_commands_before_them() {
+    let runtime = ShardedRuntime::start(
+        RuntimeConfig::new()
+            .shards(1)
+            .engine(EngineKind::Simple)
+            .telemetry(TelemetryConfig::default().slow_request_threshold(Duration::ZERO)),
+    );
+    let server = Server::start(ServerConfig::new(), runtime).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for round in 1..=5u64 {
+        let burst = format!(
+            "create g{round}\nlayered g{round} A+1:2 B+2:3 C+3:4 D+4:1\ncount g{round}\n\
+             metrics json\nevents\n"
+        );
+        stream.write_all(burst.as_bytes()).unwrap();
+        for _ in 0..3 {
+            let reply = read_framed(&mut reader);
+            assert!(reply.starts_with("ok "), "{reply}");
+        }
+        let metrics = Json::parse(framed_body(&read_framed(&mut reader), "metrics")).unwrap();
+        let commands = 3 * round;
+        assert_eq!(stage_count(&metrics, Stage::Reply), commands);
+        assert_eq!(int(metrics.get("totals").unwrap(), "commands"), commands);
+        assert_eq!(int(metrics.get("server").unwrap(), "commands"), commands);
+        let events = Json::parse(framed_body(&read_framed(&mut reader), "events")).unwrap();
+        let slow = events
+            .get("events")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("kind").unwrap().as_str() == Some("slow_request"))
+            .count();
+        assert_eq!(slow, 3, "round {round}: {events:?}");
+    }
+    drop((stream, reader));
+    server.shutdown();
+}
+
+/// Reads one framed reply off a raw socket: the header line plus the
+/// continuation lines it declares.
+fn read_framed(reader: &mut BufReader<TcpStream>) -> String {
+    let mut text = String::new();
+    reader.read_line(&mut text).unwrap();
+    let extra = response_extra_lines(text.trim_end()).unwrap();
+    for _ in 0..extra {
+        reader.read_line(&mut text).unwrap();
+    }
+    text
+}
+
+/// The body of a framed `ok+<n> <tag>` document.
+fn framed_body<'a>(framed: &'a str, tag: &str) -> &'a str {
+    let (header, body) = framed.split_once('\n').unwrap();
+    assert_eq!(header.split_whitespace().nth(1), Some(tag), "{framed}");
+    body
 }
 
 /// Connection lifecycle lands in the ring as `conn_open`/`conn_close`
@@ -520,7 +616,7 @@ fn events_command_drains_connection_lifecycle() {
     // Drained is drained: a second read returns only what happened since.
     let again = client.events().unwrap();
     let again = again.get("events").unwrap().as_arr().unwrap().len();
-    assert!(again <= 1, "at most a stats/metrics follow-up, got {again}");
+    assert!(again <= 1, "at most a metrics follow-up, got {again}");
     server.shutdown();
 }
 

@@ -2,13 +2,11 @@
 //! workspace.
 //!
 //! The counters of `fourcycle-core` each serve exactly one graph and are
-//! constructed ad hoc. A production deployment (the ROADMAP's "heavy
-//! traffic from millions of users") instead wants one *service* object
-//! owning many independent graphs, a single command vocabulary for all of
-//! them, real errors instead of silently-ignored updates, and reads that
-//! cannot race writers. [`CycleCountService`] provides exactly that, in the
-//! same service framing IVM systems (DBSP, differential dataflow) put in
-//! front of their incremental cores:
+//! constructed ad hoc. [`CycleCountService`] is one object owning many
+//! independent graphs, with a single command vocabulary for all of them,
+//! real errors instead of silently-ignored updates, and reads that cannot
+//! race writers — the service framing IVM systems (DBSP, differential
+//! dataflow) put in front of their incremental cores:
 //!
 //! * **Sessions** — a registry of independent graphs keyed by [`GraphId`].
 //!   Each session owns one counter built from a [`SessionSpec`]

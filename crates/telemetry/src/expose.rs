@@ -1,11 +1,13 @@
 //! Rendering a [`TelemetrySnapshot`] for the outside world.
 //!
-//! Two dialects, matching the server's existing `stats` conventions:
+//! Two dialects, both carrying every histogram and counter:
 //!
 //! - **Prometheus-style text** ([`render_prometheus`]): `# HELP`/`# TYPE`
 //!   comments, one cumulative-histogram series per (stage, shard) with
-//!   `le` labels at occupied bucket boundaries plus `+Inf`, then the event
-//!   ring's statistics. Every sample value is an integer.
+//!   `le` labels at occupied bucket boundaries plus `+Inf`, one family per
+//!   shard counter with a `shard` label (totals are their sums), the
+//!   front door's counters, then the event ring's statistics. Every
+//!   sample value is an integer.
 //! - **All-integer JSON** ([`render_json`], [`render_events_json`]): the
 //!   workspace's machine-diffing dialect — no floats, parseable by the
 //!   in-tree `fourcycle_store::json` reader.
@@ -28,7 +30,7 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
         "# HELP {STAGE_METRIC} Per-stage request latency in nanoseconds\n"
     ));
     out.push_str(&format!("# TYPE {STAGE_METRIC} histogram\n"));
-    for (shard, stages) in snapshot.shards.iter().enumerate() {
+    for (shard, stages) in snapshot.stages.iter().enumerate() {
         for stage in Stage::ALL {
             let hist = &stages[stage.index()];
             let labels = format!("stage=\"{}\",shard=\"{shard}\"", stage.name());
@@ -54,6 +56,25 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
             out.push_str(&format!("{STAGE_METRIC}_count{{{labels}}} {count}\n"));
         }
     }
+    for (i, (stem, _)) in snapshot.totals.fields().into_iter().enumerate() {
+        let name = format!("fourcycle_shard_{stem}_total");
+        out.push_str(&format!(
+            "# HELP {name} Per-shard `{stem}` counter\n# TYPE {name} counter\n"
+        ));
+        for (shard, stats) in snapshot.per_shard.iter().enumerate() {
+            let value = stats.fields()[i].1;
+            out.push_str(&format!("{name}{{shard=\"{shard}\"}} {value}\n"));
+        }
+    }
+    for (stem, value) in snapshot.server.fields() {
+        let (name, kind) = match stem {
+            "open_connections" => (format!("fourcycle_server_{stem}"), "gauge"),
+            _ => (format!("fourcycle_server_{stem}_total"), "counter"),
+        };
+        out.push_str(&format!(
+            "# HELP {name} Server front-door `{stem}`\n# TYPE {name} {kind}\n{name} {value}\n"
+        ));
+    }
     for (help, name, value) in [
         (
             "Total events emitted into the ring",
@@ -78,13 +99,23 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
+/// `"name": value` pairs, comma-separated, for a JSON object.
+pub fn json_fields(fields: &[(&str, u64)]) -> String {
+    let pairs: Vec<String> = fields
+        .iter()
+        .map(|(name, value)| format!("\"{name}\": {value}"))
+        .collect();
+    pairs.join(", ")
+}
+
 /// Renders the all-integer JSON document: one object per (shard, stage)
-/// with count/sum/max/mean and nearest-rank p50/p90/p99, plus ring
-/// statistics.
+/// with count/sum/max/mean and nearest-rank p50/p90/p99, one counter
+/// object per shard, the shard totals, the front door's counters and the
+/// ring statistics.
 pub fn render_json(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::from("{\n  \"stages\": [\n");
     let mut first = true;
-    for (shard, stages) in snapshot.shards.iter().enumerate() {
+    for (shard, stages) in snapshot.stages.iter().enumerate() {
         for stage in Stage::ALL {
             let hist = &stages[stage.index()];
             if !first {
@@ -105,7 +136,22 @@ pub fn render_json(snapshot: &TelemetrySnapshot) -> String {
             ));
         }
     }
-    out.push_str("\n  ],\n");
+    out.push_str("\n  ],\n  \"shards\": [\n");
+    let shards: Vec<String> = snapshot
+        .per_shard
+        .iter()
+        .enumerate()
+        .map(|(shard, stats)| {
+            let fields = json_fields(&stats.fields());
+            format!("    {{\"shard\": {shard}, {fields}}}")
+        })
+        .collect();
+    out.push_str(&shards.join(",\n"));
+    out.push_str(&format!(
+        "\n  ],\n  \"totals\": {{{}}},\n  \"server\": {{{}}},\n",
+        json_fields(&snapshot.totals.fields()),
+        json_fields(&snapshot.server.fields())
+    ));
     out.push_str(&format!(
         "  \"events\": {{\"emitted\": {}, \"dropped\": {}, \"buffered\": {}}}\n}}",
         snapshot.events_emitted, snapshot.events_dropped, snapshot.events_buffered
@@ -222,12 +268,19 @@ mod tests {
         for _ in 0..4 {
             tel.stage(1, Stage::QueueWait).record(250);
         }
+        tel.stage(0, Stage::Reply).record(40);
+        tel.counters(1).updates_applied.add(9);
+        tel.counters(1).busy_nanos.add(u64::MAX);
+        tel.front_door().connections.add(2);
+        tel.front_door().open_connections.add(1);
+        tel.front_door().bytes_in.add(42);
         tel.ring().emit(0, EventKind::GroupCommit, 4, 900);
         tel.snapshot()
     }
 
     /// The exposition passes its own validator and carries the stage
-    /// series with correct counts.
+    /// series with correct counts, every shard counter per shard (the
+    /// reply stage's count as `commands`) and the front door's counters.
     #[test]
     fn prometheus_rendering_validates_and_counts() {
         let snapshot = sample_snapshot();
@@ -238,6 +291,22 @@ mod tests {
             .contains("fourcycle_stage_latency_nanos_count{stage=\"queue_wait\",shard=\"1\"} 4"));
         assert!(text.contains("le=\"+Inf\"} 4"));
         assert!(text.contains("fourcycle_events_emitted_total 1"));
+        for (name, _) in snapshot.totals.fields() {
+            for shard in 0..2 {
+                let series = format!("fourcycle_shard_{name}_total{{shard=\"{shard}\"}} ");
+                assert!(text.contains(&series), "{series} missing:\n{text}");
+            }
+        }
+        assert!(text.contains("fourcycle_shard_commands_total{shard=\"0\"} 1\n"));
+        assert!(text.contains("fourcycle_shard_updates_applied_total{shard=\"1\"} 9\n"));
+        assert!(text.contains(&format!(
+            "fourcycle_shard_busy_nanos_total{{shard=\"1\"}} {}\n",
+            u64::MAX
+        )));
+        assert!(text.contains("fourcycle_server_connections_total 2\n"));
+        assert!(text.contains("# TYPE fourcycle_server_open_connections gauge\n"));
+        assert!(text.contains("fourcycle_server_open_connections 1\n"));
+        assert!(text.contains("fourcycle_server_bytes_in_total 42\n"));
     }
 
     /// The validator actually rejects malformed expositions.
@@ -263,6 +332,11 @@ mod tests {
         let rows = json.matches("\"stage\": ").count();
         assert_eq!(rows, 2 * Stage::COUNT);
         assert!(json.contains("\"emitted\": 1"));
+        assert!(json.contains("{\"shard\": 0, \"commands\": 1, \"updates_applied\": 0, "));
+        assert!(json.contains("{\"shard\": 1, \"commands\": 0, \"updates_applied\": 9, "));
+        assert!(json.contains("\"totals\": {\"commands\": 1, \"updates_applied\": 9, "));
+        assert!(json.contains("\"server\": {\"connections\": 2, \"open_connections\": 1, "));
+        assert!(json.contains("\"bytes_in\": 42, \"bytes_out\": 0}"));
     }
 
     /// Drained events render with their kind names and payloads.

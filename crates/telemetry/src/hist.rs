@@ -19,6 +19,7 @@
 //! reported percentile is always a value less than or equal to an actually
 //! observed sample, never an interpolated fiction.
 
+use crate::stats::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: 16 exact buckets for values `0..16`, then 8
@@ -88,17 +89,6 @@ pub fn nearest_rank(count: u64, q: f64) -> u64 {
     rank.clamp(1, count)
 }
 
-/// Saturating add on an atomic counter: sticks at `u64::MAX` instead of
-/// wrapping. Mirrors the runtime's `ShardMetrics` discipline.
-fn saturating_fetch_add(cell: &AtomicU64, delta: u64) {
-    if delta == 0 {
-        return;
-    }
-    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-        Some(v.saturating_add(delta))
-    });
-}
-
 /// Concurrent fixed-bucket histogram. `Histogram::default()` is empty;
 /// recording never blocks and never allocates.
 ///
@@ -107,7 +97,7 @@ fn saturating_fetch_add(cell: &AtomicU64, delta: u64) {
 /// taken mid-record; only `sum`/`max` can trail by in-flight samples.
 pub struct Histogram {
     buckets: Box<[AtomicU64; BUCKETS]>,
-    sum: AtomicU64,
+    sum: Counter,
     max: AtomicU64,
 }
 
@@ -122,7 +112,7 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            sum: AtomicU64::new(0),
+            sum: Counter::default(),
             max: AtomicU64::new(0),
         }
     }
@@ -132,7 +122,7 @@ impl Histogram {
     #[deny(clippy::disallowed_methods)]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        saturating_fetch_add(&self.sum, value);
+        self.sum.add(value);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
@@ -145,7 +135,7 @@ impl Histogram {
         }
         HistogramSnapshot {
             buckets,
-            sum: self.sum.load(Ordering::Relaxed),
+            sum: self.sum.get(),
             max: self.max.load(Ordering::Relaxed),
         }
     }

@@ -10,12 +10,16 @@
 //!   with the bench harness via [`hist::nearest_rank`].
 //! - [`Stage`] — the six pipeline stages a request passes through; the
 //!   runtime records one sample per stage per delivered command, so every
-//!   stage histogram's count equals the `commands` counter exactly.
+//!   stage histogram's count equals the shard's `commands` exactly.
 //! - [`ring::EventRing`] — bounded, overwrite-oldest, never blocks a
 //!   writer; captures slow requests, group commits, checkpoint writes,
 //!   recovery phases, chaos fault injections, and connection lifecycle.
+//! - [`stats`] — each shard's counters (updates applied, rejections,
+//!   stalls, groups, fsyncs, busy and idle time) and the server front
+//!   door's (connections, commands, busy rejections, bytes in and out).
 //! - [`expose`] — Prometheus-style text exposition and the workspace's
-//!   all-integer JSON dialect, both rendered from a [`TelemetrySnapshot`].
+//!   all-integer JSON dialect, both rendered from a [`TelemetrySnapshot`],
+//!   the one report of a runtime and its server.
 //!
 //! Every runtime collects telemetry; [`TelemetryConfig`] only tunes the
 //! slow-request threshold and the ring's capacity.
@@ -34,17 +38,26 @@
 pub mod expose;
 pub mod hist;
 pub mod ring;
+pub mod stats;
 
 pub use hist::{nearest_rank, Histogram, HistogramSnapshot};
 pub use ring::{Event, EventKind, EventRing, NO_SHARD};
+pub use stats::{Counter, FrontDoor, ServerStats, ShardCounters, ShardStats};
 
 use std::time::Duration;
+
+/// Nanoseconds of `duration`, clamped into `u64` (a `u128 as u64` cast
+/// would wrap silently after about 584 years).
+pub fn clamped_nanos(duration: Duration) -> u64 {
+    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
+}
 
 /// The stages a request passes through between arriving at a shard
 /// mailbox and its reply being sent. Every delivered command contributes
 /// exactly one sample to each stage's histogram (zero-valued where a
-/// stage does not apply), so per-stage counts stay equal to the runtime's
-/// `commands` counter — a cheap cross-check that no sample is lost. A
+/// stage does not apply), so per-stage counts stay equal to the shard's
+/// `commands` (the [`Stage::Reply`] count) — a cheap cross-check that no
+/// sample is lost. A
 /// command's six samples are consecutive intervals, so they sum to its
 /// time from enqueue to reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,7 +140,7 @@ impl TelemetryConfig {
     /// Sets the end-to-end latency above which a request emits a
     /// [`EventKind::SlowRequest`] event.
     pub fn slow_request_threshold(mut self, threshold: Duration) -> Self {
-        self.slow_request_nanos = u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX);
+        self.slow_request_nanos = clamped_nanos(threshold);
         self
     }
 
@@ -148,13 +161,16 @@ impl TelemetryConfig {
     }
 }
 
-/// The live telemetry of one runtime: per-shard stage histograms and the
-/// event ring. Layers share it through an `Arc`.
+/// The live telemetry of one runtime and the server fronting it: per-shard
+/// stage histograms and counters, the front door's counters and the event
+/// ring. Layers share it through an `Arc`.
 #[derive(Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
     /// `stages[shard][stage.index()]`.
     stages: Vec<Vec<Histogram>>,
+    counters: Vec<ShardCounters>,
+    front_door: FrontDoor,
     ring: EventRing,
 }
 
@@ -167,23 +183,25 @@ impl Telemetry {
         Self {
             config,
             stages,
+            counters: (0..shards).map(|_| ShardCounters::default()).collect(),
+            front_door: FrontDoor::default(),
             ring: EventRing::new(config.events_capacity()),
         }
-    }
-
-    /// The configuration this telemetry was built with.
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
-    }
-
-    /// Number of shards tracked.
-    pub fn shards(&self) -> usize {
-        self.stages.len()
     }
 
     /// The histogram for one stage on one shard.
     pub fn stage(&self, shard: usize, stage: Stage) -> &Histogram {
         &self.stages[shard][stage.index()]
+    }
+
+    /// One shard's counters.
+    pub fn counters(&self, shard: usize) -> &ShardCounters {
+        &self.counters[shard]
+    }
+
+    /// The server front door's counters.
+    pub fn front_door(&self) -> &FrontDoor {
+        &self.front_door
     }
 
     /// The shared event ring.
@@ -202,16 +220,29 @@ impl Telemetry {
         }
     }
 
-    /// Copies every histogram and ring statistic into an
+    /// Copies every histogram, counter and ring statistic into an
     /// immutable [`TelemetrySnapshot`]. Buffered events stay in the ring
     /// (use [`EventRing::drain`] to consume them).
     pub fn snapshot(&self) -> TelemetrySnapshot {
+        let stages: Vec<Vec<HistogramSnapshot>> = self
+            .stages
+            .iter()
+            .map(|stages| stages.iter().map(Histogram::snapshot).collect())
+            .collect();
+        let per_shard: Vec<ShardStats> = self
+            .counters
+            .iter()
+            .zip(&stages)
+            .map(|(counters, stages)| counters.snapshot(stages[Stage::Reply.index()].count()))
+            .collect();
         TelemetrySnapshot {
-            shards: self
-                .stages
+            totals: per_shard
                 .iter()
-                .map(|stages| stages.iter().map(Histogram::snapshot).collect())
-                .collect(),
+                .copied()
+                .fold(ShardStats::default(), ShardStats::merge),
+            stages,
+            per_shard,
+            server: self.front_door.snapshot(),
             events_emitted: self.ring.emitted(),
             events_dropped: self.ring.dropped(),
             events_buffered: u64::try_from(self.ring.len()).unwrap_or(u64::MAX),
@@ -220,11 +251,18 @@ impl Telemetry {
 }
 
 /// Point-in-time copy of a [`Telemetry`], ready for rendering
-/// (see [`expose`]) or cross-shard aggregation.
+/// (see [`expose`]) or cross-shard aggregation: the report a runtime and
+/// its server return.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// `shards[shard][stage.index()]` — one histogram per stage per shard.
-    pub shards: Vec<Vec<HistogramSnapshot>>,
+    /// `stages[shard][stage.index()]` — one histogram per stage per shard.
+    pub stages: Vec<Vec<HistogramSnapshot>>,
+    /// Each shard's counters, indexed by shard.
+    pub per_shard: Vec<ShardStats>,
+    /// The field-wise sum of `per_shard`.
+    pub totals: ShardStats,
+    /// The server front door's counters (all 0 without a server).
+    pub server: ServerStats,
     /// Total events ever emitted into the ring.
     pub events_emitted: u64,
     /// Events dropped due to writer-side lock contention.
@@ -236,14 +274,14 @@ pub struct TelemetrySnapshot {
 impl TelemetrySnapshot {
     /// The histogram for one stage on one shard.
     pub fn stage(&self, shard: usize, stage: Stage) -> &HistogramSnapshot {
-        &self.shards[shard][stage.index()]
+        &self.stages[shard][stage.index()]
     }
 
     /// One stage merged across all shards — equivalent to having recorded
     /// every shard's samples into a single histogram.
     pub fn stage_total(&self, stage: Stage) -> HistogramSnapshot {
         let mut total = HistogramSnapshot::empty();
-        for shard in &self.shards {
+        for shard in &self.stages {
             total.merge(&shard[stage.index()]);
         }
         total

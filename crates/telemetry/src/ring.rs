@@ -16,6 +16,7 @@
 //! nanoseconds of monotonic time since the ring was created — comparable
 //! within one process, deliberately not wall-clock.
 
+use crate::clamped_nanos;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -243,10 +244,6 @@ impl EventRing {
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.load(Ordering::Relaxed)
     }
-}
-
-fn clamped_nanos(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
